@@ -59,7 +59,6 @@ from .green import (  # noqa: F401
     extrapolate_c_g,
     image_t_grid,
     make_maps,
-    make_t_grid,
     solve_green,
     solve_green_continued,
 )

@@ -23,7 +23,13 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from . import FORMAT_VERSION
-from .errors import ConvergenceError, CorruptTableError, HmtError
+from .errors import (
+    ConvergenceError,
+    CorruptTableError,
+    DiscretizationFailureError,
+    HmtError,
+    PotentialInstabilityError,
+)
 from .extremal import (
     MoserParams,
     SearchOptions,
@@ -44,7 +50,7 @@ from .functionals import (
     rearrange,
 )
 from .green import GreenTable, check_boundary_bound, image_t_grid, make_maps, solve_green
-from .quad_core import RadialGrid, make_grid
+from .quad_core import GridGrading, RadialGrid, make_constants, make_grid
 from .transplant import transplant_report
 
 DEFAULTS: Dict[str, Any] = {
@@ -162,18 +168,6 @@ def _validate(cfg: Dict[str, Any]) -> None:
         raise _CliError(f"--format must be json or csv, got {cfg['format']}")
 
 
-def _parse_potential(text: str) -> Potential:
-    if text == "zero":
-        return Potential.zero()
-    if text == "hardy":
-        return Potential.hardy_critical()
-    if text.startswith("hardy+lambda="):
-        return Potential.hardy_plus_lambda(float(text.split("=", 1)[1]))
-    if text.startswith("const="):
-        return Potential.constant(float(text.split("=", 1)[1]))
-    raise _CliError(f"unknown potential {text!r}")
-
-
 def _config_for_output(cfg: Dict[str, Any]) -> Dict[str, Any]:
     # the output path is I/O plumbing, not experiment configuration; embedding
     # it would break byte-identical reproduction across destinations
@@ -213,7 +207,7 @@ def _write(text: str, cfg: Dict[str, Any]) -> None:
 
 
 def _cmd_green(cfg: Dict[str, Any]) -> int:
-    potential = _parse_potential(cfg["potential"])
+    potential = Potential.parse(cfg["potential"])
     grid = make_grid(cfg["grid_points"], float(cfg["epsilon"]))
     try:
         table = solve_green(cfg["n"], potential, grid, tol=float(cfg["tol"]))
@@ -228,15 +222,13 @@ def _cmd_green(cfg: Dict[str, Any]) -> int:
 
 def _load_green_table(path: str) -> GreenTable:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    from .quad_core import GridGrading, make_constants
-
     r = np.asarray(doc["r"], dtype=float)
     grid = RadialGrid(nodes=r, s=1.0 - r, xi=np.log(r), epsilon=float(doc["epsilon"]),
                       grading=GridGrading())
     g_vals = np.asarray(doc["G"], dtype=float)
     g_deriv = np.asarray(doc["Gprime"], dtype=float)
     remainder = np.asarray(doc["remainder"], dtype=float)
-    potential = _parse_potential(doc.get("potential", "hardy"))
+    potential = Potential.parse(doc.get("potential", "hardy"))
     c = make_constants(int(doc["n"]))
     flux = -(c.omega ** (1.0 / (int(doc["n"]) - 1))) * g_deriv * r
     m_vals = np.maximum(flux, 1.0) ** (int(doc["n"]) - 1) - 1.0
@@ -260,7 +252,7 @@ def _cmd_verify(cfg: Dict[str, Any]) -> int:
         _write(_emit_json({"green_table": "valid"}, cfg), cfg)
         return 0
 
-    potential = _parse_potential(cfg["potential"])
+    potential = Potential.parse(cfg["potential"])
     grid = make_grid(cfg["grid_points"], float(cfg["epsilon"]))
     table = solve_green(cfg["n"], potential, grid, tol=float(cfg["tol"]))
     if potential.is_zero():
@@ -269,7 +261,7 @@ def _cmd_verify(cfg: Dict[str, Any]) -> int:
     else:
         maps = make_maps(table, beta=float(cfg["beta"]), n_t=cfg["t_points"])
     corpus = seeded_corpus(grid, cfg["n"], cfg["corpus_size"], cfg["seed"], normalized=True)
-    reports = [transplant_report(u, maps, beta=float(cfg["beta"])) for u in corpus]
+    reports = [transplant_report(u, maps) for u in corpus]
 
     margin_tol = float(cfg["margin_tol"])
     worst: Optional[str] = None
@@ -401,13 +393,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
     except HmtError as exc:
         # domain/convergence failures from the library layer
-        from .errors import (
-            ConvergenceError,
-            CorruptTableError,
-            DiscretizationFailureError,
-            PotentialInstabilityError,
-        )
-
         numerical = (ConvergenceError, CorruptTableError, DiscretizationFailureError,
                      PotentialInstabilityError)
         code = 2 if isinstance(exc, numerical) else 1

@@ -12,8 +12,9 @@ untouched and keep the profile in the zero-boundary class the theory needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, NamedTuple, Optional
+import math
+from dataclasses import asdict, dataclass, field
+from typing import Dict, NamedTuple, Optional
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -39,6 +40,7 @@ __all__ = [
     "hardy_term",
     "hardy_tail_share",
     "h_functional",
+    "potential_term",
     "q_v_functional",
     "ln_norm_pow",
     "hyperbolic_ln_norm_pow",
@@ -79,10 +81,6 @@ class RadialProfile:
         self._interp: Optional[PchipInterpolator] = None
         self._deriv: Optional[np.ndarray] = None
 
-    @classmethod
-    def from_function(cls, grid: RadialGrid, f: Callable[[np.ndarray], np.ndarray], **kw):
-        return cls(grid, np.asarray(f(grid.nodes), dtype=float), **kw)
-
     @property
     def interpolator(self) -> PchipInterpolator:
         if self._interp is None:
@@ -106,9 +104,6 @@ class RadialProfile:
     def scaled(self, c: float) -> "RadialProfile":
         return RadialProfile(self.grid, c * self.values, enforce_zero_boundary=False)
 
-    def with_values(self, values, **kw) -> "RadialProfile":
-        return RadialProfile(self.grid, values, **kw)
-
 
 @dataclass(frozen=True)
 class Potential:
@@ -124,6 +119,12 @@ class Potential:
     table_r: Optional[np.ndarray] = None
     table_v: Optional[np.ndarray] = None
 
+    def __post_init__(self):
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise DomainError(f"lambda must be finite and >= 0, got {self.lam}")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise DomainError(f"constant potential must be finite and >= 0, got {self.alpha}")
+
     @classmethod
     def zero(cls) -> "Potential":
         return cls(kind="zero")
@@ -134,14 +135,10 @@ class Potential:
 
     @classmethod
     def hardy_plus_lambda(cls, lam: float) -> "Potential":
-        if lam < 0:
-            raise DomainError(f"lambda must be >= 0, got {lam}")
         return cls(kind="hardy+lambda", lam=float(lam))
 
     @classmethod
     def constant(cls, alpha: float) -> "Potential":
-        if alpha < 0:
-            raise DomainError(f"constant potential must be >= 0, got {alpha}")
         return cls(kind="const", alpha=float(alpha))
 
     @classmethod
@@ -152,19 +149,23 @@ class Potential:
             raise DomainError("tabulated potential must be nonnegative")
         return cls(kind="table", table_r=r, table_v=v)
 
-    def values(self, grid: RadialGrid, n: int) -> np.ndarray:
+    def at(self, r: np.ndarray, one_minus_r2: np.ndarray, n: int) -> np.ndarray:
+        """V at radii r; the boundary weight comes in as 1 - r^2, free of cancellation."""
         hc = make_constants(n).hardy_const
         if self.kind == "zero":
-            return np.zeros_like(grid.nodes)
+            return np.zeros_like(r)
         if self.kind == "hardy":
-            return hc / grid.one_minus_r2**n
+            return hc / one_minus_r2**n
         if self.kind == "hardy+lambda":
-            return hc / grid.one_minus_r2**n + self.lam
+            return hc / one_minus_r2**n + self.lam
         if self.kind == "const":
-            return np.full_like(grid.nodes, self.alpha)
+            return np.full_like(r, self.alpha)
         if self.kind == "table":
-            return np.interp(grid.nodes, self.table_r, self.table_v)
+            return np.interp(r, self.table_r, self.table_v)
         raise DomainError(f"unknown potential kind {self.kind!r}")
+
+    def values(self, grid: RadialGrid, n: int) -> np.ndarray:
+        return self.at(grid.nodes, grid.one_minus_r2, n)
 
     def is_zero(self) -> bool:
         return self.kind == "zero" or (self.kind == "const" and self.alpha == 0.0)
@@ -174,6 +175,20 @@ class Potential:
         w = grid.one_minus_r2**n * self.values(grid, n)
         scale = max(1.0, float(np.max(w, initial=0.0)))
         return bool(np.all(np.diff(w) <= tol * scale))
+
+    @classmethod
+    def parse(cls, text: str) -> "Potential":
+        """Inverse of descriptor(): zero | hardy | hardy+lambda=<x> | const=<x>."""
+        if text in ("zero", "hardy"):
+            return cls(kind=text)
+        for prefix, make in (("hardy+lambda=", cls.hardy_plus_lambda), ("const=", cls.constant)):
+            if text.startswith(prefix):
+                try:
+                    value = float(text[len(prefix):])
+                except ValueError:
+                    raise DomainError(f"potential parameter is not a number: {text!r}") from None
+                return make(value)
+        raise DomainError(f"unknown potential {text!r}")
 
     def descriptor(self) -> str:
         if self.kind == "hardy+lambda":
@@ -215,18 +230,7 @@ class FunctionalReport:
     margins: Dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "grad_energy": self.grad_energy,
-            "hardy_term": self.hardy_term,
-            "h_value": self.h_value,
-            "mt_integral": self.mt_integral,
-            "hyperbolic_mt": self.hyperbolic_mt,
-            "beta": self.beta,
-            "truncation_m": self.truncation_m,
-            "overflow": self.overflow,
-            "divergence_flag": self.divergence_flag,
-            "margins": dict(self.margins),
-        }
+        return asdict(self)
 
 
 def grad_energy(u: RadialProfile, n: int) -> float:
@@ -265,14 +269,18 @@ def h_functional(u: RadialProfile, n: int) -> float:
     return grad_energy(u, n) - hardy_term(u, n)
 
 
-def q_v_functional(u: RadialProfile, potential: Potential, n: int) -> float:
-    """Gradient energy minus int V |u|^n dx for a general admissible V."""
+def potential_term(u: RadialProfile, potential: Potential, n: int) -> float:
+    """int V |u|^n dx = omega * int V u^n r^(n-1) dr."""
     c = make_constants(n)
     g = u.grid
-    vpart = c.omega * integrate(
+    return c.omega * integrate(
         potential.values(g, n) * u.values**n * g.nodes ** (n - 1), g
     )
-    return grad_energy(u, n) - vpart
+
+
+def q_v_functional(u: RadialProfile, potential: Potential, n: int) -> float:
+    """Gradient energy minus int V |u|^n dx for a general admissible V."""
+    return grad_energy(u, n) - potential_term(u, potential, n)
 
 
 def ln_norm_pow(u: RadialProfile, n: int) -> float:

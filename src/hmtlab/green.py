@@ -37,8 +37,8 @@ from .quad_core import (
     GridGrading,
     RadialGrid,
     cumulative_from_origin,
-    grid_from_zones,
     make_constants,
+    make_grid,
 )
 
 __all__ = [
@@ -50,7 +50,6 @@ __all__ = [
     "extract_c_g",
     "check_boundary_bound",
     "make_maps",
-    "make_t_grid",
     "comparison_supersolution",
 ]
 
@@ -138,10 +137,6 @@ class TransplantMaps:
 def _flux_excess(m: np.ndarray, n: int) -> np.ndarray:
     # (1+m)^(1/(n-1)) - 1 without rounding to zero for m below 1 ulp
     return np.expm1(np.log1p(m) / (n - 1))
-
-
-def _flux_of(m: np.ndarray, n: int) -> np.ndarray:
-    return 1.0 + _flux_excess(m, n)
 
 
 def solve_green(
@@ -256,8 +251,6 @@ def solve_green_continued(
     growing balls; the previous solution (interpolated in ln r) seeds the
     next, which keeps the iteration count flat as eps shrinks.
     """
-    from .quad_core import make_grid
-
     tables: List[GreenTable] = []
     prev: Optional[GreenTable] = None
     for eps in eps_schedule:
@@ -322,27 +315,6 @@ def check_boundary_bound(table: GreenTable) -> float:
     return float(np.max(ratios))
 
 
-def make_t_grid(
-    n_t: int = 4096,
-    t_min: float = 1e-8,
-    inner: float = 0.01,
-    tail_fraction: float = 0.2,
-) -> RadialGrid:
-    """Dedicated grid in the transplanted variable t = exp(-G/gamma).
-
-    Same three-zone layout as the radial grid: the map compresses the pole
-    region (handled by the log tail at 0) and the bulk of every transplanted
-    profile lives in the uniform middle.
-    """
-    grading = GridGrading(r_min=t_min, inner_left=inner, inner_right=inner,
-                          tail_fraction=tail_fraction)
-    n_tail = max(4, int(round(n_t * tail_fraction)))
-    left = np.geomspace(t_min, inner, n_tail)
-    s_right = np.geomspace(inner, t_min, n_tail)
-    mid = np.linspace(inner, 1.0 - inner, n_t - 2 * n_tail + 2)[1:-1]
-    return grid_from_zones(left, mid, s_right, epsilon=t_min, grading=grading)
-
-
 def image_t_grid(table: GreenTable) -> RadialGrid:
     """The r-grid pushed through t = exp(-G/gamma).
 
@@ -371,15 +343,16 @@ def make_maps(
     a(t) is the monotone interpolant (in ln-ln coordinates) of the inverse
     of t = exp(-G/gamma); phi comes from the identity phi = m(a(t)); phi'
     uses the closed differentiation formula rather than differencing phi.
-    An explicit ``t_grid`` (e.g. from image_t_grid) overrides the default
-    construction.
+    The default t-grid is the three-zone graded mesh on [t_min, 1 - t_min];
+    an explicit ``t_grid`` (e.g. from image_t_grid) overrides it.
     """
     c = make_constants(table.n)
     n = table.n
     if np.any(np.diff(table.g_values) >= 0.0):
         raise CorruptTableError("cannot invert a non-monotone Green table")
     if t_grid is None:
-        t_grid = make_t_grid(n_t=n_t, t_min=t_min)
+        t_grid = make_grid(n_t, t_min, GridGrading(r_min=t_min, inner_left=0.01,
+                                                   inner_right=0.01, tail_fraction=0.2))
     t = t_grid.nodes
     neg_ln_t = -t_grid.xi  # exact -ln t, log1p-built near t = 1
     ln_t_nodes = -table.g_values / c.gamma  # increasing, ends at 0
@@ -394,7 +367,7 @@ def make_maps(
 
     # potential at a(t); the boundary weight needs 1 - a^2 without cancellation
     ln_one_minus_a2 = PchipInterpolator(ln_r, np.log(table.grid.one_minus_r2))(ln_a)
-    v_at_a = _potential_at(table.potential, a, np.exp(ln_one_minus_a2), n)
+    v_at_a = table.potential.at(a, np.exp(ln_one_minus_a2), n)
     hardy_weight = v_at_a * a**n / (t * (1.0 + phi) ** (1.0 / (n - 1)))
     phi_prime = hardy_weight * neg_ln_t ** (n - 1)
     psi = (a / t) ** (n - beta) / (1.0 + phi) ** (1.0 / (n - 1))
@@ -406,19 +379,6 @@ def make_maps(
     )
     _validate_maps(maps, table)
     return maps
-
-
-def _potential_at(potential: Potential, a: np.ndarray, one_minus_a2: np.ndarray, n: int) -> np.ndarray:
-    hc = make_constants(n).hardy_const
-    if potential.kind == "zero":
-        return np.zeros_like(a)
-    if potential.kind == "hardy":
-        return hc / one_minus_a2**n
-    if potential.kind == "hardy+lambda":
-        return hc / one_minus_a2**n + potential.lam
-    if potential.kind == "const":
-        return np.full_like(a, potential.alpha)
-    return np.interp(a, potential.table_r, potential.table_v)
 
 
 def _validate_maps(maps: TransplantMaps, table: GreenTable) -> None:

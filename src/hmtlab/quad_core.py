@@ -33,7 +33,6 @@ __all__ = [
     "grid_from_zones",
     "integrate",
     "cumulative_from_origin",
-    "cumulative_to_boundary",
     "trapezoid_weights",
     "truncated_exp",
 ]
@@ -228,18 +227,6 @@ def cumulative_from_origin(samples: np.ndarray, grid: RadialGrid) -> np.ndarray:
     if not np.all(np.isfinite(samples)):
         raise NumericError("non-finite sample in cumulative integral")
     return _cumtrapz(samples, grid.nodes)
-
-
-def cumulative_to_boundary(samples_in_xi: np.ndarray, grid: RadialGrid) -> np.ndarray:
-    """F(r_i) = int_{xi_i}^{xi_max} samples dxi, accumulated from the boundary."""
-    y = np.asarray(samples_in_xi, dtype=float)
-    if not np.all(np.isfinite(y)):
-        raise NumericError("non-finite sample in cumulative integral")
-    incr = 0.5 * (y[1:] + y[:-1]) * np.diff(grid.xi)
-    out = np.empty_like(y)
-    out[-1] = 0.0
-    out[:-1] = np.cumsum(incr[::-1])[::-1]
-    return out
 
 
 def truncated_exp(t, m: int):

@@ -12,8 +12,8 @@ independent quadratures and reported as a defect or a signed margin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import asdict, dataclass
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .errors import PreconditionError
 from .functionals import (
     RadialProfile,
     grad_energy,
+    potential_term,
     q_v_functional,
     singular_mt,
 )
@@ -58,18 +59,9 @@ class TransplantReport:
     hardy_defect_signed: float
 
     def to_dict(self) -> dict:
-        return {
-            "grad_u": self.grad_u,
-            "grad_v": self.grad_v,
-            "hardy_u": self.hardy_u,
-            "identity_grad_defect": self.identity_grad_defect,
-            "identity_hardy_defect": self.identity_hardy_defect,
-            "hardy_lemma_margin": self.hardy_lemma_margin,
-            "key_margin": self.key_margin,
-            "mt_comparison_margin": self.mt_comparison_margin,
-            "psi_identity_defect": self.psi_identity_defect,
-            "overflow": self.overflow,
-        }
+        d = asdict(self)
+        del d["grad_defect_signed"], d["hardy_defect_signed"]
+        return d
 
 
 class MTComparison(NamedTuple):
@@ -87,60 +79,40 @@ def pushforward(u: RadialProfile, maps: TransplantMaps) -> RadialProfile:
     return RadialProfile(maps.t_grid, vals, enforce_zero_boundary=True)
 
 
-def _hardy_weight(maps: TransplantMaps) -> np.ndarray:
-    """phi'(t) (-ln t)^(1-n), taken from the analytically cancelled form."""
-    return maps.hardy_weight
+def _t_integrals(v: RadialProfile, maps: TransplantMaps) -> Tuple[float, float, float]:
+    """The chain's t-side integrals (grad_v, grad_phi, hardy_t), each omega times
+
+        int |v'|^n t^(n-1) dt,  int |v'|^n t^(n-1) phi dt,  int v^n phi' (-ln t)^(1-n) dt.
+    """
+    n = maps.n
+    c = make_constants(n)
+    vp_pow = np.abs(v.derivative) ** n * maps.t ** (n - 1)
+    grad_v = c.omega * integrate(vp_pow, maps.t_grid)
+    grad_phi = c.omega * integrate(vp_pow * maps.phi, maps.t_grid)
+    hardy_t = c.omega * integrate(v.values**n * maps.hardy_weight, maps.t_grid)
+    return grad_v, grad_phi, hardy_t
 
 
 def verify_grad_identity(u: RadialProfile, v: RadialProfile, maps: TransplantMaps) -> float:
     """Relative defect of grad_energy(u) = omega int |v'|^n t^(n-1) (1 + phi) dt."""
-    n = maps.n
-    c = make_constants(n)
-    lhs = grad_energy(u, n)
-    t = maps.t
-    rhs = c.omega * integrate(np.abs(v.derivative) ** n * t ** (n - 1) * (1.0 + maps.phi),
-                              maps.t_grid)
-    return abs(lhs - rhs) / max(1.0, lhs)
+    grad_u = grad_energy(u, maps.n)
+    grad_v, grad_phi, _ = _t_integrals(v, maps)
+    return abs(grad_u - (grad_v + grad_phi)) / max(1.0, grad_u)
 
 
 def verify_hardy_identity(u: RadialProfile, v: RadialProfile, maps: TransplantMaps) -> float:
     """Relative defect of int V |u|^n dx = omega int v^n phi' (-ln t)^(1-n) dt."""
-    n = maps.n
-    c = make_constants(n)
-    g = u.grid
-    lhs = c.omega * integrate(
-        maps.potential.values(g, n) * u.values**n * g.nodes ** (n - 1), g
-    )
-    rhs = c.omega * integrate(v.values**n * _hardy_weight(maps), maps.t_grid)
-    return abs(lhs - rhs) / max(1.0, lhs)
-
-
-def _signed_defects(u: RadialProfile, v: RadialProfile, maps: TransplantMaps):
-    n = maps.n
-    c = make_constants(n)
-    t = maps.t
-    vp_pow = np.abs(v.derivative) ** n * t ** (n - 1)
-    grad_v = c.omega * integrate(vp_pow, maps.t_grid)
-    grad_phi = c.omega * integrate(vp_pow * maps.phi, maps.t_grid)
-    rhs_hardy = c.omega * integrate(v.values**n * _hardy_weight(maps), maps.t_grid)
-    grad_u = grad_energy(u, n)
-    g = u.grid
-    hardy_u = c.omega * integrate(
-        maps.potential.values(g, n) * u.values**n * g.nodes ** (n - 1), g
-    )
-    return grad_u, hardy_u, grad_v, grad_phi, rhs_hardy
+    hardy_u = potential_term(u, maps.potential, maps.n)
+    _, _, hardy_t = _t_integrals(v, maps)
+    return abs(hardy_u - hardy_t) / max(1.0, hardy_u)
 
 
 def check_hardy_lemma(v: RadialProfile, maps: TransplantMaps) -> float:
     """Margin of int |v'|^n t^(n-1) phi dt >= int v^n phi' (-ln t)^(1-n) dt."""
     if not v.is_nonincreasing(tol=1e-9):
         raise PreconditionError("the Hardy-type lemma requires a non-increasing v")
-    n = maps.n
-    c = make_constants(n)
-    t = maps.t
-    lhs = c.omega * integrate(np.abs(v.derivative) ** n * t ** (n - 1) * maps.phi, maps.t_grid)
-    rhs = c.omega * integrate(v.values**n * _hardy_weight(maps), maps.t_grid)
-    return lhs - rhs
+    _, grad_phi, hardy_t = _t_integrals(v, maps)
+    return grad_phi - hardy_t
 
 
 def check_key_inequality(u: RadialProfile, maps: TransplantMaps) -> float:
@@ -149,49 +121,46 @@ def check_key_inequality(u: RadialProfile, maps: TransplantMaps) -> float:
     return q_v_functional(u, maps.potential, maps.n) - grad_energy(v, maps.n)
 
 
-def check_mt_comparison(
-    u: RadialProfile, v: RadialProfile, maps: TransplantMaps, beta: float
-) -> MTComparison:
-    """Comparison of the singular exponential integrals of u and v.
+def check_mt_comparison(u: RadialProfile, v: RadialProfile, maps: TransplantMaps) -> MTComparison:
+    """Comparison of the singular exponential integrals of u and v at the maps' beta.
 
     margin = e^((1-beta/n) alpha_n c_g) * singular_mt(v) - singular_mt(u),
     nonnegative because a(t)/t stays below e^(c_g/gamma).  Also verifies the
     intermediate identity writing singular_mt(u) as a psi-weighted t-integral.
     """
-    n = maps.n
+    n, beta = maps.n, maps.beta
     c = make_constants(n)
     mt_u = singular_mt(u, n, beta)
     mt_v = singular_mt(v, n, beta)
     factor = np.exp((1.0 - beta / n) * c.alpha_n * maps.c_g)
     margin = factor * mt_v.value - mt_u.value
 
-    psi = (maps.a / maps.t) ** (n - beta) / (1.0 + maps.phi) ** (1.0 / (n - 1))
     expo = (1.0 - beta / n) * c.alpha_n * v.values ** (n / (n - 1.0))
     over = bool(np.any(expo > EXP_CLAMP))
-    integrand = np.exp(np.minimum(expo, EXP_CLAMP)) * maps.t ** (n - beta - 1.0) * psi
+    integrand = np.exp(np.minimum(expo, EXP_CLAMP)) * maps.t ** (n - beta - 1.0) * maps.psi
     mt_u_via_t = c.omega * integrate(integrand, maps.t_grid)
     identity_defect = abs(mt_u_via_t - mt_u.value) / max(1.0, mt_u.value)
     return MTComparison(margin, identity_defect, mt_u.overflow or mt_v.overflow or over)
 
 
-def transplant_report(u: RadialProfile, maps: TransplantMaps, beta: float = 0.0) -> TransplantReport:
-    """Run the full certification chain for one admissible profile."""
+def transplant_report(u: RadialProfile, maps: TransplantMaps) -> TransplantReport:
+    """Run the full certification chain for one admissible profile at the maps' beta."""
     n = maps.n
     v = pushforward(u, maps)
-    grad_u, hardy_u, grad_v, grad_phi, rhs_hardy = _signed_defects(u, v, maps)
+    grad_v, grad_phi, hardy_t = _t_integrals(v, maps)
+    grad_u = grad_energy(u, n)
+    hardy_u = potential_term(u, maps.potential, n)
     d_grad_signed = grad_u - (grad_v + grad_phi)
-    d_hardy_signed = hardy_u - rhs_hardy
-    lemma = grad_phi - rhs_hardy
-    key = (grad_u - hardy_u) - grad_v
-    mt = check_mt_comparison(u, v, maps, beta)
+    d_hardy_signed = hardy_u - hardy_t
+    mt = check_mt_comparison(u, v, maps)
     return TransplantReport(
         grad_u=grad_u,
         grad_v=grad_v,
         hardy_u=hardy_u,
         identity_grad_defect=abs(d_grad_signed) / max(1.0, grad_u),
         identity_hardy_defect=abs(d_hardy_signed) / max(1.0, hardy_u),
-        hardy_lemma_margin=lemma,
-        key_margin=key,
+        hardy_lemma_margin=grad_phi - hardy_t,
+        key_margin=(grad_u - hardy_u) - grad_v,
         mt_comparison_margin=mt.margin,
         psi_identity_defect=mt.identity_defect,
         overflow=mt.overflow,

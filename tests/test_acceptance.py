@@ -106,7 +106,7 @@ def corpus_reports(transplant_maps, corpora):
         if key not in cache:
             maps = transplant_maps(n, beta=beta)
             cache[key] = [
-                transplant_report(u, maps, beta=beta) for u in corpora(n, size=50, seed=1234)
+                transplant_report(u, maps) for u in corpora(n, size=50, seed=1234)
             ]
         return cache[key]
 
@@ -175,7 +175,7 @@ class TestCriterion6MTComparison:
             maps = transplant_maps(n, beta=beta)
             for u in corpora(n, size=50, seed=1234):
                 v = pushforward(u, maps)
-                res = hl.check_mt_comparison(u, v, maps, beta)
+                res = hl.check_mt_comparison(u, v, maps)
                 scale = max(1.0, hl.singular_mt(u, n, beta).value)
                 worst = min(worst, res.margin / scale)
         ok = worst >= -1e-6

@@ -39,6 +39,12 @@ class TestGreenCommand:
     def test_unknown_potential(self):
         assert run_cli(["green", "--potential", "banana"]) == 1
 
+    @pytest.mark.parametrize("potential", ["hardy+lambda=abc", "hardy+lambda=nan", "const=inf"])
+    def test_bad_potential_parameter(self, capsys, potential):
+        assert run_cli(["green", "--grid-points", "64", "--potential", potential]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("hmtlab: ") and err.count("\n") == 1
+
 
 class TestVerifyCommand:
     def test_default_corpus_passes(self, tmp_path):
@@ -68,6 +74,17 @@ class TestVerifyCommand:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         assert run_cli(["verify", "--green-table", str(bad)]) == 2
+
+    def test_unparseable_potential_in_green_table(self, tmp_path):
+        good = tmp_path / "good.json"
+        assert run_cli(["green", "--n", "2", "--potential", "hardy", "--grid-points", "512",
+                        "--epsilon", "1e-4", "--out", str(good)]) == 0
+        doc = json.loads(good.read_text())
+        for potential in ("bogus", "hardy+lambda=abc", "const=nan"):
+            doc["potential"] = potential
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(doc))
+            assert run_cli(["verify", "--green-table", str(bad)]) == 2
 
     def test_valid_green_table(self, tmp_path):
         good = tmp_path / "good.json"

@@ -131,6 +131,29 @@ class TestQV:
             assert pot.weight_nonincreasing(g, 2)
 
 
+class TestPotential:
+    @pytest.mark.parametrize("pot", [Potential.zero(), Potential.hardy_critical(),
+                                     Potential.hardy_plus_lambda(0.5), Potential.constant(2.0)])
+    def test_parse_inverts_descriptor(self, pot):
+        assert Potential.parse(pot.descriptor()) == pot
+
+    @pytest.mark.parametrize("text", ["bogus", "hardy+lambda=abc", "const=", "const=2.0x"])
+    def test_parse_rejects(self, text):
+        with pytest.raises(DomainError):
+            Potential.parse(text)
+
+    @pytest.mark.parametrize("make", [
+        lambda: Potential.hardy_plus_lambda(math.nan),
+        lambda: Potential.constant(math.inf),
+        lambda: Potential(kind="hardy+lambda", lam=math.nan),
+        lambda: Potential.hardy_plus_lambda(-1.0),
+        lambda: Potential(kind="const", alpha=-math.inf),
+    ])
+    def test_rejects_nonfinite_or_negative_parameters(self, make):
+        with pytest.raises(DomainError):
+            make()
+
+
 class TestSingularMT:
     def test_zero_profile_disc_area(self):
         g = make_grid(16384, 1e-10)

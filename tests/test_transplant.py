@@ -169,14 +169,14 @@ class TestMTComparison:
         grid, _, maps = zero_setup
         u = RadialProfile(grid, np.zeros_like(grid.nodes))
         v = pushforward(u, maps)
-        res = check_mt_comparison(u, v, maps, 0.0)
+        res = check_mt_comparison(u, v, maps)
         assert abs(res.margin) < 1e-8
 
     def test_moser_margin(self, transplant_maps, grids):
         maps = transplant_maps(2)
         g = grids(4096, 1e-6)
         u = normalize_h(smoothed_moser_profile(MoserParams(rho=0.1, n=2), g), 2)
-        res = check_mt_comparison(u, pushforward(u, maps), maps, 0.0)
+        res = check_mt_comparison(u, pushforward(u, maps), maps)
         assert res.margin >= 0.0
         assert res.identity_defect < 1e-4
 
@@ -185,7 +185,7 @@ class TestMTComparison:
         maps = transplant_maps(n, beta=beta)
         for u in corpora(n, size=25, seed=555):
             v = pushforward(u, maps)
-            res = check_mt_comparison(u, v, maps, beta)
+            res = check_mt_comparison(u, v, maps)
             mt_u = hl.singular_mt(u, n, beta).value
             assert res.margin >= -1e-6 * max(1.0, mt_u)
             assert res.identity_defect < 1e-4
@@ -217,3 +217,15 @@ class TestReportChain:
                     "mt_comparison_margin"):
             assert key in d
             assert np.isfinite(d[key])
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_views_equal_report(self, transplant_maps, corpora, n):
+        maps = transplant_maps(n, beta=n / 2)
+        for u in corpora(n, size=10, seed=999):
+            rep = transplant_report(u, maps)
+            v = pushforward(u, maps)
+            assert verify_grad_identity(u, v, maps) == rep.identity_grad_defect
+            assert verify_hardy_identity(u, v, maps) == rep.identity_hardy_defect
+            assert check_hardy_lemma(v, maps) == rep.hardy_lemma_margin
+            assert check_key_inequality(u, maps) == rep.key_margin
+            assert check_mt_comparison(u, v, maps).margin == rep.mt_comparison_margin
