@@ -15,6 +15,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
+from scipy.optimize import isotonic_regression
 
 from .errors import (
     DegenerateProfileError,
@@ -66,15 +67,17 @@ class MoserParams:
             raise PreconditionError(f"rho must lie in (0,1), got {self.rho}")
 
 
+INITIAL_STEP = 0.1  # first trial step of the ascent, in sup-normalized slack units
+STEP_FLOOR = 1e-12  # smallest trial step before an iteration counts as rejected
+FD_CHECKS = 10  # nodes spot-checked against central differences per analytic gradient
+LAMBDA1_RTOL = 1e-12  # relative ratio change that ends the lambda_1 iteration
+
+
 @dataclass(frozen=True)
 class SearchOptions:
     max_iter: int = 300
-    initial_step: float = 0.1
-    step_floor: float = 1e-12
     stall_limit: int = 50
     seed: int = 0
-    fd_checks: int = 10
-    lattice_size: int = 40
 
 
 @dataclass
@@ -260,22 +263,7 @@ def improved_sweep(
 
 def pav_nonincreasing(y: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Weighted pool-adjacent-violators projection onto non-increasing sequences."""
-    vals: List[float] = []
-    wts: List[float] = []
-    cnts: List[int] = []
-    for yi, wi in zip(y, w):
-        vals.append(float(yi))
-        wts.append(float(wi))
-        cnts.append(1)
-        while len(vals) > 1 and vals[-2] < vals[-1]:
-            tot = wts[-1] + wts[-2]
-            vals[-2] = (vals[-1] * wts[-1] + vals[-2] * wts[-2]) / tot
-            wts[-2] = tot
-            cnts[-2] += cnts[-1]
-            vals.pop()
-            wts.pop()
-            cnts.pop()
-    return np.concatenate([np.full(cn, v) for v, cn in zip(vals, cnts)])
+    return isotonic_regression(y, weights=w, increasing=False).x
 
 
 def _mt_node_gradient(
@@ -292,39 +280,37 @@ def _mt_node_gradient(
     return grad
 
 
+def _surrogate_weights(grid: RadialGrid, n: int):
+    """Weights of the interval-difference deficit energy and of the n-norm.
+
+    Returns (dr, cell, hardy, mass) with the factor omega left out: the
+    deficit is omega * (sum(cell * |diff(u)/dr|^n) - sum(hardy * u^n)), and
+    ||u||_n^n is omega * sum(mass * u^n), the trapezoid rule of ln_norm_pow.
+    """
+    r = grid.nodes
+    mass = r ** (n - 1) * trapezoid_weights(r)
+    hardy = make_constants(n).hardy_const * mass / grid.one_minus_r2**n
+    return np.diff(r), np.diff(r**n) / n, hardy, mass
+
+
 def _h_surrogate(u_vals: np.ndarray, grid: RadialGrid, n: int) -> float:
     """Interval-difference deficit energy; analytic in the node values."""
-    c = make_constants(n)
-    r = grid.nodes
-    du = np.diff(u_vals) / np.diff(r)
-    w_cell = (r[1:] ** n - r[:-1] ** n) / n
-    grad_part = c.omega * float(np.dot(np.abs(du) ** n, w_cell))
-    hardy_part = c.hardy_const * c.omega * float(
-        np.dot(u_vals**n / grid.one_minus_r2**n * r ** (n - 1), trapezoid_weights(r))
-    )
-    return grad_part - hardy_part
+    dr, cell, hardy, _ = _surrogate_weights(grid, n)
+    du = np.diff(u_vals) / dr
+    grad_part = float(np.dot(np.abs(du) ** n, cell))
+    return make_constants(n).omega * (grad_part - float(np.dot(u_vals**n, hardy)))
 
 
 def _h_surrogate_gradient(u_vals: np.ndarray, grid: RadialGrid, n: int) -> np.ndarray:
     """Node gradient of the interval-difference deficit energy."""
     c = make_constants(n)
-    r = grid.nodes
-    dr = np.diff(r)
+    dr, cell, hardy, _ = _surrogate_weights(grid, n)
     du = np.diff(u_vals) / dr
-    w_cell = (r[1:] ** n - r[:-1] ** n) / n
-    contrib = c.omega * n * np.abs(du) ** (n - 1) * np.sign(du) * w_cell / dr
+    contrib = c.omega * n * np.abs(du) ** (n - 1) * np.sign(du) * cell / dr
     out = np.zeros_like(u_vals)
     out[:-1] -= contrib
     out[1:] += contrib
-    out -= (
-        c.hardy_const
-        * c.omega
-        * n
-        * np.maximum(u_vals, 0.0) ** (n - 1)
-        / grid.one_minus_r2**n
-        * r ** (n - 1)
-        * trapezoid_weights(r)
-    )
+    out -= c.omega * n * hardy * np.maximum(u_vals, 0.0) ** (n - 1)
     return out
 
 
@@ -441,27 +427,27 @@ def maximize_mt(
         rr = np.clip(grid.nodes ** (1.0 / tau), grid.nodes[0], grid.nodes[-1])
         return tau ** ((n - 1.0) / n) * u(rr)
 
-    step = opts.initial_step
+    step = INITIAL_STEP
     stall = 0
     iterations = 0
     checked = False
     for it in range(1, opts.max_iter + 1):
         iterations = it
         grad_mt = _mt_node_gradient(current, n, beta, 1.0)
-        if not checked and opts.fd_checks > 0:
+        if not checked:
             eligible = (
                 (current.values > 0.05 * float(np.max(current.values)))
                 & (grid.nodes > grid.grading.inner_left)
                 & (grid.nodes < 0.9)
             )
             _fd_gradient_check(raw_value, current.values.copy(), grad_mt, rng,
-                               opts.fd_checks, eligible)
+                               FD_CHECKS, eligible)
             _fd_gradient_check(
                 lambda v: _h_surrogate(v, grid, n),
                 current.values.copy(),
                 _h_surrogate_gradient(current.values, grid, n),
                 rng,
-                opts.fd_checks,
+                FD_CHECKS,
                 eligible,
             )
             checked = True
@@ -476,7 +462,7 @@ def maximize_mt(
         slack_dir /= sup
         accepted = False
         trial = step
-        while trial >= opts.step_floor:
+        while trial >= STEP_FLOOR:
             new_slack = np.maximum(slack + trial * slack_dir, 0.0)
             cand = project(np.cumsum(new_slack[::-1])[::-1])
             if cand is not None:
@@ -499,7 +485,7 @@ def maximize_mt(
                     accepted = True
         if not accepted:
             stall += 1
-            step = max(opts.initial_step * 0.5**stall, opts.step_floor)
+            step = max(INITIAL_STEP * 0.5**stall, STEP_FLOOR)
             if stall >= opts.stall_limit:
                 break
         else:
@@ -520,88 +506,54 @@ def maximize_mt(
 def estimate_lambda1(
     n: int, grid: RadialGrid, options: Optional[SearchOptions] = None
 ) -> SearchReport:
-    """Minimize the deficit-to-n-norm ratio over non-increasing profiles.
+    """Minimize the deficit-to-n-norm ratio by nonlinear inverse power iteration.
 
-    The descent runs on a coarse monotone control lattice (interpolated to
-    the grid for every functional evaluation) rather than on raw node
-    values: unconstrained node-level descent can chase boundary wedges
-    where the discrete deficit goes spuriously negative, while the true
-    minimizer is a smooth bulk profile far below that artifact scale.
-    A non-positive final ratio still raises, as it contradicts the
-    positivity guaranteed by the Hardy-Sobolev bound.
+    Works on the interval-difference deficit (Hein & Buehler, NeurIPS 2010):
+    with lam the ratio of the iterate u, each step solves
+    grad E(w) = (hardy + lam * mass) * u^(n-1) exactly, E the convex gradient
+    part and u = 0 at the last node.  In one dimension that solve is a
+    cumulative flux from the origin and a cumulative sum of slopes from the
+    boundary, so every iterate is positive and non-increasing and the ratio
+    never increases.  The trajectory records that discrete ratio; the
+    reported value is h_functional / ln_norm_pow on the returned profile,
+    scaled to ||u||_n^n = 1.  A non-positive ratio raises, as it
+    contradicts the positivity guaranteed by the Hardy-Sobolev bound.
     """
     opts = options or SearchOptions()
-    ctrl_x = np.unique(
-        np.clip(
-            np.concatenate(
-                [[grid.nodes[0]], np.linspace(0.02, 0.98, opts.lattice_size), [grid.nodes[-1]]]
-            ),
-            grid.nodes[0],
-            grid.nodes[-1],
-        )
-    )
-    m_ctrl = ctrl_x.size
-    base = np.maximum(grid.one_minus_r2**1.5 - grid.one_minus_r2[-1] ** 1.5, 0.0)
-    coeffs = np.interp(ctrl_x, grid.nodes, base)
-    w_ctrl = np.ones(m_ctrl)
-
-    def to_profile(c_vals: np.ndarray) -> RadialProfile:
-        u = PchipInterpolator(ctrl_x, c_vals)(grid.nodes)
-        return RadialProfile(grid, u, enforce_zero_boundary=True)
-
-    def ratio(c_vals: np.ndarray) -> float:
-        prof = to_profile(c_vals)
-        denom = ln_norm_pow(prof, n)
-        if denom <= 0.0:
-            return math.inf
-        h_val = h_functional(prof, n)
-        if h_val <= 0.0:
-            return math.inf  # discrete-Hardy artifact region, infeasible
-        return h_val / denom
-
-    best = ratio(coeffs)
-    trajectory = [(0, best)]
-    step = opts.initial_step
+    omega = make_constants(n).omega
+    dr, cell, hardy, mass = _surrogate_weights(grid, n)
+    u = np.maximum(grid.one_minus_r2**1.5 - grid.one_minus_r2[-1] ** 1.5, 0.0)
+    lam = _h_surrogate(u, grid, n) / (omega * float(np.dot(mass, u**n)))
+    trajectory = [(0, lam)]
+    converged = False
     iterations = 0
     for it in range(1, opts.max_iter + 1):
         iterations = it
-        grad = np.zeros(m_ctrl)
-        h_fd = 1e-6 * max(1.0, float(np.max(coeffs)))
-        for j in range(m_ctrl):
-            cp = coeffs.copy()
-            cp[j] += h_fd
-            cp = pav_nonincreasing(np.maximum(cp, 0.0), w_ctrl)
-            val = ratio(cp)
-            grad[j] = (val - best) / h_fd if math.isfinite(val) else 0.0
-        accepted = False
-        while step >= opts.step_floor:
-            cand = pav_nonincreasing(np.maximum(coeffs - step * grad, 0.0), w_ctrl)
-            val = ratio(cand)
-            if math.isfinite(val) and val < best * (1.0 - 1e-13):
-                coeffs, best = cand, val
-                trajectory.append((it, val))
-                accepted = True
-                step *= 1.5
-                break
-            step *= 0.5
-        if not accepted:
+        flux = np.cumsum(((hardy + lam * mass) * u ** (n - 1))[:-1])
+        slope = (flux * dr / cell) ** (1.0 / (n - 1))
+        u = np.append(np.cumsum((slope * dr)[::-1])[::-1], 0.0)
+        u /= (omega * float(np.dot(mass, u**n))) ** (1.0 / n)
+        prev, lam = lam, _h_surrogate(u, grid, n)
+        trajectory.append((it, lam))
+        converged = abs(prev - lam) <= LAMBDA1_RTOL * abs(prev)
+        if converged or not lam > 0.0:
             break
 
-    if not (best > 0.0) or not math.isfinite(best):
-        raise DiscretizationFailureError(
-            f"lambda_1 estimate came out non-positive ({best!r}); grid cannot support the bound"
-        )
-    prof = to_profile(coeffs)
+    prof = RadialProfile(grid, u, enforce_zero_boundary=False)
     norm = ln_norm_pow(prof, n)
-    prof = prof.scaled(norm ** (-1.0 / n))
-    residual = abs(ln_norm_pow(prof, n) - 1.0)
+    best = h_functional(prof, n) / norm
+    if not (lam > 0.0 and best > 0.0) or not math.isfinite(best):
+        raise DiscretizationFailureError(
+            f"lambda_1 estimate came out non-positive ({lam!r} on the nodes, {best!r} on the "
+            "profile); grid cannot support the bound"
+        )
     return SearchReport(
         best_value=best,
         best_profile=prof,
         iterations=iterations,
-        constraint_residual=residual,
+        constraint_residual=abs(norm - 1.0),
         trajectory=trajectory,
-        stalled=False,
+        stalled=not converged,
         seed=opts.seed,
     )
 

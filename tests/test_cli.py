@@ -142,6 +142,15 @@ class TestSearchCommand:
         doc = json.loads(out.read_text())
         assert doc["search"]["best_value"] > 0
 
+    def test_lambda1_stalls_at_iteration_cap(self, tmp_path):
+        out = tmp_path / "l.json"
+        code = run_cli(["search", "--mode", "lambda1", "--n", "2", "--grid-points", "512",
+                        "--max-iter", "2", "--out", str(out)])
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert doc["search"]["stalled"] is True
+        assert doc["search"]["iterations"] == 2
+
     def test_mt_search(self, tmp_path):
         out = tmp_path / "m.json"
         code = run_cli(["search", "--mode", "mt", "--n", "2", "--beta", "0.5",

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 import hmtlab as hl
 from hmtlab import (
@@ -22,7 +23,13 @@ from hmtlab import (
     seeded_corpus,
     singular_mt,
 )
-from hmtlab.extremal import SearchOptions, boundary_tail_profile, pav_nonincreasing
+from hmtlab.extremal import (
+    SearchOptions,
+    _h_surrogate_gradient,
+    _surrogate_weights,
+    boundary_tail_profile,
+    pav_nonincreasing,
+)
 
 
 class TestMoserProfile:
@@ -130,6 +137,25 @@ class TestPAV:
         out = pav_nonincreasing(y, np.ones_like(y))
         assert np.allclose(out, y)
 
+    def test_weighted_projection_optimal(self):
+        rng = np.random.default_rng(11)
+        y = rng.uniform(0, 1, 300)
+        w = rng.uniform(0.1, 3.0, 300)
+        out = pav_nonincreasing(y, w)
+        assert np.dot(w, out) == pytest.approx(np.dot(w, y), rel=1e-12)
+        best = np.dot(w, (out - y) ** 2)
+        # out + (non-increasing) is non-increasing: a projection is no farther from y
+        for _ in range(200):
+            step = 10.0 ** rng.uniform(-4, 0)
+            cand = out + step * np.sort(rng.normal(size=y.size))[::-1]
+            assert best <= np.dot(w, (cand - y) ** 2)
+
+    def test_hand_pooled(self):
+        # 1 < 2 pools to 4/3 (weights 2 and 1); 6 then pools the three to 2.5
+        y = np.array([5.0, 1.0, 2.0, 6.0, 0.0])
+        w = np.array([1.0, 2.0, 1.0, 1.0, 1.0])
+        np.testing.assert_allclose(pav_nonincreasing(y, w), [5.0, 2.5, 2.5, 2.5, 0.0], rtol=1e-15)
+
 
 @pytest.fixture(scope="module")
 def ascent_grid():
@@ -187,6 +213,52 @@ class TestLambda1:
         rep = estimate_lambda1(n, grid, SearchOptions(max_iter=120))
         assert rep.best_value > 0
         assert rep.constraint_residual < 1e-10
+
+    @pytest.mark.parametrize("n_points", [1024, 2048])
+    def test_matches_banded_inverse_iteration(self, n_points):
+        # n = 2: the smallest eigenvalue of the tridiagonal pencil (K - D) u = lam M u,
+        # built from the grid with u = 0 at the last node (omega cancels)
+        grid = make_grid(n_points, 1e-6)
+        r = grid.nodes
+        dr = np.diff(r)
+        tw = np.concatenate([[0.0], dr / 2]) + np.concatenate([dr / 2, [0.0]])
+        k = (r[1:] ** 2 - r[:-1] ** 2) / 2 / dr**2
+        d = (r * tw / grid.one_minus_r2**2)[:-1]
+        m = (r * tw)[:-1]
+        bands = np.zeros((3, r.size - 1))
+        bands[0, 1:] = bands[2, :-1] = -k[:-1]
+        bands[1] = k - d
+        bands[1, 1:] += k[:-1]
+        x = np.ones(r.size - 1)
+        for _ in range(30):
+            y = solve_banded((1, 1), bands, m * x)
+            lam = np.dot(x, m * x) / np.dot(x, m * y)
+            x = y / math.sqrt(np.dot(y, m * y))
+        rep = estimate_lambda1(2, grid)
+        assert rep.trajectory[-1][1] == pytest.approx(lam, rel=1e-9)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_converged_discrete_minimizer(self, n):
+        grid = make_grid(1024, 1e-6)
+        rep = estimate_lambda1(n, grid)
+        assert not rep.stalled
+        traj = np.array([v for _, v in rep.trajectory])
+        assert np.all(np.diff(traj) <= 0.0)
+        u = rep.best_profile.values
+        assert np.all(np.diff(u) <= 0.0)
+        lam = traj[-1]
+        dr, cell, _, mass = _surrogate_weights(grid, n)
+        omega = hl.make_constants(n).omega
+        residual = _h_surrogate_gradient(u, grid, n) - lam * n * omega * mass * u ** (n - 1)
+        # scale: the largest term of the node equations, a face flux of the gradient part
+        face_flux = n * omega * cell * np.abs(np.diff(u) / dr) ** (n - 1) / dr
+        assert np.max(np.abs(residual[:-1])) <= 1e-6 * np.max(face_flux)
+        assert rep.best_value == pytest.approx(lam, rel=5e-3)
+
+    def test_coarse_grid_without_discrete_hardy_bound_raises(self):
+        # 32 nodes cannot resolve the boundary layer at eps = 1e-12: the discrete deficit goes negative
+        with pytest.raises(hl.DiscretizationFailureError):
+            estimate_lambda1(2, make_grid(32, 1e-12))
 
     def test_grid_stability(self):
         vals = {}
