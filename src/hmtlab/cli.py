@@ -20,8 +20,6 @@ import sys
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-import numpy as np
-
 from . import FORMAT_VERSION
 from .errors import (
     ConvergenceError,
@@ -50,7 +48,7 @@ from .functionals import (
     rearrange,
 )
 from .green import GreenTable, check_boundary_bound, image_t_grid, make_maps, solve_green
-from .quad_core import GridGrading, RadialGrid, make_constants, make_grid
+from .quad_core import make_grid
 from .transplant import transplant_report
 
 DEFAULTS: Dict[str, Any] = {
@@ -220,33 +218,12 @@ def _cmd_green(cfg: Dict[str, Any]) -> int:
     return 0
 
 
-def _load_green_table(path: str) -> GreenTable:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    r = np.asarray(doc["r"], dtype=float)
-    grid = RadialGrid(nodes=r, s=1.0 - r, xi=np.log(r), epsilon=float(doc["epsilon"]),
-                      grading=GridGrading())
-    g_vals = np.asarray(doc["G"], dtype=float)
-    g_deriv = np.asarray(doc["Gprime"], dtype=float)
-    remainder = np.asarray(doc["remainder"], dtype=float)
-    potential = Potential.parse(doc.get("potential", "hardy"))
-    c = make_constants(int(doc["n"]))
-    flux = -(c.omega ** (1.0 / (int(doc["n"]) - 1))) * g_deriv * r
-    m_vals = np.maximum(flux, 1.0) ** (int(doc["n"]) - 1) - 1.0
-    return GreenTable(
-        grid=grid, n=int(doc["n"]), potential=potential, g_values=g_vals,
-        g_deriv=g_deriv, m_values=m_vals, flux=flux, c_g=float(doc["c_g"]),
-        remainder=remainder, residual=float(doc["residual"]),
-        epsilon_used=float(doc["epsilon"]), iterations=int(doc.get("iterations", 0)),
-        tol=float(doc.get("tol", 1e-8)),
-    )
-
-
 def _cmd_verify(cfg: Dict[str, Any]) -> int:
     if cfg["green_table"]:
         try:
-            table = _load_green_table(cfg["green_table"])
-            table.validate()
-        except (OSError, KeyError, ValueError, CorruptTableError) as exc:
+            doc = json.loads(Path(cfg["green_table"]).read_text(encoding="utf-8"))
+            GreenTable.from_json_dict(doc)
+        except (OSError, ValueError, CorruptTableError) as exc:
             print(f"verify: green table rejected: {exc}", file=sys.stderr)
             return 2
         _write(_emit_json({"green_table": "valid"}, cfg), cfg)

@@ -71,6 +71,7 @@ INITIAL_STEP = 0.1  # first trial step of the ascent, in sup-normalized slack un
 STEP_FLOOR = 1e-12  # smallest trial step before an iteration counts as rejected
 FD_CHECKS = 10  # nodes spot-checked against central differences per analytic gradient
 LAMBDA1_RTOL = 1e-12  # relative ratio change that ends the lambda_1 iteration
+LAMBDA1_MAX_GAP = 0.01  # largest relative gap between the profile and the discrete ratio
 
 
 @dataclass(frozen=True)
@@ -517,7 +518,9 @@ def estimate_lambda1(
     never increases.  The trajectory records that discrete ratio; the
     reported value is h_functional / ln_norm_pow on the returned profile,
     scaled to ||u||_n^n = 1.  A non-positive ratio raises, as it
-    contradicts the positivity guaranteed by the Hardy-Sobolev bound.
+    contradicts the positivity guaranteed by the Hardy-Sobolev bound, and
+    so does a gap above LAMBDA1_MAX_GAP between the two ratios: the grid is
+    then too coarse to resolve the minimizer.
     """
     opts = options or SearchOptions()
     omega = make_constants(n).omega
@@ -546,6 +549,10 @@ def estimate_lambda1(
         raise DiscretizationFailureError(
             f"lambda_1 estimate came out non-positive ({lam!r} on the nodes, {best!r} on the "
             "profile); grid cannot support the bound"
+        )
+    if abs(best - lam) > LAMBDA1_MAX_GAP * lam:
+        raise DiscretizationFailureError(
+            f"lambda_1 not resolved: {best!r} on the profile, {lam!r} on the nodes; refine the grid"
         )
     return SearchReport(
         best_value=best,

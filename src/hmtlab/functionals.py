@@ -110,14 +110,12 @@ class Potential:
     """Nonnegative radial potential V(r) with the rearrangement-compatible weight.
 
     kinds: zero, hardy (critical boundary potential), hardy+lambda,
-    const, table.  Admissible kinds keep (1-r^2)^n V(r) non-increasing.
+    const.  Admissible kinds keep (1-r^2)^n V(r) non-increasing.
     """
 
     kind: str
     lam: float = 0.0
     alpha: float = 0.0
-    table_r: Optional[np.ndarray] = None
-    table_v: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if not (math.isfinite(self.lam) and self.lam >= 0):
@@ -141,14 +139,6 @@ class Potential:
     def constant(cls, alpha: float) -> "Potential":
         return cls(kind="const", alpha=float(alpha))
 
-    @classmethod
-    def from_table(cls, r: np.ndarray, v: np.ndarray) -> "Potential":
-        r = np.asarray(r, dtype=float)
-        v = np.asarray(v, dtype=float)
-        if np.any(v < 0):
-            raise DomainError("tabulated potential must be nonnegative")
-        return cls(kind="table", table_r=r, table_v=v)
-
     def at(self, r: np.ndarray, one_minus_r2: np.ndarray, n: int) -> np.ndarray:
         """V at radii r; the boundary weight comes in as 1 - r^2, free of cancellation."""
         hc = make_constants(n).hardy_const
@@ -160,8 +150,6 @@ class Potential:
             return hc / one_minus_r2**n + self.lam
         if self.kind == "const":
             return np.full_like(r, self.alpha)
-        if self.kind == "table":
-            return np.interp(r, self.table_r, self.table_v)
         raise DomainError(f"unknown potential kind {self.kind!r}")
 
     def values(self, grid: RadialGrid, n: int) -> np.ndarray:
@@ -179,6 +167,8 @@ class Potential:
     @classmethod
     def parse(cls, text: str) -> "Potential":
         """Inverse of descriptor(): zero | hardy | hardy+lambda=<x> | const=<x>."""
+        if not isinstance(text, str):
+            raise DomainError(f"potential must be a string, got {text!r}")
         if text in ("zero", "hardy"):
             return cls(kind=text)
         for prefix, make in (("hardy+lambda=", cls.hardy_plus_lambda), ("const=", cls.constant)):

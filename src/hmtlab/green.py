@@ -20,7 +20,7 @@ excesses, so H stays meaningful down to 1e-300.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -64,34 +64,40 @@ class GreenTable:
     n: int
     potential: Potential
     g_values: np.ndarray
-    g_deriv: np.ndarray
-    m_values: np.ndarray
-    flux: np.ndarray
+    excess: np.ndarray  # flux - 1, kept apart from 1 so that tiny values survive
     c_g: float
     remainder: np.ndarray
-    residual: float
-    epsilon_used: float
     iterations: int
     tol: float
 
+    @property
+    def m_values(self) -> np.ndarray:
+        return _mass(self.g_values, self.potential.values(self.grid, self.n), self.grid, self.n)
+
+    @property
+    def g_deriv(self) -> np.ndarray:
+        return -make_constants(self.n).gamma * (1.0 + self.excess) / self.grid.nodes
+
+    @property
+    def residual(self) -> float:
+        """Sup-norm defect of the flux identity, the mass recomputed from G."""
+        return float(np.max(np.abs(_flux_excess(self.m_values, self.n) - self.excess)))
+
     def validate(self) -> None:
         """Raise CorruptTableError if any structural invariant fails."""
-        c = make_constants(self.n)
         if np.any(np.diff(self.g_values) >= 0.0):
             raise CorruptTableError("G must be strictly decreasing")
-        if np.any(self.g_deriv >= 0.0):
-            raise CorruptTableError("G' must be negative at all nodes")
-        flux_from_deriv = -(c.omega ** (1.0 / (self.n - 1))) * self.g_deriv * self.grid.nodes
-        if np.any(flux_from_deriv < 1.0 - 1e-12):
+        if not np.all(self.excess >= -1e-12):
             raise CorruptTableError("-omega^(1/(n-1)) G' r must be >= 1")
-        if not math.isfinite(self.residual) or self.residual > 10.0 * self.tol:
-            raise CorruptTableError(f"residual {self.residual} exceeds tolerance {self.tol}")
+        residual = self.residual
+        if not math.isfinite(residual) or residual > 10.0 * self.tol:
+            raise CorruptTableError(f"residual {residual} exceeds tolerance {self.tol}")
 
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
             "potential": self.potential.descriptor(),
-            "epsilon": self.epsilon_used,
+            "epsilon": self.grid.epsilon,
             "c_g": self.c_g,
             "residual": self.residual,
             "tol": self.tol,
@@ -101,6 +107,54 @@ class GreenTable:
             "Gprime": self.g_deriv.tolist(),
             "remainder": self.remainder.tolist(),
         }
+
+    @classmethod
+    def from_json_dict(cls, doc) -> "GreenTable":
+        """Rebuild a table from ``to_json_dict`` output, trusting only its G.
+
+        The inputs are n, potential, epsilon, tol, iterations, r and G; r must
+        be ``make_grid(len(r), epsilon)`` bit for bit.  The solver's last step,
+        repeated from G, must pass ``validate`` and agree with the stored G,
+        remainder, G' and c_g.  The stored residual is not read.
+        """
+        try:
+            n = int(doc["n"])
+            gamma = make_constants(n).gamma
+            potential = Potential.parse(doc["potential"])
+            tol = float(doc["tol"])
+            iterations = int(doc["iterations"])
+            r = np.asarray(doc["r"], dtype=float)
+            grid = make_grid(r.size, float(doc["epsilon"]))
+            g = np.asarray(doc["G"], dtype=float)
+            stored = {key: np.asarray(doc[key], dtype=float) for key in ("remainder", "Gprime")}
+            c_g = float(doc["c_g"])
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise CorruptTableError(f"missing or malformed field: {exc}") from exc
+        if not (math.isfinite(tol) and tol > 0.0):
+            raise CorruptTableError(f"tol must be finite and positive, got {tol}")
+        if not np.array_equal(r, grid.nodes):
+            raise CorruptTableError(f"r is not make_grid({r.size}, {grid.epsilon!r})")
+        if g.shape != r.shape or not np.all(np.isfinite(g)):
+            raise CorruptTableError("G must hold one finite value per node")
+
+        table = _table_from_g(grid, n, potential, potential.values(grid, n),
+                              gamma * (grid.xi[-1] - grid.xi), g, iterations, tol)
+        table.validate()
+        _require_close("G", g, table.g_values, 10.0 * tol * gamma)
+        _require_close("remainder", stored["remainder"], table.remainder, 10.0 * tol * gamma)
+        _require_close("Gprime", stored["Gprime"], table.g_deriv,
+                       10.0 * tol * np.abs(table.g_deriv))
+        c_g_fit = _fit_c_g(grid, g, gamma, n)
+        if not abs(c_g - c_g_fit) <= 1e-12 * abs(c_g_fit):
+            raise CorruptTableError(f"c_g {c_g!r} differs from {c_g_fit!r}, the fit of G")
+        loaded = replace(table, g_values=g, c_g=c_g_fit)
+        loaded.validate()  # the stored G must itself be strictly decreasing
+        return loaded
+
+
+def _require_close(name: str, stored: np.ndarray, recomputed: np.ndarray, bound) -> None:
+    if stored.shape != recomputed.shape or not np.all(np.abs(stored - recomputed) <= bound):
+        raise CorruptTableError(f"{name} disagrees with its recomputation from G")
 
 
 @dataclass(frozen=True)
@@ -115,7 +169,6 @@ class TransplantMaps:
     t_grid: RadialGrid
     a: np.ndarray
     phi: np.ndarray
-    phi_prime: np.ndarray
     psi: np.ndarray
     beta: float
     n: int
@@ -123,11 +176,15 @@ class TransplantMaps:
     potential: Potential
     # phi'(t) (-ln t)^(1-n) with the log powers cancelled analytically:
     # V(a) a^n / (t (1+phi)^(1/(n-1))), finite at every node
-    hardy_weight: np.ndarray = None
+    hardy_weight: np.ndarray
 
     @property
     def t(self) -> np.ndarray:
         return self.t_grid.nodes
+
+    @property
+    def phi_prime(self) -> np.ndarray:
+        return self.hardy_weight * (-self.t_grid.xi) ** (self.n - 1)
 
     @property
     def a_over_t(self) -> np.ndarray:
@@ -137,6 +194,33 @@ class TransplantMaps:
 def _flux_excess(m: np.ndarray, n: int) -> np.ndarray:
     # (1+m)^(1/(n-1)) - 1 without rounding to zero for m below 1 ulp
     return np.expm1(np.log1p(m) / (n - 1))
+
+
+def _mass(g_values: np.ndarray, v_vals: np.ndarray, grid: RadialGrid, n: int) -> np.ndarray:
+    """Cumulative potential mass m(r) = omega int_0^r V G^(n-1) s^(n-1) ds."""
+    density = make_constants(n).omega * v_vals * g_values ** (n - 1) * grid.nodes ** (n - 1)
+    return cumulative_from_origin(density, grid)
+
+
+def _assemble(excess: np.ndarray, log_part: np.ndarray, grid: RadialGrid,
+              gamma: float) -> Tuple[np.ndarray, np.ndarray]:
+    # H(r) = -gamma int_{xi_min}^{xi} (flux - 1) dxi', a sum of tiny positive increments;
+    # G(r) = gamma(xi_max - xi) + (H(r) - H(r_max)), both pieces cancellation-free
+    incr = 0.5 * gamma * (excess[1:] + excess[:-1]) * np.diff(grid.xi)
+    h_rem = -np.concatenate([[0.0], np.cumsum(incr)])
+    return log_part + (h_rem - h_rem[-1]), h_rem
+
+
+def _table_from_g(grid: RadialGrid, n: int, potential: Potential, v_vals: np.ndarray,
+                  log_part: np.ndarray, g_values: np.ndarray, iterations: int,
+                  tol: float) -> GreenTable:
+    """One self-consistent assembly: the mass of G, its flux excess, then G, H and c_g."""
+    gamma = make_constants(n).gamma
+    excess = _flux_excess(_mass(g_values, v_vals, grid, n), n)
+    g_fin, h_rem = _assemble(excess, log_part, grid, gamma)
+    return GreenTable(grid=grid, n=n, potential=potential, g_values=g_fin, excess=excess,
+                      c_g=_fit_c_g(grid, g_fin, gamma, n), remainder=h_rem,
+                      iterations=iterations, tol=tol)
 
 
 def solve_green(
@@ -150,47 +234,22 @@ def solve_green(
 ) -> GreenTable:
     """Damped fixed-point solve of the flux identity on the truncated ball.
 
-    The residual is the sup-norm defect of the flux identity evaluated on
-    the returned table (potential mass recomputed from the returned G).
     Raises ConvergenceError if tol is not reached within max_iter and
     PotentialInstabilityError when the potential mass diverges across
     iterations (no spectral gap).
     """
     if tol <= 0.0:
         raise ConvergenceError("tolerance must be positive", residual=None, iterations=0)
-    c = make_constants(n)
-    gamma = c.gamma
-    r, xi = grid.nodes, grid.xi
+    gamma = make_constants(n).gamma
     v_vals = potential.values(grid, n)
-    log_part = gamma * (xi[-1] - xi)
-
-    def m_of(g_vals: np.ndarray) -> np.ndarray:
-        return cumulative_from_origin(c.omega * v_vals * g_vals ** (n - 1) * r ** (n - 1), grid)
-
-    def remainder_from(excess: np.ndarray) -> np.ndarray:
-        # H(r) = -gamma int_{xi_min}^{xi} (flux - 1) dxi'; tiny positive increments
-        incr = 0.5 * gamma * (excess[1:] + excess[:-1]) * np.diff(xi)
-        out = np.empty_like(excess)
-        out[0] = 0.0
-        np.cumsum(incr, out=out[1:])
-        return -out
-
-    def assemble(excess: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        # G(r) = gamma(xi_max - xi) + int_xi^{xi_max} gamma(flux-1) dxi
-        #      = log part + (H(r) - H(r_max)); both pieces cancellation-free
-        h_rem = remainder_from(excess)
-        g_vals = log_part + (h_rem - h_rem[-1])
-        return g_vals, h_rem
+    log_part = gamma * (grid.xi[-1] - grid.xi)
 
     g_cur = log_part.copy() if initial is None else np.asarray(initial, dtype=float).copy()
-    m_cur = m_of(g_cur)
     residual = math.inf
-    iterations = 0
-    for k in range(max_iter):
-        iterations = k + 1
-        excess_used = _flux_excess(m_cur, n)
-        g_new, _ = assemble(excess_used)
-        m_new = m_of(g_new)
+    for iterations in range(1, max_iter + 1):
+        excess_used = _flux_excess(_mass(g_cur, v_vals, grid, n), n)
+        g_new, _ = _assemble(excess_used, log_part, grid, gamma)
+        m_new = _mass(g_new, v_vals, grid, n)
         m_sup = float(np.max(m_new))
         if not math.isfinite(m_sup) or m_sup > INSTABILITY_CAP:
             raise PotentialInstabilityError(
@@ -199,10 +258,8 @@ def solve_green(
             )
         residual = float(np.max(np.abs(_flux_excess(m_new, n) - excess_used)))
         if residual <= tol:
-            g_cur, m_cur = g_new, m_new
             break
         g_cur = damping * g_new + (1.0 - damping) * g_cur
-        m_cur = m_of(g_cur)
     else:
         raise ConvergenceError(
             f"no convergence in {max_iter} iterations (residual {residual:.3e} > tol {tol:.3e})",
@@ -211,28 +268,7 @@ def solve_green(
         )
 
     # final self-consistent assembly from the converged mass
-    excess_fin = _flux_excess(m_of(g_cur), n)
-    g_fin, h_rem = assemble(excess_fin)
-    m_fin = m_of(g_fin)
-    residual = float(np.max(np.abs(_flux_excess(m_fin, n) - excess_fin)))
-    flux_fin = 1.0 + excess_fin
-    g_deriv = -gamma * flux_fin / r
-    c_g = _fit_c_g(grid, g_fin, gamma, n)
-    table = GreenTable(
-        grid=grid,
-        n=n,
-        potential=potential,
-        g_values=g_fin,
-        g_deriv=g_deriv,
-        m_values=m_fin,
-        flux=flux_fin,
-        c_g=c_g,
-        remainder=h_rem,
-        residual=residual,
-        epsilon_used=grid.epsilon,
-        iterations=iterations,
-        tol=tol,
-    )
+    table = _table_from_g(grid, n, potential, v_vals, log_part, g_new, iterations, tol)
     table.validate()
     return table
 
@@ -369,13 +405,11 @@ def make_maps(
     ln_one_minus_a2 = PchipInterpolator(ln_r, np.log(table.grid.one_minus_r2))(ln_a)
     v_at_a = table.potential.at(a, np.exp(ln_one_minus_a2), n)
     hardy_weight = v_at_a * a**n / (t * (1.0 + phi) ** (1.0 / (n - 1)))
-    phi_prime = hardy_weight * neg_ln_t ** (n - 1)
     psi = (a / t) ** (n - beta) / (1.0 + phi) ** (1.0 / (n - 1))
 
     maps = TransplantMaps(
-        t_grid=t_grid, a=a, phi=phi, phi_prime=phi_prime, psi=psi,
-        beta=beta, n=n, c_g=table.c_g, potential=table.potential,
-        hardy_weight=hardy_weight,
+        t_grid=t_grid, a=a, phi=phi, psi=psi, beta=beta, n=n, c_g=table.c_g,
+        potential=table.potential, hardy_weight=hardy_weight,
     )
     _validate_maps(maps, table)
     return maps

@@ -30,7 +30,6 @@ __all__ = [
     "RadialGrid",
     "make_constants",
     "make_grid",
-    "grid_from_zones",
     "integrate",
     "cumulative_from_origin",
     "trapezoid_weights",
@@ -130,9 +129,6 @@ class RadialGrid:
         """(1 - r^2) evaluated as s*(2-s); exact to rounding near the boundary."""
         return self.s * (2.0 - self.s)
 
-    def trapezoid_weights(self) -> np.ndarray:
-        return trapezoid_weights(self.nodes)
-
     def refined(self) -> "RadialGrid":
         """Same span and grading with twice the node count."""
         return make_grid(2 * self.n_points, self.epsilon, self.grading)
@@ -144,20 +140,6 @@ def trapezoid_weights(x: np.ndarray) -> np.ndarray:
     w[:-1] += 0.5 * dx
     w[1:] += 0.5 * dx
     return w
-
-
-def grid_from_zones(
-    left: np.ndarray,
-    mid: np.ndarray,
-    s_right: np.ndarray,
-    epsilon: float,
-    grading: GridGrading,
-) -> RadialGrid:
-    """Assemble a grid from a left r-array, middle r-array, and right s-array."""
-    nodes = np.concatenate([left, mid, 1.0 - s_right])
-    s = np.concatenate([1.0 - left, 1.0 - mid, s_right])
-    xi = np.concatenate([np.log(left), np.log(mid), np.log1p(-s_right)])
-    return RadialGrid(nodes=nodes, s=s, xi=xi, epsilon=epsilon, grading=grading)
 
 
 def make_grid(n_points: int, epsilon: float, grading: Optional[GridGrading] = None) -> RadialGrid:
@@ -194,7 +176,11 @@ def make_grid(n_points: int, epsilon: float, grading: Optional[GridGrading] = No
             raise GridConfigError(f"n_points={n_points} too small for the requested grading")
         mid = np.linspace(grading.inner_left, 1.0 - epsilon, n_mid + 2)[1:-1]
 
-    return grid_from_zones(left, mid, s_right, epsilon, grading)
+    # left and mid are built in r, the right tail in s = 1 - r
+    nodes = np.concatenate([left, mid, 1.0 - s_right])
+    s = np.concatenate([1.0 - left, 1.0 - mid, s_right])
+    xi = np.concatenate([np.log(left), np.log(mid), np.log1p(-s_right)])
+    return RadialGrid(nodes=nodes, s=s, xi=xi, epsilon=epsilon, grading=grading)
 
 
 def integrate(samples: np.ndarray, grid: RadialGrid) -> float:
@@ -210,15 +196,7 @@ def integrate(samples: np.ndarray, grid: RadialGrid) -> float:
         )
     if not np.all(np.isfinite(samples)):
         raise NumericError("non-finite sample passed to integrate")
-    return float(np.dot(samples, grid.trapezoid_weights()))
-
-
-def _cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    incr = 0.5 * (y[1:] + y[:-1]) * np.diff(x)
-    out = np.empty_like(y)
-    out[0] = 0.0
-    np.cumsum(incr, out=out[1:])
-    return out
+    return float(np.dot(samples, trapezoid_weights(grid.nodes)))
 
 
 def cumulative_from_origin(samples: np.ndarray, grid: RadialGrid) -> np.ndarray:
@@ -226,7 +204,11 @@ def cumulative_from_origin(samples: np.ndarray, grid: RadialGrid) -> np.ndarray:
     samples = np.asarray(samples, dtype=float)
     if not np.all(np.isfinite(samples)):
         raise NumericError("non-finite sample in cumulative integral")
-    return _cumtrapz(samples, grid.nodes)
+    incr = 0.5 * (samples[1:] + samples[:-1]) * np.diff(grid.nodes)
+    out = np.empty_like(samples)
+    out[0] = 0.0
+    np.cumsum(incr, out=out[1:])
+    return out
 
 
 def truncated_exp(t, m: int):

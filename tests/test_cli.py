@@ -10,6 +10,35 @@ def run_cli(args):
     return main(args)
 
 
+def _scaled(doc, keys, factor):
+    return {**doc, **{k: [factor * x for x in doc[k]] for k in keys}}
+
+
+def _with_nan_in_g(doc):
+    g = list(doc["G"])
+    g[100] = float("nan")
+    return {**doc, "G": g}
+
+
+# each turns a genuine Green-table document into one verify must reject
+TAMPERED_TABLES = {
+    "g_and_gprime_x1.3_c_g_5": lambda d: {**_scaled(d, ("G", "Gprime"), 1.3), "c_g": 5.0},
+    "c_g_5": lambda d: {**d, "c_g": 5.0},
+    "c_g_plus_1e-6": lambda d: {**d, "c_g": d["c_g"] + 1e-6},
+    "g_perturbed_gprime_kept": lambda d: _scaled(d, ("G",), 1.0 + 1e-6),
+    "r_scaled_1e-15": lambda d: _scaled(d, ("r",), 1.0 + 1e-15),
+    "g_one_short": lambda d: {**d, "G": d["G"][:-1]},
+    "nan_in_g": _with_nan_in_g,
+    "missing_tol": lambda d: {k: v for k, v in d.items() if k != "tol"},
+    "potential_not_a_string": lambda d: {**d, "potential": 5},
+    "infinite_iterations": lambda d: {**d, "iterations": float("inf")},
+    "top_level_list": lambda d: [d],
+    "top_level_string": lambda d: "table",
+    "r_null": lambda d: {**d, "r": None},
+    "r_empty": lambda d: {**d, "r": []},
+}
+
+
 class TestGreenCommand:
     def test_zero_potential(self, tmp_path, capsys):
         out = tmp_path / "g.json"
@@ -86,6 +115,24 @@ class TestVerifyCommand:
             bad.write_text(json.dumps(doc))
             assert run_cli(["verify", "--green-table", str(bad)]) == 2
 
+    @pytest.fixture(scope="class")
+    def genuine_table(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("green") / "good.json"
+        assert run_cli(["green", "--n", "2", "--potential", "hardy", "--grid-points", "512",
+                        "--epsilon", "1e-4", "--out", str(path)]) == 0
+        return json.loads(path.read_text())
+
+    @pytest.mark.parametrize("tamper", list(TAMPERED_TABLES))
+    def test_tampered_green_table_rejected(self, tmp_path, capsys, genuine_table, tamper):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(TAMPERED_TABLES[tamper](genuine_table)))
+        capsys.readouterr()
+        assert run_cli(["verify", "--green-table", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("verify: green table rejected: ")
+        assert captured.err.count("\n") == 1
+
     def test_valid_green_table(self, tmp_path):
         good = tmp_path / "good.json"
         run_cli(["green", "--n", "2", "--potential", "hardy", "--grid-points", "512",
@@ -141,6 +188,11 @@ class TestSearchCommand:
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["search"]["best_value"] > 0
+
+    def test_lambda1_on_unresolving_grid_rejected(self, capsys):
+        assert run_cli(["search", "--mode", "lambda1", "--grid-points", "128"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hmtlab: ") and err.count("\n") == 1
 
     def test_lambda1_stalls_at_iteration_cap(self, tmp_path):
         out = tmp_path / "l.json"

@@ -260,6 +260,11 @@ class TestLambda1:
         with pytest.raises(hl.DiscretizationFailureError):
             estimate_lambda1(2, make_grid(32, 1e-12))
 
+    def test_coarse_grid_with_unresolved_minimizer_raises(self):
+        # 128 nodes at eps = 1e-6: profile ratio 2.478 against 2.204 on the nodes, a 12% gap
+        with pytest.raises(hl.DiscretizationFailureError, match="not resolved"):
+            estimate_lambda1(2, make_grid(128, 1e-6))
+
     def test_grid_stability(self):
         vals = {}
         for n_points in (1024, 2048):

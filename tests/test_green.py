@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -211,6 +212,29 @@ class TestMaps:
         bad = dataclasses.replace(table, g_values=g_bad)
         with pytest.raises(CorruptTableError):
             make_maps(bad)
+
+
+class TestTableRoundTrip:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("potential", ["hardy", "zero", "hardy+lambda=1.0", "const=2.0"])
+    def test_reloads_exactly(self, grids, n, potential):
+        table = solve_green(n, Potential.parse(potential), grids(2048, 1e-6), max_iter=2000)
+        self._check_round_trip(table)
+
+    def test_reloads_exactly_at_loose_tolerance(self, grids):
+        self._check_round_trip(
+            solve_green(3, Potential.hardy_critical(), grids(2048, 1e-6), tol=1e-4)
+        )
+
+    @staticmethod
+    def _check_round_trip(table):
+        loaded = hl.GreenTable.from_json_dict(json.loads(json.dumps(table.to_json_dict())))
+        loaded.validate()
+        assert np.array_equal(loaded.g_values, table.g_values)
+        assert loaded.c_g == table.c_g
+        # the grid is rebuilt, so s and xi are exact rather than derived from r
+        for key in ("nodes", "s", "xi"):
+            assert np.array_equal(getattr(loaded.grid, key), getattr(table.grid, key))
 
 
 class TestComparisonSupersolution:

@@ -44,7 +44,7 @@ def c_g_oracles() -> dict:
         tables = solve_green_continued(
             n, Potential.hardy_critical(), FINE_NODES, EPS_SCHEDULE, tol=1e-10, max_iter=2000
         )
-        per_eps = {f"{t.epsilon_used:.0e}": t.c_g for t in tables}
+        per_eps = {f"{t.grid.epsilon:.0e}": t.c_g for t in tables}
         fit = extrapolate_c_g(EXTRAP_EPS, [per_eps[f"{e:.0e}"] for e in EXTRAP_EPS])
         out[str(n)] = {"per_eps": per_eps, "extrapolated": fit}
         print(f"  n={n}: {per_eps}  limit={fit['limit']:.6f}  ({time.time()-t0:.1f}s)")
