@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Any, Dict, List, Optional
@@ -68,7 +69,7 @@ DEFAULTS: Dict[str, Any] = {
     "corpus_size": 20,
     "t_points": 4096,
     "margin_tol": 1e-6,
-    "max_iter": 300,
+    "max_iter": 1000,
     "lam": None,
     "lambda1": None,
     "green_table": None,
@@ -131,7 +132,22 @@ def _build_parser() -> _ArgumentParser:
     return parser
 
 
-def _resolve_config(args: argparse.Namespace) -> Dict[str, Any]:
+def _flag_types(parser: argparse.ArgumentParser) -> Dict[str, type]:
+    """The type of each config key, read from its flag (choice flags take a str)."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a.type or str
+            for p in sub.choices.values() for a in p._actions if a.dest in DEFAULTS}
+
+
+def _type_ok(value: Any, kind: type, nullable: bool) -> bool:
+    if value is None:
+        return nullable
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Dict[str, Any]:
     cfg = dict(DEFAULTS)
     path = getattr(args, "config", None)
     if path:
@@ -139,9 +155,16 @@ def _resolve_config(args: argparse.Namespace) -> Dict[str, Any]:
             file_cfg = json.loads(Path(path).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise _CliError(f"cannot read config file {path}: {exc}") from exc
+        if not isinstance(file_cfg, dict):
+            raise _CliError(f"config file {path} must hold a JSON object")
         unknown = set(file_cfg) - set(DEFAULTS)
         if unknown:
             raise _CliError(f"unknown config keys: {sorted(unknown)}")
+        types = _flag_types(parser)
+        for key, value in file_cfg.items():
+            if not _type_ok(value, types[key], DEFAULTS[key] is None):
+                raise _CliError(f"config key {key!r} must be of type {types[key].__name__}, "
+                                f"got {value!r}")
         cfg.update(file_cfg)
     for key in DEFAULTS:
         val = getattr(args, key, None)
@@ -160,8 +183,8 @@ def _validate(cfg: Dict[str, Any]) -> None:
         raise _CliError(f"--grid-points must be >= 16, got {cfg['grid_points']}")
     if not (0.0 < float(cfg["epsilon"]) < 0.5):
         raise _CliError(f"--epsilon must lie in (0, 0.5), got {cfg['epsilon']}")
-    if float(cfg["tol"]) <= 0.0:
-        raise _CliError("--tol must be positive")
+    if not (math.isfinite(float(cfg["tol"])) and float(cfg["tol"]) > 0.0):
+        raise _CliError(f"--tol must be finite and positive, got {cfg['tol']}")
     if cfg["format"] not in ("json", "csv"):
         raise _CliError(f"--format must be json or csv, got {cfg['format']}")
 
@@ -362,7 +385,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = _resolve_config(args)
+        cfg = _resolve_config(args, parser)
         _validate(cfg)
         return _COMMANDS[args.command](cfg)
     except _CliError as exc:

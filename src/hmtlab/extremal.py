@@ -11,23 +11,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
-from scipy.optimize import isotonic_regression
+from scipy.optimize import brentq, isotonic_regression
 
 from .errors import (
     DegenerateProfileError,
     DiscretizationFailureError,
-    NumericError,
     PreconditionError,
 )
 from .functionals import (
     RadialProfile,
     grad_energy,
     h_functional,
-    hardy_tail_share,
     hyperbolic_mt,
     ln_norm_pow,
     singular_mt,
@@ -67,17 +65,13 @@ class MoserParams:
             raise PreconditionError(f"rho must lie in (0,1), got {self.rho}")
 
 
-INITIAL_STEP = 0.1  # first trial step of the ascent, in sup-normalized slack units
-STEP_FLOOR = 1e-12  # smallest trial step before an iteration counts as rejected
-FD_CHECKS = 10  # nodes spot-checked against central differences per analytic gradient
-LAMBDA1_RTOL = 1e-12  # relative ratio change that ends the lambda_1 iteration
-LAMBDA1_MAX_GAP = 0.01  # largest relative gap between the profile and the discrete ratio
+RTOL = 1e-12  # relative change of the value that ends either search
+MAX_GAP = 0.01  # largest relative gap between a value on the profile and on the nodes
 
 
 @dataclass(frozen=True)
 class SearchOptions:
-    max_iter: int = 300
-    stall_limit: int = 50
+    max_iter: int = 1000
     seed: int = 0
 
 
@@ -267,13 +261,11 @@ def pav_nonincreasing(y: np.ndarray, w: np.ndarray) -> np.ndarray:
     return isotonic_regression(y, weights=w, increasing=False).x
 
 
-def _mt_node_gradient(
-    u: RadialProfile, n: int, beta: float, exponent_scale: float
-) -> np.ndarray:
+def _mt_node_gradient(u: RadialProfile, n: int, beta: float) -> np.ndarray:
     """Analytic derivative of the singular_mt quadrature sum per node value."""
     c = make_constants(n)
     g = u.grid
-    coef = exponent_scale * (1.0 - beta / n) * c.alpha_n
+    coef = (1.0 - beta / n) * c.alpha_n
     expo = coef * u.values ** (n / (n - 1.0)) + (n - beta - 1.0) * np.log(g.nodes)
     inner = coef * (n / (n - 1.0)) * np.maximum(u.values, 0.0) ** (1.0 / (n - 1.0))
     grad = c.omega * trapezoid_weights(g.nodes) * np.exp(np.minimum(expo, EXP_CLAMP)) * inner
@@ -315,39 +307,30 @@ def _h_surrogate_gradient(u_vals: np.ndarray, grid: RadialGrid, n: int) -> np.nd
     return out
 
 
-def _fd_gradient_check(
-    value_fn: Callable[[np.ndarray], float],
-    x: np.ndarray,
-    analytic: np.ndarray,
-    rng: np.random.Generator,
-    count: int,
-    eligible: Optional[np.ndarray] = None,
-    rel_tol: float = 1e-5,
-) -> None:
-    """Spot-check an analytic node gradient against central differences.
+def _solve_gradient_part(
+    rhs: np.ndarray, dr: np.ndarray, cell: np.ndarray, n: int
+) -> np.ndarray:
+    """Solve grad E(w) = omega * n * rhs with w = 0 at the last node.
 
-    Checked nodes are drawn from ``eligible`` (typically: positive values in
-    the uniform mesh zone); at zero-valued nodes inside the geometric tails
-    the second-order term of the difference quotient, divided by h, swamps
-    a vanishing gradient and says nothing about the formula being tested.
+    E is omega * sum(cell * |diff(w)/dr|^n).  The face fluxes
+    cell * slope^(n-1) / dr are the cumulative sums of rhs from the origin
+    and w sums the slopes from the boundary, so rhs >= 0 gives a w that is
+    non-increasing exactly.
     """
-    pool = np.flatnonzero(eligible) if eligible is not None else np.arange(x.size)
-    if pool.size == 0:
-        return
-    idx = pool[rng.integers(0, pool.size, size=min(count, pool.size))]
-    scale = max(1.0, float(np.max(np.abs(x))))
-    h = 1e-6 * scale
-    for j in np.unique(idx):
-        xp = x.copy()
-        xp[j] += h
-        xm = x.copy()
-        xm[j] = max(xm[j] - h, 0.0)
-        fd = (value_fn(xp) - value_fn(xm)) / (xp[j] - xm[j])
-        ref = max(1.0, abs(analytic[j]), abs(fd))
-        if abs(fd - analytic[j]) > rel_tol * ref * 10:
-            raise NumericError(
-                f"analytic gradient check failed at node {j}: fd={fd:.6e} vs {analytic[j]:.6e}"
-            )
+    flux = np.cumsum(rhs[:-1])
+    slope = (flux * dr / cell) ** (1.0 / (n - 1))
+    return np.append(np.cumsum((slope * dr)[::-1])[::-1], 0.0)
+
+
+def _unit_deficit(u: np.ndarray, grid: RadialGrid, n: int) -> np.ndarray:
+    """Rescale node values to _h_surrogate = 1 (n-homogeneity)."""
+    h_val = _h_surrogate(u, grid, n)
+    if not h_val > 0.0:
+        raise DiscretizationFailureError(
+            f"deficit {h_val!r} on the nodes of a nonzero profile; grid cannot support the "
+            "Hardy bound"
+        )
+    return u * h_val ** (-1.0 / n)
 
 
 def maximize_mt(
@@ -357,149 +340,71 @@ def maximize_mt(
     start: RadialProfile,
     options: Optional[SearchOptions] = None,
 ) -> SearchReport:
-    """Projected gradient ascent of singular_mt over the unit deficit set.
+    """Maximize singular_mt over the unit deficit set by a convex-concave ascent.
 
-    Monotone-acceptance search with three move families, all taken only
-    when the objective improves, so the trajectory is non-decreasing:
-
-    * an initial sweep of canonical concentration profiles (the ascent
-      alone crosses concentration scales far too slowly, so every run
-      first jumps to the best family member that beats its start);
-    * gradient steps: the analytic node gradient of the quadrature sum
-      with its scaling component removed (the normalized objective is
-      scale-invariant), taken in the cumulative-decrement coordinates of
-      the monotone cone, where clipping is the exact projection;
-    * energy-preserving concentration moves u -> tau^((n-1)/n) u(r^(1/tau)).
-
-    Every candidate is clipped, pooled non-increasing, re-zeroed at the
-    boundary, and rescaled to deficit 1.  Candidates whose deficit is not
-    stable under grid doubling are rejected (node-level iterates can hide
-    gradient energy below the mesh scale and blow up once rescaled), as
-    are candidates dominated by the last decade of nodes.  The run stalls
-    out (flag, not an error) after stall_limit consecutive rejected
-    iterations.
+    On the nodes the deficit _h_surrogate is E - D, E its gradient part and
+    D the Hardy sum, and F, singular_mt's quadrature sum, is convex.  Each
+    step (Yuille & Rangarajan, Neural Comput. 2003) linearizes D and F at u
+    and solves grad E(w) = grad D(u) + tau * grad F(u), with tau the root at
+    which E(w) - <grad D(u), w> + (n-1) D(u) = 1, then rescales w to unit
+    deficit.  Every iterate is non-increasing and F never decreases.  The
+    run stops at a relative change of F of at most RTOL (``stalled``: max_iter
+    came first).  The trajectory records F; the reported value is singular_mt
+    of the last iterate rescaled to h_functional = 1.  A start with a
+    non-positive deficit on the nodes raises, and so does a gap above
+    MAX_GAP between the two deficits of the last iterate.
     """
     opts = options or SearchOptions()
-    rng = np.random.default_rng(opts.seed)
-    w = trapezoid_weights(grid.nodes)
-    cum_w = np.cumsum(w)
-    fine_grid = grid.refined()
-
-    def project(vals: np.ndarray) -> Optional[RadialProfile]:
-        vals = np.maximum(vals, 0.0)
-        vals = pav_nonincreasing(vals, w)
-        prof = RadialProfile(grid, vals, enforce_zero_boundary=True)
-        h_val = h_functional(prof, n)
-        if not (h_val > 1e-12):
-            return None
-        fine = RadialProfile(fine_grid, prof(fine_grid.nodes), enforce_zero_boundary=True)
-        if abs(h_functional(fine, n) - h_val) > 0.5 * h_val:
-            return None
-        prof = prof.scaled(h_val ** (-1.0 / n))
-        if hardy_tail_share(prof, n) > 0.5:
-            return None
-        return prof
-
-    current = project(start.values)
-    if current is None:
-        raise DegenerateProfileError("start profile has non-positive deficit energy")
-    best_val = singular_mt(current, n, beta).value
-    trajectory = [(0, best_val)]
-
-    candidates = [
-        normalize_h(moser_profile(MoserParams(rho=2.0**-k, n=n), grid), n)
-        for k in range(1, 21)
-    ]
-    candidates += [
-        normalize_h(RadialProfile(grid, grid.one_minus_r2**q), n)
-        for q in (1.0, 1.5, 2.0, 3.0)
-    ]
-    for member in candidates:
-        mt = singular_mt(member, n, beta)
-        if not mt.overflow and mt.value > best_val:
-            current, best_val = member, mt.value
-    if best_val > trajectory[-1][1]:
-        trajectory.append((0, best_val))
-
-    def raw_value(vals: np.ndarray) -> float:
-        return singular_mt(RadialProfile(grid, vals, enforce_zero_boundary=False), n, beta).value
-
-    def concentrated(u: RadialProfile, tau: float) -> np.ndarray:
-        rr = np.clip(grid.nodes ** (1.0 / tau), grid.nodes[0], grid.nodes[-1])
-        return tau ** ((n - 1.0) / n) * u(rr)
-
-    step = INITIAL_STEP
-    stall = 0
-    iterations = 0
-    checked = False
+    omega = make_constants(n).omega
+    dr, cell, hardy, _ = _surrogate_weights(grid, n)
+    u = pav_nonincreasing(np.maximum(start.values, 0.0), trapezoid_weights(grid.nodes))
+    u = RadialProfile(grid, u).values
+    if not np.any(u > 0.0):
+        raise DegenerateProfileError("start profile is zero after projection")
+    prof = RadialProfile(grid, _unit_deficit(u, grid, n), enforce_zero_boundary=False)
+    value = singular_mt(prof, n, beta).value
+    trajectory = [(0, value)]
+    converged = False
     for it in range(1, opts.max_iter + 1):
-        iterations = it
-        grad_mt = _mt_node_gradient(current, n, beta, 1.0)
-        if not checked:
-            eligible = (
-                (current.values > 0.05 * float(np.max(current.values)))
-                & (grid.nodes > grid.grading.inner_left)
-                & (grid.nodes < 0.9)
-            )
-            _fd_gradient_check(raw_value, current.values.copy(), grad_mt, rng,
-                               FD_CHECKS, eligible)
-            _fd_gradient_check(
-                lambda v: _h_surrogate(v, grid, n),
-                current.values.copy(),
-                _h_surrogate_gradient(current.values, grid, n),
-                rng,
-                FD_CHECKS,
-                eligible,
-            )
-            checked = True
-        grad_h = _h_surrogate_gradient(current.values, grid, n)
-        coupling = float(np.dot(grad_mt, current.values)) / n
-        node_dir = grad_mt - coupling * grad_h
-        slack = np.maximum(-np.diff(np.concatenate([current.values, [0.0]])), 0.0)
-        slack_dir = np.cumsum(node_dir) / np.maximum(cum_w, 1e-300)
-        sup = float(np.max(np.abs(slack_dir)))
-        if sup == 0.0:
-            break
-        slack_dir /= sup
-        accepted = False
-        trial = step
-        while trial >= STEP_FLOOR:
-            new_slack = np.maximum(slack + trial * slack_dir, 0.0)
-            cand = project(np.cumsum(new_slack[::-1])[::-1])
-            if cand is not None:
-                mt = singular_mt(cand, n, beta)
-                # a clamped objective is flat in the clamp and not worth chasing
-                if not mt.overflow and mt.value > best_val * (1.0 + 1e-14):
-                    current, best_val = cand, mt.value
-                    trajectory.append((it, mt.value))
-                    accepted = True
-                    step = trial * 2.0
-                    break
-            trial *= 0.5
-        for tau in (1.2, 1.05, 0.95, 0.8):
-            cand = project(concentrated(current, tau))
-            if cand is not None:
-                mt = singular_mt(cand, n, beta)
-                if not mt.overflow and mt.value > best_val * (1.0 + 1e-14):
-                    current, best_val = cand, mt.value
-                    trajectory.append((it, mt.value))
-                    accepted = True
-        if not accepted:
-            stall += 1
-            step = max(INITIAL_STEP * 0.5**stall, STEP_FLOOR)
-            if stall >= opts.stall_limit:
-                break
-        else:
-            stall = 0
+        u = prof.values
+        grad_f = _mt_node_gradient(prof, n, beta)
+        pull = hardy * u ** (n - 1)  # grad D(u) / (omega * n)
+        push = grad_f / (omega * n)
+        flux_d, flux_f = np.cumsum(pull[:-1]), np.cumsum(push[:-1])
+        offset = (n - 1) * omega * float(np.dot(hardy, u**n)) - 1.0
 
-    residual = abs(h_functional(current, n) - 1.0)
+        def excess(tau: float) -> float:
+            # the binding constraint's excess at the solve's w, summed over its drops
+            # w[j] - w[j+1]: E(w) = omega * sum(flux * drop), <grad D(u), w> by parts
+            drop = ((flux_d + tau * flux_f) * dr / cell) ** (1.0 / (n - 1)) * dr
+            return omega * float(np.dot(drop, tau * flux_f - (n - 1) * flux_d)) + offset
+
+        tau_hi = n / float(np.dot(grad_f, u))  # the multiplier at a stationary point
+        while excess(tau_hi) <= 0.0:
+            tau_hi *= 2.0
+        tau = brentq(excess, 0.0, tau_hi)
+        w = _unit_deficit(_solve_gradient_part(pull + tau * push, dr, cell, n), grid, n)
+        prof = RadialProfile(grid, w, enforce_zero_boundary=False)
+        prev, value = value, singular_mt(prof, n, beta).value
+        trajectory.append((it, value))
+        converged = abs(value - prev) <= RTOL * abs(prev)
+        if converged:
+            break
+
+    h_val = h_functional(prof, n)
+    if not abs(h_val - 1.0) <= MAX_GAP:
+        raise DiscretizationFailureError(
+            f"maximizer not resolved: deficit {h_val!r} on the profile, 1 on the nodes; "
+            "refine the grid"
+        )
+    best = prof.scaled(h_val ** (-1.0 / n))
     return SearchReport(
-        best_value=best_val,
-        best_profile=current,
-        iterations=iterations,
-        constraint_residual=residual,
+        best_value=singular_mt(best, n, beta).value,
+        best_profile=best,
+        iterations=len(trajectory) - 1,
+        constraint_residual=abs(h_functional(best, n) - 1.0),
         trajectory=trajectory,
-        stalled=stall >= opts.stall_limit,
+        stalled=not converged,
         seed=opts.seed,
     )
 
@@ -511,15 +416,13 @@ def estimate_lambda1(
 
     Works on the interval-difference deficit (Hein & Buehler, NeurIPS 2010):
     with lam the ratio of the iterate u, each step solves
-    grad E(w) = (hardy + lam * mass) * u^(n-1) exactly, E the convex gradient
-    part and u = 0 at the last node.  In one dimension that solve is a
-    cumulative flux from the origin and a cumulative sum of slopes from the
-    boundary, so every iterate is positive and non-increasing and the ratio
-    never increases.  The trajectory records that discrete ratio; the
+    grad E(w) = (hardy + lam * mass) * u^(n-1) exactly with
+    _solve_gradient_part, so the ratio never increases.  The trajectory
+    records that discrete ratio; the
     reported value is h_functional / ln_norm_pow on the returned profile,
     scaled to ||u||_n^n = 1.  A non-positive ratio raises, as it
     contradicts the positivity guaranteed by the Hardy-Sobolev bound, and
-    so does a gap above LAMBDA1_MAX_GAP between the two ratios: the grid is
+    so does a gap above MAX_GAP between the two ratios: the grid is
     then too coarse to resolve the minimizer.
     """
     opts = options or SearchOptions()
@@ -529,16 +432,12 @@ def estimate_lambda1(
     lam = _h_surrogate(u, grid, n) / (omega * float(np.dot(mass, u**n)))
     trajectory = [(0, lam)]
     converged = False
-    iterations = 0
     for it in range(1, opts.max_iter + 1):
-        iterations = it
-        flux = np.cumsum(((hardy + lam * mass) * u ** (n - 1))[:-1])
-        slope = (flux * dr / cell) ** (1.0 / (n - 1))
-        u = np.append(np.cumsum((slope * dr)[::-1])[::-1], 0.0)
+        u = _solve_gradient_part((hardy + lam * mass) * u ** (n - 1), dr, cell, n)
         u /= (omega * float(np.dot(mass, u**n))) ** (1.0 / n)
         prev, lam = lam, _h_surrogate(u, grid, n)
         trajectory.append((it, lam))
-        converged = abs(prev - lam) <= LAMBDA1_RTOL * abs(prev)
+        converged = abs(prev - lam) <= RTOL * abs(prev)
         if converged or not lam > 0.0:
             break
 
@@ -550,14 +449,14 @@ def estimate_lambda1(
             f"lambda_1 estimate came out non-positive ({lam!r} on the nodes, {best!r} on the "
             "profile); grid cannot support the bound"
         )
-    if abs(best - lam) > LAMBDA1_MAX_GAP * lam:
+    if abs(best - lam) > MAX_GAP * lam:
         raise DiscretizationFailureError(
             f"lambda_1 not resolved: {best!r} on the profile, {lam!r} on the nodes; refine the grid"
         )
     return SearchReport(
         best_value=best,
         best_profile=prof,
-        iterations=iterations,
+        iterations=len(trajectory) - 1,
         constraint_residual=abs(norm - 1.0),
         trajectory=trajectory,
         stalled=not converged,

@@ -68,6 +68,14 @@ class TestGreenCommand:
     def test_unknown_potential(self):
         assert run_cli(["green", "--potential", "banana"]) == 1
 
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_non_finite_tol(self, tmp_path, capsys, tol):
+        out = tmp_path / "g.json"
+        assert run_cli(["green", "--grid-points", "64", "--tol", tol, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("hmtlab: ") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("potential", ["hardy+lambda=abc", "hardy+lambda=nan", "const=inf"])
     def test_bad_potential_parameter(self, capsys, potential):
         assert run_cli(["green", "--grid-points", "64", "--potential", potential]) == 1
@@ -203,6 +211,12 @@ class TestSearchCommand:
         assert doc["search"]["stalled"] is True
         assert doc["search"]["iterations"] == 2
 
+    def test_mt_on_unresolving_grid_rejected(self, capsys):
+        assert run_cli(["search", "--mode", "mt", "--grid-points", "128"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("hmtlab: ") and captured.err.count("\n") == 1
+
     def test_mt_search(self, tmp_path):
         out = tmp_path / "m.json"
         code = run_cli(["search", "--mode", "mt", "--n", "2", "--beta", "0.5",
@@ -256,6 +270,27 @@ class TestConfigFile:
         doc = json.loads(out.read_text())
         assert doc["config"]["grid_points"] == 1024  # flag overrides file
         assert doc["config"]["potential"] == "zero"
+
+    @pytest.mark.parametrize("doc", [{"grid_points": "abc"}, {"tol": "1e-8"}, {"n": 2.5},
+                                     {"n": True}, {"n": None}, {"format": 1}, [2]],
+                             ids=["int_as_str", "float_as_str", "int_as_float", "int_as_bool",
+                                  "null_without_none_default", "str_as_int", "not_an_object"])
+    def test_mistyped_value_rejected(self, tmp_path, capsys, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert run_cli(["green", "--grid-points", "64", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("hmtlab: ") and captured.err.count("\n") == 1
+
+    def test_typed_values_accepted(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        # a float flag takes an integer; null is allowed where the default is None
+        cfg.write_text(json.dumps({"tol": 1, "beta": 0, "lam": None, "mode": "lambda1",
+                                   "grid_points": 512, "max_iter": 3}))
+        out = tmp_path / "l.json"
+        assert run_cli(["search", "--config", str(cfg), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["config"]["tol"] == 1
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
