@@ -3,10 +3,10 @@
 Subcommands: green, verify, sweep, search, rearrange-demo.  Configuration
 comes from an optional JSON file of flat keys mirroring the flags, with
 command-line flags taking precedence.  Outputs are JSON or CSV with every
-file embedding the resolved config and a format version string; identical
-config and seed reproduce outputs byte for byte (floats are emitted with
-repr / 17 significant digits and nothing time- or host-dependent is
-written).
+file embedding the subcommand's resolved config and a format version
+string; identical config and seed reproduce outputs byte for byte (floats
+are emitted with repr / 17 significant digits and nothing time- or
+host-dependent is written).
 
 Exit codes: 0 success, 1 configuration or validation error, 2 numerical
 failure or violated certification.
@@ -48,7 +48,7 @@ from .functionals import (
     hyperbolic_ln_norm_pow,
     rearrange,
 )
-from .green import GreenTable, check_boundary_bound, image_t_grid, make_maps, solve_green
+from .green import GreenTable, check_boundary_bound, make_maps, solve_green
 from .quad_core import make_grid
 from .transplant import transplant_report
 
@@ -67,7 +67,6 @@ DEFAULTS: Dict[str, Any] = {
     "k_min": 1,
     "k_max": 20,
     "corpus_size": 20,
-    "t_points": 4096,
     "margin_tol": 1e-6,
     "max_iter": 1000,
     "lam": None,
@@ -108,7 +107,8 @@ def _build_parser() -> _ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the transplant certification corpus")
     common(p_verify)
     p_verify.add_argument("--corpus-size", dest="corpus_size", type=int)
-    p_verify.add_argument("--t-points", dest="t_points", type=int)
+    p_verify.add_argument("--t-points", dest="t_points", type=int,
+                          help="ignored: verify transplants on the Green table's image grid")
     p_verify.add_argument("--margin-tol", dest="margin_tol", type=float)
     p_verify.add_argument("--green-table", dest="green_table", type=str,
                           help="validate an existing Green table JSON instead of solving")
@@ -132,11 +132,15 @@ def _build_parser() -> _ArgumentParser:
     return parser
 
 
+def _subparsers(parser: argparse.ArgumentParser) -> Dict[str, argparse.ArgumentParser]:
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
 def _flag_types(parser: argparse.ArgumentParser) -> Dict[str, type]:
     """The type of each config key, read from its flag (choice flags take a str)."""
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     return {a.dest: a.type or str
-            for p in sub.choices.values() for a in p._actions if a.dest in DEFAULTS}
+            for p in _subparsers(parser).values() for a in p._actions if a.dest in DEFAULTS}
 
 
 def _type_ok(value: Any, kind: type, nullable: bool) -> bool:
@@ -187,6 +191,21 @@ def _validate(cfg: Dict[str, Any]) -> None:
         raise _CliError(f"--tol must be finite and positive, got {cfg['tol']}")
     if cfg["format"] not in ("json", "csv"):
         raise _CliError(f"--format must be json or csv, got {cfg['format']}")
+    if cfg["max_iter"] < 1:
+        raise _CliError(f"--max-iter must be >= 1, got {cfg['max_iter']}")
+    if cfg["corpus_size"] < 1:
+        raise _CliError(f"--corpus-size must be >= 1, got {cfg['corpus_size']}")
+    if not (math.isfinite(float(cfg["margin_tol"])) and float(cfg["margin_tol"]) >= 0.0):
+        raise _CliError(f"--margin-tol must be finite and >= 0, got {cfg['margin_tol']}")
+    if not 1 <= cfg["k_min"] <= cfg["k_max"]:
+        raise _CliError(f"--k-min must lie in [1, --k-max], got {cfg['k_min']} "
+                        f"with --k-max {cfg['k_max']}")
+
+
+def _own_config(cfg: Dict[str, Any], parser: argparse.ArgumentParser) -> Dict[str, Any]:
+    """``command`` and the config keys that the subcommand's own flags define."""
+    own = {a.dest for a in _subparsers(parser)[cfg["command"]]._actions}
+    return {k: v for k, v in cfg.items() if k in own or k == "command"}
 
 
 def _config_for_output(cfg: Dict[str, Any]) -> Dict[str, Any]:
@@ -255,11 +274,7 @@ def _cmd_verify(cfg: Dict[str, Any]) -> int:
     potential = Potential.parse(cfg["potential"])
     grid = make_grid(cfg["grid_points"], float(cfg["epsilon"]))
     table = solve_green(cfg["n"], potential, grid, tol=float(cfg["tol"]))
-    if potential.is_zero():
-        # identity transplantation: the image grid makes defects exact to rounding
-        maps = make_maps(table, beta=float(cfg["beta"]), t_grid=image_t_grid(table))
-    else:
-        maps = make_maps(table, beta=float(cfg["beta"]), n_t=cfg["t_points"])
+    maps = make_maps(table, beta=float(cfg["beta"]))
     corpus = seeded_corpus(grid, cfg["n"], cfg["corpus_size"], cfg["seed"], normalized=True)
     reports = [transplant_report(u, maps) for u in corpus]
 
@@ -387,7 +402,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_args(argv)
         cfg = _resolve_config(args, parser)
         _validate(cfg)
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command](_own_config(cfg, parser))
     except _CliError as exc:
         print(f"hmtlab: {exc}", file=sys.stderr)
         return 1

@@ -159,7 +159,10 @@ def _require_close(name: str, stored: np.ndarray, recomputed: np.ndarray, bound)
 
 @dataclass(frozen=True)
 class TransplantMaps:
-    """Transplantation ingredients tabulated on a dedicated t-grid.
+    """Transplantation ingredients tabulated on a t-grid.
+
+    The t-grid is the Green table's image grid (``image_t_grid``) unless
+    ``make_maps`` was given ``n_t``.
 
     a(t) inverts t = exp(-G/gamma); phi(t) = omega |G'(a)|^(n-1) a^(n-1) - 1
     equals the cumulative potential mass m(a(t)); psi(t) is the singular-MT
@@ -355,9 +358,10 @@ def image_t_grid(table: GreenTable) -> RadialGrid:
     """The r-grid pushed through t = exp(-G/gamma).
 
     On this grid a(t_i) = r_i exactly, so the transplantation of a profile
-    is its own node data; the V = 0 verification path uses it to make the
-    identity transplantation exact to rounding.  1 - t is computed with
-    expm1, exact near the boundary where t -> 1.
+    is its own node data; ``make_maps`` uses it by default, which makes the
+    identities' defects measure the quadrature on the r-grid rather than
+    interpolation of a(t).  1 - t is computed with expm1, exact near the
+    boundary where t -> 1.
     """
     c = make_constants(table.n)
     arg = -table.g_values / c.gamma
@@ -370,23 +374,26 @@ def image_t_grid(table: GreenTable) -> RadialGrid:
 def make_maps(
     table: GreenTable,
     beta: float = 0.0,
-    n_t: int = 4096,
+    n_t: Optional[int] = None,
     t_min: float = 1e-8,
-    t_grid: Optional[RadialGrid] = None,
 ) -> TransplantMaps:
-    """Tabulate a(t), phi, phi', psi on a logarithmic t-grid.
+    """Tabulate a(t), phi, phi', psi on a t-grid.
 
     a(t) is the monotone interpolant (in ln-ln coordinates) of the inverse
     of t = exp(-G/gamma); phi comes from the identity phi = m(a(t)); phi'
     uses the closed differentiation formula rather than differencing phi.
-    The default t-grid is the three-zone graded mesh on [t_min, 1 - t_min];
-    an explicit ``t_grid`` (e.g. from image_t_grid) overrides it.
+    With ``n_t=None`` the t-grid is ``image_t_grid(table)``, on which
+    a(t_i) = r_i and the interpolants return their own node data.  A given
+    ``n_t`` builds the three-zone graded mesh of n_t nodes on
+    [t_min, 1 - t_min] instead, whose defects fall with n_t.
     """
     c = make_constants(table.n)
     n = table.n
     if np.any(np.diff(table.g_values) >= 0.0):
         raise CorruptTableError("cannot invert a non-monotone Green table")
-    if t_grid is None:
+    if n_t is None:
+        t_grid = image_t_grid(table)
+    else:
         t_grid = make_grid(n_t, t_min, GridGrading(r_min=t_min, inner_left=0.01,
                                                    inner_right=0.01, tail_fraction=0.2))
     t = t_grid.nodes

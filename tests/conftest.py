@@ -7,11 +7,6 @@ import hmtlab as hl
 
 DATA_DIR = Path(__file__).parent / "data"
 
-POTENTIALS = {
-    "hardy": hl.Potential.hardy_critical,
-    "zero": hl.Potential.zero,
-}
-
 
 @pytest.fixture(scope="session")
 def oracles():
@@ -36,10 +31,11 @@ def green_tables(grids):
     cache = {}
 
     def get(n, potential="hardy", n_points=2048, eps=1e-6, tol=1e-8):
+        # potential is a descriptor: zero | hardy | hardy+lambda=<x> | const=<x>
         key = (n, potential, n_points, eps, tol)
         if key not in cache:
             cache[key] = hl.solve_green(
-                n, POTENTIALS[potential](), grids(n_points, eps), tol=tol, max_iter=2000
+                n, hl.Potential.parse(potential), grids(n_points, eps), tol=tol, max_iter=2000
             )
         return cache[key]
 

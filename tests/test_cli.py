@@ -82,6 +82,39 @@ class TestGreenCommand:
         err = capsys.readouterr().err
         assert err.startswith("hmtlab: ") and err.count("\n") == 1
 
+    def test_echoes_only_its_own_config_keys(self, tmp_path):
+        out = tmp_path / "g.json"
+        assert run_cli(["green", "--n", "2", "--potential", "zero", "--grid-points", "256",
+                        "--epsilon", "1e-3", "--out", str(out)]) == 0
+        assert sorted(json.loads(out.read_text())["config"]) == [
+            "beta", "command", "epsilon", "format", "grid_points", "n", "potential", "seed",
+            "tol"]
+
+
+# each is out of range for one numeric flag; validation must reject it before any work
+OUT_OF_RANGE = {
+    "max_iter_negative_mt": ["search", "--mode", "mt", "--max-iter", "-3"],
+    "max_iter_zero_lambda1": ["search", "--mode", "lambda1", "--max-iter", "0"],
+    "corpus_size_zero": ["verify", "--corpus-size", "0"],
+    "margin_tol_nan": ["verify", "--n", "2", "--potential", "const=0.5", "--corpus-size", "30",
+                       "--seed", "7", "--margin-tol", "nan"],
+    "margin_tol_inf": ["verify", "--corpus-size", "2", "--margin-tol", "inf"],
+    "margin_tol_negative": ["verify", "--corpus-size", "2", "--margin-tol", "-1"],
+    "k_min_above_k_max": ["sweep", "--mode", "boundedness", "--k-min", "5", "--k-max", "2"],
+    "k_min_above_k_max_divergence": ["sweep", "--mode", "divergence", "--k-min", "5",
+                                     "--k-max", "2"],
+}
+
+
+@pytest.mark.parametrize("case", list(OUT_OF_RANGE))
+def test_out_of_range_flag_rejected(tmp_path, capsys, case):
+    out = tmp_path / "o.json"
+    assert run_cli(OUT_OF_RANGE[case] + ["--grid-points", "512", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("hmtlab: ") and captured.err.count("\n") == 1
+    assert not out.exists()
+
 
 class TestVerifyCommand:
     def test_default_corpus_passes(self, tmp_path):
@@ -92,6 +125,13 @@ class TestVerifyCommand:
         doc = json.loads(out.read_text())
         assert doc["summary"]["violation"] is None
         assert doc["summary"]["profiles"] == 6
+
+    def test_nonzero_potential_margins_on_image_grid(self, tmp_path):
+        # on an interpolated t-grid this corpus showed a key margin of -4.1e-3
+        out = tmp_path / "v.json"
+        assert run_cli(["verify", "--n", "4", "--potential", "const=0.5", "--grid-points", "512",
+                        "--corpus-size", "30", "--seed", "7", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["summary"]["min_key_margin"] > 0.0
 
     def test_zero_potential_identity(self, tmp_path):
         out = tmp_path / "v0.json"

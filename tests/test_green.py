@@ -163,8 +163,18 @@ class TestMaps:
 
     def test_image_grid_is_exact_inverse(self, green_tables):
         table = green_tables(2, "hardy", 2048, 1e-6)
-        maps = make_maps(table, beta=0.0, t_grid=image_t_grid(table))
+        maps = make_maps(table, beta=0.0)
         assert np.allclose(maps.a, table.grid.nodes, rtol=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("potential", ["hardy", "hardy+lambda=1.0", "const=0.5"])
+    def test_default_t_grid_is_image_grid(self, green_tables, n, potential):
+        table = green_tables(n, potential, 2048, 1e-6)
+        maps = make_maps(table)
+        image = image_t_grid(table)
+        for key in ("nodes", "s", "xi"):
+            assert np.array_equal(getattr(maps.t_grid, key), getattr(image, key))
+        np.testing.assert_allclose(maps.a, table.grid.nodes, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_hardy_maps_invariants(self, transplant_maps, n):

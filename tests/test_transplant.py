@@ -229,3 +229,30 @@ class TestReportChain:
             assert check_hardy_lemma(v, maps) == rep.hardy_lemma_margin
             assert check_key_inequality(u, maps) == rep.key_margin
             assert check_mt_comparison(u, v, maps).margin == rep.mt_comparison_margin
+
+
+class TestImageGrid:
+    """make_maps' default t-grid, on which a(t_i) = r_i for every potential."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("potential", ["hardy", "hardy+lambda=1.0", "const=2.0",
+                                           "const=0.5"])
+    def test_corpus_defects_and_margins(self, green_tables, corpora, n, potential):
+        maps = make_maps(green_tables(n, potential, 4096, 1e-6, 1e-10))
+        for u in corpora(n, size=50, seed=1234):
+            rep = transplant_report(u, maps)
+            assert rep.identity_grad_defect <= 5e-5
+            assert rep.identity_hardy_defect <= 5e-5
+            assert rep.key_margin >= 0.0
+            # the key margin is the lemma margin up to the two identities' defects
+            assert abs(rep.key_margin - rep.hardy_lemma_margin) <= 1e-4
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_grad_defect_second_order_in_r_grid(self, green_tables, corpora, n):
+        worst = []
+        for n_points in (1024, 2048):
+            maps = make_maps(green_tables(n, "hardy", n_points, 1e-6, 1e-10))
+            worst.append(max(transplant_report(u, maps).identity_grad_defect
+                             for u in corpora(n, size=50, seed=1234, n_points=n_points)))
+        # the r-grid's second-order quadrature error, and nothing that falls faster or slower
+        assert 0.2 * worst[0] <= worst[1] <= 0.35 * worst[0]
