@@ -60,7 +60,6 @@ from .green import (  # noqa: F401
     image_t_grid,
     make_maps,
     solve_green,
-    solve_green_continued,
 )
 from .transplant import (  # noqa: F401
     TransplantReport,

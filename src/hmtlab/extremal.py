@@ -118,7 +118,14 @@ def moser_profile(params: MoserParams, grid: RadialGrid) -> RadialProfile:
     The corner radius is snapped to the nearest node and the derivative is
     supplied in closed form; the profile is then rescaled so the computed
     gradient energy is 1 exactly (homogeneity makes the rescale exact).
+    A corner below the first node has no node to snap to and raises
+    PreconditionError.
     """
+    if params.rho < grid.nodes[0]:
+        raise PreconditionError(
+            f"Moser corner rho={params.rho:.3e} lies below the first grid node "
+            f"{grid.nodes[0]:.3e}"
+        )
     n = params.n
     c = make_constants(n)
     idx = int(np.argmin(np.abs(grid.nodes - params.rho)))

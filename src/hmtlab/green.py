@@ -7,8 +7,10 @@ solution G with pole at the origin,
     m(b) = omega * int_0^b V(s) G(s)^(n-1) s^(n-1) ds,
 
 with G = 0 at the truncated boundary 1-eps.  The solver iterates this map
-(damped Picard) in the log coordinate xi = ln r, where the potential-free
-part of the flux integrates exactly.  The pole decomposition
+(plain Picard: the map is order-preserving and starts from a subsolution,
+so the undamped iterates climb monotonically) in the log coordinate
+xi = ln r, where the potential-free part of the flux integrates exactly.
+The pole decomposition
 
     G(r) = -gamma ln r + C_G + H(r),   gamma = omega^(-1/(n-1)),
 
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -45,7 +47,6 @@ __all__ = [
     "GreenTable",
     "TransplantMaps",
     "solve_green",
-    "solve_green_continued",
     "extrapolate_c_g",
     "extract_c_g",
     "check_boundary_bound",
@@ -232,10 +233,15 @@ def solve_green(
     grid: RadialGrid,
     tol: float = 1e-8,
     max_iter: int = 500,
-    damping: float = 0.5,
-    initial: Optional[np.ndarray] = None,
 ) -> GreenTable:
-    """Damped fixed-point solve of the flux identity on the truncated ball.
+    """Plain fixed-point solve of the flux identity on the truncated ball.
+
+    The map from G to the G assembled from its flux is order-preserving
+    (V >= 0 and every step adds positive terms), and the start
+    G = gamma(xi_max - xi), the V = 0 solution, is a subsolution.  The
+    iterates therefore climb monotonically to the minimal fixed point, and
+    blending in the previous iterate would only slow the climb.  Each step
+    carries the flux excess forward: one assembly, one mass, one excess.
 
     Raises ConvergenceError if tol is not reached within max_iter and
     PotentialInstabilityError when the potential mass diverges across
@@ -247,22 +253,22 @@ def solve_green(
     v_vals = potential.values(grid, n)
     log_part = gamma * (grid.xi[-1] - grid.xi)
 
-    g_cur = log_part.copy() if initial is None else np.asarray(initial, dtype=float).copy()
+    excess = np.zeros_like(log_part)  # assembles to G = log_part
     residual = math.inf
     for iterations in range(1, max_iter + 1):
-        excess_used = _flux_excess(_mass(g_cur, v_vals, grid, n), n)
-        g_new, _ = _assemble(excess_used, log_part, grid, gamma)
-        m_new = _mass(g_new, v_vals, grid, n)
-        m_sup = float(np.max(m_new))
+        g_values, _ = _assemble(excess, log_part, grid, gamma)
+        m = _mass(g_values, v_vals, grid, n)
+        m_sup = float(np.max(m))
         if not math.isfinite(m_sup) or m_sup > INSTABILITY_CAP:
             raise PotentialInstabilityError(
                 f"potential mass diverged (sup m = {m_sup:.3e} after {iterations} iterations); "
                 "potential has no spectral gap on this domain"
             )
-        residual = float(np.max(np.abs(_flux_excess(m_new, n) - excess_used)))
+        excess_new = _flux_excess(m, n)
+        residual = float(np.max(np.abs(excess_new - excess)))
         if residual <= tol:
             break
-        g_cur = damping * g_new + (1.0 - damping) * g_cur
+        excess = excess_new
     else:
         raise ConvergenceError(
             f"no convergence in {max_iter} iterations (residual {residual:.3e} > tol {tol:.3e})",
@@ -271,36 +277,9 @@ def solve_green(
         )
 
     # final self-consistent assembly from the converged mass
-    table = _table_from_g(grid, n, potential, v_vals, log_part, g_new, iterations, tol)
+    table = _table_from_g(grid, n, potential, v_vals, log_part, g_values, iterations, tol)
     table.validate()
     return table
-
-
-def solve_green_continued(
-    n: int,
-    potential: Potential,
-    n_points: int,
-    eps_schedule: Sequence[float],
-    grading: Optional[GridGrading] = None,
-    **solve_kw,
-) -> List[GreenTable]:
-    """Chain of solves with shrinking boundary truncation, each warm-started.
-
-    Mirrors the construction of G as a limit of Dirichlet problems on
-    growing balls; the previous solution (interpolated in ln r) seeds the
-    next, which keeps the iteration count flat as eps shrinks.
-    """
-    tables: List[GreenTable] = []
-    prev: Optional[GreenTable] = None
-    for eps in eps_schedule:
-        grid = make_grid(n_points, eps, grading)
-        initial = None
-        if prev is not None:
-            initial = np.interp(grid.xi, prev.grid.xi, prev.g_values)
-            initial = np.maximum(initial - initial[-1], 0.0)
-        tables.append(solve_green(n, potential, grid, initial=initial, **solve_kw))
-        prev = tables[-1]
-    return tables
 
 
 def extrapolate_c_g(eps_values: Sequence[float], c_g_values: Sequence[float]) -> Dict[str, float]:

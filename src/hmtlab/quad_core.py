@@ -146,7 +146,8 @@ def make_grid(n_points: int, epsilon: float, grading: Optional[GridGrading] = No
     """Build the three-zone graded mesh on [r_min, 1-epsilon].
 
     Requires n_points >= 16 and 0 < epsilon < 1/2.  When epsilon is not
-    small (epsilon >= inner_right) the boundary has no singular layer to
+    small (epsilon >= inner_right, or so close below it that the graded
+    tail's radii round together) the boundary has no singular layer to
     resolve and the right tail collapses into the uniform section.
     """
     if not isinstance(n_points, (int, np.integer)) or n_points < 16:
@@ -160,8 +161,8 @@ def make_grid(n_points: int, epsilon: float, grading: Optional[GridGrading] = No
     n_tail = max(4, int(round(n_points * grading.tail_fraction)))
     left = np.geomspace(grading.r_min, grading.inner_left, n_tail)
 
-    if epsilon < grading.inner_right:
-        s_right = np.geomspace(grading.inner_right, epsilon, n_tail)
+    s_right = np.geomspace(grading.inner_right, epsilon, n_tail)
+    if np.all(np.diff(1.0 - s_right) > 0.0):
         n_mid = n_points - 2 * n_tail
         if n_mid < 4:
             raise GridConfigError(

@@ -103,6 +103,9 @@ OUT_OF_RANGE = {
     "k_min_above_k_max": ["sweep", "--mode", "boundedness", "--k-min", "5", "--k-max", "2"],
     "k_min_above_k_max_divergence": ["sweep", "--mode", "divergence", "--k-min", "5",
                                      "--k-max", "2"],
+    # rho = 2^-k drops below the first node (1e-10) from k = 34 on
+    "moser_corner_below_grid": ["sweep", "--mode", "boundedness", "--k-min", "30",
+                                "--k-max", "40"],
 }
 
 

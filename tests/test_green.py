@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hmtlab as hl
 from hmtlab import (
@@ -19,7 +21,6 @@ from hmtlab import (
     make_grid,
     make_maps,
     solve_green,
-    solve_green_continued,
 )
 from hmtlab.green import image_t_grid
 from hmtlab.quad_core import cumulative_from_origin
@@ -140,14 +141,21 @@ class TestSolverErrors:
             solve_green(2, Potential.constant(1e8), grids(512, 1e-3), max_iter=400)
 
 
+class TestPlainIteration:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("potential", ["hardy", "hardy+lambda=1.0"])
+    def test_iteration_count(self, green_tables, n, potential):
+        # the plain monotone iteration takes 182-244 steps on these cases
+        assert green_tables(n, potential, 2048, 1e-6, 1e-10).iterations <= 250
+
+
 class TestContinuation:
-    def test_warm_start_and_extrapolation(self):
-        tables = solve_green_continued(
-            2, Potential.hardy_critical(), 1024, [1e-2, 1e-3, 1e-4], tol=1e-9, max_iter=2000
-        )
-        cgs = [t.c_g for t in tables]
+    def test_truncation_schedule_and_extrapolation(self, grids):
+        eps_values = [1e-2, 1e-3, 1e-4]
+        cgs = [solve_green(2, Potential.hardy_critical(), grids(1024, eps), tol=1e-9).c_g
+               for eps in eps_values]
         assert cgs[0] < cgs[1] < cgs[2]
-        fit = extrapolate_c_g([1e-2, 1e-3, 1e-4], cgs)
+        fit = extrapolate_c_g(eps_values, cgs)
         assert fit["limit"] > cgs[-1]
         assert math.isfinite(fit["slope"])
 
@@ -235,6 +243,22 @@ class TestTableRoundTrip:
         self._check_round_trip(
             solve_green(3, Potential.hardy_critical(), grids(2048, 1e-6), tol=1e-4)
         )
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        n=st.sampled_from([2, 3, 4]),
+        potential=st.one_of(
+            st.just(Potential.zero()),
+            st.just(Potential.hardy_critical()),
+            st.floats(0.0, 1.0).map(Potential.hardy_plus_lambda),
+            st.floats(0.0, 1.0).map(Potential.constant),
+        ),
+        n_points=st.integers(256, 1024),
+        log10_eps=st.floats(-6.0, -2.0),
+    )
+    def test_reloads_exactly_property(self, n, potential, n_points, log10_eps):
+        grid = make_grid(n_points, 10.0**log10_eps)
+        self._check_round_trip(solve_green(n, potential, grid, tol=1e-10))
 
     @staticmethod
     def _check_round_trip(table):

@@ -54,6 +54,14 @@ class TestGrid:
         assert g.nodes[-1] == pytest.approx(1 - 1e-6, rel=1e-14)
         assert g.s[-1] == 1e-6  # boundary distance carried exactly
 
+    def test_epsilon_just_below_inner_right(self):
+        # a graded tail from 0.01 down to 0.01 (1 - 1e-15) rounds to repeated radii
+        eps = 10.0**-2.0000000000000004
+        g = make_grid(256, eps)
+        assert g.n_points == 256
+        assert np.all(np.diff(g.nodes) > 0)
+        assert g.s[-1] == eps
+
     def test_too_few_points(self):
         with pytest.raises(GridConfigError):
             make_grid(8, 0.25)

@@ -22,7 +22,6 @@ from hmtlab import (
     verify_hardy_identity,
 )
 from hmtlab.extremal import MoserParams, smoothed_moser_profile
-from hmtlab.green import image_t_grid
 
 
 @pytest.fixture(scope="module")

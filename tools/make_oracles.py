@@ -6,12 +6,13 @@ Run from the repository root:
     python tools/make_oracles.py
 
 Writes tests/data/oracles.json.  The references are deliberately more
-expensive than anything the tests run: pole constants from 100k-node
-solves over a truncation schedule with the logarithmic-tail extrapolation,
-and hyperbolic volumes from an independent composite-Simpson rule with two
-million uniform intervals.  Tests compare production-resolution results
-against these frozen numbers; regenerate only when the underlying
-definitions change, and commit the diff.
+expensive than anything the tests run: pole constants from one plain
+100k-node solve per truncation level of the schedule, extrapolated along
+the logarithmic tail, and hyperbolic volumes from an independent
+composite-Simpson rule with two million uniform intervals.  Tests
+compare production-resolution results against these frozen numbers;
+regenerate only when the underlying definitions change, and commit the
+diff.
 """
 
 import json
@@ -27,7 +28,8 @@ from hmtlab import (  # noqa: E402
     Potential,
     extrapolate_c_g,
     make_constants,
-    solve_green_continued,
+    make_grid,
+    solve_green,
 )
 
 ORACLE_PATH = Path(__file__).resolve().parents[1] / "tests" / "data" / "oracles.json"
@@ -41,10 +43,12 @@ def c_g_oracles() -> dict:
     out = {}
     for n in (2, 3, 4):
         t0 = time.time()
-        tables = solve_green_continued(
-            n, Potential.hardy_critical(), FINE_NODES, EPS_SCHEDULE, tol=1e-10, max_iter=2000
-        )
-        per_eps = {f"{t.grid.epsilon:.0e}": t.c_g for t in tables}
+        per_eps = {
+            f"{eps:.0e}": solve_green(
+                n, Potential.hardy_critical(), make_grid(FINE_NODES, eps), tol=1e-10
+            ).c_g
+            for eps in EPS_SCHEDULE
+        }
         fit = extrapolate_c_g(EXTRAP_EPS, [per_eps[f"{e:.0e}"] for e in EXTRAP_EPS])
         out[str(n)] = {"per_eps": per_eps, "extrapolated": fit}
         print(f"  n={n}: {per_eps}  limit={fit['limit']:.6f}  ({time.time()-t0:.1f}s)")
