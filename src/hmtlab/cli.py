@@ -215,9 +215,26 @@ def _config_for_output(cfg: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def _emit_json(payload: Dict[str, Any], cfg: Dict[str, Any]) -> str:
+    """``json.dumps(doc, indent=2) + "\\n"``, byte for byte, without its slow path.
+
+    With ``indent`` the json module falls back to its pure-Python encoder,
+    which dominates writing a 100k-node Green table.  So each top-level value
+    is encoded on its own: a flat list of floats by the C encoder, whose
+    ", " separators (never part of a float's repr) become the indented line
+    breaks; anything else with ``indent=2``, shifted one level by indenting
+    after each newline (JSON strings hold no raw newline).
+    """
     doc = {"format_version": FORMAT_VERSION, "config": _config_for_output(cfg)}
     doc.update(payload)
-    return json.dumps(doc, indent=2) + "\n"
+    parts = []
+    for key, value in doc.items():
+        parts += [",\n  " if parts else "{\n  ", json.dumps(key), ": "]
+        if isinstance(value, list) and value and all(type(v) is float for v in value):
+            parts += ["[\n    ", json.dumps(value)[1:-1].replace(", ", ",\n    "), "\n  ]"]
+        else:
+            parts.append(json.dumps(value, indent=2).replace("\n", "\n  "))
+    parts.append("\n}\n")
+    return "".join(parts)  # one join: the 10 MB report is copied once
 
 
 def _emit_csv(header: List[str], rows: List[List[Any]], cfg: Dict[str, Any]) -> str:

@@ -7,10 +7,12 @@ solution G with pole at the origin,
     m(b) = omega * int_0^b V(s) G(s)^(n-1) s^(n-1) ds,
 
 with G = 0 at the truncated boundary 1-eps.  The solver iterates this map
-(plain Picard: the map is order-preserving and starts from a subsolution,
-so the undamped iterates climb monotonically) in the log coordinate
-xi = ln r, where the potential-free part of the flux integrates exactly.
-The pole decomposition
+in the log coordinate xi = ln r, where the potential-free part of the flux
+integrates exactly.  Its unknown is the flux excess, and Anderson mixing
+(Walker & Ni, SIAM J. Numer. Anal. 2011) accelerates the plain Picard step,
+falling back to it whenever a mixed step is not finite or has a negative
+excess entry; the iterates therefore do not climb monotonically.  The pole
+decomposition
 
     G(r) = -gamma ln r + C_G + H(r),   gamma = omega^(-1/(n-1)),
 
@@ -55,6 +57,7 @@ __all__ = [
 ]
 
 INSTABILITY_CAP = 1e12  # sup m beyond this across iterations means no spectral gap
+ANDERSON_DEPTH = 5  # past steps whose differences the Green solve mixes
 
 
 @dataclass(frozen=True)
@@ -234,14 +237,22 @@ def solve_green(
     tol: float = 1e-8,
     max_iter: int = 500,
 ) -> GreenTable:
-    """Plain fixed-point solve of the flux identity on the truncated ball.
+    """Anderson-mixed fixed-point solve of the flux identity on the truncated ball.
 
-    The map from G to the G assembled from its flux is order-preserving
-    (V >= 0 and every step adds positive terms), and the start
-    G = gamma(xi_max - xi), the V = 0 solution, is a subsolution.  The
-    iterates therefore climb monotonically to the minimal fixed point, and
-    blending in the previous iterate would only slow the climb.  Each step
-    carries the flux excess forward: one assembly, one mass, one excess.
+    The unknown is the flux excess x; one plain step T assembles G from x,
+    integrates its potential mass and returns the new excess.  T is
+    order-preserving (V >= 0 and every step adds positive terms) and
+    x = 0, the V = 0 solution, is a subsolution, so plain Picard steps
+    would climb monotonically to the minimal fixed point, slowly when the
+    potential is near its spectral threshold.  Anderson mixing of depth
+    ``ANDERSON_DEPTH`` instead combines the last differences of x and of
+    the defect f = T(x) - x: the coefficients c solve the small Gram system
+    dF dF^T c = dF f, and the next iterate is T(x) - (dX + dF)^T c.  The
+    mixed iterates do not climb monotonically.  A mixed step that is not
+    finite or has a negative excess entry is replaced by the plain step
+    T(x), and the history restarts from there.  Once |f| <= tol, the table
+    is assembled from the next iterate, the history's best estimate of the
+    fixed point, which costs no further potential mass.
 
     Raises ConvergenceError if tol is not reached within max_iter and
     PotentialInstabilityError when the potential mass diverges across
@@ -253,7 +264,12 @@ def solve_green(
     v_vals = potential.values(grid, n)
     log_part = gamma * (grid.xi[-1] - grid.xi)
 
+    # ring buffers: row k holds one difference of successive x (d_x) and f (d_f)
     excess = np.zeros_like(log_part)  # assembles to G = log_part
+    d_x = np.empty((ANDERSON_DEPTH, excess.size))
+    d_f = np.empty_like(d_x)
+    kept = 0  # differences recorded since the history was last cleared
+    prev_x = prev_f = None
     residual = math.inf
     for iterations in range(1, max_iter + 1):
         g_values, _ = _assemble(excess, log_part, grid, gamma)
@@ -264,11 +280,31 @@ def solve_green(
                 f"potential mass diverged (sup m = {m_sup:.3e} after {iterations} iterations); "
                 "potential has no spectral gap on this domain"
             )
-        excess_new = _flux_excess(m, n)
-        residual = float(np.max(np.abs(excess_new - excess)))
-        if residual <= tol:
+        defect = _flux_excess(m, n) - excess
+        residual = float(np.max(np.abs(defect)))
+        if prev_x is not None:
+            row = kept % ANDERSON_DEPTH
+            np.subtract(excess, prev_x, out=d_x[row])
+            np.subtract(defect, prev_f, out=d_f[row])
+            kept += 1
+        prev_x, prev_f = excess, defect
+        excess = excess + defect  # the plain step
+        rows = min(kept, ANDERSON_DEPTH)
+        if rows:
+            dx, df = d_x[:rows], d_f[:rows]
+            try:
+                coef = np.linalg.solve(df @ df.T, df @ defect)
+            except np.linalg.LinAlgError:  # singular Gram system: no mixed step
+                coef = np.full(rows, np.nan)
+            with np.errstate(invalid="ignore", over="ignore"):
+                mixed = excess - coef @ dx - coef @ df
+            if np.all(np.isfinite(mixed)) and np.min(mixed) >= 0.0:
+                excess = mixed
+            else:  # keep the plain step and restart the history from it
+                kept, prev_x = 0, None
+        if residual <= tol:  # the next iterate is the history's best estimate: return it
+            g_values, _ = _assemble(excess, log_part, grid, gamma)
             break
-        excess = excess_new
     else:
         raise ConvergenceError(
             f"no convergence in {max_iter} iterations (residual {residual:.3e} > tol {tol:.3e})",

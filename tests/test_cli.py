@@ -1,9 +1,13 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hmtlab.cli import main
+from hmtlab import FORMAT_VERSION
+from hmtlab.cli import _config_for_output, _emit_json, main
 
 
 def run_cli(args):
@@ -37,6 +41,31 @@ TAMPERED_TABLES = {
     "r_null": lambda d: {**d, "r": None},
     "r_empty": lambda d: {**d, "r": []},
 }
+
+
+_FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e-300])
+_TEXT = st.text(max_size=8) | st.sampled_from(["a, b", "1.5, 2.5", "line\nbreak", "ünï, cødé\n"])
+_SCALARS = st.none() | st.booleans() | st.integers() | _FLOATS | _TEXT
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+class TestEmitJson:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        payload=st.dictionaries(
+            _TEXT,
+            st.lists(_FLOATS, max_size=6) | st.lists(st.integers(), max_size=4) | _VALUES,
+            max_size=6,
+        ),
+        cfg=st.dictionaries(_TEXT, _SCALARS, max_size=4),
+    )
+    def test_matches_indented_dumps(self, payload, cfg):
+        doc = {"format_version": FORMAT_VERSION, "config": _config_for_output(cfg), **payload}
+        assert _emit_json(payload, cfg) == json.dumps(doc, indent=2) + "\n"
 
 
 class TestGreenCommand:

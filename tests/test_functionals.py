@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hmtlab as hl
 from hmtlab import (
@@ -75,6 +77,15 @@ class TestEnergies:
         base = h_functional(u, n)
         scaled = h_functional(u.scaled(c), n)
         assert abs(scaled - c**n * base) <= 1e-9 * max(1.0, c**n * abs(base))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(n=st.sampled_from([2, 3, 4]), c=st.floats(1e-3, 1e3), p=st.floats(1.0, 3.0),
+           a=st.floats(0.0, 5.0))
+    def test_homogeneity_property(self, n, c, p, a):
+        g = make_grid(512, 1e-6)
+        u = RadialProfile(g, g.one_minus_r2**p * (1.0 + a * g.nodes**2))
+        scale = c**n * (grad_energy(u, n) + hardy_term(u, n))  # H = E - D cancels below this
+        assert abs(h_functional(u.scaled(c), n) - c**n * h_functional(u, n)) <= 1e-12 * scale
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_hardy_inequality_on_corpus(self, corpora, n):

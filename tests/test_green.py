@@ -141,12 +141,43 @@ class TestSolverErrors:
             solve_green(2, Potential.constant(1e8), grids(512, 1e-3), max_iter=400)
 
 
-class TestPlainIteration:
+class TestAndersonMixing:
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("potential", ["hardy", "hardy+lambda=1.0"])
     def test_iteration_count(self, green_tables, n, potential):
-        # the plain monotone iteration takes 182-244 steps on these cases
-        assert green_tables(n, potential, 2048, 1e-6, 1e-10).iterations <= 250
+        # depth-5 Anderson mixing takes 16-17 steps on these cases (plain Picard: 182-244)
+        assert green_tables(n, potential, 2048, 1e-6, 1e-10).iterations <= 40
+
+    @pytest.mark.parametrize("potential", ["hardy", "hardy+lambda=1.0", "hardy+lambda=2"])
+    def test_matches_dense_solve_at_n2(self, grids, potential):
+        # At n = 2 the flux excess is the mass itself, so one step x -> A x + b of
+        # the discrete flux map is affine.  A is built column by column from unit
+        # excesses and the fixed point solves (I - A) x = b directly.  hardy+lambda=2
+        # has spectral radius about 0.965, beyond what 500 plain steps resolve.
+        grid = grids(1024, 1e-6)
+        pot = Potential.parse(potential)
+        c = make_constants(2)
+        v = pot.values(grid, 2)
+        size = grid.nodes.size
+        d_xi = np.diff(grid.xi)[:, None]
+        d_r = np.diff(grid.nodes)[:, None]
+
+        def assemble(x):  # each column of x is a flux excess, each column out a G
+            h = np.zeros_like(x)
+            h[1:] = -np.cumsum(0.5 * c.gamma * (x[1:] + x[:-1]) * d_xi, axis=0)
+            return c.gamma * (grid.xi[-1] - grid.xi)[:, None] + h - h[-1]
+
+        def flux_map(x):
+            density = c.omega * v[:, None] * assemble(x) * grid.nodes[:, None]
+            m = np.zeros_like(x)
+            m[1:] = np.cumsum(0.5 * (density[1:] + density[:-1]) * d_r, axis=0)
+            return m
+
+        b = flux_map(np.zeros((size, 1)))[:, 0]
+        a = flux_map(np.eye(size)) - b[:, None]
+        x = np.linalg.solve(np.eye(size) - a, b)
+        table = solve_green(2, pot, grid, tol=1e-10)
+        assert np.max(np.abs(table.g_values - assemble(x[:, None])[:, 0])) <= 1e-8
 
 
 class TestContinuation:

@@ -6,7 +6,7 @@ Run from the repository root:
     python tools/make_oracles.py
 
 Writes tests/data/oracles.json.  The references are deliberately more
-expensive than anything the tests run: pole constants from one plain
+expensive than anything the tests run: pole constants from one
 100k-node solve per truncation level of the schedule, extrapolated along
 the logarithmic tail, and hyperbolic volumes from an independent
 composite-Simpson rule with two million uniform intervals.  Tests
