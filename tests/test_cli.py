@@ -148,6 +148,17 @@ def test_out_of_range_flag_rejected(tmp_path, capsys, case):
     assert not out.exists()
 
 
+def test_moser_corner_on_first_node_rejected(tmp_path, capsys):
+    # at 256 nodes rho = 2^-33 (1.16e-10) lies above the first node (1e-10) but is
+    # nearest to it; moving the corner to node 1 would report a rho the row never used
+    out = tmp_path / "o.json"
+    assert run_cli(["sweep", "--mode", "boundedness", "--grid-points", "256", "--k-min", "33",
+                    "--k-max", "33", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("hmtlab: ") and "first grid node" in captured.err
+    assert not out.exists()
+
+
 class TestVerifyCommand:
     def test_default_corpus_passes(self, tmp_path):
         out = tmp_path / "v.json"

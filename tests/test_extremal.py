@@ -59,6 +59,13 @@ class TestMoserProfile:
         with pytest.raises(PreconditionError):
             MoserParams(rho=1.5, n=2)
 
+    @pytest.mark.parametrize("rho, end", [(2e-10, "first"), (2.0**-40, "first"), (0.54, "last")])
+    def test_corner_on_end_node_rejected(self, rho, end):
+        # nodes run 1e-10, 4.6e-8, ..., 0.505, 0.55: each rho is nearest to an end node
+        g = make_grid(16, 0.45)
+        with pytest.raises(PreconditionError, match=f"{end} grid node"):
+            moser_profile(MoserParams(rho=rho, n=2), g)
+
 
 class TestNormalizeH:
     def test_quadratic_scale(self, grids):

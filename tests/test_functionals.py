@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import PchipInterpolator
 
 import hmtlab as hl
 from hmtlab import (
@@ -111,6 +112,49 @@ class TestEnergies:
             vals.append(hardy_term(u, 2))
         assert vals[1] > 1.3 * vals[0]
         assert vals[2] > 1.3 * vals[1]
+
+
+def _spline_profile(kind: str, nodes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    size = nodes.size
+    if kind == "nonincreasing":
+        return np.sort(rng.exponential(1.0, size))[::-1]
+    if kind == "nonmonotone":
+        return rng.uniform(0.0, 1.0, size)
+    if kind == "flat_runs":
+        return np.round(np.sort(rng.uniform(0.0, 3.0, size))[::-1], 1)
+    if kind == "sign_changing":
+        return np.sin(rng.uniform(5.0, 50.0) * nodes) + 0.1 * rng.standard_normal(size)
+    # two-valued: a step down at a random node
+    return np.where(np.arange(size) < rng.integers(1, size), rng.uniform(0.5, 2.0), 0.0)
+
+
+class TestSplineSlopes:
+    """Slopes read directly match scipy's PCHIP spline bit for bit."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(["nonincreasing", "nonmonotone", "flat_runs", "sign_changing",
+                                 "two_valued"]),
+           n_points=st.integers(16, 4096), eps=st.sampled_from([1e-2, 1e-6, 1e-9]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_scipy_pchip(self, kind, n_points, eps, seed):
+        g = make_grid(n_points, eps)
+        rng = np.random.default_rng(seed)
+        values = _spline_profile(kind, g.nodes, rng)
+        u = RadialProfile(g, values, enforce_zero_boundary=False)
+        ref = PchipInterpolator(g.nodes, values)
+        assert np.array_equal(u.derivative, ref.derivative()(g.nodes))
+        r = np.concatenate([g.nodes, rng.uniform(g.nodes[0], g.nodes[-1], 200)])
+        assert np.array_equal(u(r), ref(r))
+
+    def test_moser_closed_form_derivative_kept(self, grids):
+        g = grids(2048, 1e-6)
+        u = moser_profile(MoserParams(rho=2.0**-5, n=2), g)
+        r, d = g.nodes, u.derivative
+        plateau = u.values == u.values[0]
+        assert np.all(d[plateau] == 0.0)
+        # beyond the corner u' = -C / r exactly, which the spline only approximates
+        assert np.allclose(d[~plateau] * r[~plateau], d[-1] * r[-1], rtol=1e-13, atol=0.0)
+        assert not np.array_equal(d, PchipInterpolator(r, u.values).derivative()(r))
 
 
 class TestQV:

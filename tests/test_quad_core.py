@@ -13,8 +13,12 @@ from hmtlab import (
     integrate,
     make_constants,
     make_grid,
+    solve_green,
     truncated_exp,
 )
+from hmtlab.functionals import Potential
+from hmtlab.green import image_t_grid
+from hmtlab.quad_core import trapezoid_weights
 
 
 class TestConstants:
@@ -145,6 +149,28 @@ class TestIntegrate:
         g = make_grid(512, 1e-6)
         exact = (g.nodes[-1] ** 2 - g.nodes[0] ** 2) / 2
         assert integrate(g.nodes, g) == pytest.approx(exact, abs=1e-12)
+
+
+class TestGridWeights:
+    @pytest.fixture(scope="class", params=["make_grid", "image_t_grid"])
+    def grid(self, request):
+        g = make_grid(512, 1e-4)
+        if request.param == "make_grid":
+            return g
+        return image_t_grid(solve_green(2, Potential.hardy_critical(), g, tol=1e-10))
+
+    def test_cached_trapezoid_weights(self, grid):
+        assert np.array_equal(grid.weights, trapezoid_weights(grid.nodes))
+        assert grid.weights is grid.weights
+
+    def test_read_only(self, grid):
+        with pytest.raises(ValueError):
+            grid.weights[0] = 1.0
+        assert np.array_equal(grid.weights, trapezoid_weights(grid.nodes))
+
+    def test_integrate_unchanged(self, grid):
+        f = np.random.default_rng(3).uniform(0.0, 1.0, grid.n_points) / grid.nodes
+        assert integrate(f, grid) == float(np.dot(f, trapezoid_weights(grid.nodes)))
 
 
 class TestTruncatedExp:
