@@ -33,20 +33,16 @@ from .quad_core import (  # noqa: F401
     truncated_exp,
 )
 from .functionals import (  # noqa: F401
-    FunctionalReport,
     Potential,
     RadialProfile,
-    check_boundary_decay,
     check_hardy_littlewood,
     check_polya_szego,
-    functional_report,
     grad_energy,
     h_functional,
     hardy_term,
     hyperbolic_mt,
     hyperbolic_volume,
     ln_norm_pow,
-    q_v_functional,
     rearrange,
     singular_mt,
 )
@@ -55,7 +51,6 @@ from .green import (  # noqa: F401
     TransplantMaps,
     check_boundary_bound,
     comparison_supersolution,
-    extract_c_g,
     extrapolate_c_g,
     image_t_grid,
     make_maps,
@@ -63,8 +58,6 @@ from .green import (  # noqa: F401
 )
 from .transplant import (  # noqa: F401
     TransplantReport,
-    check_hardy_lemma,
-    check_key_inequality,
     check_mt_comparison,
     pushforward,
     transplant_report,

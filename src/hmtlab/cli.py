@@ -189,6 +189,8 @@ def _validate(cfg: Dict[str, Any]) -> None:
         raise _CliError(f"--epsilon must lie in (0, 0.5), got {cfg['epsilon']}")
     if not (math.isfinite(float(cfg["tol"])) and float(cfg["tol"]) > 0.0):
         raise _CliError(f"--tol must be finite and positive, got {cfg['tol']}")
+    if cfg["seed"] < 0:
+        raise _CliError(f"--seed must be >= 0, got {cfg['seed']}")
     if cfg["format"] not in ("json", "csv"):
         raise _CliError(f"--format must be json or csv, got {cfg['format']}")
     if cfg["max_iter"] < 1:
@@ -258,7 +260,10 @@ def _emit_csv(header: List[str], rows: List[List[Any]], cfg: Dict[str, Any]) -> 
 
 def _write(text: str, cfg: Dict[str, Any]) -> None:
     if cfg["out"]:
-        Path(cfg["out"]).write_text(text, encoding="utf-8")
+        try:
+            Path(cfg["out"]).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise _CliError(f"cannot write {cfg['out']}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -323,18 +328,14 @@ def _cmd_sweep(cfg: Dict[str, Any]) -> int:
     mode = cfg["mode"]
     if mode not in ("boundedness", "divergence", "improved"):
         raise _CliError("sweep requires --mode boundedness|divergence|improved")
+    if mode == "improved" and (cfg["lam"] is None or cfg["lambda1"] is None):
+        raise _CliError("improved sweep requires --lam and --lambda1")
     n = cfg["n"]
     beta = float(cfg["beta"])
     grid = make_grid(cfg["grid_points"], float(cfg["epsilon"]))
     ks = range(int(cfg["k_min"]), int(cfg["k_max"]) + 1)
 
-    if mode == "boundedness":
-        family = [MoserParams(rho=2.0 ** (-k), n=n) for k in ks]
-        points = boundedness_sweep(n, beta, family, float(cfg["scale"]), grid)
-        header = ["param", "value", "overflow", "divergence_flag"]
-        rows = [[p.param, p.value, p.overflow, p.divergence_flag] for p in points]
-        json_rows = [p._asdict() for p in points]
-    elif mode == "divergence":
+    if mode == "divergence":
         probe = divergence_probe(n, beta, list(ks), grid)
         header = ["param", "value", "overflow", "divergence_flag", "truncation_m"]
         rows = []
@@ -343,10 +344,12 @@ def _cmd_sweep(cfg: Dict[str, Any]) -> int:
             rows.append([row.param, row.value_high, False, row.flag_high, n])
         json_rows = [r._asdict() for r in probe]
     else:
-        if cfg["lam"] is None or cfg["lambda1"] is None:
-            raise _CliError("improved sweep requires --lam and --lambda1")
         family = [MoserParams(rho=2.0 ** (-k), n=n) for k in ks]
-        points = improved_sweep(n, beta, float(cfg["lam"]), family, grid, float(cfg["lambda1"]))
+        if mode == "boundedness":
+            points = boundedness_sweep(n, beta, family, float(cfg["scale"]), grid)
+        else:
+            points = improved_sweep(n, beta, float(cfg["lam"]), family, grid,
+                                    float(cfg["lambda1"]))
         header = ["param", "value", "overflow", "divergence_flag"]
         rows = [[p.param, p.value, p.overflow, p.divergence_flag] for p in points]
         json_rows = [p._asdict() for p in points]

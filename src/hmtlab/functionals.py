@@ -16,9 +16,9 @@ untouched and keep the profile in the zero-boundary class the theory needs.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline
@@ -37,16 +37,13 @@ from .quad_core import (
 __all__ = [
     "RadialProfile",
     "Potential",
-    "FunctionalReport",
     "MTResult",
     "HyperbolicMTResult",
     "PolyaSzegoResult",
     "grad_energy",
     "hardy_term",
-    "hardy_tail_share",
     "h_functional",
     "potential_term",
-    "q_v_functional",
     "ln_norm_pow",
     "hyperbolic_ln_norm_pow",
     "singular_mt",
@@ -56,8 +53,6 @@ __all__ = [
     "rearrange",
     "check_polya_szego",
     "check_hardy_littlewood",
-    "check_boundary_decay",
-    "functional_report",
 ]
 
 TAIL_SHARE_THRESHOLD = 0.5  # divergent-tail detector: last decade carries > 50%
@@ -207,12 +202,6 @@ class Potential:
     def is_zero(self) -> bool:
         return self.kind == "zero" or (self.kind == "const" and self.alpha == 0.0)
 
-    def weight_nonincreasing(self, grid: RadialGrid, n: int, tol: float = 1e-9) -> bool:
-        """Check the admissibility condition: (1-r^2)^n V(r) non-increasing."""
-        w = grid.one_minus_r2**n * self.values(grid, n)
-        scale = max(1.0, float(np.max(w, initial=0.0)))
-        return bool(np.all(np.diff(w) <= tol * scale))
-
     @classmethod
     def parse(cls, text: str) -> "Potential":
         """Inverse of descriptor(): zero | hardy | hardy+lambda=<x> | const=<x>."""
@@ -253,25 +242,6 @@ class PolyaSzegoResult(NamedTuple):
     h_margin: float
 
 
-@dataclass
-class FunctionalReport:
-    """All functional values and inequality margins for one profile."""
-
-    grad_energy: float
-    hardy_term: float
-    h_value: float
-    mt_integral: float
-    hyperbolic_mt: float
-    beta: float
-    truncation_m: int
-    overflow: bool
-    divergence_flag: bool
-    margins: Dict[str, float] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
 def grad_energy(u: RadialProfile, n: int) -> float:
     """omega * int |u'|^n r^(n-1) dr over the truncated domain."""
     c = make_constants(n)
@@ -285,13 +255,6 @@ def hardy_term(u: RadialProfile, n: int) -> float:
     g = u.grid
     integrand = u.values**n / g.one_minus_r2**n * g.nodes ** (n - 1)
     return c.hardy_const * c.omega * integrate(integrand, g)
-
-
-def hardy_tail_share(u: RadialProfile, n: int) -> float:
-    """Fraction of the Hardy integral carried by the last decade of nodes."""
-    g = u.grid
-    integrand = u.values**n / g.one_minus_r2**n * g.nodes ** (n - 1)
-    return _tail_share(integrand, g)
 
 
 def _tail_share(integrand: np.ndarray, grid: RadialGrid) -> float:
@@ -315,11 +278,6 @@ def potential_term(u: RadialProfile, potential: Potential, n: int) -> float:
     return c.omega * integrate(
         potential.values(g, n) * u.values**n * g.nodes ** (n - 1), g
     )
-
-
-def q_v_functional(u: RadialProfile, potential: Potential, n: int) -> float:
-    """Gradient energy minus int V |u|^n dx for a general admissible V."""
-    return grad_energy(u, n) - potential_term(u, potential, n)
 
 
 def ln_norm_pow(u: RadialProfile, n: int) -> float:
@@ -448,55 +406,6 @@ def check_hardy_littlewood(u: RadialProfile, n: int, beta: float) -> float:
     """singular_mt gain of the rearranged profile (should be >= 0)."""
     star = rearrange(u, n)
     return singular_mt(star, n, beta).value - singular_mt(u, n, beta).value
-
-
-def check_boundary_decay(u: RadialProfile, n: int, p: float) -> float:
-    """sup over nodes r > 1/2 of u(r) / (1-r^2)^((n-1)/p)."""
-    if p <= n:
-        raise PreconditionError(f"need p > n, got p={p}, n={n}")
-    g = u.grid
-    mask = g.nodes > 0.5
-    ratios = u.values[mask] / g.one_minus_r2[mask] ** ((n - 1.0) / p)
-    return float(np.max(ratios, initial=0.0))
-
-
-def functional_report(
-    u: RadialProfile,
-    n: int,
-    beta: float = 0.0,
-    truncation_m: Optional[int] = None,
-    potential: Optional[Potential] = None,
-    rearrangement_checks: bool = False,
-) -> FunctionalReport:
-    """Evaluate every functional for one profile and collect the margins."""
-    m = n if truncation_m is None else truncation_m
-    grad = grad_energy(u, n)
-    hardy = hardy_term(u, n)
-    if potential is None or potential.kind == "hardy":
-        h_val = grad - hardy
-    else:
-        h_val = q_v_functional(u, potential, n)
-    mt = singular_mt(u, n, beta)
-    hyp = hyperbolic_mt(u, n, beta, m)
-    hardy_flag = hardy_tail_share(u, n) > TAIL_SHARE_THRESHOLD
-    margins = {"hardy_inequality": grad - hardy}
-    if rearrangement_checks:
-        ps = check_polya_szego(u, n)
-        margins["polya_szego"] = ps.margin
-        margins["polya_szego_h"] = ps.h_margin
-        margins["hardy_littlewood"] = check_hardy_littlewood(u, n, beta)
-    return FunctionalReport(
-        grad_energy=grad,
-        hardy_term=hardy,
-        h_value=h_val,
-        mt_integral=mt.value,
-        hyperbolic_mt=hyp.value,
-        beta=beta,
-        truncation_m=m,
-        overflow=mt.overflow or hyp.overflow,
-        divergence_flag=hyp.divergence_flag or hardy_flag,
-        margins=margins,
-    )
 
 
 def _check_beta(beta: float, n: int) -> None:

@@ -50,7 +50,6 @@ __all__ = [
     "TransplantMaps",
     "solve_green",
     "extrapolate_c_g",
-    "extract_c_g",
     "check_boundary_bound",
     "make_maps",
     "comparison_supersolution",
@@ -188,10 +187,6 @@ class TransplantMaps:
     @property
     def t(self) -> np.ndarray:
         return self.t_grid.nodes
-
-    @property
-    def phi_prime(self) -> np.ndarray:
-        return self.hardy_weight * (-self.t_grid.xi) ** (self.n - 1)
 
     @property
     def a_over_t(self) -> np.ndarray:
@@ -335,30 +330,14 @@ def extrapolate_c_g(eps_values: Sequence[float], c_g_values: Sequence[float]) ->
     return {"limit": float(coef[0]), "slope": float(coef[1])}
 
 
-def _fit_c_g(grid: RadialGrid, g_values: np.ndarray, gamma: float, n: int, k: int = 8) -> float:
-    y = g_values[:k] + gamma * np.log(grid.nodes[:k])
-    z = grid.nodes[:k] ** n * (-np.log(grid.nodes[:k])) ** (n - 1)
+def _fit_c_g(grid: RadialGrid, g_values: np.ndarray, gamma: float, n: int) -> float:
+    """Pole constant from the 8 smallest nodes, extrapolated in r^n (-ln r)^(n-1)."""
+    r = grid.nodes[:8]
+    y = g_values[:8] + gamma * np.log(r)
+    z = r**n * (-np.log(r)) ** (n - 1)
     design = np.vstack([np.ones_like(z), z]).T
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     return float(coef[0])
-
-
-def extract_c_g(table: GreenTable, k: int = 8) -> float:
-    """Pole constant from the k smallest nodes, extrapolated in r^n (-ln r)^(n-1).
-
-    The sequence G + gamma ln r must be monotone over the extraction nodes
-    (it equals c_g + H with H monotone); jitter beyond rounding scale means
-    the table is not usable for extraction.
-    """
-    c = make_constants(table.n)
-    y = table.g_values[:k] + c.gamma * np.log(table.grid.nodes[:k])
-    scale = max(1.0, float(np.max(np.abs(y))))
-    diffs = np.diff(y)
-    if np.any(diffs > 1e-9 * scale) and np.any(diffs < -1e-9 * scale):
-        raise ExtractionUnstableError(
-            "G + gamma ln r is not monotone over the extraction nodes"
-        )
-    return _fit_c_g(table.grid, table.g_values, c.gamma, table.n, k=k)
 
 
 def check_boundary_bound(table: GreenTable) -> float:
@@ -409,8 +388,7 @@ def make_maps(
     if n_t is None:
         t_grid = image_t_grid(table)
     else:
-        t_grid = make_grid(n_t, t_min, GridGrading(r_min=t_min, inner_left=0.01,
-                                                   inner_right=0.01, tail_fraction=0.2))
+        t_grid = make_grid(n_t, t_min, GridGrading(r_min=t_min, tail_fraction=0.2))
     t = t_grid.nodes
     neg_ln_t = -t_grid.xi  # exact -ln t, log1p-built near t = 1
     ln_t_nodes = -table.g_values / c.gamma  # increasing, ends at 0

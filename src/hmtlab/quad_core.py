@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 EXP_CLAMP = 700.0  # exp(700) ~ 1e304, last safe exponent in float64
+TAIL_SPAN = 0.01  # each geometric tail covers r in [r_min, 0.01] or 1 - r in [eps, 0.01]
 
 
 @dataclass(frozen=True)
@@ -74,27 +75,20 @@ def make_constants(n: int) -> Constants:
 class GridGrading:
     """Clustering parameters of the three-zone radial mesh.
 
-    A geometric tail runs from ``r_min`` up to ``inner_left``, a uniform
+    A geometric tail runs from ``r_min`` up to ``TAIL_SPAN``, a uniform
     section covers the interior, and a second geometric tail (in s = 1-r)
-    runs from ``inner_right`` down to the truncation eps.  ``tail_fraction``
+    runs from ``TAIL_SPAN`` down to the truncation eps.  ``tail_fraction``
     of the nodes goes to each tail.  Spacing therefore decreases
     geometrically toward both endpoints; the ratio adapts to the node count
     (a fixed ratio underflows for large grids).
     """
 
     r_min: float = 1e-10
-    inner_left: float = 0.01
-    inner_right: float = 0.01
     tail_fraction: float = 0.15
 
     def validate(self) -> None:
-        if not (0.0 < self.r_min < self.inner_left < 0.5):
-            raise GridConfigError(
-                f"need 0 < r_min < inner_left < 0.5, got r_min={self.r_min}, "
-                f"inner_left={self.inner_left}"
-            )
-        if not (0.0 < self.inner_right < 0.5):
-            raise GridConfigError(f"inner_right must lie in (0, 0.5), got {self.inner_right}")
+        if not (0.0 < self.r_min < TAIL_SPAN):
+            raise GridConfigError(f"r_min must lie in (0, {TAIL_SPAN}), got {self.r_min}")
         if not (0.0 < self.tail_fraction <= 0.4):
             raise GridConfigError(f"tail_fraction must lie in (0, 0.4], got {self.tail_fraction}")
 
@@ -137,10 +131,6 @@ class RadialGrid:
         w.flags.writeable = False
         return w
 
-    def refined(self) -> "RadialGrid":
-        """Same span and grading with twice the node count."""
-        return make_grid(2 * self.n_points, self.epsilon, self.grading)
-
 
 def trapezoid_weights(x: np.ndarray) -> np.ndarray:
     w = np.zeros_like(x)
@@ -154,7 +144,7 @@ def make_grid(n_points: int, epsilon: float, grading: Optional[GridGrading] = No
     """Build the three-zone graded mesh on [r_min, 1-epsilon].
 
     Requires n_points >= 16 and 0 < epsilon < 1/2.  When epsilon is not
-    small (epsilon >= inner_right, or so close below it that the graded
+    small (epsilon >= TAIL_SPAN, or so close below it that the graded
     tail's radii round together) the boundary has no singular layer to
     resolve and the right tail collapses into the uniform section.
     """
@@ -167,23 +157,23 @@ def make_grid(n_points: int, epsilon: float, grading: Optional[GridGrading] = No
     n_points = int(n_points)
 
     n_tail = max(4, int(round(n_points * grading.tail_fraction)))
-    left = np.geomspace(grading.r_min, grading.inner_left, n_tail)
+    left = np.geomspace(grading.r_min, TAIL_SPAN, n_tail)
 
-    s_right = np.geomspace(grading.inner_right, epsilon, n_tail)
+    s_right = np.geomspace(TAIL_SPAN, epsilon, n_tail)
     if np.all(np.diff(1.0 - s_right) > 0.0):
         n_mid = n_points - 2 * n_tail
         if n_mid < 4:
             raise GridConfigError(
                 f"n_points={n_points} too small for tail_fraction={grading.tail_fraction}"
             )
-        mid = np.linspace(grading.inner_left, 1.0 - grading.inner_right, n_mid + 2)[1:-1]
+        mid = np.linspace(TAIL_SPAN, 1.0 - TAIL_SPAN, n_mid + 2)[1:-1]
     else:
         # boundary truncation is far from 1: uniform section runs straight to 1-eps
         s_right = np.asarray([epsilon])
         n_mid = n_points - n_tail - 1
         if n_mid < 4:
             raise GridConfigError(f"n_points={n_points} too small for the requested grading")
-        mid = np.linspace(grading.inner_left, 1.0 - epsilon, n_mid + 2)[1:-1]
+        mid = np.linspace(TAIL_SPAN, 1.0 - epsilon, n_mid + 2)[1:-1]
 
     # left and mid are built in r, the right tail in s = 1 - r
     nodes = np.concatenate([left, mid, 1.0 - s_right])
@@ -227,7 +217,10 @@ def truncated_exp(t, m: int):
     are summed as a series from the k = m term up, which avoids the
     catastrophic cancellation of the subtracted form; large arguments use
     the direct form with compensated summation of the Taylor partial sum.
-    Monotone nondecreasing in t and strictly positive for t > 0.
+    Strictly positive for t > 0.  Monotone nondecreasing in t for m <= 5;
+    for m >= 6 the direct form just above t = m/2 rounds with relative
+    error about eps / P(Poisson(m/2) >= m), so neighbouring floats there
+    can dip by rounding (relative 2e-15 at m = 6, 2e-12 at m = 30).
     """
     if not isinstance(m, (int, np.integer)) or m < 0:
         raise DomainError(f"truncation order must be an integer >= 0, got {m!r}")

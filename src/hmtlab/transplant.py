@@ -22,7 +22,6 @@ from .functionals import (
     RadialProfile,
     grad_energy,
     potential_term,
-    q_v_functional,
     singular_mt,
 )
 from .green import TransplantMaps
@@ -34,8 +33,6 @@ __all__ = [
     "pushforward",
     "verify_grad_identity",
     "verify_hardy_identity",
-    "check_hardy_lemma",
-    "check_key_inequality",
     "check_mt_comparison",
     "transplant_report",
 ]
@@ -105,20 +102,6 @@ def verify_hardy_identity(u: RadialProfile, v: RadialProfile, maps: TransplantMa
     hardy_u = potential_term(u, maps.potential, maps.n)
     _, _, hardy_t = _t_integrals(v, maps)
     return abs(hardy_u - hardy_t) / max(1.0, hardy_u)
-
-
-def check_hardy_lemma(v: RadialProfile, maps: TransplantMaps) -> float:
-    """Margin of int |v'|^n t^(n-1) phi dt >= int v^n phi' (-ln t)^(1-n) dt."""
-    if not v.is_nonincreasing(tol=1e-9):
-        raise PreconditionError("the Hardy-type lemma requires a non-increasing v")
-    _, grad_phi, hardy_t = _t_integrals(v, maps)
-    return grad_phi - hardy_t
-
-
-def check_key_inequality(u: RadialProfile, maps: TransplantMaps) -> float:
-    """Margin of Q_V(u) >= grad_energy(pushforward(u)): the proof's key step."""
-    v = pushforward(u, maps)
-    return q_v_functional(u, maps.potential, maps.n) - grad_energy(v, maps.n)
 
 
 def check_mt_comparison(u: RadialProfile, v: RadialProfile, maps: TransplantMaps) -> MTComparison:

@@ -129,6 +129,8 @@ OUT_OF_RANGE = {
                        "--seed", "7", "--margin-tol", "nan"],
     "margin_tol_inf": ["verify", "--corpus-size", "2", "--margin-tol", "inf"],
     "margin_tol_negative": ["verify", "--corpus-size", "2", "--margin-tol", "-1"],
+    "seed_negative_verify": ["verify", "--seed", "-5", "--corpus-size", "2"],
+    "seed_negative_rearrange": ["rearrange-demo", "--seed", "-1"],
     "k_min_above_k_max": ["sweep", "--mode", "boundedness", "--k-min", "5", "--k-max", "2"],
     "k_min_above_k_max_divergence": ["sweep", "--mode", "divergence", "--k-min", "5",
                                      "--k-max", "2"],
@@ -145,6 +147,15 @@ def test_out_of_range_flag_rejected(tmp_path, capsys, case):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("hmtlab: ") and captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_unwritable_out_rejected(tmp_path, capsys):
+    out = tmp_path / "missing" / "o.json"
+    assert run_cli(["rearrange-demo", "--grid-points", "64", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("hmtlab: cannot write ") and captured.err.count("\n") == 1
     assert not out.exists()
 
 

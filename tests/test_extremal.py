@@ -32,6 +32,7 @@ from hmtlab.extremal import (
     boundary_tail_profile,
     pav_nonincreasing,
 )
+from hmtlab.quad_core import TAIL_SPAN
 
 
 class TestMoserProfile:
@@ -299,7 +300,7 @@ class TestNodeGradients:
     def _eligible(u):
         g = u.grid
         return ((u.values > 0.05 * float(np.max(u.values)))
-                & (g.nodes > g.grading.inner_left) & (g.nodes < 0.9))
+                & (g.nodes > TAIL_SPAN) & (g.nodes < 0.9))
 
     @pytest.mark.parametrize("n,beta", [(2, 0.0), (2, 1.0), (3, 0.0), (3, 1.0)])
     def test_mt_node_gradient(self, profile, n, beta):

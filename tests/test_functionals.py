@@ -6,15 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
 
-import hmtlab as hl
 from hmtlab import (
     DomainError,
     Potential,
     RadialProfile,
-    check_boundary_decay,
     check_hardy_littlewood,
     check_polya_szego,
-    functional_report,
     grad_energy,
     h_functional,
     hardy_term,
@@ -22,12 +19,11 @@ from hmtlab import (
     hyperbolic_volume,
     ln_norm_pow,
     make_grid,
-    q_v_functional,
     rearrange,
     singular_mt,
 )
-from hmtlab.extremal import MoserParams, moser_profile, smoothed_moser_profile
-from hmtlab.functionals import cell_hyperbolic_volumes, hyperbolic_ln_norm_pow
+from hmtlab.extremal import MoserParams, moser_profile
+from hmtlab.functionals import cell_hyperbolic_volumes, hyperbolic_ln_norm_pow, potential_term
 
 
 @pytest.fixture(scope="module")
@@ -94,14 +90,6 @@ class TestEnergies:
         for u in corpora(n, size=50, seed=900 + n, n_points=2048, normalized=False):
             assert grad_energy(u, n) >= hardy_term(u, n) - 1e-8
 
-    def test_hardy_divergence_flag_diagnostic(self):
-        # strongly sub-critical boundary decay, boundary value kept:
-        # the Hardy integrand is cutoff-dominated and the detector fires
-        g = make_grid(2048, 1e-6)
-        u = RadialProfile(g, g.one_minus_r2**0.1, enforce_zero_boundary=False)
-        rep = functional_report(u, 2)
-        assert rep.divergence_flag
-
     def test_hardy_subcritical_grows_with_refinement(self):
         # decay exponent below the critical (n-1)/n: the truncated Hardy
         # integral grows without bound as the cutoff shrinks
@@ -158,32 +146,25 @@ class TestSplineSlopes:
 
 
 class TestQV:
+    """Q_V(u) = grad_energy(u) - potential_term(u, V) for each kind of potential."""
+
     def test_zero_potential_gives_grad(self, grids):
         g = grids(2048, 1e-6)
         u = RadialProfile(g, g.one_minus_r2)
-        assert q_v_functional(u, Potential.zero(), 2) == pytest.approx(
-            grad_energy(u, 2), rel=1e-12
-        )
+        assert potential_term(u, Potential.zero(), 2) == 0.0
 
     def test_hardy_potential_matches_h(self, grids):
         g = grids(2048, 1e-6)
         u = RadialProfile(g, g.one_minus_r2)
-        assert q_v_functional(u, Potential.hardy_critical(), 2) == pytest.approx(
-            h_functional(u, 2), rel=1e-10
-        )
+        q_v = grad_energy(u, 2) - potential_term(u, Potential.hardy_critical(), 2)
+        assert q_v == pytest.approx(h_functional(u, 2), rel=1e-10)
 
     def test_linear_in_constant_potential(self, grids):
         g = grids(2048, 1e-6)
         u = RadialProfile(g, g.one_minus_r2)
-        q1 = q_v_functional(u, Potential.constant(1.0), 2)
-        q3 = q_v_functional(u, Potential.constant(3.0), 2)
-        assert q3 - q1 == pytest.approx(-2.0 * ln_norm_pow(u, 2), rel=1e-10)
-
-    def test_admissible_weight(self, grids):
-        g = grids(512, 1e-4)
-        for pot in (Potential.zero(), Potential.hardy_critical(),
-                    Potential.hardy_plus_lambda(0.5), Potential.constant(2.0)):
-            assert pot.weight_nonincreasing(g, 2)
+        p1 = potential_term(u, Potential.constant(1.0), 2)
+        p3 = potential_term(u, Potential.constant(3.0), 2)
+        assert p3 - p1 == pytest.approx(2.0 * ln_norm_pow(u, 2), rel=1e-10)
 
 
 class TestPotential:
@@ -362,52 +343,3 @@ class TestRearrangementInequalities:
         assert check_hardy_littlewood(bump, 3, 1.0) >= 0.0
         flat = RadialProfile(g, g.one_minus_r2)
         assert abs(check_hardy_littlewood(flat, 2, 0.0)) <= 1e-8
-
-
-class TestBoundaryDecay:
-    def test_zero_profile(self, grids):
-        g = grids(2048, 1e-6)
-        u = RadialProfile(g, np.zeros_like(g.nodes))
-        assert check_boundary_decay(u, 2, 3.0) == 0.0
-
-    def test_compact_support(self, grids):
-        g = grids(2048, 1e-6)
-        vals = np.where(g.nodes < 0.5, 0.5 - g.nodes, 0.0)
-        u = RadialProfile(g, vals)
-        assert check_boundary_decay(u, 2, 3.0) == 0.0
-
-    def test_requires_p_above_n(self, grids):
-        g = grids(2048, 1e-6)
-        u = RadialProfile(g, g.one_minus_r2)
-        with pytest.raises(hl.PreconditionError):
-            check_boundary_decay(u, 2, 2.0)
-
-    def test_moser_type_stable_under_refinement(self):
-        fitted = {}
-        for n_points in (2048, 4096):
-            g = make_grid(n_points, 1e-6)
-            u = smoothed_moser_profile(MoserParams(rho=0.2, n=2), g)
-            u = hl.normalize_h(u, 2)
-            fitted[n_points] = check_boundary_decay(u, 2, 3.0)
-        assert fitted[2048] == pytest.approx(fitted[4096], rel=0.10)
-
-
-class TestFunctionalReport:
-    def test_field_names(self, grids):
-        g = grids(2048, 1e-6)
-        u = RadialProfile(g, g.one_minus_r2)
-        rep = functional_report(u, 2, beta=0.5, rearrangement_checks=True)
-        d = rep.to_dict()
-        assert set(d) == {
-            "grad_energy", "hardy_term", "h_value", "mt_integral", "hyperbolic_mt",
-            "beta", "truncation_m", "overflow", "divergence_flag", "margins",
-        }
-        assert d["truncation_m"] == 2
-        assert d["beta"] == 0.5
-        assert set(d["margins"]) >= {"hardy_inequality", "polya_szego", "hardy_littlewood"}
-
-    def test_h_value_consistency(self, grids):
-        g = grids(2048, 1e-6)
-        u = RadialProfile(g, g.one_minus_r2)
-        rep = functional_report(u, 2)
-        assert rep.h_value == pytest.approx(rep.grad_energy - rep.hardy_term, rel=1e-12)

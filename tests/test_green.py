@@ -10,12 +10,10 @@ import hmtlab as hl
 from hmtlab import (
     ConvergenceError,
     CorruptTableError,
-    ExtractionUnstableError,
     Potential,
     PotentialInstabilityError,
     check_boundary_bound,
     comparison_supersolution,
-    extract_c_g,
     extrapolate_c_g,
     make_constants,
     make_grid,
@@ -98,20 +96,6 @@ class TestHardyCritical:
         slope = np.polyfit(np.log(g.nodes[mask]),
                            np.log(np.abs(table.remainder[mask]) + 1e-300), 1)[0]
         assert slope >= 1.5
-
-    def test_extract_c_g_matches_table(self, green_tables):
-        table = green_tables(2, "hardy", 2048, 1e-6)
-        assert extract_c_g(table) == pytest.approx(table.c_g, abs=1e-12)
-
-    def test_extract_c_g_rejects_corrupt(self, green_tables):
-        import dataclasses
-
-        table = green_tables(2, "hardy", 2048, 1e-6)
-        g_bad = table.g_values.copy()
-        g_bad[3] += 0.05
-        bad = dataclasses.replace(table, g_values=g_bad)
-        with pytest.raises(ExtractionUnstableError):
-            extract_c_g(bad)
 
     def test_boundary_bound(self, green_tables):
         fitted = {}
@@ -249,7 +233,8 @@ class TestMaps:
         stride = idx[1] - idx[0]
         num = (-maps.phi[core + 2 * stride] + 8 * maps.phi[core + stride]
                - 8 * maps.phi[core - stride] + maps.phi[core - 2 * stride]) / (12 * h)
-        rel = np.abs(num - maps.phi_prime[core]) / np.abs(maps.phi_prime[core])
+        phi_prime = maps.hardy_weight[core] * (-maps.t_grid.xi[core]) ** (n - 1)
+        rel = np.abs(num - phi_prime) / np.abs(phi_prime)
         assert np.max(rel) < 1e-3
 
     def test_corrupt_table_rejected(self, green_tables):

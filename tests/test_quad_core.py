@@ -89,10 +89,6 @@ class TestGrid:
         assert left_ratio > 1.0
         assert right_ratio > 1.0
 
-    def test_refined_doubles(self):
-        g = make_grid(512, 1e-4)
-        assert g.refined().n_points == 1024
-
 
 class TestIntegrate:
     def test_constant(self):
