@@ -1,12 +1,20 @@
 """Command-line driver: experiment orchestration and deterministic reports.
 
-Subcommands: green, verify, sweep, search, rearrange-demo.  Configuration
-comes from an optional JSON file of flat keys mirroring the flags, with
-command-line flags taking precedence.  Outputs are JSON or CSV with every
-file embedding the subcommand's resolved config and a format version
-string; identical config and seed reproduce outputs byte for byte (floats
-are emitted with repr / 17 significant digits and nothing time- or
-host-dependent is written).
+Subcommands: green, verify, sweep, search, rearrange-demo.  ``FLAGS`` is the
+one table of configuration keys: each key's type, default, help and the
+subcommands that read it.  The parser, the defaults, the config-file type
+check and the echoed config all come from it, so each subcommand accepts
+only the flags it reads.  Configuration comes from an optional JSON file of
+flat keys mirroring the flags, with command-line flags taking precedence; a
+file key that the subcommand does not read is rejected like an unknown one.
+Outputs are JSON or CSV with every file embedding the subcommand's resolved
+config and a format version string; identical config and seed reproduce
+outputs byte for byte (floats are emitted with repr / 17 significant digits
+and nothing time- or host-dependent is written).
+
+Two flags are kept for argvs already in use: ``verify --t-points`` is parsed
+and ignored (not echoed), and ``search --seed`` is echoed but read by no
+computation.
 
 Exit codes: 0 success, 1 configuration or validation error, 2 numerical
 failure or violated certification.
@@ -19,7 +27,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from . import FORMAT_VERSION
 from .errors import (
@@ -52,27 +60,48 @@ from .green import GreenTable, check_boundary_bound, make_maps, solve_green
 from .quad_core import make_grid
 from .transplant import transplant_report
 
-DEFAULTS: Dict[str, Any] = {
-    "n": 2,
-    "beta": 0.0,
-    "potential": "hardy",
-    "grid_points": 2048,
-    "epsilon": 1e-6,
-    "tol": 1e-8,
-    "seed": 1234,
-    "out": None,
-    "format": "json",
-    "mode": None,
-    "scale": 1.0,
-    "k_min": 1,
-    "k_max": 20,
-    "corpus_size": 20,
-    "margin_tol": 1e-6,
-    "max_iter": 1000,
-    "lam": None,
-    "lambda1": None,
-    "green_table": None,
+
+class Flag(NamedTuple):
+    """One config key's type, default, owning subcommands and flag help."""
+
+    kind: type
+    default: Any
+    commands: Tuple[str, ...]
+    help: Optional[str] = None
+
+
+_ALL = ("green", "verify", "sweep", "search", "rearrange-demo")
+
+# config key -> flag; "grid_points" is the flag --grid-points
+FLAGS: Dict[str, Flag] = {
+    "n": Flag(int, 2, _ALL),
+    "beta": Flag(float, 0.0, ("verify", "sweep", "search", "rearrange-demo")),
+    "potential": Flag(str, "hardy", ("green", "verify"),
+                      "zero | hardy | hardy+lambda=<x> | const=<x>"),
+    "grid_points": Flag(int, 2048, _ALL),
+    "epsilon": Flag(float, 1e-6, _ALL),
+    "tol": Flag(float, 1e-8, ("green", "verify")),
+    "seed": Flag(int, 1234, ("verify", "search", "rearrange-demo")),
+    "out": Flag(str, None, _ALL),
+    "format": Flag(str, "json", ("sweep", "search", "rearrange-demo"), "json | csv"),
+    "mode": Flag(str, None, ("sweep", "search"),
+                 "sweep: boundedness | divergence | improved; search: mt | lambda1"),
+    "scale": Flag(float, 1.0, ("sweep",), "exponent scale (boundedness mode)"),
+    "k_min": Flag(int, 1, ("sweep",)),
+    "k_max": Flag(int, 20, ("sweep",)),
+    "lam": Flag(float, None, ("sweep",), "lambda for the improved sweep"),
+    "lambda1": Flag(float, None, ("sweep",),
+                    "lambda_1 estimate the improved sweep checks against"),
+    "max_iter": Flag(int, 1000, ("search",)),
+    "corpus_size": Flag(int, 20, ("verify",)),
+    "margin_tol": Flag(float, 1e-6, ("verify",)),
+    "green_table": Flag(str, None, ("verify",),
+                        "validate an existing Green table JSON instead of solving"),
 }
+
+
+def _own_flags(command: str) -> Dict[str, Flag]:
+    return {key: flag for key, flag in FLAGS.items() if command in flag.commands}
 
 
 class _CliError(Exception):
@@ -87,60 +116,15 @@ class _ArgumentParser(argparse.ArgumentParser):
 def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(prog="hmtlab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, run in _COMMANDS.items():
+        p = sub.add_parser(command, help=run.__doc__)
         p.add_argument("--config", type=str, help="JSON config file of flat keys")
-        p.add_argument("--n", type=int)
-        p.add_argument("--beta", type=float)
-        p.add_argument("--potential", type=str,
-                       help="zero | hardy | hardy+lambda=<x> | const=<x>")
-        p.add_argument("--grid-points", dest="grid_points", type=int)
-        p.add_argument("--epsilon", type=float)
-        p.add_argument("--tol", type=float)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out", type=str)
-        p.add_argument("--format", choices=("json", "csv"))
-
-    p_green = sub.add_parser("green", help="solve the Green function and extract its pole data")
-    common(p_green)
-
-    p_verify = sub.add_parser("verify", help="run the transplant certification corpus")
-    common(p_verify)
-    p_verify.add_argument("--corpus-size", dest="corpus_size", type=int)
-    p_verify.add_argument("--t-points", dest="t_points", type=int,
-                          help="ignored: verify transplants on the Green table's image grid")
-    p_verify.add_argument("--margin-tol", dest="margin_tol", type=float)
-    p_verify.add_argument("--green-table", dest="green_table", type=str,
-                          help="validate an existing Green table JSON instead of solving")
-
-    p_sweep = sub.add_parser("sweep", help="Moser/boundary families through the MT functionals")
-    common(p_sweep)
-    p_sweep.add_argument("--mode", choices=("boundedness", "divergence", "improved"))
-    p_sweep.add_argument("--scale", type=float, help="exponent scale (boundedness mode)")
-    p_sweep.add_argument("--k-min", dest="k_min", type=int)
-    p_sweep.add_argument("--k-max", dest="k_max", type=int)
-    p_sweep.add_argument("--lam", type=float, help="lambda for the improved sweep")
-    p_sweep.add_argument("--lambda1", type=float, help="lambda_1 estimate the improved sweep checks against")
-
-    p_search = sub.add_parser("search", help="constrained maximization / lambda_1 estimation")
-    common(p_search)
-    p_search.add_argument("--mode", choices=("mt", "lambda1"))
-    p_search.add_argument("--max-iter", dest="max_iter", type=int)
-
-    p_rear = sub.add_parser("rearrange-demo", help="rearrange a seeded bump profile and report margins")
-    common(p_rear)
+        for key, flag in _own_flags(command).items():
+            p.add_argument("--" + key.replace("_", "-"), type=flag.kind, help=flag.help)
+        if command == "verify":
+            p.add_argument("--t-points", type=int,
+                           help="ignored: verify transplants on the Green table's image grid")
     return parser
-
-
-def _subparsers(parser: argparse.ArgumentParser) -> Dict[str, argparse.ArgumentParser]:
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return sub.choices
-
-
-def _flag_types(parser: argparse.ArgumentParser) -> Dict[str, type]:
-    """The type of each config key, read from its flag (choice flags take a str)."""
-    return {a.dest: a.type or str
-            for p in _subparsers(parser).values() for a in p._actions if a.dest in DEFAULTS}
 
 
 def _type_ok(value: Any, kind: type, nullable: bool) -> bool:
@@ -151,27 +135,28 @@ def _type_ok(value: Any, kind: type, nullable: bool) -> bool:
     return isinstance(value, (int, float) if kind is float else kind)
 
 
-def _resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Dict[str, Any]:
-    cfg = dict(DEFAULTS)
-    path = getattr(args, "config", None)
-    if path:
+def _resolve_config(args: argparse.Namespace) -> Dict[str, Any]:
+    """The subcommand's own keys: flag over config file over default, plus ``command``."""
+    flags = _own_flags(args.command)
+    cfg = {key: flag.default for key, flag in flags.items()}
+    if args.config:
         try:
-            file_cfg = json.loads(Path(path).read_text(encoding="utf-8"))
+            file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
-            raise _CliError(f"cannot read config file {path}: {exc}") from exc
+            raise _CliError(f"cannot read config file {args.config}: {exc}") from exc
         if not isinstance(file_cfg, dict):
-            raise _CliError(f"config file {path} must hold a JSON object")
-        unknown = set(file_cfg) - set(DEFAULTS)
+            raise _CliError(f"config file {args.config} must hold a JSON object")
+        unknown = set(file_cfg) - set(flags)
         if unknown:
-            raise _CliError(f"unknown config keys: {sorted(unknown)}")
-        types = _flag_types(parser)
+            raise _CliError(f"unknown config keys for {args.command}: {sorted(unknown)}")
         for key, value in file_cfg.items():
-            if not _type_ok(value, types[key], DEFAULTS[key] is None):
-                raise _CliError(f"config key {key!r} must be of type {types[key].__name__}, "
+            kind = flags[key].kind
+            if not _type_ok(value, kind, flags[key].default is None):
+                raise _CliError(f"config key {key!r} must be of type {kind.__name__}, "
                                 f"got {value!r}")
         cfg.update(file_cfg)
-    for key in DEFAULTS:
-        val = getattr(args, key, None)
+    for key in flags:
+        val = getattr(args, key)
         if val is not None:
             cfg[key] = val
     cfg["command"] = args.command
@@ -179,35 +164,22 @@ def _resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -
 
 
 def _validate(cfg: Dict[str, Any]) -> None:
-    if not isinstance(cfg["n"], int) or cfg["n"] < 2:
-        raise _CliError(f"--n must be an integer >= 2, got {cfg['n']}")
-    if not (0.0 <= float(cfg["beta"]) < cfg["n"]):
-        raise _CliError(f"--beta must lie in [0, n), got {cfg['beta']} with n={cfg['n']}")
-    if cfg["grid_points"] < 16:
-        raise _CliError(f"--grid-points must be >= 16, got {cfg['grid_points']}")
-    if not (0.0 < float(cfg["epsilon"]) < 0.5):
-        raise _CliError(f"--epsilon must lie in (0, 0.5), got {cfg['epsilon']}")
-    if not (math.isfinite(float(cfg["tol"])) and float(cfg["tol"]) > 0.0):
-        raise _CliError(f"--tol must be finite and positive, got {cfg['tol']}")
-    if cfg["seed"] < 0:
-        raise _CliError(f"--seed must be >= 0, got {cfg['seed']}")
-    if cfg["format"] not in ("json", "csv"):
-        raise _CliError(f"--format must be json or csv, got {cfg['format']}")
-    if cfg["max_iter"] < 1:
-        raise _CliError(f"--max-iter must be >= 1, got {cfg['max_iter']}")
-    if cfg["corpus_size"] < 1:
-        raise _CliError(f"--corpus-size must be >= 1, got {cfg['corpus_size']}")
-    if not (math.isfinite(float(cfg["margin_tol"])) and float(cfg["margin_tol"]) >= 0.0):
-        raise _CliError(f"--margin-tol must be finite and >= 0, got {cfg['margin_tol']}")
-    if not 1 <= cfg["k_min"] <= cfg["k_max"]:
-        raise _CliError(f"--k-min must lie in [1, --k-max], got {cfg['k_min']} "
-                        f"with --k-max {cfg['k_max']}")
+    """Range checks on the keys present; their types are checked already."""
+    def require(key, ok, rule):
+        if key in cfg and not ok(cfg[key]):
+            raise _CliError(f"--{key.replace('_', '-')} must {rule}, got {cfg[key]}")
 
-
-def _own_config(cfg: Dict[str, Any], parser: argparse.ArgumentParser) -> Dict[str, Any]:
-    """``command`` and the config keys that the subcommand's own flags define."""
-    own = {a.dest for a in _subparsers(parser)[cfg["command"]]._actions}
-    return {k: v for k, v in cfg.items() if k in own or k == "command"}
+    require("n", lambda n: n >= 2, "be an integer >= 2")
+    require("beta", lambda b: 0.0 <= b < cfg["n"], f"lie in [0, n) with n={cfg['n']}")
+    require("grid_points", lambda g: g >= 16, "be >= 16")
+    require("epsilon", lambda e: 0.0 < e < 0.5, "lie in (0, 0.5)")
+    require("tol", lambda t: math.isfinite(t) and t > 0.0, "be finite and positive")
+    require("seed", lambda s: s >= 0, "be >= 0")
+    require("format", lambda f: f in ("json", "csv"), "be json or csv")
+    require("max_iter", lambda m: m >= 1, "be >= 1")
+    require("corpus_size", lambda c: c >= 1, "be >= 1")
+    require("margin_tol", lambda m: math.isfinite(m) and m >= 0.0, "be finite and >= 0")
+    require("k_min", lambda k: 1 <= k <= cfg["k_max"], f"lie in [1, --k-max={cfg.get('k_max')}]")
 
 
 def _config_for_output(cfg: Dict[str, Any]) -> Dict[str, Any]:
@@ -269,6 +241,7 @@ def _write(text: str, cfg: Dict[str, Any]) -> None:
 
 
 def _cmd_green(cfg: Dict[str, Any]) -> int:
+    """solve the Green function and extract its pole data"""
     potential = Potential.parse(cfg["potential"])
     grid = make_grid(cfg["grid_points"], float(cfg["epsilon"]))
     try:
@@ -283,11 +256,14 @@ def _cmd_green(cfg: Dict[str, Any]) -> int:
 
 
 def _cmd_verify(cfg: Dict[str, Any]) -> int:
+    """run the transplant certification corpus"""
     if cfg["green_table"]:
         try:
             doc = json.loads(Path(cfg["green_table"]).read_text(encoding="utf-8"))
             GreenTable.from_json_dict(doc)
-        except (OSError, ValueError, CorruptTableError) as exc:
+        except OSError as exc:
+            raise _CliError(f"cannot read green table {cfg['green_table']}: {exc}") from exc
+        except (ValueError, CorruptTableError) as exc:
             print(f"verify: green table rejected: {exc}", file=sys.stderr)
             return 2
         _write(_emit_json({"green_table": "valid"}, cfg), cfg)
@@ -325,6 +301,7 @@ def _cmd_verify(cfg: Dict[str, Any]) -> int:
 
 
 def _cmd_sweep(cfg: Dict[str, Any]) -> int:
+    """Moser/boundary families through the MT functionals"""
     mode = cfg["mode"]
     if mode not in ("boundedness", "divergence", "improved"):
         raise _CliError("sweep requires --mode boundedness|divergence|improved")
@@ -362,12 +339,13 @@ def _cmd_sweep(cfg: Dict[str, Any]) -> int:
 
 
 def _cmd_search(cfg: Dict[str, Any]) -> int:
+    """constrained maximization / lambda_1 estimation"""
     mode = cfg["mode"]
     if mode not in ("mt", "lambda1"):
         raise _CliError("search requires --mode mt|lambda1")
     n = cfg["n"]
     grid = make_grid(cfg["grid_points"], float(cfg["epsilon"]))
-    options = SearchOptions(max_iter=int(cfg["max_iter"]), seed=int(cfg["seed"]))
+    options = SearchOptions(max_iter=int(cfg["max_iter"]))
     if mode == "mt":
         start = RadialProfile(grid, 0.5 * grid.one_minus_r2)
         report = maximize_mt(n, float(cfg["beta"]), grid, start, options)
@@ -383,6 +361,7 @@ def _cmd_search(cfg: Dict[str, Any]) -> int:
 
 
 def _cmd_rearrange_demo(cfg: Dict[str, Any]) -> int:
+    """rearrange a seeded bump profile and report margins"""
     n = cfg["n"]
     grid = make_grid(cfg["grid_points"], float(cfg["epsilon"]))
     profile = bump_corpus(grid, n, 1, cfg["seed"])[0]
@@ -417,12 +396,11 @@ _COMMANDS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        cfg = _resolve_config(args, parser)
+        args = _build_parser().parse_args(argv)
+        cfg = _resolve_config(args)
         _validate(cfg)
-        return _COMMANDS[args.command](_own_config(cfg, parser))
+        return _COMMANDS[args.command](cfg)
     except _CliError as exc:
         print(f"hmtlab: {exc}", file=sys.stderr)
         return 1

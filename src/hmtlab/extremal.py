@@ -72,7 +72,6 @@ MAX_GAP = 0.01  # largest relative gap between a value on the profile and on the
 @dataclass(frozen=True)
 class SearchOptions:
     max_iter: int = 1000
-    seed: int = 0
 
 
 @dataclass
@@ -83,7 +82,6 @@ class SearchReport:
     constraint_residual: float
     trajectory: List[tuple]
     stalled: bool
-    seed: int
 
     def to_dict(self) -> dict:
         return {
@@ -91,7 +89,6 @@ class SearchReport:
             "iterations": self.iterations,
             "constraint_residual": self.constraint_residual,
             "stalled": self.stalled,
-            "seed": self.seed,
             "trajectory": [[int(i), float(v)] for i, v in self.trajectory],
             "profile_values": self.best_profile.values.tolist(),
         }
@@ -413,7 +410,6 @@ def maximize_mt(
         constraint_residual=abs(h_functional(best, n) - 1.0),
         trajectory=trajectory,
         stalled=not converged,
-        seed=opts.seed,
     )
 
 
@@ -468,7 +464,6 @@ def estimate_lambda1(
         constraint_residual=abs(norm - 1.0),
         trajectory=trajectory,
         stalled=not converged,
-        seed=opts.seed,
     )
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -116,8 +117,72 @@ class TestGreenCommand:
         assert run_cli(["green", "--n", "2", "--potential", "zero", "--grid-points", "256",
                         "--epsilon", "1e-3", "--out", str(out)]) == 0
         assert sorted(json.loads(out.read_text())["config"]) == [
-            "beta", "command", "epsilon", "format", "grid_points", "n", "potential", "seed",
-            "tol"]
+            "command", "epsilon", "grid_points", "n", "potential", "tol"]
+
+
+# each subcommand's cheap passing argv and the config keys its report echoes: the keys
+# of the flags it reads (--out aside) plus "command"
+ECHOED = {
+    "green": (["--potential", "zero", "--grid-points", "256", "--epsilon", "1e-3"],
+              "command epsilon grid_points n potential tol"),
+    "verify": (["--grid-points", "256", "--epsilon", "1e-3", "--corpus-size", "2"],
+               "beta command corpus_size epsilon green_table grid_points margin_tol n "
+               "potential seed tol"),
+    "sweep": (["--mode", "boundedness", "--grid-points", "256", "--k-max", "2"],
+              "beta command epsilon format grid_points k_max k_min lam lambda1 mode n scale"),
+    "search": (["--mode", "lambda1", "--grid-points", "512", "--max-iter", "3"],
+               "beta command epsilon format grid_points max_iter mode n seed"),
+    "rearrange-demo": (["--grid-points", "64"],
+                       "beta command epsilon format grid_points n seed"),
+}
+
+
+# green's echo is TestGreenCommand::test_echoes_only_its_own_config_keys
+@pytest.mark.parametrize("command", [c for c in ECHOED if c != "green"])
+def test_config_echo_holds_the_keys_it_reads(tmp_path, command):
+    argv, keys = ECHOED[command]
+    out = tmp_path / "o.json"
+    assert run_cli([command, *argv, "--out", str(out)]) == 0
+    assert sorted(json.loads(out.read_text())["config"]) == keys.split()
+
+
+@pytest.mark.parametrize("command", list(ECHOED))
+def test_parser_holds_only_the_flags_it_reads(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    flags = set(re.findall(r"--([a-z0-9-]+)", capsys.readouterr().out))
+    expected = {key.replace("_", "-") for key in ECHOED[command][1].split()} - {"command"}
+    # verify still parses and ignores --t-points, which criterion 11's argv passes
+    expected |= {"help", "config", "out"} | ({"t-points"} if command == "verify" else set())
+    assert flags == expected
+
+
+# flags that every subcommand used to accept though only the config echo read them
+REMOVED_FLAGS = [
+    ["green", "--beta", "1"],
+    ["green", "--seed", "3"],
+    ["green", "--format", "csv"],
+    ["verify", "--format", "csv"],
+    ["sweep", "--mode", "boundedness", "--potential", "zero"],
+    ["sweep", "--mode", "boundedness", "--tol", "1e-9"],
+    ["sweep", "--mode", "boundedness", "--seed", "3"],
+    ["search", "--mode", "lambda1", "--potential", "zero"],
+    ["search", "--mode", "lambda1", "--tol", "1e-9"],
+    ["rearrange-demo", "--potential", "zero"],
+    ["rearrange-demo", "--tol", "1e-9"],
+]
+
+
+@pytest.mark.parametrize("argv", REMOVED_FLAGS, ids=lambda a: f"{a[0]}{a[-2]}")
+def test_flag_the_subcommand_does_not_read_rejected(tmp_path, capsys, argv):
+    out = tmp_path / "o.json"
+    assert run_cli(argv + ["--grid-points", "64", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("hmtlab: unrecognized arguments: " + argv[-2])
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
 
 
 # each is out of range for one numeric flag; validation must reject it before any work
@@ -235,6 +300,14 @@ class TestVerifyCommand:
         assert captured.err.startswith("verify: green table rejected: ")
         assert captured.err.count("\n") == 1
 
+    def test_unreadable_green_table_is_a_configuration_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert run_cli(["verify", "--green-table", str(missing)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"hmtlab: cannot read green table {missing}: ")
+        assert captured.err.count("\n") == 1
+
     def test_valid_green_table(self, tmp_path):
         good = tmp_path / "good.json"
         run_cli(["green", "--n", "2", "--potential", "hardy", "--grid-points", "512",
@@ -345,7 +418,7 @@ class TestDeterminism:
 
     def test_sweep_byte_identical(self, tmp_path):
         args = ["sweep", "--mode", "boundedness", "--n", "2", "--grid-points", "1024",
-                "--k-max", "10", "--seed", "11", "--format", "csv"]
+                "--k-max", "10", "--format", "csv"]
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"
         assert run_cli(args + ["--out", str(out1)]) == 0
@@ -365,28 +438,47 @@ class TestConfigFile:
         assert doc["config"]["grid_points"] == 1024  # flag overrides file
         assert doc["config"]["potential"] == "zero"
 
-    @pytest.mark.parametrize("doc", [{"grid_points": "abc"}, {"tol": "1e-8"}, {"n": 2.5},
-                                     {"n": True}, {"n": None}, {"format": 1}, [2]],
-                             ids=["int_as_str", "float_as_str", "int_as_float", "int_as_bool",
-                                  "null_without_none_default", "str_as_int", "not_an_object"])
-    def test_mistyped_value_rejected(self, tmp_path, capsys, doc):
+    @pytest.mark.parametrize("command, doc", [
+        ("green", {"grid_points": "abc"}), ("green", {"tol": "1e-8"}), ("green", {"n": 2.5}),
+        ("green", {"n": True}), ("green", {"n": None}), ("rearrange-demo", {"format": 1}),
+        ("green", [2])],
+        ids=["int_as_str", "float_as_str", "int_as_float", "int_as_bool",
+             "null_without_none_default", "str_as_int", "not_an_object"])
+    def test_mistyped_value_rejected(self, tmp_path, capsys, command, doc):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
-        assert run_cli(["green", "--grid-points", "64", "--config", str(cfg)]) == 1
+        assert run_cli([command, "--grid-points", "64", "--config", str(cfg)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("hmtlab: ") and captured.err.count("\n") == 1
+        assert "unknown config keys" not in captured.err
 
     def test_typed_values_accepted(self, tmp_path):
+        # a float flag takes an integer
         cfg = tmp_path / "cfg.json"
-        # a float flag takes an integer; null is allowed where the default is None
-        cfg.write_text(json.dumps({"tol": 1, "beta": 0, "lam": None, "mode": "lambda1",
-                                   "grid_points": 512, "max_iter": 3}))
+        cfg.write_text(json.dumps({"beta": 0, "mode": "lambda1", "grid_points": 512,
+                                   "max_iter": 3}))
         out = tmp_path / "l.json"
         assert run_cli(["search", "--config", str(cfg), "--out", str(out)]) == 0
-        assert json.loads(out.read_text())["config"]["tol"] == 1
+        assert json.loads(out.read_text())["config"]["beta"] == 0
+        # null is allowed where the default is None
+        cfg.write_text(json.dumps({"lam": None, "mode": "boundedness", "grid_points": 256,
+                                   "k_max": 2}))
+        assert run_cli(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["config"]["lam"] is None
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"grid_pts": 512}))
         assert run_cli(["green", "--config", str(cfg)]) == 1
+
+    def test_key_the_subcommand_does_not_read_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tol": 1e-8}))
+        out = tmp_path / "s.json"
+        assert run_cli(["sweep", "--mode", "boundedness", "--grid-points", "64",
+                        "--config", str(cfg), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "hmtlab: unknown config keys for sweep: ['tol']\n"
+        assert not out.exists()

@@ -179,7 +179,7 @@ class TestMaximizeMT:
 
     def test_ascent_property_and_trajectory(self, grid):
         start = RadialProfile(grid, 0.5 * grid.one_minus_r2)
-        rep = maximize_mt(2, 0.0, grid, start, SearchOptions(max_iter=80, seed=0))
+        rep = maximize_mt(2, 0.0, grid, start, SearchOptions(max_iter=80))
         start_val = singular_mt(normalize_h(start, 2), 2, 0.0).value
         assert rep.best_value >= start_val
         vals = [v for _, v in rep.trajectory]
@@ -192,22 +192,22 @@ class TestMaximizeMT:
         for seed in range(5):
             corpus = seeded_corpus(grid, 2, 5, 100 + seed, normalized=True)
             rep = maximize_mt(2, 0.0, grid, corpus[seed % 5],
-                              SearchOptions(max_iter=120, seed=seed))
+                              SearchOptions(max_iter=120))
             vals.append(rep.best_value)
         vals = np.array(vals)
         assert (vals.max() - vals.min()) / vals.min() < 0.02
 
     def test_beta_ordering(self, grid):
         start = RadialProfile(grid, 0.5 * grid.one_minus_r2)
-        r0 = maximize_mt(2, 0.0, grid, start, SearchOptions(max_iter=120, seed=0))
-        r1 = maximize_mt(2, 1.0, grid, start, SearchOptions(max_iter=120, seed=0))
+        r0 = maximize_mt(2, 0.0, grid, start, SearchOptions(max_iter=120))
+        r1 = maximize_mt(2, 1.0, grid, start, SearchOptions(max_iter=120))
         assert r1.best_value < r0.best_value
 
     def test_stall_flag_is_not_error(self, grid):
         start = RadialProfile(grid, 0.5 * grid.one_minus_r2)
-        first = maximize_mt(2, 0.0, grid, start, SearchOptions(max_iter=400, seed=0))
+        first = maximize_mt(2, 0.0, grid, start, SearchOptions(max_iter=400))
         again = maximize_mt(2, 0.0, grid, first.best_profile,
-                            SearchOptions(max_iter=400, seed=0))
+                            SearchOptions(max_iter=400))
         assert isinstance(again.stalled, bool)
         assert again.best_value >= first.best_value * (1 - 1e-12)
 
