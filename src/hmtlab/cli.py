@@ -240,15 +240,20 @@ def _write(text: str, cfg: Dict[str, Any]) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_green(cfg: Dict[str, Any]) -> int:
-    """solve the Green function and extract its pole data"""
+def _solve_green(cfg: Dict[str, Any]) -> GreenTable:
+    """The Green table of the config; a failed solve also says to refine --grid-points."""
     potential = Potential.parse(cfg["potential"])
     grid = make_grid(cfg["grid_points"], float(cfg["epsilon"]))
     try:
-        table = solve_green(cfg["n"], potential, grid, tol=float(cfg["tol"]))
-    except ConvergenceError as exc:
-        print(f"green: {exc}", file=sys.stderr)
-        return 2
+        return solve_green(cfg["n"], potential, grid, tol=float(cfg["tol"]))
+    except (ConvergenceError, PotentialInstabilityError) as exc:
+        exc.args = (f"{exc}; refine --grid-points to rule out the grid",)
+        raise
+
+
+def _cmd_green(cfg: Dict[str, Any]) -> int:
+    """solve the Green function and extract its pole data"""
+    table = _solve_green(cfg)
     payload = dict(table.to_json_dict())
     payload["boundary_bound_constant"] = check_boundary_bound(table)
     _write(_emit_json(payload, cfg), cfg)
@@ -269,11 +274,9 @@ def _cmd_verify(cfg: Dict[str, Any]) -> int:
         _write(_emit_json({"green_table": "valid"}, cfg), cfg)
         return 0
 
-    potential = Potential.parse(cfg["potential"])
-    grid = make_grid(cfg["grid_points"], float(cfg["epsilon"]))
-    table = solve_green(cfg["n"], potential, grid, tol=float(cfg["tol"]))
+    table = _solve_green(cfg)
     maps = make_maps(table, beta=float(cfg["beta"]))
-    corpus = seeded_corpus(grid, cfg["n"], cfg["corpus_size"], cfg["seed"], normalized=True)
+    corpus = seeded_corpus(table.grid, cfg["n"], cfg["corpus_size"], cfg["seed"], normalized=True)
     reports = [transplant_report(u, maps) for u in corpus]
 
     margin_tol = float(cfg["margin_tol"])

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq, isotonic_regression
 
 from .errors import (
@@ -28,6 +27,7 @@ from .functionals import (
     h_functional,
     hyperbolic_mt,
     ln_norm_pow,
+    pchip,
     singular_mt,
 )
 from .quad_core import EXP_CLAMP, RadialGrid, make_constants
@@ -271,7 +271,7 @@ def _mt_node_gradient(u: RadialProfile, n: int, beta: float) -> np.ndarray:
     c = make_constants(n)
     g = u.grid
     coef = (1.0 - beta / n) * c.alpha_n
-    expo = coef * u.values ** (n / (n - 1.0)) + (n - beta - 1.0) * np.log(g.nodes)
+    expo = coef * u.values ** (n / (n - 1.0)) + (n - beta - 1.0) * g.log_nodes
     inner = coef * (n / (n - 1.0)) * np.maximum(u.values, 0.0) ** (1.0 / (n - 1.0))
     grad = c.omega * g.weights * np.exp(np.minimum(expo, EXP_CLAMP)) * inner
     grad[expo > EXP_CLAMP] = 0.0  # clamped nodes are flat in the evaluated sum
@@ -285,10 +285,9 @@ def _surrogate_weights(grid: RadialGrid, n: int):
     deficit is omega * (sum(cell * |diff(u)/dr|^n) - sum(hardy * u^n)), and
     ||u||_n^n is omega * sum(mass * u^n), the trapezoid rule of ln_norm_pow.
     """
-    r = grid.nodes
-    mass = r ** (n - 1) * grid.weights
-    hardy = make_constants(n).hardy_const * mass / grid.one_minus_r2**n
-    return np.diff(r), np.diff(r**n) / n, hardy, mass
+    mass = grid.nodes_pow(n - 1) * grid.weights
+    hardy = make_constants(n).hardy_const * mass / grid.one_minus_r2_pow(n)
+    return grid.spacing.h, np.diff(grid.nodes_pow(n)) / n, hardy, mass
 
 
 def _h_surrogate(u_vals: np.ndarray, grid: RadialGrid, n: int) -> float:
@@ -490,7 +489,7 @@ def seeded_corpus(
             drops = rng.uniform(0.2, 1.5, kpts + 1) * np.diff(xs)[: kpts + 1]
             vals_desc = np.concatenate([[np.sum(drops)], np.sum(drops) - np.cumsum(drops)])
             vals = np.concatenate([vals_desc[:-1], [0.0, 0.0]])
-            u_vals = np.maximum(PchipInterpolator(xs, vals)(np.minimum(grid.nodes, 1.05)), 0.0)
+            u_vals = np.maximum(pchip(xs, vals, np.minimum(grid.nodes, 1.05)), 0.0)
             prof = RadialProfile(grid, u_vals, enforce_zero_boundary=True)
         elif kind == 1:
             q = rng.uniform(1.0, 3.0)
@@ -530,6 +529,6 @@ def bump_corpus(grid: RadialGrid, n: int, size: int, seed: int) -> List[RadialPr
             gaps /= gaps.sum()
             xs = np.concatenate([[0.0], 0.05 + 0.90 * np.cumsum(gaps), [1.0]])
             ys = np.concatenate([[rng.uniform(0, 0.3)], rng.uniform(0.1, 1.0, kpts), [0.0, 0.0]])
-            vals = np.maximum(PchipInterpolator(xs, ys)(r), 0.0)
+            vals = np.maximum(pchip(xs, ys, r), 0.0)
         out.append(RadialProfile(grid, vals, enforce_zero_boundary=True))
     return out

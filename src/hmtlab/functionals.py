@@ -4,9 +4,12 @@ A profile is a sampled radial function on a RadialGrid.  Derivatives come
 from a shape-preserving (monotone) cubic interpolant rather than finite
 differences: on strongly graded meshes central differences lose an order
 near the endpoints, and the monotone fit never overshoots plateaus.  The
-interpolant's node slopes (Fritsch-Carlson PCHIP) are computed directly
-with numpy; no spline object is built to read a derivative, and none is
-cached on the profile.
+interpolant is Fritsch & Carlson's PCHIP (SIAM J. Numer. Anal. 1980), done
+with numpy alone: ``pchip_slopes`` gives its node slopes and
+``hermite_eval`` evaluates the cubic Hermite pieces at the points a
+``hermite_plan`` located, both with scipy's arithmetic, so values and
+derivatives equal those of scipy's ``PchipInterpolator`` to the bit.  No
+spline object is built.
 
 Admissible profiles are stored with u = 0 at the last node, enforced by
 subtracting the boundary value; constant shifts leave the gradient energy
@@ -21,16 +24,17 @@ from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 # unused here; perfbench/spans.py looks PchipInterpolator up in this module to trace PCHIP builds
 from scipy.interpolate import PchipInterpolator  # noqa: F401
 
 from .errors import DomainError, NumericError, PreconditionError
 from .quad_core import (
     EXP_CLAMP,
+    PchipSpacing,
     RadialGrid,
     integrate,
     make_constants,
+    pchip_spacing,
     truncated_exp,
 )
 
@@ -40,6 +44,11 @@ __all__ = [
     "MTResult",
     "HyperbolicMTResult",
     "PolyaSzegoResult",
+    "HermitePlan",
+    "pchip_slopes",
+    "hermite_plan",
+    "hermite_eval",
+    "pchip",
     "grad_energy",
     "hardy_term",
     "h_functional",
@@ -58,6 +67,75 @@ __all__ = [
 TAIL_SHARE_THRESHOLD = 0.5  # divergent-tail detector: last decade carries > 50%
 
 
+class HermitePlan(NamedTuple):
+    """Query points located among breakpoints x, ready for ``hermite_eval``.
+
+    idx is the piece of each query (x[idx] <= q < x[idx+1], the last piece
+    closed on the right, the ends extended outward) and s = q - x[idx].
+    """
+
+    idx: np.ndarray
+    s: np.ndarray
+    s2: np.ndarray
+    s3: np.ndarray
+
+
+def hermite_plan(x: np.ndarray, xq) -> HermitePlan:
+    """Locate queries xq among strictly increasing breakpoints x, as scipy's PPoly does."""
+    xq = np.asarray(xq, dtype=float)
+    idx = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, x.size - 2)
+    s = xq - x[idx]
+    s2 = s * s
+    return HermitePlan(idx, s, s2, s2 * s)
+
+
+def hermite_eval(plan: HermitePlan, h: np.ndarray, y: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Cubic Hermite interpolant of node values y and slopes d at a plan's queries.
+
+    The piece coefficients are scipy's ``CubicHermiteSpline`` ones, and the
+    sum c3 + c2 s + c1 s^2 + c0 s^3 is formed term by term from 0 in the
+    order its ``PPoly`` evaluation adds them, so the result is scipy's to
+    the bit.
+    """
+    c0, c1 = _cubic_coefficients(h, y, d)
+    i = plan.idx
+    return 0.0 + y[i] + d[i] * plan.s + c1[i] * plan.s2 + c0[i] * plan.s3
+
+
+def _cubic_coefficients(h, y, d):
+    """The s^3 and s^2 coefficients of each cubic Hermite piece."""
+    secant = np.diff(y) / h
+    t = (d[:-1] + d[1:] - 2.0 * secant) / h
+    return t / h, (secant - d[:-1]) / h - t
+
+
+def pchip_slopes(y: np.ndarray, spacing: PchipSpacing) -> np.ndarray:
+    """Fritsch-Carlson node slopes of the PCHIP fit, as scipy computes them.
+
+    Interior nodes take the weighted harmonic mean of the adjacent secants,
+    or 0 where the secants change sign or one is flat; both ends use
+    Moler's shape-preserving one-sided three-point rule.  Needs three nodes
+    or more.
+    """
+    h = spacing.h
+    m = np.diff(y) / h
+    d = np.empty_like(y)
+    sm = np.sign(m)
+    flat = (sm[1:] != sm[:-1]) | (m[1:] == 0.0) | (m[:-1] == 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # flat entries divide by 0
+        whmean = (spacing.w1 / m[:-1] + spacing.w2 / m[1:]) / spacing.w12
+        d[1:-1] = np.where(flat, 0.0, 1.0 / whmean)
+    d[0] = _end_slope(h[0], h[1], m[0], m[1])
+    d[-1] = _end_slope(h[-1], h[-2], m[-1], m[-2])
+    return d
+
+
+def pchip(x: np.ndarray, y: np.ndarray, xq) -> np.ndarray:
+    """The PCHIP interpolant of (x, y) at xq; equals ``PchipInterpolator(x, y)(xq)``."""
+    spacing = pchip_spacing(x)
+    return hermite_eval(hermite_plan(x, xq), spacing.h, y, pchip_slopes(y, spacing))
+
+
 class RadialProfile:
     """Sampled radial function u(r) >= 0 on a RadialGrid.
 
@@ -67,8 +145,9 @@ class RadialProfile:
 
     The monotone cubic fit is the PCHIP interpolant: ``slopes`` holds its
     node slopes, ``derivative`` reads u' at the nodes from them, and calling
-    the profile builds the cubic Hermite spline on the fly.  Only the slope
-    (read-only) and derivative arrays are cached.
+    the profile (or ``evaluate`` on a ready plan) sums the cubic Hermite
+    pieces with numpy.  Only the slope (read-only) and derivative arrays
+    are cached.
     """
 
     def __init__(self, grid: RadialGrid, values, *, enforce_zero_boundary: bool = True):
@@ -87,24 +166,8 @@ class RadialProfile:
 
     @cached_property
     def slopes(self) -> np.ndarray:
-        """Fritsch-Carlson node slopes of the PCHIP fit, as scipy computes them.
-
-        Interior nodes take the weighted harmonic mean of the adjacent secants,
-        or 0 where the secants change sign or one is flat; both ends use
-        Moler's shape-preserving one-sided three-point rule.
-        """
-        h = np.diff(self.grid.nodes)
-        m = np.diff(self.values) / h
-        d = np.empty_like(self.values)
-        w1 = 2.0 * h[1:] + h[:-1]
-        w2 = h[1:] + 2.0 * h[:-1]
-        sm = np.sign(m)
-        flat = (sm[1:] != sm[:-1]) | (m[1:] == 0.0) | (m[:-1] == 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):  # flat entries divide by 0
-            whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
-            d[1:-1] = np.where(flat, 0.0, 1.0 / whmean)
-        d[0] = _end_slope(h[0], h[1], m[0], m[1])
-        d[-1] = _end_slope(h[-1], h[-2], m[-1], m[-2])
+        """Fritsch-Carlson node slopes of the PCHIP fit (``pchip_slopes``), read-only."""
+        d = pchip_slopes(self.values, self.grid.spacing)
         d.flags.writeable = False
         return d
 
@@ -119,18 +182,20 @@ class RadialProfile:
         """
         if self._deriv is None:
             d = self.slopes.copy()
-            h = self.grid.nodes[-1] - self.grid.nodes[-2]
-            secant = (self.values[-1] - self.values[-2]) / h
-            t = (d[-2] + d[-1] - 2.0 * secant) / h
-            c0 = t / h
-            c1 = (secant - d[-2]) / h - t
-            d[-1] = d[-2] + (2.0 * c1) * h + (3.0 * c0) * (h * h)
+            h = self.grid.spacing.h[-1:]
+            c0, c1 = _cubic_coefficients(h, self.values[-2:], d[-2:])
+            d[-1] = d[-2] + (2.0 * c1[0]) * h[0] + (3.0 * c0[0]) * (h[0] * h[0])
             self._deriv = d
         return self._deriv
 
     def __call__(self, r) -> np.ndarray:
+        """u(r), with r clipped to the grid's range."""
         r = np.clip(np.asarray(r, dtype=float), self.grid.nodes[0], self.grid.nodes[-1])
-        return CubicHermiteSpline(self.grid.nodes, self.values, self.slopes)(r)
+        return self.evaluate(hermite_plan(self.grid.nodes, r))
+
+    def evaluate(self, plan: HermitePlan) -> np.ndarray:
+        """u at the queries of a plan made on this profile's grid nodes."""
+        return hermite_eval(plan, self.grid.spacing.h, self.values, self.slopes)
 
     def is_nonincreasing(self, tol: float = 1e-12) -> bool:
         return bool(np.all(np.diff(self.values) <= tol * max(1.0, float(self.values.max(initial=0.0)))))
@@ -185,19 +250,24 @@ class Potential:
 
     def at(self, r: np.ndarray, one_minus_r2: np.ndarray, n: int) -> np.ndarray:
         """V at radii r; the boundary weight comes in as 1 - r^2, free of cancellation."""
+        return self._at(r, one_minus_r2**n, n)
+
+    def values(self, grid: RadialGrid, n: int) -> np.ndarray:
+        """V at the grid's nodes, from the grid's cached (1 - r^2)^n."""
+        return self._at(grid.nodes, grid.one_minus_r2_pow(n), n)
+
+    def _at(self, r: np.ndarray, weight: np.ndarray, n: int) -> np.ndarray:
+        # weight is (1 - r^2)^n
         hc = make_constants(n).hardy_const
         if self.kind == "zero":
             return np.zeros_like(r)
         if self.kind == "hardy":
-            return hc / one_minus_r2**n
+            return hc / weight
         if self.kind == "hardy+lambda":
-            return hc / one_minus_r2**n + self.lam
+            return hc / weight + self.lam
         if self.kind == "const":
             return np.full_like(r, self.alpha)
         raise DomainError(f"unknown potential kind {self.kind!r}")
-
-    def values(self, grid: RadialGrid, n: int) -> np.ndarray:
-        return self.at(grid.nodes, grid.one_minus_r2, n)
 
     def is_zero(self) -> bool:
         return self.kind == "zero" or (self.kind == "const" and self.alpha == 0.0)
@@ -246,14 +316,14 @@ def grad_energy(u: RadialProfile, n: int) -> float:
     """omega * int |u'|^n r^(n-1) dr over the truncated domain."""
     c = make_constants(n)
     g = u.grid
-    return c.omega * integrate(np.abs(u.derivative) ** n * g.nodes ** (n - 1), g)
+    return c.omega * integrate(np.abs(u.derivative) ** n * g.nodes_pow(n - 1), g)
 
 
 def hardy_term(u: RadialProfile, n: int) -> float:
     """Sharp-constant boundary Hardy integral of |u|^n."""
     c = make_constants(n)
     g = u.grid
-    integrand = u.values**n / g.one_minus_r2**n * g.nodes ** (n - 1)
+    integrand = u.values**n / g.one_minus_r2_pow(n) * g.nodes_pow(n - 1)
     return c.hardy_const * c.omega * integrate(integrand, g)
 
 
@@ -276,14 +346,14 @@ def potential_term(u: RadialProfile, potential: Potential, n: int) -> float:
     c = make_constants(n)
     g = u.grid
     return c.omega * integrate(
-        potential.values(g, n) * u.values**n * g.nodes ** (n - 1), g
+        potential.values(g, n) * u.values**n * g.nodes_pow(n - 1), g
     )
 
 
 def ln_norm_pow(u: RadialProfile, n: int) -> float:
     """||u||_n^n with respect to Lebesgue measure on the ball."""
     c = make_constants(n)
-    return c.omega * integrate(u.values**n * u.grid.nodes ** (n - 1), u.grid)
+    return c.omega * integrate(u.values**n * u.grid.nodes_pow(n - 1), u.grid)
 
 
 def hyperbolic_ln_norm_pow(u: RadialProfile, n: int) -> float:
@@ -308,7 +378,7 @@ def singular_mt(
     g = u.grid
     log_integrand = (
         exponent_scale * (1.0 - beta / n) * c.alpha_n * u.values ** (n / (n - 1.0))
-        + (n - beta - 1.0) * np.log(g.nodes)
+        + (n - beta - 1.0) * g.log_nodes
     )
     overflow = bool(np.any(log_integrand > EXP_CLAMP))
     vals = np.exp(np.minimum(log_integrand, EXP_CLAMP))
@@ -332,7 +402,7 @@ def hyperbolic_mt(u: RadialProfile, n: int, beta: float, m: int) -> HyperbolicMT
     x = (1.0 - beta / n) * c.alpha_n * u.values ** (n / (n - 1.0))
     overflow = bool(np.any(x > EXP_CLAMP))
     e_vals = truncated_exp(np.minimum(x, EXP_CLAMP), m)
-    integrand = e_vals / g.one_minus_r2**n * g.nodes ** (n - beta - 1.0)
+    integrand = e_vals / g.one_minus_r2_pow(n) * g.nodes_pow(n - beta - 1.0)
     value = c.omega * integrate(integrand, g)
     flag = _tail_share(integrand, g) > TAIL_SHARE_THRESHOLD
     return HyperbolicMTResult(value, flag, overflow)
@@ -366,7 +436,7 @@ def hyperbolic_volume(r: float, n: int, *, n_quad: int = 200_001) -> float:
 def cell_hyperbolic_volumes(grid: RadialGrid, n: int) -> np.ndarray:
     """Hyperbolic volume attached to each node's trapezoid cell."""
     c = make_constants(n)
-    density = (2.0 / grid.one_minus_r2) ** n * grid.nodes ** (n - 1)
+    density = (2.0 / grid.one_minus_r2) ** n * grid.nodes_pow(n - 1)
     return c.omega * density * grid.weights
 
 

@@ -36,7 +36,7 @@ from .errors import (
     ExtractionUnstableError,
     PotentialInstabilityError,
 )
-from .functionals import Potential
+from .functionals import HermitePlan, Potential, hermite_plan
 from .quad_core import (
     GridGrading,
     RadialGrid,
@@ -185,12 +185,21 @@ class TransplantMaps:
     hardy_weight: np.ndarray
 
     @property
-    def t(self) -> np.ndarray:
-        return self.t_grid.nodes
-
-    @property
     def a_over_t(self) -> np.ndarray:
         return self.a / self.t_grid.nodes
+
+    def plan_on(self, grid: RadialGrid) -> HermitePlan:
+        """Where a(t), clipped to the grid's range, falls among ``grid``'s nodes.
+
+        Kept for the last grid asked about, so a corpus on one r-grid locates
+        a(t) once; a profile on another grid gets a fresh plan.
+        """
+        last = self.__dict__.get("_last_plan")
+        if last is None or last[0] is not grid:
+            a = np.clip(self.a, grid.nodes[0], grid.nodes[-1])
+            last = (grid, hermite_plan(grid.nodes, a))
+            object.__setattr__(self, "_last_plan", last)
+        return last[1]
 
 
 def _flux_excess(m: np.ndarray, n: int) -> np.ndarray:
@@ -200,7 +209,7 @@ def _flux_excess(m: np.ndarray, n: int) -> np.ndarray:
 
 def _mass(g_values: np.ndarray, v_vals: np.ndarray, grid: RadialGrid, n: int) -> np.ndarray:
     """Cumulative potential mass m(r) = omega int_0^r V G^(n-1) s^(n-1) ds."""
-    density = make_constants(n).omega * v_vals * g_values ** (n - 1) * grid.nodes ** (n - 1)
+    density = make_constants(n).omega * v_vals * g_values ** (n - 1) * grid.nodes_pow(n - 1)
     return cumulative_from_origin(density, grid)
 
 
@@ -251,7 +260,8 @@ def solve_green(
 
     Raises ConvergenceError if tol is not reached within max_iter and
     PotentialInstabilityError when the potential mass diverges across
-    iterations (no spectral gap).
+    iterations (no spectral gap).  A grid too coarse for the potential's
+    boundary layer ends in either, so both messages name it.
     """
     if tol <= 0.0:
         raise ConvergenceError("tolerance must be positive", residual=None, iterations=0)
@@ -273,7 +283,8 @@ def solve_green(
         if not math.isfinite(m_sup) or m_sup > INSTABILITY_CAP:
             raise PotentialInstabilityError(
                 f"potential mass diverged (sup m = {m_sup:.3e} after {iterations} iterations); "
-                "potential has no spectral gap on this domain"
+                "potential has no spectral gap on this domain, or the grid "
+                f"({grid.n_points} nodes) is too coarse to resolve it"
             )
         defect = _flux_excess(m, n) - excess
         residual = float(np.max(np.abs(defect)))
@@ -302,7 +313,9 @@ def solve_green(
             break
     else:
         raise ConvergenceError(
-            f"no convergence in {max_iter} iterations (residual {residual:.3e} > tol {tol:.3e})",
+            f"no convergence in {max_iter} iterations (residual {residual:.3e} > tol {tol:.3e}); "
+            f"the grid ({grid.n_points} nodes) may be too coarse, or the potential too close "
+            "to its spectral threshold",
             residual=residual,
             iterations=max_iter,
         )

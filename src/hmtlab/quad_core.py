@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Dict, NamedTuple, Optional
 
 import numpy as np
 
@@ -28,9 +28,11 @@ from .errors import (
 __all__ = [
     "Constants",
     "GridGrading",
+    "PchipSpacing",
     "RadialGrid",
     "make_constants",
     "make_grid",
+    "pchip_spacing",
     "integrate",
     "cumulative_from_origin",
     "trapezoid_weights",
@@ -93,6 +95,28 @@ class GridGrading:
             raise GridConfigError(f"tail_fraction must lie in (0, 0.4], got {self.tail_fraction}")
 
 
+class PchipSpacing(NamedTuple):
+    """Node spacing h and the Fritsch-Carlson weights w1 = 2h_k + h_(k-1), w2 = h_k + 2h_(k-1)."""
+
+    h: np.ndarray
+    w1: np.ndarray
+    w2: np.ndarray
+    w12: np.ndarray  # w1 + w2
+
+
+def pchip_spacing(x: np.ndarray) -> PchipSpacing:
+    """The PCHIP slope weights of strictly increasing breakpoints x, read-only."""
+    h = np.diff(x)
+    w1 = 2.0 * h[1:] + h[:-1]
+    w2 = h[1:] + 2.0 * h[:-1]
+    return PchipSpacing(*(_read_only(a) for a in (h, w1, w2, w1 + w2)))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class RadialGrid:
     """Strictly increasing radial nodes on [r_min, 1-eps] with exact 1-r.
@@ -100,7 +124,12 @@ class RadialGrid:
     nodes    radii r_i, nodes[0] = r_min, nodes[-1] = 1 - eps
     s        1 - r_i carried exactly (built before r on the right tail)
     xi       ln r_i, computed via log1p on the right tail
-    weights  trapezoid weights of the nodes (computed once, read-only)
+
+    Arrays that depend on the nodes only are computed once, on first use,
+    and cached read-only: the trapezoid ``weights``, ``one_minus_r2``,
+    ``log_nodes``, the PCHIP ``spacing``, and the powers ``nodes_pow(k)``
+    and ``one_minus_r2_pow(k)``.  Each is the expression its callers used
+    to evaluate, so a cached array equals the recomputed one to the bit.
     """
 
     nodes: np.ndarray
@@ -120,16 +149,42 @@ class RadialGrid:
     def n_points(self) -> int:
         return self.nodes.size
 
-    @property
+    @cached_property
     def one_minus_r2(self) -> np.ndarray:
         """(1 - r^2) evaluated as s*(2-s); exact to rounding near the boundary."""
-        return self.s * (2.0 - self.s)
+        return _read_only(self.s * (2.0 - self.s))
+
+    @cached_property
+    def log_nodes(self) -> np.ndarray:
+        """np.log of the nodes (``xi`` differs from it on the right tail)."""
+        return _read_only(np.log(self.nodes))
 
     @cached_property
     def weights(self) -> np.ndarray:
-        w = trapezoid_weights(self.nodes)
-        w.flags.writeable = False
-        return w
+        return _read_only(trapezoid_weights(self.nodes))
+
+    @cached_property
+    def spacing(self) -> PchipSpacing:
+        return pchip_spacing(self.nodes)
+
+    @cached_property
+    def _powers(self) -> Dict[tuple, np.ndarray]:
+        return {}
+
+    def nodes_pow(self, k: float) -> np.ndarray:
+        """nodes ** k, cached per exponent."""
+        return self._power("r", k, self.nodes)
+
+    def one_minus_r2_pow(self, k: float) -> np.ndarray:
+        """one_minus_r2 ** k, cached per exponent."""
+        return self._power("1-r2", k, self.one_minus_r2)
+
+    def _power(self, base: str, k: float, x: np.ndarray) -> np.ndarray:
+        key = (base, k)
+        out = self._powers.get(key)
+        if out is None:
+            out = self._powers[key] = _read_only(x**k)
+        return out
 
 
 def trapezoid_weights(x: np.ndarray) -> np.ndarray:

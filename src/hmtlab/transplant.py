@@ -12,7 +12,7 @@ independent quadratures and reported as a defect or a signed margin.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Tuple
 
 import numpy as np
@@ -56,9 +56,12 @@ class TransplantReport:
     hardy_defect_signed: float
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        del d["grad_defect_signed"], d["hardy_defect_signed"]
-        return d
+        """The reported fields, in field order; the two signed defects stay internal."""
+        return {key: getattr(self, key) for key in _REPORTED}
+
+
+_REPORTED = tuple(f.name for f in fields(TransplantReport)
+                  if f.name not in ("grad_defect_signed", "hardy_defect_signed"))
 
 
 class MTComparison(NamedTuple):
@@ -71,7 +74,7 @@ def pushforward(u: RadialProfile, maps: TransplantMaps) -> RadialProfile:
     """v(t) = u(a(t)) sampled on the t-grid; non-increasing with v = 0 at t -> 1."""
     if not u.is_nonincreasing(tol=1e-9):
         raise PreconditionError("pushforward requires a non-increasing profile; rearrange first")
-    vals = u(maps.a)
+    vals = u.evaluate(maps.plan_on(u.grid))
     vals = np.maximum.accumulate(vals[::-1])[::-1]  # monotone composition, minus jitter
     return RadialProfile(maps.t_grid, vals, enforce_zero_boundary=True)
 
@@ -83,7 +86,7 @@ def _t_integrals(v: RadialProfile, maps: TransplantMaps) -> Tuple[float, float, 
     """
     n = maps.n
     c = make_constants(n)
-    vp_pow = np.abs(v.derivative) ** n * maps.t ** (n - 1)
+    vp_pow = np.abs(v.derivative) ** n * maps.t_grid.nodes_pow(n - 1)
     grad_v = c.omega * integrate(vp_pow, maps.t_grid)
     grad_phi = c.omega * integrate(vp_pow * maps.phi, maps.t_grid)
     hardy_t = c.omega * integrate(v.values**n * maps.hardy_weight, maps.t_grid)
@@ -120,7 +123,8 @@ def check_mt_comparison(u: RadialProfile, v: RadialProfile, maps: TransplantMaps
 
     expo = (1.0 - beta / n) * c.alpha_n * v.values ** (n / (n - 1.0))
     over = bool(np.any(expo > EXP_CLAMP))
-    integrand = np.exp(np.minimum(expo, EXP_CLAMP)) * maps.t ** (n - beta - 1.0) * maps.psi
+    integrand = (np.exp(np.minimum(expo, EXP_CLAMP)) * maps.t_grid.nodes_pow(n - beta - 1.0)
+                 * maps.psi)
     mt_u_via_t = c.omega * integrate(integrand, maps.t_grid)
     identity_defect = abs(mt_u_via_t - mt_u.value) / max(1.0, mt_u.value)
     return MTComparison(margin, identity_defect, mt_u.overflow or mt_v.overflow or over)

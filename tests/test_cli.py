@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hmtlab import FORMAT_VERSION
+from hmtlab import (
+    FORMAT_VERSION,
+    ConvergenceError,
+    Potential,
+    PotentialInstabilityError,
+    make_grid,
+    solve_green,
+)
 from hmtlab.cli import _config_for_output, _emit_json, main
 
 
@@ -111,6 +118,19 @@ class TestGreenCommand:
         assert run_cli(["green", "--grid-points", "64", "--potential", potential]) == 1
         err = capsys.readouterr().err
         assert err.startswith("hmtlab: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("points, error", [("64", PotentialInstabilityError),
+                                               ("96", ConvergenceError)])
+    def test_coarse_grid_named_when_the_solve_fails(self, tmp_path, capsys, points, error):
+        # the default hardy potential at eps = 1e-6 needs about 128 nodes
+        out = tmp_path / "g.json"
+        assert run_cli(["green", "--grid-points", points, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hmtlab: ") and err.count("\n") == 1
+        assert f"grid ({points} nodes)" in err and "refine --grid-points" in err
+        assert not out.exists()
+        with pytest.raises(error, match=f"grid \\({points} nodes\\)"):
+            solve_green(2, Potential.hardy_critical(), make_grid(int(points), 1e-6))
 
     def test_echoes_only_its_own_config_keys(self, tmp_path):
         out = tmp_path / "g.json"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
 from hmtlab import (
     DomainError,
@@ -23,7 +23,16 @@ from hmtlab import (
     singular_mt,
 )
 from hmtlab.extremal import MoserParams, moser_profile
-from hmtlab.functionals import cell_hyperbolic_volumes, hyperbolic_ln_norm_pow, potential_term
+from hmtlab.functionals import (
+    cell_hyperbolic_volumes,
+    hermite_eval,
+    hermite_plan,
+    hyperbolic_ln_norm_pow,
+    pchip,
+    pchip_slopes,
+    potential_term,
+)
+from hmtlab.quad_core import pchip_spacing
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +152,39 @@ class TestSplineSlopes:
         # beyond the corner u' = -C / r exactly, which the spline only approximates
         assert np.allclose(d[~plateau] * r[~plateau], d[-1] * r[-1], rtol=1e-13, atol=0.0)
         assert not np.array_equal(d, PchipInterpolator(r, u.values).derivative()(r))
+
+
+class TestHermiteEvaluator:
+    """pchip_slopes and hermite_eval reproduce scipy's PCHIP and Hermite splines bit for bit.
+
+    scipy is only the oracle here; the package evaluates both with numpy.
+    """
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(size=st.integers(5, 64), monotone=st.booleans(), flat_run=st.integers(0, 5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_scipy(self, size, monotone, flat_run, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-2.0, 2.0) + np.cumsum(rng.uniform(1e-3, 1.0, size))
+        y = rng.standard_normal(size)
+        if monotone:
+            y = np.sort(y)[::-1]
+        if flat_run:  # a run of equal values, which PCHIP gives zero slopes
+            start = int(rng.integers(0, size - 1))
+            y[start:start + flat_run + 1] = y[start]
+        between = x[:-1] + rng.uniform(0.0, 1.0, size - 1) * np.diff(x)
+        outside = np.array([x[0] - 0.5, x[0] - 1e-9, x[-1] + 1e-9, x[-1] + 0.5])
+        q = np.concatenate([x, between, [x[0], x[-1]], outside])
+
+        ref = PchipInterpolator(x, y)
+        assert pchip(x, y, q).tobytes() == ref(q).tobytes()
+        d = pchip_slopes(y, pchip_spacing(x))
+        assert np.array_equal(d[:-1], ref.derivative()(x[:-1]))
+
+        clipped = np.clip(q, x[0], x[-1])
+        spline = CubicHermiteSpline(x, y, d)
+        plan = hermite_plan(x, clipped)
+        assert hermite_eval(plan, np.diff(x), y, d).tobytes() == spline(clipped).tobytes()
 
 
 class TestQV:

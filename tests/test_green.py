@@ -226,7 +226,7 @@ class TestMaps:
         # fourth-order stencil on the uniform zone, subsampled wide enough to
         # average over sub-node interpolation wiggle in the phi table
         maps = transplant_maps(n)
-        t = maps.t
+        t = maps.t_grid.nodes
         idx = np.where((t >= 0.1) & (t <= 0.9))[0][::12]
         h = t[idx[1]] - t[idx[0]]
         core = idx[2:-2]

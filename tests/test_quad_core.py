@@ -164,6 +164,29 @@ class TestGridWeights:
             grid.weights[0] = 1.0
         assert np.array_equal(grid.weights, trapezoid_weights(grid.nodes))
 
+    def test_cached_arrays_read_only_and_recomputed(self, grid):
+        one_minus_r2 = grid.s * (2.0 - grid.s)
+        h = np.diff(grid.nodes)
+        w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
+        cached = {
+            "one_minus_r2": (lambda: grid.one_minus_r2, one_minus_r2),
+            "log_nodes": (lambda: grid.log_nodes, np.log(grid.nodes)),
+            "h": (lambda: grid.spacing.h, h),
+            "w1": (lambda: grid.spacing.w1, w1),
+            "w2": (lambda: grid.spacing.w2, w2),
+            "w12": (lambda: grid.spacing.w12, w1 + w2),
+        }
+        for k in (1, 2, 3, 1.5, 0.5):
+            cached[f"r^{k}"] = (lambda k=k: grid.nodes_pow(k), grid.nodes**k)
+            cached[f"(1-r^2)^{k}"] = (lambda k=k: grid.one_minus_r2_pow(k), one_minus_r2**k)
+        for name, (read, fresh) in cached.items():
+            arr = read()
+            assert arr is read(), name
+            assert arr.tobytes() == fresh.tobytes(), name
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+            assert arr.tobytes() == fresh.tobytes(), name
+
     def test_integrate_unchanged(self, grid):
         f = np.random.default_rng(3).uniform(0.0, 1.0, grid.n_points) / grid.nodes
         assert integrate(f, grid) == float(np.dot(f, trapezoid_weights(grid.nodes)))

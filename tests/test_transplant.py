@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicHermiteSpline
 
 import hmtlab as hl
 from hmtlab import (
@@ -19,7 +20,7 @@ from hmtlab import (
     verify_grad_identity,
     verify_hardy_identity,
 )
-from hmtlab.extremal import MoserParams, smoothed_moser_profile
+from hmtlab.extremal import MoserParams, seeded_corpus, smoothed_moser_profile
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +38,7 @@ class TestPushforward:
         grid, _, maps = zero_setup
         u = RadialProfile(grid, grid.one_minus_r2**2)
         v = pushforward(u, maps)
-        expected = u(maps.t)
+        expected = u(maps.t_grid.nodes)
         assert np.max(np.abs(v.values - expected)) < 1e-8
 
     def test_plateau_preserved(self, transplant_maps, grids):
@@ -55,7 +56,7 @@ class TestPushforward:
         u = smoothed_moser_profile(MoserParams(rho=0.3, n=2), g)
         v = pushforward(u, maps)
         t_samples = np.linspace(0.05, 0.95, 1000)
-        a_interp = np.interp(t_samples, maps.t, maps.a)
+        a_interp = np.interp(t_samples, maps.t_grid.nodes, maps.a)
         direct = u(a_interp)
         via_profile = v(t_samples)
         assert np.max(np.abs(direct - via_profile)) < 1e-5
@@ -66,6 +67,36 @@ class TestPushforward:
         u = RadialProfile(g, g.nodes * (1 - g.nodes))
         with pytest.raises(PreconditionError):
             pushforward(u, maps)
+
+
+def _spline_pushforward(u, maps):
+    """pushforward's values composed through scipy's CubicHermiteSpline of u."""
+    r = u.grid.nodes
+    vals = CubicHermiteSpline(r, u.values, u.slopes)(np.clip(maps.a, r[0], r[-1]))
+    vals = np.maximum.accumulate(vals[::-1])[::-1]
+    return RadialProfile(maps.t_grid, vals).values
+
+
+class TestPushforwardPlan:
+    """pushforward's cached plan gives the spline composition bit for bit."""
+
+    @pytest.mark.parametrize("t_grid", ["image", "n_t"])
+    def test_matches_spline_composition(self, green_tables, transplant_maps, corpora, t_grid):
+        table = green_tables(2, "hardy", 4096, 1e-6, 1e-10)
+        maps = make_maps(table) if t_grid == "image" else transplant_maps(2)
+        for u in corpora(2)[:12]:
+            assert u.grid is table.grid
+            v = pushforward(u, maps)
+            assert v.values.tobytes() == _spline_pushforward(u, maps).tobytes()
+
+    def test_profile_on_another_grid(self, green_tables, corpora, grids):
+        table = green_tables(2, "hardy", 4096, 1e-6, 1e-10)
+        maps = make_maps(table)
+        home = corpora(2)[0]
+        away = seeded_corpus(grids(2048, 1e-6), 2, 3, 99)
+        for u in [home, *away, home]:
+            v = pushforward(u, maps)
+            assert v.values.tobytes() == _spline_pushforward(u, maps).tobytes()
 
 
 class TestGradIdentity:
