@@ -248,16 +248,11 @@ class Potential:
     def constant(cls, alpha: float) -> "Potential":
         return cls(kind="const", alpha=float(alpha))
 
-    def at(self, r: np.ndarray, one_minus_r2: np.ndarray, n: int) -> np.ndarray:
-        """V at radii r; the boundary weight comes in as 1 - r^2, free of cancellation."""
-        return self._at(r, one_minus_r2**n, n)
+    def at(self, r: np.ndarray, weight: np.ndarray, n: int) -> np.ndarray:
+        """V at radii r, given the boundary weight (1 - r^2)^n there.
 
-    def values(self, grid: RadialGrid, n: int) -> np.ndarray:
-        """V at the grid's nodes, from the grid's cached (1 - r^2)^n."""
-        return self._at(grid.nodes, grid.one_minus_r2_pow(n), n)
-
-    def _at(self, r: np.ndarray, weight: np.ndarray, n: int) -> np.ndarray:
-        # weight is (1 - r^2)^n
+        Callers form the weight from 1 - r^2 free of cancellation.
+        """
         hc = make_constants(n).hardy_const
         if self.kind == "zero":
             return np.zeros_like(r)
@@ -268,6 +263,10 @@ class Potential:
         if self.kind == "const":
             return np.full_like(r, self.alpha)
         raise DomainError(f"unknown potential kind {self.kind!r}")
+
+    def values(self, grid: RadialGrid, n: int) -> np.ndarray:
+        """V at the grid's nodes, from the grid's cached (1 - r^2)^n."""
+        return self.at(grid.nodes, grid.one_minus_r2_pow(n), n)
 
     def is_zero(self) -> bool:
         return self.kind == "zero" or (self.kind == "const" and self.alpha == 0.0)

@@ -28,7 +28,6 @@ from dataclasses import dataclass, replace
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import (
     ConvergenceError,
@@ -36,13 +35,14 @@ from .errors import (
     ExtractionUnstableError,
     PotentialInstabilityError,
 )
-from .functionals import HermitePlan, Potential, hermite_plan
+from .functionals import HermitePlan, Potential, hermite_eval, hermite_plan, pchip, pchip_slopes
 from .quad_core import (
     GridGrading,
     RadialGrid,
     cumulative_from_origin,
     make_constants,
     make_grid,
+    pchip_spacing,
 )
 
 __all__ = [
@@ -183,23 +183,14 @@ class TransplantMaps:
     # phi'(t) (-ln t)^(1-n) with the log powers cancelled analytically:
     # V(a) a^n / (t (1+phi)^(1/(n-1))), finite at every node
     hardy_weight: np.ndarray
+    # the Green table's r-grid and where a(t) falls among its nodes, so that
+    # pushforward locates a(t) once for every profile on that grid
+    r_grid: RadialGrid
+    a_plan: HermitePlan
 
     @property
     def a_over_t(self) -> np.ndarray:
         return self.a / self.t_grid.nodes
-
-    def plan_on(self, grid: RadialGrid) -> HermitePlan:
-        """Where a(t), clipped to the grid's range, falls among ``grid``'s nodes.
-
-        Kept for the last grid asked about, so a corpus on one r-grid locates
-        a(t) once; a profile on another grid gets a fresh plan.
-        """
-        last = self.__dict__.get("_last_plan")
-        if last is None or last[0] is not grid:
-            a = np.clip(self.a, grid.nodes[0], grid.nodes[-1])
-            last = (grid, hermite_plan(grid.nodes, a))
-            object.__setattr__(self, "_last_plan", last)
-        return last[1]
 
 
 def _flux_excess(m: np.ndarray, n: int) -> np.ndarray:
@@ -407,22 +398,28 @@ def make_maps(
     ln_t_nodes = -table.g_values / c.gamma  # increasing, ends at 0
     ln_r = table.grid.xi
     ln_t_query = np.clip(-neg_ln_t, ln_t_nodes[0], ln_t_nodes[-1])
-    a = np.exp(PchipInterpolator(ln_t_nodes, ln_r)(ln_t_query))
+    a = np.exp(pchip(ln_t_nodes, ln_r, ln_t_query))
     a = np.clip(a, table.grid.nodes[0], table.grid.nodes[-1])
 
-    ln_a = np.log(a)
-    phi = PchipInterpolator(ln_r, table.m_values)(ln_a)
-    phi = np.maximum(phi, 0.0)
+    # phi and ln(1 - a^2) are PCHIPs in ln r, both read at ln a
+    ln_a_plan = hermite_plan(ln_r, np.log(a))
+    ln_r_spacing = pchip_spacing(ln_r)
+
+    def at_ln_a(y: np.ndarray) -> np.ndarray:
+        return hermite_eval(ln_a_plan, ln_r_spacing.h, y, pchip_slopes(y, ln_r_spacing))
+
+    phi = np.maximum(at_ln_a(table.m_values), 0.0)
 
     # potential at a(t); the boundary weight needs 1 - a^2 without cancellation
-    ln_one_minus_a2 = PchipInterpolator(ln_r, np.log(table.grid.one_minus_r2))(ln_a)
-    v_at_a = table.potential.at(a, np.exp(ln_one_minus_a2), n)
+    one_minus_a2 = np.exp(at_ln_a(np.log(table.grid.one_minus_r2)))
+    v_at_a = table.potential.at(a, one_minus_a2**n, n)
     hardy_weight = v_at_a * a**n / (t * (1.0 + phi) ** (1.0 / (n - 1)))
     psi = (a / t) ** (n - beta) / (1.0 + phi) ** (1.0 / (n - 1))
 
     maps = TransplantMaps(
         t_grid=t_grid, a=a, phi=phi, psi=psi, beta=beta, n=n, c_g=table.c_g,
         potential=table.potential, hardy_weight=hardy_weight,
+        r_grid=table.grid, a_plan=hermite_plan(table.grid.nodes, a),
     )
     _validate_maps(maps, table)
     return maps

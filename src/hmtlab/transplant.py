@@ -74,7 +74,7 @@ def pushforward(u: RadialProfile, maps: TransplantMaps) -> RadialProfile:
     """v(t) = u(a(t)) sampled on the t-grid; non-increasing with v = 0 at t -> 1."""
     if not u.is_nonincreasing(tol=1e-9):
         raise PreconditionError("pushforward requires a non-increasing profile; rearrange first")
-    vals = u.evaluate(maps.plan_on(u.grid))
+    vals = u.evaluate(maps.a_plan) if u.grid is maps.r_grid else u(maps.a)
     vals = np.maximum.accumulate(vals[::-1])[::-1]  # monotone composition, minus jitter
     return RadialProfile(maps.t_grid, vals, enforce_zero_boundary=True)
 

@@ -199,6 +199,27 @@ class TestMaps:
             assert np.array_equal(getattr(maps.t_grid, key), getattr(image, key))
         np.testing.assert_allclose(maps.a, table.grid.nodes, rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("n_t", [None, 3000])
+    @pytest.mark.parametrize("n,potential", [(2, "hardy"), (3, "hardy+lambda=1.0"), (2, "const=0.5")])
+    def test_interpolants_match_scipy_pchip(self, green_tables, n, potential, n_t):
+        """a, phi and the Hardy weight equal scipy's PchipInterpolator composition bit for bit."""
+        table = green_tables(n, potential, 2048, 1e-6)
+        maps = make_maps(table, n_t=n_t)
+        ln_t_nodes = -table.g_values / make_constants(n).gamma
+        ln_r = table.grid.xi
+        ln_t = np.clip(maps.t_grid.xi, ln_t_nodes[0], ln_t_nodes[-1])
+        a = np.exp(PchipInterpolator(ln_t_nodes, ln_r)(ln_t))
+        a = np.clip(a, table.grid.nodes[0], table.grid.nodes[-1])
+        assert maps.a.tobytes() == a.tobytes()
+        ln_a = np.log(a)
+        phi = np.maximum(PchipInterpolator(ln_r, table.m_values)(ln_a), 0.0)
+        assert maps.phi.tobytes() == phi.tobytes()
+        one_minus_a2 = np.exp(PchipInterpolator(ln_r, np.log(table.grid.one_minus_r2))(ln_a))
+        v_at_a = table.potential.at(a, one_minus_a2**n, n)
+        t = maps.t_grid.nodes
+        hardy_weight = v_at_a * a**n / (t * (1.0 + phi) ** (1.0 / (n - 1)))
+        assert maps.hardy_weight.tobytes() == hardy_weight.tobytes()
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_hardy_maps_invariants(self, transplant_maps, n):
         maps = transplant_maps(n)

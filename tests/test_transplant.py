@@ -78,7 +78,7 @@ def _spline_pushforward(u, maps):
 
 
 class TestPushforwardPlan:
-    """pushforward's cached plan gives the spline composition bit for bit."""
+    """pushforward's stored plan gives the spline composition bit for bit."""
 
     @pytest.mark.parametrize("t_grid", ["image", "n_t"])
     def test_matches_spline_composition(self, green_tables, transplant_maps, corpora, t_grid):
