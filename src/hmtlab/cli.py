@@ -165,8 +165,8 @@ def _resolve_config(args: argparse.Namespace) -> Dict[str, Any]:
 
 def _validate(cfg: Dict[str, Any]) -> None:
     """Range checks on the keys present; their types are checked already."""
-    def require(key, ok, rule):
-        if key in cfg and not ok(cfg[key]):
+    def require(key, ok, rule):  # keys whose default is None are checked only when given
+        if cfg.get(key) is not None and not ok(cfg[key]):
             raise _CliError(f"--{key.replace('_', '-')} must {rule}, got {cfg[key]}")
 
     require("n", lambda n: n >= 2, "be an integer >= 2")
@@ -180,6 +180,9 @@ def _validate(cfg: Dict[str, Any]) -> None:
     require("corpus_size", lambda c: c >= 1, "be >= 1")
     require("margin_tol", lambda m: math.isfinite(m) and m >= 0.0, "be finite and >= 0")
     require("k_min", lambda k: 1 <= k <= cfg["k_max"], f"lie in [1, --k-max={cfg.get('k_max')}]")
+    require("scale", lambda s: math.isfinite(s) and s > 0.0, "be finite and positive")
+    require("lam", lambda v: math.isfinite(v) and v >= 0.0, "be finite and >= 0")
+    require("lambda1", lambda v: math.isfinite(v) and v > 0.0, "be finite and positive")
 
 
 def _config_for_output(cfg: Dict[str, Any]) -> Dict[str, Any]:
@@ -276,7 +279,7 @@ def _cmd_verify(cfg: Dict[str, Any]) -> int:
 
     table = _solve_green(cfg)
     maps = make_maps(table, beta=float(cfg["beta"]))
-    corpus = seeded_corpus(table.grid, cfg["n"], cfg["corpus_size"], cfg["seed"], normalized=True)
+    corpus = seeded_corpus(table.grid, cfg["n"], cfg["corpus_size"], cfg["seed"])
     reports = [transplant_report(u, maps) for u in corpus]
 
     margin_tol = float(cfg["margin_tol"])

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import brentq, isotonic_regression
@@ -29,8 +29,9 @@ from .functionals import (
     ln_norm_pow,
     pchip,
     singular_mt,
+    singular_mt_gradient,
 )
-from .quad_core import EXP_CLAMP, RadialGrid, make_constants
+from .quad_core import RadialGrid, make_constants
 
 __all__ = [
     "MoserParams",
@@ -67,6 +68,8 @@ class MoserParams:
 
 RTOL = 1e-12  # relative change of the value that ends either search
 MAX_GAP = 0.01  # largest relative gap between a value on the profile and on the nodes
+SHOULDER = 0.5  # the corpus's Moser corner blend; acceptance criteria 4-6 were checked with it
+TAIL_CUT_BASE = 0.25  # the divergence family's cut depth; criterion 8 was checked with it
 
 
 @dataclass(frozen=True)
@@ -127,10 +130,8 @@ def moser_profile(params: MoserParams, grid: RadialGrid) -> RadialProfile:
             f"{grid.nodes[idx]:.3e}"
         )
     n = params.n
-    c = make_constants(n)
     rho = float(grid.nodes[idx])
-    big_l = math.log(1.0 / rho)
-    plateau = (big_l ** (n - 1) / c.omega) ** (1.0 / n)
+    big_l, plateau = _moser_plateau(rho, n)
     r = grid.nodes
     vals = np.where(r <= rho, plateau, plateau * np.log(1.0 / r) / big_l)
     deriv = np.where(r <= rho, 0.0, -plateau / (big_l * r))
@@ -142,24 +143,26 @@ def moser_profile(params: MoserParams, grid: RadialGrid) -> RadialProfile:
     return out
 
 
-def smoothed_moser_profile(
-    params: MoserParams, grid: RadialGrid, shoulder: float = 0.5
-) -> RadialProfile:
+def _moser_plateau(rho: float, n: int) -> Tuple[float, float]:
+    """L = ln(1/rho) and the Moser plateau height (L^(n-1) / omega)^(1/n)."""
+    big_l = math.log(1.0 / rho)
+    return big_l, (big_l ** (n - 1) / make_constants(n).omega) ** (1.0 / n)
+
+
+def smoothed_moser_profile(params: MoserParams, grid: RadialGrid) -> RadialProfile:
     """Moser-type profile with the corner rounded by a cubic Hermite shoulder.
 
     C^1 at the joint, so spline-based quadratures see no derivative jump;
     used for the transplant certification corpus where identity defects are
     held to 1e-4.  The plateau extends to rho; the blend covers
-    [rho, rho*(1+shoulder)].
+    [rho, rho * (1 + SHOULDER)], capped at r = 0.98.
     """
     n = params.n
-    c = make_constants(n)
     rho = params.rho
-    big_l = math.log(1.0 / rho)
-    plateau = (big_l ** (n - 1) / c.omega) ** (1.0 / n)
+    big_l, plateau = _moser_plateau(rho, n)
     r = grid.nodes
     y = np.minimum(1.0, np.log(1.0 / r) / big_l)
-    hi = min(rho * (1.0 + shoulder), 0.98)
+    hi = min(rho * (1.0 + SHOULDER), 0.98)
     mask = (r > rho) & (r < hi)
     if mask.any():
         x = (r[mask] - rho) / (hi - rho)
@@ -174,11 +177,11 @@ def smoothed_moser_profile(
     return u.scaled(scale)
 
 
-def boundary_tail_profile(grid: RadialGrid, n: int, k: int, s_base: float = 0.25) -> RadialProfile:
+def boundary_tail_profile(grid: RadialGrid, n: int, k: int) -> RadialProfile:
     """k-th member of the boundary-concentrating family for divergence probes.
 
     Tail (1-r^2)^q with q = (n-1)/n * (1 - 1/(k+1)), truncated at distance
-    s_base * 4^(-k) from the boundary (floored at twice the grid cutoff).
+    TAIL_CUT_BASE * 4^(-k) from the boundary (floored at twice the grid cutoff).
     Coupling the truncation depth to the exponent keeps the deficit energy
     of the members comparable, so the convergent column of the probe stays
     flat while the divergent one grows.
@@ -186,7 +189,7 @@ def boundary_tail_profile(grid: RadialGrid, n: int, k: int, s_base: float = 0.25
     if k < 1:
         raise PreconditionError(f"family index must be >= 1, got {k}")
     q = (n - 1.0) / n * (1.0 - 1.0 / (k + 1))
-    s_cut = max(s_base * 4.0 ** (-k), 2.0 * grid.epsilon)
+    s_cut = max(TAIL_CUT_BASE * 4.0 ** (-k), 2.0 * grid.epsilon)
     cut_val = (s_cut * (2.0 - s_cut)) ** q
     vals = np.maximum(grid.one_minus_r2**q - cut_val, 0.0)
     return RadialProfile(grid, vals, enforce_zero_boundary=True)
@@ -202,20 +205,10 @@ def normalize_h(u: RadialProfile, n: int) -> RadialProfile:
     return u.scaled(h_val ** (-1.0 / n))
 
 
-def boundedness_sweep(
-    n: int,
-    beta: float,
-    family: Sequence[MoserParams],
-    exponent_scale: float,
-    grid: RadialGrid,
-) -> List[SweepPoint]:
-    """singular_mt along the deficit-normalized Moser family."""
-    out = []
-    for params in family:
-        u = normalize_h(moser_profile(params, grid), n)
-        mt = singular_mt(u, n, beta, exponent_scale)
-        out.append(SweepPoint(params.rho, mt.value, mt.overflow, False))
-    return out
+def boundedness_sweep(n: int, beta: float, family: Sequence[MoserParams], exponent_scale: float,
+                      grid: RadialGrid) -> List[SweepPoint]:
+    """singular_mt at the given exponent scale along the deficit-normalized Moser family."""
+    return _moser_sweep(n, beta, 0.0, family, grid, exponent_scale)
 
 
 def divergence_probe(
@@ -232,31 +225,30 @@ def divergence_probe(
     return rows
 
 
-def improved_sweep(
-    n: int,
-    beta: float,
-    lam: float,
-    family: Sequence[MoserParams],
-    grid: RadialGrid,
-    lambda1_hat: float,
-) -> List[SweepPoint]:
+def improved_sweep(n: int, beta: float, lam: float, family: Sequence[MoserParams],
+                   grid: RadialGrid, lambda1_hat: float) -> List[SweepPoint]:
     """Sweep with members normalized to deficit-minus-lambda-mass equal 1.
 
-    Requires lam at least 10% below the lambda_1 estimate; at lam = 0 this
-    reduces exactly to boundedness_sweep at scale 1.
+    Requires lam at least 10% below the lambda_1 estimate (NaN fails); at
+    lam = 0 this is boundedness_sweep at scale 1, bit for bit.
     """
-    if lam < 0.0 or lam > 0.9 * lambda1_hat:
+    if not (0.0 <= lam <= 0.9 * lambda1_hat):
         raise PreconditionError(
             f"lambda must lie in [0, 0.9 * lambda1_hat] = [0, {0.9 * lambda1_hat:.6g}], got {lam}"
         )
+    return _moser_sweep(n, beta, lam, family, grid, 1.0)
+
+
+def _moser_sweep(n: int, beta: float, lam: float, family: Sequence[MoserParams],
+                 grid: RadialGrid, exponent_scale: float) -> List[SweepPoint]:
+    """singular_mt along the Moser family, each member scaled to h - lam ||u||_n^n = 1."""
     out = []
     for params in family:
         u = moser_profile(params, grid)
         q_val = h_functional(u, n) - lam * ln_norm_pow(u, n)
         if not (q_val > 0.0):
-            raise DegenerateProfileError(f"improved functional non-positive at rho={params.rho}")
-        u = u.scaled(q_val ** (-1.0 / n))
-        mt = singular_mt(u, n, beta, 1.0)
+            raise DegenerateProfileError(f"h - lam ||u||_n^n = {q_val!r} <= 0 at rho={params.rho}")
+        mt = singular_mt(u.scaled(q_val ** (-1.0 / n)), n, beta, exponent_scale)
         out.append(SweepPoint(params.rho, mt.value, mt.overflow, False))
     return out
 
@@ -264,18 +256,6 @@ def improved_sweep(
 def pav_nonincreasing(y: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Weighted pool-adjacent-violators projection onto non-increasing sequences."""
     return isotonic_regression(y, weights=w, increasing=False).x
-
-
-def _mt_node_gradient(u: RadialProfile, n: int, beta: float) -> np.ndarray:
-    """Analytic derivative of the singular_mt quadrature sum per node value."""
-    c = make_constants(n)
-    g = u.grid
-    coef = (1.0 - beta / n) * c.alpha_n
-    expo = coef * u.values ** (n / (n - 1.0)) + (n - beta - 1.0) * g.log_nodes
-    inner = coef * (n / (n - 1.0)) * np.maximum(u.values, 0.0) ** (1.0 / (n - 1.0))
-    grad = c.omega * g.weights * np.exp(np.minimum(expo, EXP_CLAMP)) * inner
-    grad[expo > EXP_CLAMP] = 0.0  # clamped nodes are flat in the evaluated sum
-    return grad
 
 
 def _surrogate_weights(grid: RadialGrid, n: int):
@@ -371,7 +351,7 @@ def maximize_mt(
     converged = False
     for it in range(1, opts.max_iter + 1):
         u = prof.values
-        grad_f = _mt_node_gradient(prof, n, beta)
+        grad_f = singular_mt_gradient(prof, n, beta)
         pull = hardy * u ** (n - 1)  # grad D(u) / (omega * n)
         push = grad_f / (omega * n)
         flux_d, flux_f = np.cumsum(pull[:-1]), np.cumsum(push[:-1])
@@ -466,15 +446,15 @@ def estimate_lambda1(
     )
 
 
-def seeded_corpus(
-    grid: RadialGrid, n: int, size: int, seed: int, normalized: bool = True
-) -> List[RadialProfile]:
-    """Seeded non-increasing certification corpus.
+def seeded_corpus(grid: RadialGrid, n: int, size: int, seed: int) -> List[RadialProfile]:
+    """Seeded non-increasing certification corpus, each member at unit deficit energy.
 
     Cycles three C^1 shapes: monotone splines through coarse decreasing
     control points with bounded slopes, powers of (1-r^2), and
     shoulder-smoothed Moser profiles.  All resolvable on production grids,
     which is what keeps transplant identity defects at the 1e-4 scale.
+    Each member is rescaled by normalize_h, which raises on a member whose
+    deficit energy is not positive.
     """
     rng = np.random.default_rng(seed)
     out: List[RadialProfile] = []
@@ -500,10 +480,7 @@ def seeded_corpus(
             prof = smoothed_moser_profile(MoserParams(rho=rho, n=n), grid)
             prof = prof.scaled(rng.uniform(0.5, 1.5))
         vals = np.maximum.accumulate(prof.values[::-1])[::-1]
-        prof = RadialProfile(grid, vals, enforce_zero_boundary=False)
-        if normalized:
-            prof = normalize_h(prof, n)
-        out.append(prof)
+        out.append(normalize_h(RadialProfile(grid, vals, enforce_zero_boundary=False), n))
     return out
 
 

@@ -365,8 +365,7 @@ def image_t_grid(table: GreenTable) -> RadialGrid:
     arg = -table.g_values / c.gamma
     t = np.exp(arg)
     s_t = -np.expm1(arg)
-    return RadialGrid(nodes=t, s=s_t, xi=arg, epsilon=float(s_t[-1]),
-                      grading=table.grid.grading)
+    return RadialGrid(nodes=t, s=s_t, xi=arg, epsilon=float(s_t[-1]))
 
 
 def make_maps(
@@ -439,17 +438,17 @@ def _validate_maps(maps: TransplantMaps, table: GreenTable) -> None:
             raise CorruptTableError("phi must be positive for a nonzero potential")
 
 
-def comparison_supersolution(grid: RadialGrid, n: int, s_safe: float = 0.011) -> Dict[str, float]:
+def comparison_supersolution(grid: RadialGrid, n: int) -> Dict[str, float]:
     """Supersolution check for psi(r) = (-ln r)^((n-1)/n) against the critical potential.
 
     Returns the minimum of the elementary inequality (1-r^2) + 2 r ln r >= 0
     over all nodes, the minimum of the analytic residual
     -Delta_n psi - V psi^(n-1) at the nodes, and the minimum of a
     finite-volume discretization of it over interior nodes with
-    1 - r >= s_safe.  The analytic margin decays like n(1-r)/2 relative to
+    1 - r >= 0.011.  The analytic margin decays like n(1-r)/2 relative to
     its terms, so within the geometrically graded boundary tail it drops
-    below what any difference scheme resolves; the default safe range stops
-    at the uniform zone.
+    below what any difference scheme resolves; the safe range stops inside
+    the uniform zone, which ends at 1 - r = TAIL_SPAN = 0.01.
     """
     c = make_constants(n)
     r = grid.nodes
@@ -475,7 +474,7 @@ def comparison_supersolution(grid: RadialGrid, n: int, s_safe: float = 0.011) ->
     cell = (mid_r[1:] ** n - mid_r[:-1] ** n) / n
     lap = np.diff(flux_mid) / cell
     discrete = -lap - v_vals[1:-1] * psi_vals[1:-1] ** (n - 1)
-    interior = grid.s[1:-1] >= s_safe
+    interior = grid.s[1:-1] >= 0.011  # just inside the uniform zone; see the docstring
     return {
         "elementary_min": float(np.min(elementary)),
         "analytic_min": float(np.min(analytic)),

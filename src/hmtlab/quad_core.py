@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Dict, NamedTuple, Optional
 
 import numpy as np
@@ -63,6 +63,7 @@ class Constants:
         return self.omega ** (-1.0 / (self.n - 1))
 
 
+@lru_cache(maxsize=None, typed=True)  # typed: 2.0 must not be served the entry cached for 2
 def make_constants(n: int) -> Constants:
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 2:
         raise InvalidDimensionError(f"dimension must be an integer >= 2, got {n!r}")
@@ -136,7 +137,6 @@ class RadialGrid:
     s: np.ndarray
     xi: np.ndarray
     epsilon: float
-    grading: GridGrading
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", np.asarray(self.nodes, dtype=float))
@@ -234,7 +234,7 @@ def make_grid(n_points: int, epsilon: float, grading: Optional[GridGrading] = No
     nodes = np.concatenate([left, mid, 1.0 - s_right])
     s = np.concatenate([1.0 - left, 1.0 - mid, s_right])
     xi = np.concatenate([np.log(left), np.log(mid), np.log1p(-s_right)])
-    return RadialGrid(nodes=nodes, s=s, xi=xi, epsilon=epsilon, grading=grading)
+    return RadialGrid(nodes=nodes, s=s, xi=xi, epsilon=epsilon)
 
 
 def integrate(samples: np.ndarray, grid: RadialGrid) -> float:

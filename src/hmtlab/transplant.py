@@ -20,12 +20,14 @@ import numpy as np
 from .errors import PreconditionError
 from .functionals import (
     RadialProfile,
+    clamped_exp,
     grad_energy,
+    mt_exponent,
     potential_term,
     singular_mt,
 )
 from .green import TransplantMaps
-from .quad_core import EXP_CLAMP, integrate, make_constants
+from .quad_core import integrate, make_constants
 
 __all__ = [
     "TransplantReport",
@@ -121,13 +123,12 @@ def check_mt_comparison(u: RadialProfile, v: RadialProfile, maps: TransplantMaps
     factor = np.exp((1.0 - beta / n) * c.alpha_n * maps.c_g)
     margin = factor * mt_v.value - mt_u.value
 
-    expo = (1.0 - beta / n) * c.alpha_n * v.values ** (n / (n - 1.0))
-    over = bool(np.any(expo > EXP_CLAMP))
-    integrand = (np.exp(np.minimum(expo, EXP_CLAMP)) * maps.t_grid.nodes_pow(n - beta - 1.0)
-                 * maps.psi)
+    exp_v, clamped = clamped_exp(mt_exponent(v.values, n, beta))
+    integrand = exp_v * maps.t_grid.nodes_pow(n - beta - 1.0) * maps.psi
     mt_u_via_t = c.omega * integrate(integrand, maps.t_grid)
     identity_defect = abs(mt_u_via_t - mt_u.value) / max(1.0, mt_u.value)
-    return MTComparison(margin, identity_defect, mt_u.overflow or mt_v.overflow or over)
+    return MTComparison(margin, identity_defect,
+                        mt_u.overflow or mt_v.overflow or bool(clamped.any()))
 
 
 def transplant_report(u: RadialProfile, maps: TransplantMaps) -> TransplantReport:

@@ -61,12 +61,10 @@ def transplant_maps(green_tables):
 def corpora(grids):
     cache = {}
 
-    def get(n, size=50, seed=1234, n_points=4096, eps=1e-6, normalized=True):
-        key = (n, size, seed, n_points, eps, normalized)
+    def get(n, size=50, seed=1234, n_points=4096, eps=1e-6):
+        key = (n, size, seed, n_points, eps)
         if key not in cache:
-            cache[key] = hl.seeded_corpus(
-                grids(n_points, eps), n, size, seed, normalized=normalized
-            )
+            cache[key] = hl.seeded_corpus(grids(n_points, eps), n, size, seed)
         return cache[key]
 
     return get

@@ -219,12 +219,17 @@ OUT_OF_RANGE = {
     "k_min_above_k_max": ["sweep", "--mode", "boundedness", "--k-min", "5", "--k-max", "2"],
     "k_min_above_k_max_divergence": ["sweep", "--mode", "divergence", "--k-min", "5",
                                      "--k-max", "2"],
+    # NaN and inf passed every range check and the lam <= 0.9 * lambda1 precondition
+    "lambda1_nan": ["sweep", "--mode", "improved", "--lam", "1.0", "--lambda1", "nan"],
+    "lambda1_inf": ["sweep", "--mode", "improved", "--lam", "2.3", "--lambda1", "inf"],
+    "scale_inf": ["sweep", "--mode", "boundedness", "--scale", "inf"],
     # rho = 2^-k drops below the first node (1e-10) from k = 34 on
     "moser_corner_below_grid": ["sweep", "--mode", "boundedness", "--k-min", "30",
                                 "--k-max", "40"],
 }
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # rejected before any arithmetic
 @pytest.mark.parametrize("case", list(OUT_OF_RANGE))
 def test_out_of_range_flag_rejected(tmp_path, capsys, case):
     out = tmp_path / "o.json"

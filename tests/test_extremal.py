@@ -27,11 +27,11 @@ from hmtlab.extremal import (
     SearchOptions,
     _h_surrogate,
     _h_surrogate_gradient,
-    _mt_node_gradient,
     _surrogate_weights,
     boundary_tail_profile,
     pav_nonincreasing,
 )
+from hmtlab.functionals import singular_mt_gradient
 from hmtlab.quad_core import TAIL_SPAN
 
 
@@ -190,7 +190,7 @@ class TestMaximizeMT:
     def test_multistart_stability(self, grid):
         vals = []
         for seed in range(5):
-            corpus = seeded_corpus(grid, 2, 5, 100 + seed, normalized=True)
+            corpus = seeded_corpus(grid, 2, 5, 100 + seed)
             rep = maximize_mt(2, 0.0, grid, corpus[seed % 5],
                               SearchOptions(max_iter=120))
             vals.append(rep.best_value)
@@ -226,7 +226,7 @@ class TestMaximizeMT:
         grid = rep.best_profile.grid
         u = rep.best_profile.values
         u = u * _h_surrogate(u, grid, n) ** (-1.0 / n)
-        grad_f = _mt_node_gradient(RadialProfile(grid, u, enforce_zero_boundary=False), n, beta)
+        grad_f = singular_mt_gradient(RadialProfile(grid, u, enforce_zero_boundary=False), n, beta)
         mu = float(np.dot(grad_f, u)) / n
         residual = mu * _h_surrogate_gradient(u, grid, n) - grad_f
         assert np.max(np.abs(residual[:-1])) <= 1e-4 * np.max(np.abs(grad_f))
@@ -237,7 +237,7 @@ class TestMaximizeMT:
 
     def test_start_independence(self, grid, ascent_runs):
         vals = [ascent_runs(2, 0.0).best_value]
-        for start in seeded_corpus(grid, 2, 4, 2024, normalized=True):
+        for start in seeded_corpus(grid, 2, 4, 2024):
             vals.append(maximize_mt(2, 0.0, grid, start).best_value)
         assert (max(vals) - min(vals)) / min(vals) <= 1e-8
 
@@ -294,7 +294,7 @@ class TestNodeGradients:
     @pytest.fixture(params=[0, 1, 2], ids=["spline", "power", "moser"])
     def profile(self, request, ascent_grid):
         # one member of each of the corpus's three shapes
-        return seeded_corpus(ascent_grid, 2, 3, 31, normalized=True)[request.param]
+        return seeded_corpus(ascent_grid, 2, 3, 31)[request.param]
 
     @staticmethod
     def _eligible(u):
@@ -310,7 +310,7 @@ class TestNodeGradients:
             return singular_mt(RadialProfile(g, x, enforce_zero_boundary=False), n, beta).value
 
         rng = np.random.default_rng(n + 10 * int(beta))
-        bad = _fd_violations(value, profile.values.copy(), _mt_node_gradient(profile, n, beta),
+        bad = _fd_violations(value, profile.values.copy(), singular_mt_gradient(profile, n, beta),
                              self._eligible(profile), rng)
         assert bad == []
 
@@ -401,13 +401,13 @@ class TestLambda1:
 
 
 class TestImprovedSweep:
-    def test_lambda_zero_reduces_to_boundedness(self, grids):
+    @pytest.mark.parametrize("n,beta", [(2, 0.0), (2, 1.0), (3, 0.0), (3, 1.5)])
+    def test_lambda_zero_reduces_to_boundedness(self, grids, n, beta):
+        # h - 0.0 * ||u||_n^n is h itself, so the rows agree bit for bit
         g = grids(2048, 1e-6)
-        family = [MoserParams(rho=2.0**-k, n=2) for k in range(1, 8)]
-        base = boundedness_sweep(2, 0.0, family, 1.0, g)
-        improved = improved_sweep(2, 0.0, 0.0, family, g, lambda1_hat=2.7)
-        for a, b in zip(base, improved):
-            assert a.value == pytest.approx(b.value, rel=1e-12)
+        family = [MoserParams(rho=2.0**-k, n=n) for k in range(1, 8)]
+        base = boundedness_sweep(n, beta, family, 1.0, g)
+        assert improved_sweep(n, beta, 0.0, family, g, lambda1_hat=2.7) == base
 
     def test_half_lambda_bounded(self, grids):
         g = grids(2048, 1e-6)

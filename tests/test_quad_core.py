@@ -45,6 +45,13 @@ class TestConstants:
         with pytest.raises(InvalidDimensionError):
             make_constants(bad)
 
+    def test_memoized_per_type(self):
+        # 2.0 == 2 hash alike: an untyped cache would serve 2.0 the entry cached for 2
+        assert make_constants(2) is make_constants(2)
+        for bad in (2.0, True):
+            with pytest.raises(InvalidDimensionError):
+                make_constants(bad)
+
 
 class TestGrid:
     def test_small_grid_contract(self):
