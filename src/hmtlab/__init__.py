@@ -7,7 +7,7 @@ and constrained extremal search over radial profiles.
 """
 
 __version__ = "0.1.0"
-FORMAT_VERSION = "hmtlab-report/1"
+FORMAT_VERSION = "hmtlab-report/2"
 
 from .errors import (  # noqa: F401
     ConvergenceError,
@@ -50,7 +50,6 @@ from .green import (  # noqa: F401
     GreenTable,
     TransplantMaps,
     check_boundary_bound,
-    comparison_supersolution,
     extrapolate_c_g,
     image_t_grid,
     make_maps,

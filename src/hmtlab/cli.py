@@ -90,8 +90,6 @@ FLAGS: Dict[str, Flag] = {
     "k_min": Flag(int, 1, ("sweep",)),
     "k_max": Flag(int, 20, ("sweep",)),
     "lam": Flag(float, None, ("sweep",), "lambda for the improved sweep"),
-    "lambda1": Flag(float, None, ("sweep",),
-                    "lambda_1 estimate the improved sweep checks against"),
     "max_iter": Flag(int, 1000, ("search",)),
     "corpus_size": Flag(int, 20, ("verify",)),
     "margin_tol": Flag(float, 1e-6, ("verify",)),
@@ -182,7 +180,6 @@ def _validate(cfg: Dict[str, Any]) -> None:
     require("k_min", lambda k: 1 <= k <= cfg["k_max"], f"lie in [1, --k-max={cfg.get('k_max')}]")
     require("scale", lambda s: math.isfinite(s) and s > 0.0, "be finite and positive")
     require("lam", lambda v: math.isfinite(v) and v >= 0.0, "be finite and >= 0")
-    require("lambda1", lambda v: math.isfinite(v) and v > 0.0, "be finite and positive")
 
 
 def _config_for_output(cfg: Dict[str, Any]) -> Dict[str, Any]:
@@ -195,11 +192,11 @@ def _emit_json(payload: Dict[str, Any], cfg: Dict[str, Any]) -> str:
     """``json.dumps(doc, indent=2) + "\\n"``, byte for byte, without its slow path.
 
     With ``indent`` the json module falls back to its pure-Python encoder,
-    which dominates writing a 100k-node Green table.  So each top-level value
-    is encoded on its own: a flat list of floats by the C encoder, whose
-    ", " separators (never part of a float's repr) become the indented line
-    breaks; anything else with ``indent=2``, shifted one level by indenting
-    after each newline (JSON strings hold no raw newline).
+    which dominates writing the 2.5 MB Green table of 100k nodes.  So each
+    top-level value is encoded on its own: a flat list of floats by the C
+    encoder, whose ", " separators (never part of a float's repr) become the
+    indented line breaks; anything else with ``indent=2``, shifted one level
+    by indenting after each newline (JSON strings hold no raw newline).
     """
     doc = {"format_version": FORMAT_VERSION, "config": _config_for_output(cfg)}
     doc.update(payload)
@@ -211,7 +208,7 @@ def _emit_json(payload: Dict[str, Any], cfg: Dict[str, Any]) -> str:
         else:
             parts.append(json.dumps(value, indent=2).replace("\n", "\n  "))
     parts.append("\n}\n")
-    return "".join(parts)  # one join: the 10 MB report is copied once
+    return "".join(parts)  # one join: the 2.5 MB report is copied once
 
 
 def _emit_csv(header: List[str], rows: List[List[Any]], cfg: Dict[str, Any]) -> str:
@@ -311,8 +308,8 @@ def _cmd_sweep(cfg: Dict[str, Any]) -> int:
     mode = cfg["mode"]
     if mode not in ("boundedness", "divergence", "improved"):
         raise _CliError("sweep requires --mode boundedness|divergence|improved")
-    if mode == "improved" and (cfg["lam"] is None or cfg["lambda1"] is None):
-        raise _CliError("improved sweep requires --lam and --lambda1")
+    if mode == "improved" and cfg["lam"] is None:
+        raise _CliError("improved sweep requires --lam")
     n = cfg["n"]
     beta = float(cfg["beta"])
     grid = make_grid(cfg["grid_points"], float(cfg["epsilon"]))
@@ -330,9 +327,9 @@ def _cmd_sweep(cfg: Dict[str, Any]) -> int:
         family = [MoserParams(rho=2.0 ** (-k), n=n) for k in ks]
         if mode == "boundedness":
             points = boundedness_sweep(n, beta, family, float(cfg["scale"]), grid)
-        else:
-            points = improved_sweep(n, beta, float(cfg["lam"]), family, grid,
-                                    float(cfg["lambda1"]))
+        else:  # lam must sit below lambda_1, estimated on the sweep's own grid
+            lambda1 = estimate_lambda1(n, grid).best_value
+            points = improved_sweep(n, beta, float(cfg["lam"]), family, grid, lambda1)
         header = ["param", "value", "overflow", "divergence_flag"]
         rows = [[p.param, p.value, p.overflow, p.divergence_flag] for p in points]
         json_rows = [p._asdict() for p in points]

@@ -234,7 +234,8 @@ def improved_sweep(n: int, beta: float, lam: float, family: Sequence[MoserParams
     """
     if not (0.0 <= lam <= 0.9 * lambda1_hat):
         raise PreconditionError(
-            f"lambda must lie in [0, 0.9 * lambda1_hat] = [0, {0.9 * lambda1_hat:.6g}], got {lam}"
+            f"lambda must lie in [0, 0.9 * lambda1_hat] = [0, {0.9 * lambda1_hat:.6g}] with "
+            f"lambda1_hat = {lambda1_hat:.6g}, got {lam}"
         )
     return _moser_sweep(n, beta, lam, family, grid, 1.0)
 

@@ -29,6 +29,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import FORMAT_VERSION
 from .errors import (
     ConvergenceError,
     CorruptTableError,
@@ -52,7 +53,6 @@ __all__ = [
     "extrapolate_c_g",
     "check_boundary_bound",
     "make_maps",
-    "comparison_supersolution",
 ]
 
 INSTABILITY_CAP = 1e12  # sup m beyond this across iterations means no spectral gap
@@ -105,59 +105,52 @@ class GreenTable:
             "residual": self.residual,
             "tol": self.tol,
             "iterations": self.iterations,
-            "r": self.grid.nodes.tolist(),
             "G": self.g_values.tolist(),
-            "Gprime": self.g_deriv.tolist(),
-            "remainder": self.remainder.tolist(),
         }
 
     @classmethod
     def from_json_dict(cls, doc) -> "GreenTable":
         """Rebuild a table from ``to_json_dict`` output, trusting only its G.
 
-        The inputs are n, potential, epsilon, tol, iterations, r and G; r must
-        be ``make_grid(len(r), epsilon)`` bit for bit.  The solver's last step,
-        repeated from G, must pass ``validate`` and agree with the stored G,
-        remainder, G' and c_g.  The stored residual is not read.
+        The inputs are n, potential, epsilon, tol, iterations and G; the grid
+        is ``make_grid(len(G), epsilon)``.  The solver's last step, repeated
+        from G, recomputes the flux excess, G', the remainder and the
+        residual; it must pass ``validate``, agree with G to 10 tol gamma and
+        give back c_g as the pole fit of G.  The stored residual is not read.
+        A document that still carries r, Gprime or remainder is an
+        hmtlab-report/1 table and is rejected, so none of them is read.
         """
+        stale = [k for k in ("r", "Gprime", "remainder") if isinstance(doc, dict) and k in doc]
+        if stale:
+            raise CorruptTableError(f"an hmtlab-report/1 table (it stores {', '.join(stale)}); "
+                                    f"expected {FORMAT_VERSION}, which stores G alone")
         try:
             n = int(doc["n"])
             gamma = make_constants(n).gamma
             potential = Potential.parse(doc["potential"])
             tol = float(doc["tol"])
             iterations = int(doc["iterations"])
-            r = np.asarray(doc["r"], dtype=float)
-            grid = make_grid(r.size, float(doc["epsilon"]))
             g = np.asarray(doc["G"], dtype=float)
-            stored = {key: np.asarray(doc[key], dtype=float) for key in ("remainder", "Gprime")}
+            grid = make_grid(g.size, float(doc["epsilon"]))
             c_g = float(doc["c_g"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CorruptTableError(f"missing or malformed field: {exc}") from exc
         if not (math.isfinite(tol) and tol > 0.0):
             raise CorruptTableError(f"tol must be finite and positive, got {tol}")
-        if not np.array_equal(r, grid.nodes):
-            raise CorruptTableError(f"r is not make_grid({r.size}, {grid.epsilon!r})")
-        if g.shape != r.shape or not np.all(np.isfinite(g)):
+        if g.shape != grid.nodes.shape or not np.all(np.isfinite(g)):
             raise CorruptTableError("G must hold one finite value per node")
 
         table = _table_from_g(grid, n, potential, potential.values(grid, n),
                               gamma * (grid.xi[-1] - grid.xi), g, iterations, tol)
         table.validate()
-        _require_close("G", g, table.g_values, 10.0 * tol * gamma)
-        _require_close("remainder", stored["remainder"], table.remainder, 10.0 * tol * gamma)
-        _require_close("Gprime", stored["Gprime"], table.g_deriv,
-                       10.0 * tol * np.abs(table.g_deriv))
+        if not np.all(np.abs(g - table.g_values) <= 10.0 * tol * gamma):
+            raise CorruptTableError("G disagrees with its recomputation from G")
         c_g_fit = _fit_c_g(grid, g, gamma, n)
         if not abs(c_g - c_g_fit) <= 1e-12 * abs(c_g_fit):
             raise CorruptTableError(f"c_g {c_g!r} differs from {c_g_fit!r}, the fit of G")
         loaded = replace(table, g_values=g, c_g=c_g_fit)
         loaded.validate()  # the stored G must itself be strictly decreasing
         return loaded
-
-
-def _require_close(name: str, stored: np.ndarray, recomputed: np.ndarray, bound) -> None:
-    if stored.shape != recomputed.shape or not np.all(np.abs(stored - recomputed) <= bound):
-        raise CorruptTableError(f"{name} disagrees with its recomputation from G")
 
 
 @dataclass(frozen=True)
@@ -436,48 +429,3 @@ def _validate_maps(maps: TransplantMaps, table: GreenTable) -> None:
         observable = maps.a > table.grid.nodes[0] * (1.0 + 1e-12)
         if np.any(maps.phi[observable] <= 0.0) or np.any(maps.phi < 0.0):
             raise CorruptTableError("phi must be positive for a nonzero potential")
-
-
-def comparison_supersolution(grid: RadialGrid, n: int) -> Dict[str, float]:
-    """Supersolution check for psi(r) = (-ln r)^((n-1)/n) against the critical potential.
-
-    Returns the minimum of the elementary inequality (1-r^2) + 2 r ln r >= 0
-    over all nodes, the minimum of the analytic residual
-    -Delta_n psi - V psi^(n-1) at the nodes, and the minimum of a
-    finite-volume discretization of it over interior nodes with
-    1 - r >= 0.011.  The analytic margin decays like n(1-r)/2 relative to
-    its terms, so within the geometrically graded boundary tail it drops
-    below what any difference scheme resolves; the safe range stops inside
-    the uniform zone, which ends at 1 - r = TAIL_SPAN = 0.01.
-    """
-    c = make_constants(n)
-    r = grid.nodes
-    neg_ln_r = -grid.xi  # exact -ln r, log1p-built near the boundary
-    one_minus_r2 = grid.one_minus_r2
-    elementary = one_minus_r2 - 2.0 * r * neg_ln_r
-
-    q = (n - 1.0) / n
-    psi_vals = neg_ln_r**q
-    v_vals = c.hardy_const / one_minus_r2**n
-    analytic = (
-        ((n - 1.0) / n) ** n
-        * psi_vals ** (n - 1)
-        / r**n
-        * (neg_ln_r ** (-float(n)) - (2.0 * r / one_minus_r2) ** n)
-    )
-
-    # finite-volume radial n-Laplacian: flux difference over the exact
-    # cell volume, consistent on arbitrarily graded meshes
-    mid_r = 0.5 * (r[1:] + r[:-1])
-    dpsi = np.diff(psi_vals) / np.diff(r)
-    flux_mid = mid_r ** (n - 1) * np.abs(dpsi) ** (n - 2) * dpsi
-    cell = (mid_r[1:] ** n - mid_r[:-1] ** n) / n
-    lap = np.diff(flux_mid) / cell
-    discrete = -lap - v_vals[1:-1] * psi_vals[1:-1] ** (n - 1)
-    interior = grid.s[1:-1] >= 0.011  # just inside the uniform zone; see the docstring
-    return {
-        "elementary_min": float(np.min(elementary)),
-        "analytic_min": float(np.min(analytic)),
-        "discrete_min": float(np.min(discrete[interior])),
-        "discrete_range_max_r": float(np.max(r[1:-1][interior])),
-    }

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from hmtlab import (
     FORMAT_VERSION,
     ConvergenceError,
+    GreenTable,
     Potential,
     PotentialInstabilityError,
+    estimate_lambda1,
     make_grid,
     solve_green,
 )
@@ -32,13 +34,25 @@ def _with_nan_in_g(doc):
     return {**doc, "G": g}
 
 
-# each turns a genuine Green-table document into one verify must reject
+def _v1(doc):
+    """The document with the derived arrays an hmtlab-report/1 table also stored."""
+    table = GreenTable.from_json_dict(doc)
+    return {**doc, "r": table.grid.nodes.tolist(), "Gprime": table.g_deriv.tolist(),
+            "remainder": table.remainder.tolist()}
+
+
+# each turns a genuine Green-table document into one verify must reject; the r_* cases
+# and g_and_gprime_x1.3_c_g_5 tamper with v1 fields, and the v1 fields alone reject them
 TAMPERED_TABLES = {
-    "g_and_gprime_x1.3_c_g_5": lambda d: {**_scaled(d, ("G", "Gprime"), 1.3), "c_g": 5.0},
+    "g_and_gprime_x1.3_c_g_5": lambda d: {**_scaled(_v1(d), ("G", "Gprime"), 1.3), "c_g": 5.0},
+    "g_x1.3_c_g_5": lambda d: {**_scaled(d, ("G",), 1.3), "c_g": 5.0},
     "c_g_5": lambda d: {**d, "c_g": 5.0},
     "c_g_plus_1e-6": lambda d: {**d, "c_g": d["c_g"] + 1e-6},
     "g_perturbed_gprime_kept": lambda d: _scaled(d, ("G",), 1.0 + 1e-6),
-    "r_scaled_1e-15": lambda d: _scaled(d, ("r",), 1.0 + 1e-15),
+    "r_scaled_1e-15": lambda d: _scaled(_v1(d), ("r",), 1.0 + 1e-15),
+    # the grid is make_grid(len(G), epsilon); one ulp of epsilon rebuilds the same table
+    # to rounding, and about 1e-7 relative moves the tail nodes beyond the residual bound
+    "epsilon_scaled_1e-6": lambda d: {**d, "epsilon": d["epsilon"] * (1.0 + 1e-6)},
     "g_one_short": lambda d: {**d, "G": d["G"][:-1]},
     "nan_in_g": _with_nan_in_g,
     "missing_tol": lambda d: {k: v for k, v in d.items() if k != "tol"},
@@ -46,8 +60,10 @@ TAMPERED_TABLES = {
     "infinite_iterations": lambda d: {**d, "iterations": float("inf")},
     "top_level_list": lambda d: [d],
     "top_level_string": lambda d: "table",
-    "r_null": lambda d: {**d, "r": None},
-    "r_empty": lambda d: {**d, "r": []},
+    "r_null": lambda d: {**_v1(d), "r": None},
+    "r_empty": lambda d: {**_v1(d), "r": []},
+    "g_null": lambda d: {**d, "G": None},
+    "g_empty": lambda d: {**d, "G": []},
 }
 
 
@@ -94,7 +110,8 @@ class TestGreenCommand:
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["residual"] <= doc["tol"]
-        assert len(doc["r"]) == 512
+        assert len(doc["G"]) == 512
+        assert not {"r", "Gprime", "remainder"} & set(doc)
 
     def test_invalid_dimension(self, capsys):
         assert run_cli(["green", "--n", "1"]) == 1
@@ -149,7 +166,7 @@ ECHOED = {
                "beta command corpus_size epsilon green_table grid_points margin_tol n "
                "potential seed tol"),
     "sweep": (["--mode", "boundedness", "--grid-points", "256", "--k-max", "2"],
-              "beta command epsilon format grid_points k_max k_min lam lambda1 mode n scale"),
+              "beta command epsilon format grid_points k_max k_min lam mode n scale"),
     "search": (["--mode", "lambda1", "--grid-points", "512", "--max-iter", "3"],
                "beta command epsilon format grid_points max_iter mode n seed"),
     "rearrange-demo": (["--grid-points", "64"],
@@ -219,9 +236,9 @@ OUT_OF_RANGE = {
     "k_min_above_k_max": ["sweep", "--mode", "boundedness", "--k-min", "5", "--k-max", "2"],
     "k_min_above_k_max_divergence": ["sweep", "--mode", "divergence", "--k-min", "5",
                                      "--k-max", "2"],
-    # NaN and inf passed every range check and the lam <= 0.9 * lambda1 precondition
-    "lambda1_nan": ["sweep", "--mode", "improved", "--lam", "1.0", "--lambda1", "nan"],
-    "lambda1_inf": ["sweep", "--mode", "improved", "--lam", "2.3", "--lambda1", "inf"],
+    # the improved sweep estimates lambda_1 itself, so --lambda1 is no flag of sweep
+    "removed_lambda1_nan": ["sweep", "--mode", "improved", "--lam", "1.0", "--lambda1", "nan"],
+    "removed_lambda1_inf": ["sweep", "--mode", "improved", "--lam", "2.3", "--lambda1", "inf"],
     "scale_inf": ["sweep", "--mode", "boundedness", "--scale", "inf"],
     # rho = 2^-k drops below the first node (1e-10) from k = 34 on
     "moser_corner_below_grid": ["sweep", "--mode", "boundedness", "--k-min", "30",
@@ -325,6 +342,19 @@ class TestVerifyCommand:
         assert captured.err.startswith("verify: green table rejected: ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("key", ["r", "Gprime", "remainder"])
+    def test_v1_green_table_rejected(self, tmp_path, capsys, genuine_table, key):
+        # a genuine table plus any one derived array of the old format
+        old = tmp_path / "v1.json"
+        old.write_text(json.dumps({**genuine_table, key: _v1(genuine_table)[key]}))
+        capsys.readouterr()
+        assert run_cli(["verify", "--green-table", str(old)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("verify: green table rejected: ")
+        assert "hmtlab-report/2" in captured.err
+        assert captured.err.count("\n") == 1
+
     def test_unreadable_green_table_is_a_configuration_error(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"
         assert run_cli(["verify", "--green-table", str(missing)]) == 1
@@ -370,11 +400,21 @@ class TestSweepCommand:
     def test_improved_mode(self, tmp_path):
         out = tmp_path / "i.json"
         code = run_cli(["sweep", "--mode", "improved", "--n", "2", "--grid-points", "1024",
-                        "--k-max", "6", "--lam", "1.36", "--lambda1", "2.72",
-                        "--out", str(out)])
+                        "--k-max", "6", "--lam", "1.36", "--out", str(out)])
         assert code == 0
         doc = json.loads(out.read_text())
         assert len(doc["rows"]) == 6
+
+    def test_improved_lam_checked_against_estimated_lambda1(self, tmp_path, capsys):
+        # lambda_1 is 2.3653 at the defaults, so lam = 3.0 breaks the hypothesis
+        out = tmp_path / "i.json"
+        assert run_cli(["sweep", "--mode", "improved", "--lam", "3.0", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("hmtlab: ") and captured.err.count("\n") == 1
+        lambda1 = estimate_lambda1(2, make_grid(2048, 1e-6)).best_value
+        assert f"lambda1_hat = {lambda1:.6g}" in captured.err
+        assert not out.exists()
 
     def test_missing_mode(self):
         assert run_cli(["sweep", "--n", "2"]) == 1

@@ -13,14 +13,13 @@ from hmtlab import (
     Potential,
     PotentialInstabilityError,
     check_boundary_bound,
-    comparison_supersolution,
     extrapolate_c_g,
     make_constants,
     make_grid,
     make_maps,
     solve_green,
 )
-from hmtlab.green import image_t_grid
+from hmtlab.green import _fit_c_g, image_t_grid
 from hmtlab.quad_core import cumulative_from_origin
 from scipy.interpolate import PchipInterpolator
 
@@ -276,6 +275,16 @@ class TestTableRoundTrip:
         table = solve_green(n, Potential.parse(potential), grids(2048, 1e-6), max_iter=2000)
         self._check_round_trip(table)
 
+    def test_g_off_its_recomputation_rejected(self, grids):
+        # with V = 0 the mass vanishes for every G, so a shifted G with its own c_g
+        # passes validate and the c_g fit; only its recomputation from G rejects it
+        table = solve_green(2, Potential.zero(), grids(2048, 1e-6))
+        g = table.g_values + 1e-3
+        doc = {**table.to_json_dict(), "G": g.tolist(),
+               "c_g": _fit_c_g(table.grid, g, make_constants(2).gamma, 2)}
+        with pytest.raises(CorruptTableError, match="G disagrees"):
+            hl.GreenTable.from_json_dict(doc)
+
     def test_reloads_exactly_at_loose_tolerance(self, grids):
         self._check_round_trip(
             solve_green(3, Potential.hardy_critical(), grids(2048, 1e-6), tol=1e-4)
@@ -303,9 +312,62 @@ class TestTableRoundTrip:
         loaded.validate()
         assert np.array_equal(loaded.g_values, table.g_values)
         assert loaded.c_g == table.c_g
-        # the grid is rebuilt, so s and xi are exact rather than derived from r
+        # the grid is rebuilt from len(G) and epsilon, so s and xi are exact
         for key in ("nodes", "s", "xi"):
             assert np.array_equal(getattr(loaded.grid, key), getattr(table.grid, key))
+        # the derived arrays are recomputed from G on load, not compared with stored ones;
+        # the excess bound is the G' bound, since G' r / gamma = -(1 + excess)
+        tol = table.tol
+        assert np.all(np.abs(loaded.remainder - table.remainder)
+                      <= 10.0 * tol * make_constants(table.n).gamma)
+        assert np.all(np.abs(loaded.g_deriv - table.g_deriv) <= 10.0 * tol * np.abs(table.g_deriv))
+        assert np.all(np.abs(loaded.excess - table.excess) <= 10.0 * tol * (1.0 + table.excess))
+
+
+def comparison_supersolution(grid, n):
+    """Supersolution check for psi(r) = (-ln r)^((n-1)/n) against the critical potential.
+
+    A reference for one proof step that no subcommand runs.  Returns the
+    minimum of the elementary inequality (1-r^2) + 2 r ln r >= 0 over all
+    nodes, the minimum of the analytic residual -Delta_n psi - V psi^(n-1)
+    at the nodes, and the minimum of a finite-volume discretization of it
+    over interior nodes with 1 - r >= 0.011.  The analytic margin decays
+    like n(1-r)/2 relative to its terms, so within the geometrically graded
+    boundary tail it drops below what any difference scheme resolves; the
+    safe range stops inside the uniform zone, which ends at
+    1 - r = TAIL_SPAN = 0.01.
+    """
+    c = make_constants(n)
+    r = grid.nodes
+    neg_ln_r = -grid.xi  # exact -ln r, log1p-built near the boundary
+    one_minus_r2 = grid.one_minus_r2
+    elementary = one_minus_r2 - 2.0 * r * neg_ln_r
+
+    q = (n - 1.0) / n
+    psi_vals = neg_ln_r**q
+    v_vals = c.hardy_const / one_minus_r2**n
+    analytic = (
+        ((n - 1.0) / n) ** n
+        * psi_vals ** (n - 1)
+        / r**n
+        * (neg_ln_r ** (-float(n)) - (2.0 * r / one_minus_r2) ** n)
+    )
+
+    # finite-volume radial n-Laplacian: flux difference over the exact
+    # cell volume, consistent on arbitrarily graded meshes
+    mid_r = 0.5 * (r[1:] + r[:-1])
+    dpsi = np.diff(psi_vals) / np.diff(r)
+    flux_mid = mid_r ** (n - 1) * np.abs(dpsi) ** (n - 2) * dpsi
+    cell = (mid_r[1:] ** n - mid_r[:-1] ** n) / n
+    lap = np.diff(flux_mid) / cell
+    discrete = -lap - v_vals[1:-1] * psi_vals[1:-1] ** (n - 1)
+    interior = grid.s[1:-1] >= 0.011  # just inside the uniform zone; see the docstring
+    return {
+        "elementary_min": float(np.min(elementary)),
+        "analytic_min": float(np.min(analytic)),
+        "discrete_min": float(np.min(discrete[interior])),
+        "discrete_range_max_r": float(np.max(r[1:-1][interior])),
+    }
 
 
 class TestComparisonSupersolution:
