@@ -137,10 +137,7 @@ def moser_profile(params: MoserParams, grid: RadialGrid) -> RadialProfile:
     deriv = np.where(r <= rho, 0.0, -plateau / (big_l * r))
     u = RadialProfile(grid, vals, enforce_zero_boundary=True)
     u._deriv = deriv
-    scale = grad_energy(u, n) ** (-1.0 / n)
-    out = RadialProfile(grid, scale * u.values, enforce_zero_boundary=False)
-    out._deriv = scale * deriv
-    return out
+    return u.scaled(grad_energy(u, n) ** (-1.0 / n))
 
 
 def _moser_plateau(rho: float, n: int) -> Tuple[float, float]:
@@ -481,7 +478,9 @@ def seeded_corpus(grid: RadialGrid, n: int, size: int, seed: int) -> List[Radial
             prof = smoothed_moser_profile(MoserParams(rho=rho, n=n), grid)
             prof = prof.scaled(rng.uniform(0.5, 1.5))
         vals = np.maximum.accumulate(prof.values[::-1])[::-1]
-        out.append(normalize_h(RadialProfile(grid, vals, enforce_zero_boundary=False), n))
+        if not np.array_equal(vals, prof.values):  # else keep prof and the slopes it carries
+            prof = RadialProfile(grid, vals, enforce_zero_boundary=False)
+        out.append(normalize_h(prof, n))
     return out
 
 

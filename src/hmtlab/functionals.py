@@ -32,6 +32,7 @@ from .quad_core import (
     EXP_CLAMP,
     PchipSpacing,
     RadialGrid,
+    int_pow,
     integrate,
     make_constants,
     pchip_spacing,
@@ -148,9 +149,9 @@ class RadialProfile:
 
     The monotone cubic fit is the PCHIP interpolant: ``slopes`` holds its
     node slopes, ``derivative`` reads u' at the nodes from them, and calling
-    the profile (or ``evaluate`` on a ready plan) sums the cubic Hermite
-    pieces with numpy.  Only the slope (read-only) and derivative arrays
-    are cached.
+    the profile sums the cubic Hermite pieces with numpy.  Only the slope
+    (read-only) and derivative arrays are cached, and ``scaled`` carries
+    them to the rescaled profile.
     """
 
     def __init__(self, grid: RadialGrid, values, *, enforce_zero_boundary: bool = True):
@@ -194,17 +195,27 @@ class RadialProfile:
     def __call__(self, r) -> np.ndarray:
         """u(r), with r clipped to the grid's range."""
         r = np.clip(np.asarray(r, dtype=float), self.grid.nodes[0], self.grid.nodes[-1])
-        return self.evaluate(hermite_plan(self.grid.nodes, r))
-
-    def evaluate(self, plan: HermitePlan) -> np.ndarray:
-        """u at the queries of a plan made on this profile's grid nodes."""
-        return hermite_eval(plan, self.grid.spacing.h, self.values, self.slopes)
+        return hermite_eval(hermite_plan(self.grid.nodes, r), self.grid.spacing.h, self.values,
+                            self.slopes)
 
     def is_nonincreasing(self, tol: float = 1e-12) -> bool:
         return bool(np.all(np.diff(self.values) <= tol * max(1.0, float(self.values.max(initial=0.0)))))
 
     def scaled(self, c: float) -> "RadialProfile":
-        return RadialProfile(self.grid, c * self.values, enforce_zero_boundary=False)
+        """c * u on the same grid, carrying c * slopes and c * derivative if already computed.
+
+        PCHIP is homogeneous (every secant, harmonic mean and end slope
+        scales by c), so the carried arrays are the fit of c * u up to the
+        rounding of its secants, and the rescale costs no new fit.
+        """
+        out = RadialProfile(self.grid, c * self.values, enforce_zero_boundary=False)
+        if "slopes" in self.__dict__:
+            d = c * self.slopes
+            d.flags.writeable = False
+            out.slopes = d
+        if self._deriv is not None:
+            out._deriv = c * self._deriv
+        return out
 
 
 def _end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
@@ -318,14 +329,14 @@ def grad_energy(u: RadialProfile, n: int) -> float:
     """omega * int |u'|^n r^(n-1) dr over the truncated domain."""
     c = make_constants(n)
     g = u.grid
-    return c.omega * integrate(np.abs(u.derivative) ** n * g.nodes_pow(n - 1), g)
+    return c.omega * integrate(int_pow(np.abs(u.derivative), n) * g.nodes_pow(n - 1), g)
 
 
 def hardy_term(u: RadialProfile, n: int) -> float:
     """Sharp-constant boundary Hardy integral of |u|^n."""
     c = make_constants(n)
     g = u.grid
-    integrand = u.values**n / g.one_minus_r2_pow(n) * g.nodes_pow(n - 1)
+    integrand = int_pow(u.values, n) / g.one_minus_r2_pow(n) * g.nodes_pow(n - 1)
     return c.hardy_const * c.omega * integrate(integrand, g)
 
 
@@ -348,24 +359,28 @@ def potential_term(u: RadialProfile, potential: Potential, n: int) -> float:
     c = make_constants(n)
     g = u.grid
     return c.omega * integrate(
-        potential.values(g, n) * u.values**n * g.nodes_pow(n - 1), g
+        potential.values(g, n) * int_pow(u.values, n) * g.nodes_pow(n - 1), g
     )
 
 
 def ln_norm_pow(u: RadialProfile, n: int) -> float:
     """||u||_n^n with respect to Lebesgue measure on the ball."""
     c = make_constants(n)
-    return c.omega * integrate(u.values**n * u.grid.nodes_pow(n - 1), u.grid)
+    return c.omega * integrate(int_pow(u.values, n) * u.grid.nodes_pow(n - 1), u.grid)
 
 
 def hyperbolic_ln_norm_pow(u: RadialProfile, n: int) -> float:
     """int |u|^n dv_H, the L^n norm under the Poincare-ball volume."""
-    return float(np.dot(u.values**n, cell_hyperbolic_volumes(u.grid, n)))
+    return float(np.dot(int_pow(u.values, n), cell_hyperbolic_volumes(u.grid, n)))
 
 
 def mt_exponent(values: np.ndarray, n: int, beta: float, scale: float = 1.0) -> np.ndarray:
-    """The Moser-Trudinger exponent scale * (1 - beta/n) * alpha_n * u^(n/(n-1)) of node values."""
-    return scale * (1.0 - beta / n) * make_constants(n).alpha_n * values ** (n / (n - 1.0))
+    """The Moser-Trudinger exponent scale * (1 - beta/n) * alpha_n * u^(n/(n-1)) of node values.
+
+    At n = 3 the power u^(3/2) is formed as u * sqrt(u), without libm pow.
+    """
+    u_pow = values * np.sqrt(values) if n == 3 else values ** (n / (n - 1.0))
+    return scale * (1.0 - beta / n) * make_constants(n).alpha_n * u_pow
 
 
 def clamped_exp(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -440,12 +455,12 @@ def hyperbolic_volume(r: float, n: int) -> float:
         return 0.0
     core = min(r, 0.9)
     xs = np.linspace(0.0, core, 200_001)
-    integrand = (2.0 / (1.0 - xs**2)) ** n * xs ** (n - 1)
+    integrand = int_pow(2.0 / (1.0 - xs**2), n) * int_pow(xs, n - 1)
     total = float(np.trapezoid(integrand, xs))
     if r > core:
         s = np.geomspace(1.0 - core, 1.0 - r, 100_000)
         one_minus_sq = s * (2.0 - s)
-        integrand = (2.0 / one_minus_sq) ** n * (1.0 - s) ** (n - 1)
+        integrand = int_pow(2.0 / one_minus_sq, n) * int_pow(1.0 - s, n - 1)
         total += float(np.trapezoid(integrand, 1.0 - s))  # 1 - s increases from core to r
     return c.omega * total
 
@@ -453,7 +468,7 @@ def hyperbolic_volume(r: float, n: int) -> float:
 def cell_hyperbolic_volumes(grid: RadialGrid, n: int) -> np.ndarray:
     """Hyperbolic volume attached to each node's trapezoid cell."""
     c = make_constants(n)
-    density = (2.0 / grid.one_minus_r2) ** n * grid.nodes_pow(n - 1)
+    density = int_pow(2.0 / grid.one_minus_r2, n) * grid.nodes_pow(n - 1)
     return c.omega * density * grid.weights
 
 

@@ -36,7 +36,7 @@ from .errors import (
     ExtractionUnstableError,
     PotentialInstabilityError,
 )
-from .functionals import HermitePlan, Potential, hermite_eval, hermite_plan, pchip, pchip_slopes
+from .functionals import Potential, hermite_eval, hermite_plan, pchip, pchip_slopes
 from .quad_core import (
     GridGrading,
     RadialGrid,
@@ -158,7 +158,9 @@ class TransplantMaps:
     """Transplantation ingredients tabulated on a t-grid.
 
     The t-grid is the Green table's image grid (``image_t_grid``) unless
-    ``make_maps`` was given ``n_t``.
+    ``make_maps`` was given ``n_t``.  ``image_of`` is the table's r-grid in
+    the first case and None in the second: on the image grid a(t_i) = r_i,
+    so a profile on ``image_of`` pushes forward as its own node data.
 
     a(t) inverts t = exp(-G/gamma); phi(t) = omega |G'(a)|^(n-1) a^(n-1) - 1
     equals the cumulative potential mass m(a(t)); psi(t) is the singular-MT
@@ -176,10 +178,7 @@ class TransplantMaps:
     # phi'(t) (-ln t)^(1-n) with the log powers cancelled analytically:
     # V(a) a^n / (t (1+phi)^(1/(n-1))), finite at every node
     hardy_weight: np.ndarray
-    # the Green table's r-grid and where a(t) falls among its nodes, so that
-    # pushforward locates a(t) once for every profile on that grid
-    r_grid: RadialGrid
-    a_plan: HermitePlan
+    image_of: Optional[RadialGrid]
 
     @property
     def a_over_t(self) -> np.ndarray:
@@ -348,11 +347,13 @@ def check_boundary_bound(table: GreenTable) -> float:
 def image_t_grid(table: GreenTable) -> RadialGrid:
     """The r-grid pushed through t = exp(-G/gamma).
 
-    On this grid a(t_i) = r_i exactly, so the transplantation of a profile
-    is its own node data; ``make_maps`` uses it by default, which makes the
-    identities' defects measure the quadrature on the r-grid rather than
-    interpolation of a(t).  1 - t is computed with expm1, exact near the
-    boundary where t -> 1.
+    On this grid the inverse map is a(t_i) = r_i, so the transplantation of
+    a profile on the r-grid is its own node data, and ``pushforward`` takes
+    it as such (the tabulated a reproduces r_i to 1.8e-15 relative).
+    ``make_maps`` uses this grid by default, which makes the identities'
+    defects measure the quadrature on the r-grid rather than interpolation
+    of a(t).  1 - t is computed with expm1, exact near the boundary where
+    t -> 1.
     """
     c = make_constants(table.n)
     arg = -table.g_values / c.gamma
@@ -373,9 +374,10 @@ def make_maps(
     of t = exp(-G/gamma); phi comes from the identity phi = m(a(t)); phi'
     uses the closed differentiation formula rather than differencing phi.
     With ``n_t=None`` the t-grid is ``image_t_grid(table)``, on which
-    a(t_i) = r_i and the interpolants return their own node data.  A given
-    ``n_t`` builds the three-zone graded mesh of n_t nodes on
-    [t_min, 1 - t_min] instead, whose defects fall with n_t.
+    a(t_i) = r_i and the interpolants return their own node data, and
+    ``image_of`` is the table's grid.  A given ``n_t`` builds the
+    three-zone graded mesh of n_t nodes on [t_min, 1 - t_min] instead,
+    whose defects fall with n_t, and leaves ``image_of`` None.
     """
     c = make_constants(table.n)
     n = table.n
@@ -411,7 +413,7 @@ def make_maps(
     maps = TransplantMaps(
         t_grid=t_grid, a=a, phi=phi, psi=psi, beta=beta, n=n, c_g=table.c_g,
         potential=table.potential, hardy_weight=hardy_weight,
-        r_grid=table.grid, a_plan=hermite_plan(table.grid.nodes, a),
+        image_of=table.grid if n_t is None else None,
     )
     _validate_maps(maps, table)
     return maps

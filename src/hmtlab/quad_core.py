@@ -34,6 +34,7 @@ __all__ = [
     "make_grid",
     "pchip_spacing",
     "integrate",
+    "int_pow",
     "cumulative_from_origin",
     "trapezoid_weights",
     "truncated_exp",
@@ -251,6 +252,23 @@ def integrate(samples: np.ndarray, grid: RadialGrid) -> float:
     if not np.all(np.isfinite(samples)):
         raise NumericError("non-finite sample passed to integrate")
     return float(np.dot(samples, grid.weights))
+
+
+def int_pow(x: np.ndarray, k: int) -> np.ndarray:
+    """x**k for an integer k >= 1 by binary exponentiation, without libm pow.
+
+    k = 1 returns x itself and k = 2 is x * x, which is numpy's ``x**2`` to
+    the bit; a larger k takes one rounding per multiplication, so it lies
+    within k - 1 ulp of ``x**k``.
+    """
+    out = None
+    while True:
+        if k & 1:
+            out = x if out is None else out * x
+        k >>= 1
+        if not k:
+            return out
+        x = x * x
 
 
 def cumulative_from_origin(samples: np.ndarray, grid: RadialGrid) -> np.ndarray:

@@ -27,7 +27,7 @@ from .functionals import (
     singular_mt,
 )
 from .green import TransplantMaps
-from .quad_core import integrate, make_constants
+from .quad_core import int_pow, integrate, make_constants
 
 __all__ = [
     "TransplantReport",
@@ -73,10 +73,14 @@ class MTComparison(NamedTuple):
 
 
 def pushforward(u: RadialProfile, maps: TransplantMaps) -> RadialProfile:
-    """v(t) = u(a(t)) sampled on the t-grid; non-increasing with v = 0 at t -> 1."""
+    """v(t) = u(a(t)) sampled on the t-grid; non-increasing with v = 0 at t -> 1.
+
+    On the image grid of u's own grid (``maps.image_of``) a(t_i) = r_i, so v
+    is u's node data; elsewhere u's monotone cubic is evaluated at a(t).
+    """
     if not u.is_nonincreasing(tol=1e-9):
         raise PreconditionError("pushforward requires a non-increasing profile; rearrange first")
-    vals = u.evaluate(maps.a_plan) if u.grid is maps.r_grid else u(maps.a)
+    vals = u.values if u.grid is maps.image_of else u(maps.a)
     vals = np.maximum.accumulate(vals[::-1])[::-1]  # monotone composition, minus jitter
     return RadialProfile(maps.t_grid, vals, enforce_zero_boundary=True)
 
@@ -88,10 +92,10 @@ def _t_integrals(v: RadialProfile, maps: TransplantMaps) -> Tuple[float, float, 
     """
     n = maps.n
     c = make_constants(n)
-    vp_pow = np.abs(v.derivative) ** n * maps.t_grid.nodes_pow(n - 1)
+    vp_pow = int_pow(np.abs(v.derivative), n) * maps.t_grid.nodes_pow(n - 1)
     grad_v = c.omega * integrate(vp_pow, maps.t_grid)
     grad_phi = c.omega * integrate(vp_pow * maps.phi, maps.t_grid)
-    hardy_t = c.omega * integrate(v.values**n * maps.hardy_weight, maps.t_grid)
+    hardy_t = c.omega * integrate(int_pow(v.values, n) * maps.hardy_weight, maps.t_grid)
     return grad_v, grad_phi, hardy_t
 
 

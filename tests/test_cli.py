@@ -17,6 +17,7 @@ from hmtlab import (
     make_grid,
     solve_green,
 )
+from hmtlab import functionals, green
 from hmtlab.cli import _config_for_output, _emit_json, main
 
 
@@ -293,6 +294,25 @@ class TestVerifyCommand:
         assert run_cli(["verify", "--n", "4", "--potential", "const=0.5", "--grid-points", "512",
                         "--corpus-size", "30", "--seed", "7", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["summary"]["min_key_margin"] > 0.0
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_fits_per_job(self, tmp_path, monkeypatch, n):
+        # each profile's PCHIP fit is made once and carried through its rescales, and the
+        # image grid needs no evaluation of it; refitting and evaluating made 736 and 270
+        counts = {"pchip_slopes": 0, "hermite_eval": 0}
+        for name in counts:
+            original = getattr(functionals, name)
+
+            def counted(*args, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(*args)
+
+            for module in (functionals, green):
+                monkeypatch.setattr(module, name, counted)
+        assert run_cli(["verify", "--n", str(n), "--grid-points", "4096", "--corpus-size", "200",
+                        "--seed", "5", "--out", str(tmp_path / "v.json")]) == 0
+        assert counts["pchip_slopes"] <= 470
+        assert counts["hermite_eval"] <= 70
 
     def test_zero_potential_identity(self, tmp_path):
         out = tmp_path / "v0.json"

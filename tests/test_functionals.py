@@ -155,6 +155,66 @@ class TestSplineSlopes:
         assert not np.array_equal(d, PchipInterpolator(r, u.values).derivative()(r))
 
 
+def _secant_rounding(u: RadialProfile) -> np.ndarray:
+    """Per node, the larger bound eps (|y_k| + |y_k+1|) / h_k on an adjacent secant's rounding."""
+    y = np.abs(u.values)
+    noise = np.finfo(float).eps * (y[:-1] + y[1:]) / u.grid.spacing.h
+    out = np.maximum(np.append(noise, 0.0), np.insert(noise, 0, 0.0))
+    out[0], out[-1] = noise[:2].max(), noise[-2:].max()  # the end slopes use two secants
+    return out
+
+
+class TestCarriedSlopes:
+    """scaled(c) hands c * u the parent's slopes and derivative times c, once computed.
+
+    A fresh fit of c * u forms its secants from rounded values, so it can
+    differ from the carried arrays by the rounding of those secants; each
+    slope moves by at most 3 times the change of each of its two secants.
+    Where the secants are rounding noise (the flat core near the origin)
+    that is more than any number of ulp, and a zero may sit on either side.
+    """
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(n=st.sampled_from([2, 3]), member=st.integers(0, 49), c=st.floats(1e-3, 1e3))
+    def test_matches_fresh_fit(self, corpora, n, member, c):
+        u = corpora(n)[member]
+        parent = RadialProfile(u.grid, u.values, enforce_zero_boundary=False)
+        unfit = parent.scaled(c)
+        assert "slopes" not in vars(unfit) and unfit._deriv is None
+        parent.derivative
+        carried = parent.scaled(c)
+        fresh = RadialProfile(u.grid, c * u.values, enforce_zero_boundary=False)
+        assert carried.values.tobytes() == fresh.values.tobytes()
+        assert not carried.slopes.flags.writeable
+        bound = 6.0 * _secant_rounding(fresh)
+        for name in ("slopes", "derivative"):
+            got, ref = getattr(carried, name), getattr(fresh, name)
+            assert np.array_equal(got, c * getattr(parent, name))
+            assert np.all(np.abs(got - ref) <= 4.0 * np.spacing(np.abs(ref)) + bound)
+
+    @pytest.mark.parametrize("k", [-9, -1, 1, 9])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_power_of_two_bit_for_bit(self, corpora, n, k):
+        # scaling by 2^k is exact in every operation of the fit
+        for u in corpora(n)[:12]:
+            parent = RadialProfile(u.grid, u.values, enforce_zero_boundary=False)
+            parent.derivative
+            fresh = RadialProfile(u.grid, 2.0**k * u.values, enforce_zero_boundary=False)
+            carried = parent.scaled(2.0**k)
+            assert np.array_equal(carried.slopes, fresh.slopes)
+            assert np.array_equal(carried.derivative, fresh.derivative)
+
+    def test_slopes_only_parent(self, grids):
+        g = grids(2048, 1e-6)
+        parent = RadialProfile(g, g.one_minus_r2**2)
+        parent.slopes
+        carried = parent.scaled(3.0)
+        assert carried._deriv is None
+        fresh = RadialProfile(g, 3.0 * parent.values, enforce_zero_boundary=False)
+        assert np.all(np.abs(carried.derivative - fresh.derivative)
+                      <= 4.0 * np.spacing(np.abs(fresh.derivative)) + 6.0 * _secant_rounding(fresh))
+
+
 class TestHermiteEvaluator:
     """pchip_slopes and hermite_eval reproduce scipy's PCHIP and Hermite splines bit for bit.
 

@@ -18,7 +18,7 @@ from hmtlab import (
 )
 from hmtlab.functionals import Potential
 from hmtlab.green import image_t_grid
-from hmtlab.quad_core import trapezoid_weights
+from hmtlab.quad_core import int_pow, trapezoid_weights
 
 
 class TestConstants:
@@ -197,6 +197,24 @@ class TestGridWeights:
     def test_integrate_unchanged(self, grid):
         f = np.random.default_rng(3).uniform(0.0, 1.0, grid.n_points) / grid.nodes
         assert integrate(f, grid) == float(np.dot(f, trapezoid_weights(grid.nodes)))
+
+
+class TestIntPow:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(k=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_matches_pow(self, k, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-3.0, 3.0, 2000) * 10.0 ** rng.uniform(-45.0, 45.0, 2000)
+        x[:3] = (0.0, 1.0, -1.0)
+        got, ref = int_pow(x, k), x**k
+        if k == 1:
+            assert got is x
+        if k <= 2:
+            assert got.tobytes() == ref.tobytes()
+            return
+        normal = np.isfinite(ref) & (np.abs(ref) >= np.finfo(float).tiny)
+        err = np.abs(got[normal] - ref[normal])
+        assert np.all(err <= (k - 1) * np.spacing(np.abs(ref[normal])))
 
 
 class TestTruncatedExp:
