@@ -314,6 +314,7 @@ def _cmd_sweep(cfg: Dict[str, Any]) -> int:
     beta = float(cfg["beta"])
     grid = make_grid(cfg["grid_points"], float(cfg["epsilon"]))
     ks = range(int(cfg["k_min"]), int(cfg["k_max"]) + 1)
+    extra: Dict[str, Any] = {}
 
     if mode == "divergence":
         probe = divergence_probe(n, beta, list(ks), grid)
@@ -330,6 +331,7 @@ def _cmd_sweep(cfg: Dict[str, Any]) -> int:
         else:  # lam must sit below lambda_1, estimated on the sweep's own grid
             lambda1 = estimate_lambda1(n, grid).best_value
             points = improved_sweep(n, beta, float(cfg["lam"]), family, grid, lambda1)
+            extra["lambda1_hat"] = lambda1
         header = ["param", "value", "overflow", "divergence_flag"]
         rows = [[p.param, p.value, p.overflow, p.divergence_flag] for p in points]
         json_rows = [p._asdict() for p in points]
@@ -337,7 +339,7 @@ def _cmd_sweep(cfg: Dict[str, Any]) -> int:
     if cfg["format"] == "csv":
         _write(_emit_csv(header, rows, cfg), cfg)
     else:
-        _write(_emit_json({"rows": json_rows}, cfg), cfg)
+        _write(_emit_json({"rows": json_rows, **extra}, cfg), cfg)
     return 0
 
 

@@ -35,7 +35,7 @@ class PotentialInstabilityError(HmtError, RuntimeError):
 
 
 class ExtractionUnstableError(HmtError, RuntimeError):
-    """Pole-constant extrapolation sequence is not monotone."""
+    """Pole-constant extrapolation was given fewer than two truncation levels."""
 
 
 class CorruptTableError(HmtError, ValueError):

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import brentq, isotonic_regression
+from scipy.optimize import isotonic_regression
 
 from .errors import (
     DegenerateProfileError,
@@ -315,6 +315,44 @@ def _unit_deficit(u: np.ndarray, grid: RadialGrid, n: int) -> np.ndarray:
     return u * h_val ** (-1.0 / n)
 
 
+def _ascend(u: np.ndarray, grid: RadialGrid, n: int, objective: Callable[[RadialProfile], float],
+            gradient: Callable[[RadialProfile], np.ndarray], max_iter: int
+            ) -> Tuple[RadialProfile, List[tuple], bool]:
+    """Maximize a convex node objective F over the unit deficit set from the start u.
+
+    The deficit _h_surrogate is H = E - D, E its gradient part and D the
+    Hardy sum, both convex and n-homogeneous.  Each step of this
+    convex-concave ascent (Yuille & Rangarajan, Neural Comput. 2003) solves
+    grad E(w) = grad D(u) + tau * grad F(u) with the stationary multiplier
+    tau = n / <grad F(u), u> and rescales w to w' = w / H(w)^(1/n), so every
+    iterate is non-increasing, and F never decreases:
+      Euler's identity and the minimality of w give E(w) >= E(u);
+      hence tau <grad F(u), w> >= H(w) + n - 1 >= n H(w)^(1/n);
+      so F(w') >= F(u) + <grad F(u), w' - u> >= F(u).
+    Stops at a relative change of F of at most RTOL.  Returns the last
+    iterate, the trajectory of F and whether that stop came before max_iter.
+    """
+    omega = make_constants(n).omega
+    dr, cell, hardy, _ = _surrogate_weights(grid, n)
+    prof = RadialProfile(grid, _unit_deficit(u, grid, n), enforce_zero_boundary=False)
+    value = objective(prof)
+    trajectory = [(0, value)]
+    converged = False
+    for it in range(1, max_iter + 1):
+        u = prof.values
+        grad_f = gradient(prof)
+        tau = n / float(np.dot(grad_f, u))
+        rhs = hardy * u ** (n - 1) + tau / (omega * n) * grad_f
+        w = _unit_deficit(_solve_gradient_part(rhs, dr, cell, n), grid, n)
+        prof = RadialProfile(grid, w, enforce_zero_boundary=False)
+        prev, value = value, objective(prof)
+        trajectory.append((it, value))
+        converged = abs(value - prev) <= RTOL * abs(prev)
+        if converged:
+            break
+    return prof, trajectory, converged
+
+
 def maximize_mt(
     n: int,
     beta: float,
@@ -322,56 +360,21 @@ def maximize_mt(
     start: RadialProfile,
     options: Optional[SearchOptions] = None,
 ) -> SearchReport:
-    """Maximize singular_mt over the unit deficit set by a convex-concave ascent.
+    """Maximize singular_mt over the unit deficit set: _ascend on its quadrature sum F.
 
-    On the nodes the deficit _h_surrogate is E - D, E its gradient part and
-    D the Hardy sum, and F, singular_mt's quadrature sum, is convex.  Each
-    step (Yuille & Rangarajan, Neural Comput. 2003) linearizes D and F at u
-    and solves grad E(w) = grad D(u) + tau * grad F(u), with tau the root at
-    which E(w) - <grad D(u), w> + (n-1) D(u) = 1, then rescales w to unit
-    deficit.  Every iterate is non-increasing and F never decreases.  The
-    run stops at a relative change of F of at most RTOL (``stalled``: max_iter
-    came first).  The trajectory records F; the reported value is singular_mt
-    of the last iterate rescaled to h_functional = 1.  A start with a
-    non-positive deficit on the nodes raises, and so does a gap above
-    MAX_GAP between the two deficits of the last iterate.
+    The start is projected once onto non-increasing profiles.  The
+    trajectory records F; the reported value is singular_mt of the last
+    iterate rescaled to h_functional = 1.  A zero start raises, and so does
+    a gap above MAX_GAP between the two deficits of the last iterate.
     """
     opts = options or SearchOptions()
-    omega = make_constants(n).omega
-    dr, cell, hardy, _ = _surrogate_weights(grid, n)
     u = pav_nonincreasing(np.maximum(start.values, 0.0), grid.weights)
     u = RadialProfile(grid, u).values
     if not np.any(u > 0.0):
         raise DegenerateProfileError("start profile is zero after projection")
-    prof = RadialProfile(grid, _unit_deficit(u, grid, n), enforce_zero_boundary=False)
-    value = singular_mt(prof, n, beta).value
-    trajectory = [(0, value)]
-    converged = False
-    for it in range(1, opts.max_iter + 1):
-        u = prof.values
-        grad_f = singular_mt_gradient(prof, n, beta)
-        pull = hardy * u ** (n - 1)  # grad D(u) / (omega * n)
-        push = grad_f / (omega * n)
-        flux_d, flux_f = np.cumsum(pull[:-1]), np.cumsum(push[:-1])
-        offset = (n - 1) * omega * float(np.dot(hardy, u**n)) - 1.0
-
-        def excess(tau: float) -> float:
-            # the binding constraint's excess at the solve's w, summed over its drops
-            # w[j] - w[j+1]: E(w) = omega * sum(flux * drop), <grad D(u), w> by parts
-            drop = ((flux_d + tau * flux_f) * dr / cell) ** (1.0 / (n - 1)) * dr
-            return omega * float(np.dot(drop, tau * flux_f - (n - 1) * flux_d)) + offset
-
-        tau_hi = n / float(np.dot(grad_f, u))  # the multiplier at a stationary point
-        while excess(tau_hi) <= 0.0:
-            tau_hi *= 2.0
-        tau = brentq(excess, 0.0, tau_hi)
-        w = _unit_deficit(_solve_gradient_part(pull + tau * push, dr, cell, n), grid, n)
-        prof = RadialProfile(grid, w, enforce_zero_boundary=False)
-        prev, value = value, singular_mt(prof, n, beta).value
-        trajectory.append((it, value))
-        converged = abs(value - prev) <= RTOL * abs(prev)
-        if converged:
-            break
+    prof, trajectory, converged = _ascend(
+        u, grid, n, lambda p: singular_mt(p, n, beta).value,
+        lambda p: singular_mt_gradient(p, n, beta), opts.max_iter)
 
     h_val = h_functional(prof, n)
     if not abs(h_val - 1.0) <= MAX_GAP:
@@ -393,44 +396,30 @@ def maximize_mt(
 def estimate_lambda1(
     n: int, grid: RadialGrid, options: Optional[SearchOptions] = None
 ) -> SearchReport:
-    """Minimize the deficit-to-n-norm ratio by nonlinear inverse power iteration.
+    """Minimize the deficit-to-n-norm ratio: _ascend on the node n-norm F.
 
-    Works on the interval-difference deficit (Hein & Buehler, NeurIPS 2010):
-    with lam the ratio of the iterate u, each step solves
-    grad E(w) = (hardy + lam * mass) * u^(n-1) exactly with
-    _solve_gradient_part, so the ratio never increases.  The trajectory
-    records that discrete ratio; the
-    reported value is h_functional / ln_norm_pow on the returned profile,
-    scaled to ||u||_n^n = 1.  A non-positive ratio raises, as it
-    contradicts the positivity guaranteed by the Hardy-Sobolev bound, and
-    so does a gap above MAX_GAP between the two ratios: the grid is
-    then too coarse to resolve the minimizer.
+    On the unit deficit set tau = 1/F is the ratio, so each step is the
+    nonlinear inverse power step (Hein & Buehler, NeurIPS 2010).  The
+    trajectory records the ratio 1/F; the reported value is h_functional /
+    ln_norm_pow on the returned profile, scaled to ||u||_n^n = 1.  A
+    non-positive deficit on the nodes raises, as it contradicts the
+    Hardy-Sobolev bound, and so does a gap above MAX_GAP between the two
+    ratios (a non-positive or non-finite one included): the grid is then
+    too coarse to resolve the minimizer.
     """
     opts = options or SearchOptions()
     omega = make_constants(n).omega
-    dr, cell, hardy, mass = _surrogate_weights(grid, n)
+    mass = _surrogate_weights(grid, n)[3]
     u = np.maximum(grid.one_minus_r2**1.5 - grid.one_minus_r2[-1] ** 1.5, 0.0)
-    lam = _h_surrogate(u, grid, n) / (omega * float(np.dot(mass, u**n)))
-    trajectory = [(0, lam)]
-    converged = False
-    for it in range(1, opts.max_iter + 1):
-        u = _solve_gradient_part((hardy + lam * mass) * u ** (n - 1), dr, cell, n)
-        u /= (omega * float(np.dot(mass, u**n))) ** (1.0 / n)
-        prev, lam = lam, _h_surrogate(u, grid, n)
-        trajectory.append((it, lam))
-        converged = abs(prev - lam) <= RTOL * abs(prev)
-        if converged or not lam > 0.0:
-            break
-
-    prof = RadialProfile(grid, u, enforce_zero_boundary=False)
+    prof, trajectory, converged = _ascend(
+        u, grid, n, lambda p: omega * float(np.dot(mass, p.values**n)),
+        lambda p: omega * n * mass * p.values ** (n - 1), opts.max_iter)
+    prof = prof.scaled(trajectory[-1][1] ** (-1.0 / n))
+    trajectory = [(i, 1.0 / f) for i, f in trajectory]
+    lam = trajectory[-1][1]
     norm = ln_norm_pow(prof, n)
     best = h_functional(prof, n) / norm
-    if not (lam > 0.0 and best > 0.0) or not math.isfinite(best):
-        raise DiscretizationFailureError(
-            f"lambda_1 estimate came out non-positive ({lam!r} on the nodes, {best!r} on the "
-            "profile); grid cannot support the bound"
-        )
-    if abs(best - lam) > MAX_GAP * lam:
+    if not abs(best - lam) <= MAX_GAP * lam:
         raise DiscretizationFailureError(
             f"lambda_1 not resolved: {best!r} on the profile, {lam!r} on the nodes; refine the grid"
         )

@@ -57,7 +57,7 @@ __all__ = [
     "ln_norm_pow",
     "hyperbolic_ln_norm_pow",
     "mt_exponent",
-    "clamped_exp",
+    "mt_integrand",
     "singular_mt",
     "singular_mt_gradient",
     "hyperbolic_mt",
@@ -383,8 +383,13 @@ def mt_exponent(values: np.ndarray, n: int, beta: float, scale: float = 1.0) -> 
     return scale * (1.0 - beta / n) * make_constants(n).alpha_n * u_pow
 
 
-def clamped_exp(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """exp(x) with x clamped at EXP_CLAMP, and the mask of the clamped entries."""
+def mt_integrand(u: RadialProfile, n: int, beta: float, scale: float = 1.0
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+    """singular_mt's node integrand exp(exponent) r^(n-beta-1), and the mask of clamped nodes.
+
+    Formed in log space, with the logarithm clamped at EXP_CLAMP.
+    """
+    x = mt_exponent(u.values, n, beta, scale) + (n - beta - 1.0) * u.grid.log_nodes
     return np.exp(np.minimum(x, EXP_CLAMP)), x > EXP_CLAMP
 
 
@@ -401,17 +406,15 @@ def singular_mt(
     _check_beta(beta, n)
     if exponent_scale <= 0.0:
         raise DomainError(f"exponent_scale must be positive, got {exponent_scale}")
-    g = u.grid
-    log_integrand = mt_exponent(u.values, n, beta, exponent_scale) + (n - beta - 1.0) * g.log_nodes
-    vals, clamped = clamped_exp(log_integrand)
-    return MTResult(make_constants(n).omega * integrate(vals, g), bool(clamped.any()))
+    vals, clamped = mt_integrand(u, n, beta, exponent_scale)
+    return MTResult(make_constants(n).omega * integrate(vals, u.grid), bool(clamped.any()))
 
 
 def singular_mt_gradient(u: RadialProfile, n: int, beta: float) -> np.ndarray:
     """Node gradient of singular_mt's quadrature sum at scale 1; 0 where a node is clamped."""
     c = make_constants(n)
     g = u.grid
-    vals, clamped = clamped_exp(mt_exponent(u.values, n, beta) + (n - beta - 1.0) * g.log_nodes)
+    vals, clamped = mt_integrand(u, n, beta)
     inner = (1.0 - beta / n) * c.alpha_n * (n / (n - 1.0)) * np.maximum(u.values, 0.0) ** (
         1.0 / (n - 1.0))
     return np.where(clamped, 0.0, c.omega * g.weights * vals * inner)

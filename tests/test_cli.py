@@ -424,6 +424,8 @@ class TestSweepCommand:
         assert code == 0
         doc = json.loads(out.read_text())
         assert len(doc["rows"]) == 6
+        grid = make_grid(1024, doc["config"]["epsilon"])
+        assert doc["lambda1_hat"] == estimate_lambda1(2, grid).best_value
 
     def test_improved_lam_checked_against_estimated_lambda1(self, tmp_path, capsys):
         # lambda_1 is 2.3653 at the defaults, so lam = 3.0 breaks the hypothesis

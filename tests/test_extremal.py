@@ -25,6 +25,7 @@ from hmtlab import (
 )
 from hmtlab.extremal import (
     SearchOptions,
+    _ascend,
     _h_surrogate,
     _h_surrogate_gradient,
     _surrogate_weights,
@@ -178,14 +179,15 @@ class TestMaximizeMT:
         return ascent_grid
 
     def test_ascent_property_and_trajectory(self, grid):
-        start = RadialProfile(grid, 0.5 * grid.one_minus_r2)
-        rep = maximize_mt(2, 0.0, grid, start, SearchOptions(max_iter=80))
-        start_val = singular_mt(normalize_h(start, 2), 2, 0.0).value
-        assert rep.best_value >= start_val
-        vals = [v for _, v in rep.trajectory]
-        assert all(b >= a for a, b in zip(vals, vals[1:]))
-        assert rep.constraint_residual <= 1e-8
-        assert rep.best_profile.is_nonincreasing()
+        for g in (grid, make_grid(1024, 1e-12)):
+            start = RadialProfile(g, 0.5 * g.one_minus_r2)
+            rep = maximize_mt(2, 0.0, g, start, SearchOptions(max_iter=80))
+            start_val = singular_mt(normalize_h(start, 2), 2, 0.0).value
+            assert rep.best_value >= start_val, g.epsilon
+            vals = [v for _, v in rep.trajectory]
+            assert all(b >= a for a, b in zip(vals, vals[1:])), g.epsilon
+            assert rep.constraint_residual <= 1e-8
+            assert rep.best_profile.is_nonincreasing()
 
     def test_multistart_stability(self, grid):
         vals = []
@@ -215,7 +217,8 @@ class TestMaximizeMT:
         with pytest.raises(DegenerateProfileError):
             maximize_mt(2, 0.0, grid, RadialProfile(grid, np.zeros_like(grid.nodes)))
 
-    @pytest.mark.parametrize("n,beta", [(2, 0.0), (2, 1.0), (3, 0.0), (3, 1.0)])
+    @pytest.mark.parametrize("n,beta", [(2, 0.0), (2, 1.0), (3, 0.0), (3, 1.0), (4, 0.0),
+                                        (4, 2.0)])
     def test_converged_discrete_maximizer(self, ascent_runs, n, beta):
         rep = ascent_runs(n, beta)
         assert not rep.stalled
@@ -241,10 +244,25 @@ class TestMaximizeMT:
             vals.append(maximize_mt(2, 0.0, grid, start).best_value)
         assert (max(vals) - min(vals)) / min(vals) <= 1e-8
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_one_step_never_lowers_either_objective(self, grid, n):
+        # the monotonicity lemma of _ascend holds for every convex F: the MT sum and the n-norm
+        omega = hl.make_constants(n).omega
+        mass = _surrogate_weights(grid, n)[3]
+        objectives = [
+            (lambda p: singular_mt(p, n, 0.0).value, lambda p: singular_mt_gradient(p, n, 0.0)),
+            (lambda p: omega * float(np.dot(mass, p.values**n)),
+             lambda p: omega * n * mass * p.values ** (n - 1)),
+        ]
+        for start in seeded_corpus(grid, n, 20, 77):
+            for objective, gradient in objectives:
+                _, traj, _ = _ascend(start.values, grid, n, objective, gradient, max_iter=1)
+                assert traj[1][1] >= traj[0][1]
+
     @pytest.mark.parametrize("n_points", [64, 128])
     def test_coarse_grid_raises(self, n_points):
         # 128 nodes: the deficit of the maximizer is 2-4% higher on the profile than on the
-        # nodes; 64 nodes: the start's deficit on the nodes is already negative
+        # nodes; 64 nodes: an iterate's deficit on the nodes goes negative
         grid = make_grid(n_points, 1e-6)
         with pytest.raises(hl.DiscretizationFailureError):
             maximize_mt(2, 0.0, grid, _cli_start(grid))
