@@ -115,9 +115,10 @@ class ProbeRow(NamedTuple):
 def moser_profile(params: MoserParams, grid: RadialGrid) -> RadialProfile:
     """Plateau-plus-logarithm concentration profile with unit gradient energy.
 
-    The corner radius is snapped to the nearest node and the derivative is
-    supplied in closed form; the profile is then rescaled so the computed
-    gradient energy is 1 exactly (homogeneity makes the rescale exact).
+    The corner radius is snapped to the nearest node and the closed-form
+    derivative is stored as the profile's slopes; the profile is then
+    rescaled so the computed gradient energy is 1 exactly (homogeneity makes
+    the rescale exact).
     A corner whose nearest node is the first or the last one (in particular
     one below the first node) is not resolved by the grid and raises
     PreconditionError.
@@ -136,7 +137,7 @@ def moser_profile(params: MoserParams, grid: RadialGrid) -> RadialProfile:
     vals = np.where(r <= rho, plateau, plateau * np.log(1.0 / r) / big_l)
     deriv = np.where(r <= rho, 0.0, -plateau / (big_l * r))
     u = RadialProfile(grid, vals, enforce_zero_boundary=True)
-    u._deriv = deriv
+    u.slopes = deriv
     return u.scaled(grad_energy(u, n) ** (-1.0 / n))
 
 
@@ -268,9 +269,9 @@ def _surrogate_weights(grid: RadialGrid, n: int):
     return grid.spacing.h, np.diff(grid.nodes_pow(n)) / n, hardy, mass
 
 
-def _h_surrogate(u_vals: np.ndarray, grid: RadialGrid, n: int) -> float:
-    """Interval-difference deficit energy; analytic in the node values."""
-    dr, cell, hardy, _ = _surrogate_weights(grid, n)
+def _h_surrogate(u_vals: np.ndarray, weights: tuple, n: int) -> float:
+    """Interval-difference deficit energy of _surrogate_weights; analytic in the node values."""
+    dr, cell, hardy, _ = weights
     du = np.diff(u_vals) / dr
     grad_part = float(np.dot(np.abs(du) ** n, cell))
     return make_constants(n).omega * (grad_part - float(np.dot(u_vals**n, hardy)))
@@ -304,9 +305,9 @@ def _solve_gradient_part(
     return np.append(np.cumsum((slope * dr)[::-1])[::-1], 0.0)
 
 
-def _unit_deficit(u: np.ndarray, grid: RadialGrid, n: int) -> np.ndarray:
+def _unit_deficit(u: np.ndarray, weights: tuple, n: int) -> np.ndarray:
     """Rescale node values to _h_surrogate = 1 (n-homogeneity)."""
-    h_val = _h_surrogate(u, grid, n)
+    h_val = _h_surrogate(u, weights, n)
     if not h_val > 0.0:
         raise DiscretizationFailureError(
             f"deficit {h_val!r} on the nodes of a nonzero profile; grid cannot support the "
@@ -333,8 +334,9 @@ def _ascend(u: np.ndarray, grid: RadialGrid, n: int, objective: Callable[[Radial
     iterate, the trajectory of F and whether that stop came before max_iter.
     """
     omega = make_constants(n).omega
-    dr, cell, hardy, _ = _surrogate_weights(grid, n)
-    prof = RadialProfile(grid, _unit_deficit(u, grid, n), enforce_zero_boundary=False)
+    weights = _surrogate_weights(grid, n)
+    dr, cell, hardy, _ = weights
+    prof = RadialProfile(grid, _unit_deficit(u, weights, n), enforce_zero_boundary=False)
     value = objective(prof)
     trajectory = [(0, value)]
     converged = False
@@ -343,7 +345,7 @@ def _ascend(u: np.ndarray, grid: RadialGrid, n: int, objective: Callable[[Radial
         grad_f = gradient(prof)
         tau = n / float(np.dot(grad_f, u))
         rhs = hardy * u ** (n - 1) + tau / (omega * n) * grad_f
-        w = _unit_deficit(_solve_gradient_part(rhs, dr, cell, n), grid, n)
+        w = _unit_deficit(_solve_gradient_part(rhs, dr, cell, n), weights, n)
         prof = RadialProfile(grid, w, enforce_zero_boundary=False)
         prev, value = value, objective(prof)
         trajectory.append((it, value))

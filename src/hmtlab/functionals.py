@@ -5,11 +5,12 @@ from a shape-preserving (monotone) cubic interpolant rather than finite
 differences: on strongly graded meshes central differences lose an order
 near the endpoints, and the monotone fit never overshoots plateaus.  The
 interpolant is Fritsch & Carlson's PCHIP (SIAM J. Numer. Anal. 1980), done
-with numpy alone: ``pchip_slopes`` gives its node slopes and
-``hermite_eval`` evaluates the cubic Hermite pieces at the points a
-``hermite_plan`` located, both with scipy's arithmetic, so values and
-derivatives equal those of scipy's ``PchipInterpolator`` to the bit.  No
-spline object is built.
+with numpy alone: ``pchip_slopes`` gives its node slopes, which are the
+profile's derivative, and ``hermite_eval`` evaluates the cubic Hermite
+pieces, both with scipy's arithmetic.  Values equal those of scipy's
+``PchipInterpolator`` to the bit, and so does the derivative at every node
+but the last, where scipy evaluates the end of the last cubic and rounds
+within a few ulp of the node slope.  No spline object is built.
 
 Admissible profiles are stored with u = 0 at the last node, enforced by
 subtracting the boundary value; constant shifts leave the gradient energy
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 # unused here; perfbench/spans.py looks PchipInterpolator up in this module to trace PCHIP builds
@@ -45,9 +46,7 @@ __all__ = [
     "MTResult",
     "HyperbolicMTResult",
     "PolyaSzegoResult",
-    "HermitePlan",
     "pchip_slopes",
-    "hermite_plan",
     "hermite_eval",
     "pchip",
     "grad_energy",
@@ -71,46 +70,25 @@ __all__ = [
 TAIL_SHARE_THRESHOLD = 0.5  # divergent-tail detector: last decade carries > 50%
 
 
-class HermitePlan(NamedTuple):
-    """Query points located among breakpoints x, ready for ``hermite_eval``.
+def hermite_eval(x: np.ndarray, h: np.ndarray, y: np.ndarray, d: np.ndarray, xq) -> np.ndarray:
+    """Cubic Hermite interpolant of node values y and slopes d at the queries xq.
 
-    idx is the piece of each query (x[idx] <= q < x[idx+1], the last piece
-    closed on the right, the ends extended outward) and s = q - x[idx].
+    x holds strictly increasing breakpoints and h = diff(x).  Each query is
+    located as scipy's ``PPoly`` locates it (x[i] <= q < x[i+1], the last
+    piece closed on the right, the ends extended outward).  The piece
+    coefficients are scipy's ``CubicHermiteSpline`` ones, and the sum
+    c3 + c2 s + c1 s^2 + c0 s^3 in s = q - x[i] is formed term by term from
+    0 in the order its ``PPoly`` evaluation adds them, so the result is
+    scipy's to the bit.
     """
-
-    idx: np.ndarray
-    s: np.ndarray
-    s2: np.ndarray
-    s3: np.ndarray
-
-
-def hermite_plan(x: np.ndarray, xq) -> HermitePlan:
-    """Locate queries xq among strictly increasing breakpoints x, as scipy's PPoly does."""
     xq = np.asarray(xq, dtype=float)
-    idx = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, x.size - 2)
-    s = xq - x[idx]
-    s2 = s * s
-    return HermitePlan(idx, s, s2, s2 * s)
-
-
-def hermite_eval(plan: HermitePlan, h: np.ndarray, y: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Cubic Hermite interpolant of node values y and slopes d at a plan's queries.
-
-    The piece coefficients are scipy's ``CubicHermiteSpline`` ones, and the
-    sum c3 + c2 s + c1 s^2 + c0 s^3 is formed term by term from 0 in the
-    order its ``PPoly`` evaluation adds them, so the result is scipy's to
-    the bit.
-    """
-    c0, c1 = _cubic_coefficients(h, y, d)
-    i = plan.idx
-    return 0.0 + y[i] + d[i] * plan.s + c1[i] * plan.s2 + c0[i] * plan.s3
-
-
-def _cubic_coefficients(h, y, d):
-    """The s^3 and s^2 coefficients of each cubic Hermite piece."""
+    i = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, x.size - 2)
+    s = xq - x[i]
     secant = np.diff(y) / h
     t = (d[:-1] + d[1:] - 2.0 * secant) / h
-    return t / h, (secant - d[:-1]) / h - t
+    c0, c1 = t / h, (secant - d[:-1]) / h - t
+    s2 = s * s
+    return 0.0 + y[i] + d[i] * s + c1[i] * s2 + c0[i] * (s2 * s)
 
 
 def pchip_slopes(y: np.ndarray, spacing: PchipSpacing) -> np.ndarray:
@@ -137,7 +115,7 @@ def pchip_slopes(y: np.ndarray, spacing: PchipSpacing) -> np.ndarray:
 def pchip(x: np.ndarray, y: np.ndarray, xq) -> np.ndarray:
     """The PCHIP interpolant of (x, y) at xq; equals ``PchipInterpolator(x, y)(xq)``."""
     spacing = pchip_spacing(x)
-    return hermite_eval(hermite_plan(x, xq), spacing.h, y, pchip_slopes(y, spacing))
+    return hermite_eval(x, spacing.h, y, pchip_slopes(y, spacing), xq)
 
 
 class RadialProfile:
@@ -147,11 +125,12 @@ class RadialProfile:
     is what every admissible profile uses; pass False for diagnostic
     profiles that legitimately carry boundary values.
 
-    The monotone cubic fit is the PCHIP interpolant: ``slopes`` holds its
-    node slopes, ``derivative`` reads u' at the nodes from them, and calling
-    the profile sums the cubic Hermite pieces with numpy.  Only the slope
-    (read-only) and derivative arrays are cached, and ``scaled`` carries
-    them to the rescaled profile.
+    The monotone cubic fit is the PCHIP interpolant.  ``slopes`` is the
+    profile's one node-derivative array, u'(r_i): the fit's node slopes,
+    cached read-only, unless the constructor of a closed-form family set it
+    (``moser_profile``).  Calling the profile sums the cubic Hermite pieces
+    of the values and slopes with numpy, and ``scaled`` carries the slopes
+    to the rescaled profile.
     """
 
     def __init__(self, grid: RadialGrid, values, *, enforce_zero_boundary: bool = True):
@@ -166,7 +145,6 @@ class RadialProfile:
             values = np.maximum(values - values[-1], 0.0)
         self.grid = grid
         self.values = values
-        self._deriv: Optional[np.ndarray] = None
 
     @cached_property
     def slopes(self) -> np.ndarray:
@@ -175,37 +153,19 @@ class RadialProfile:
         d.flags.writeable = False
         return d
 
-    @property
-    def derivative(self) -> np.ndarray:
-        """u'(r_i) read from the monotone cubic fit (cached).
-
-        The node slopes, except at the last node: a piecewise polynomial
-        evaluates that node at the right end of the last cubic, so the same
-        sum is formed here, in the same order, and the value equals scipy's
-        spline derivative to the last bit.
-        """
-        if self._deriv is None:
-            d = self.slopes.copy()
-            h = self.grid.spacing.h[-1:]
-            c0, c1 = _cubic_coefficients(h, self.values[-2:], d[-2:])
-            d[-1] = d[-2] + (2.0 * c1[0]) * h[0] + (3.0 * c0[0]) * (h[0] * h[0])
-            self._deriv = d
-        return self._deriv
-
     def __call__(self, r) -> np.ndarray:
         """u(r), with r clipped to the grid's range."""
         r = np.clip(np.asarray(r, dtype=float), self.grid.nodes[0], self.grid.nodes[-1])
-        return hermite_eval(hermite_plan(self.grid.nodes, r), self.grid.spacing.h, self.values,
-                            self.slopes)
+        return hermite_eval(self.grid.nodes, self.grid.spacing.h, self.values, self.slopes, r)
 
     def is_nonincreasing(self, tol: float = 1e-12) -> bool:
         return bool(np.all(np.diff(self.values) <= tol * max(1.0, float(self.values.max(initial=0.0)))))
 
     def scaled(self, c: float) -> "RadialProfile":
-        """c * u on the same grid, carrying c * slopes and c * derivative if already computed.
+        """c * u on the same grid, carrying c * slopes if they are already set.
 
         PCHIP is homogeneous (every secant, harmonic mean and end slope
-        scales by c), so the carried arrays are the fit of c * u up to the
+        scales by c), so the carried slopes are the fit of c * u up to the
         rounding of its secants, and the rescale costs no new fit.
         """
         out = RadialProfile(self.grid, c * self.values, enforce_zero_boundary=False)
@@ -213,8 +173,6 @@ class RadialProfile:
             d = c * self.slopes
             d.flags.writeable = False
             out.slopes = d
-        if self._deriv is not None:
-            out._deriv = c * self._deriv
         return out
 
 
@@ -329,7 +287,7 @@ def grad_energy(u: RadialProfile, n: int) -> float:
     """omega * int |u'|^n r^(n-1) dr over the truncated domain."""
     c = make_constants(n)
     g = u.grid
-    return c.omega * integrate(int_pow(np.abs(u.derivative), n) * g.nodes_pow(n - 1), g)
+    return c.omega * integrate(int_pow(np.abs(u.slopes), n) * g.nodes_pow(n - 1), g)
 
 
 def hardy_term(u: RadialProfile, n: int) -> float:
@@ -387,9 +345,10 @@ def mt_integrand(u: RadialProfile, n: int, beta: float, scale: float = 1.0
                  ) -> Tuple[np.ndarray, np.ndarray]:
     """singular_mt's node integrand exp(exponent) r^(n-beta-1), and the mask of clamped nodes.
 
-    Formed in log space, with the logarithm clamped at EXP_CLAMP.
+    Formed in log space from the grid's ln r (``xi``), with the logarithm
+    clamped at EXP_CLAMP.
     """
-    x = mt_exponent(u.values, n, beta, scale) + (n - beta - 1.0) * u.grid.log_nodes
+    x = mt_exponent(u.values, n, beta, scale) + (n - beta - 1.0) * u.grid.xi
     return np.exp(np.minimum(x, EXP_CLAMP)), x > EXP_CLAMP
 
 

@@ -36,14 +36,13 @@ from .errors import (
     ExtractionUnstableError,
     PotentialInstabilityError,
 )
-from .functionals import Potential, hermite_eval, hermite_plan, pchip, pchip_slopes
+from .functionals import Potential, pchip
 from .quad_core import (
     GridGrading,
     RadialGrid,
     cumulative_from_origin,
     make_constants,
     make_grid,
-    pchip_spacing,
 )
 
 __all__ = [
@@ -395,17 +394,11 @@ def make_maps(
     a = np.exp(pchip(ln_t_nodes, ln_r, ln_t_query))
     a = np.clip(a, table.grid.nodes[0], table.grid.nodes[-1])
 
-    # phi and ln(1 - a^2) are PCHIPs in ln r, both read at ln a
-    ln_a_plan = hermite_plan(ln_r, np.log(a))
-    ln_r_spacing = pchip_spacing(ln_r)
-
-    def at_ln_a(y: np.ndarray) -> np.ndarray:
-        return hermite_eval(ln_a_plan, ln_r_spacing.h, y, pchip_slopes(y, ln_r_spacing))
-
-    phi = np.maximum(at_ln_a(table.m_values), 0.0)
-
-    # potential at a(t); the boundary weight needs 1 - a^2 without cancellation
-    one_minus_a2 = np.exp(at_ln_a(np.log(table.grid.one_minus_r2)))
+    # phi and ln(1 - a^2) are PCHIPs in ln r read at ln a; 1 - a^2 is formed
+    # from the interpolated log so that it keeps its digits as a -> 1
+    ln_a = np.log(a)
+    phi = np.maximum(pchip(ln_r, table.m_values, ln_a), 0.0)
+    one_minus_a2 = np.exp(pchip(ln_r, np.log(table.grid.one_minus_r2), ln_a))
     v_at_a = table.potential.at(a, one_minus_a2**n, n)
     hardy_weight = v_at_a * a**n / (t * (1.0 + phi) ** (1.0 / (n - 1)))
     psi = (a / t) ** (n - beta) / (1.0 + phi) ** (1.0 / (n - 1))

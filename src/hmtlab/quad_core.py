@@ -125,13 +125,15 @@ class RadialGrid:
 
     nodes    radii r_i, nodes[0] = r_min, nodes[-1] = 1 - eps
     s        1 - r_i carried exactly (built before r on the right tail)
-    xi       ln r_i, computed via log1p on the right tail
+    xi       ln r_i, the grid's one log array: np.log(r_i) on make_grid's
+             left and middle zones, log1p(-s_i) on its right tail, and the
+             exact -G/gamma on the Green table's image grid
 
     Arrays that depend on the nodes only are computed once, on first use,
-    and cached read-only: the trapezoid ``weights``, ``one_minus_r2``,
-    ``log_nodes``, the PCHIP ``spacing``, and the powers ``nodes_pow(k)``
-    and ``one_minus_r2_pow(k)``.  Each is the expression its callers used
-    to evaluate, so a cached array equals the recomputed one to the bit.
+    and cached read-only: the trapezoid ``weights``, ``one_minus_r2``, the
+    PCHIP ``spacing``, and the powers ``nodes_pow(k)`` and
+    ``one_minus_r2_pow(k)``.  Each is the expression its callers used to
+    evaluate, so a cached array equals the recomputed one to the bit.
     """
 
     nodes: np.ndarray
@@ -154,11 +156,6 @@ class RadialGrid:
     def one_minus_r2(self) -> np.ndarray:
         """(1 - r^2) evaluated as s*(2-s); exact to rounding near the boundary."""
         return _read_only(self.s * (2.0 - self.s))
-
-    @cached_property
-    def log_nodes(self) -> np.ndarray:
-        """np.log of the nodes (``xi`` differs from it on the right tail)."""
-        return _read_only(np.log(self.nodes))
 
     @cached_property
     def weights(self) -> np.ndarray:
@@ -201,8 +198,10 @@ def make_grid(n_points: int, epsilon: float, grading: Optional[GridGrading] = No
 
     Requires n_points >= 16 and 0 < epsilon < 1/2.  When epsilon is not
     small (epsilon >= TAIL_SPAN, or so close below it that the graded
-    tail's radii round together) the boundary has no singular layer to
-    resolve and the right tail collapses into the uniform section.
+    tail's radii round together at its TAIL_SPAN end) the boundary has no
+    singular layer to resolve and the right tail collapses into the uniform
+    section.  A tail whose radii round together at its epsilon end cannot
+    resolve the layer and raises GridConfigError.
     """
     if not isinstance(n_points, (int, np.integer)) or n_points < 16:
         raise GridConfigError(f"n_points must be an integer >= 16, got {n_points!r}")
@@ -216,7 +215,11 @@ def make_grid(n_points: int, epsilon: float, grading: Optional[GridGrading] = No
     left = np.geomspace(grading.r_min, TAIL_SPAN, n_tail)
 
     s_right = np.geomspace(TAIL_SPAN, epsilon, n_tail)
-    if np.all(np.diff(1.0 - s_right) > 0.0):
+    steps = np.diff(1.0 - s_right)
+    if epsilon < TAIL_SPAN and steps[0] > 0.0:
+        if not np.all(steps > 0.0):
+            raise GridConfigError(f"epsilon={epsilon!r} is too small for n_points={n_points}: "
+                                  "the boundary tail's radii 1 - s round together near 1 - epsilon")
         n_mid = n_points - 2 * n_tail
         if n_mid < 4:
             raise GridConfigError(

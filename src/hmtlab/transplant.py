@@ -91,7 +91,7 @@ def _t_integrals(v: RadialProfile, maps: TransplantMaps) -> Tuple[float, float, 
     """
     n = maps.n
     c = make_constants(n)
-    vp_pow = int_pow(np.abs(v.derivative), n) * maps.t_grid.nodes_pow(n - 1)
+    vp_pow = int_pow(np.abs(v.slopes), n) * maps.t_grid.nodes_pow(n - 1)
     grad_v = c.omega * integrate(vp_pow, maps.t_grid)
     grad_phi = c.omega * integrate(vp_pow * maps.phi, maps.t_grid)
     hardy_t = c.omega * integrate(int_pow(v.values, n) * maps.hardy_weight, maps.t_grid)

@@ -17,7 +17,7 @@ from hmtlab import (
     make_grid,
     solve_green,
 )
-from hmtlab import functionals, green
+from hmtlab import functionals
 from hmtlab.cli import _config_for_output, _emit_json, main
 
 
@@ -149,6 +149,16 @@ class TestGreenCommand:
         assert not out.exists()
         with pytest.raises(error, match=f"grid \\({points} nodes\\)"):
             solve_green(2, Potential.hardy_critical(), make_grid(int(points), 1e-6))
+
+    def test_epsilon_below_the_grids_resolution_is_a_config_error(self, tmp_path, capsys):
+        # the boundary tail's radii round together near 1 - eps; this exited 0 with c_g 0.156
+        out = tmp_path / "g.json"
+        assert run_cli(["green", "--epsilon", "1e-16", "--grid-points", "2048",
+                        "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("hmtlab: ") and err.count("\n") == 1
+        assert "epsilon=1e-16" in err and "n_points=2048" in err
+        assert not out.exists()
 
     def test_echoes_only_its_own_config_keys(self, tmp_path):
         out = tmp_path / "g.json"
@@ -298,7 +308,8 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("n", [2, 3])
     def test_fits_per_job(self, tmp_path, monkeypatch, n):
         # each profile's PCHIP fit is made once and carried through its rescales, and the
-        # image grid needs no evaluation of it; refitting and evaluating made 736 and 270
+        # image grid needs no evaluation of it; refitting and evaluating made 736 and 270.
+        # Every fit and evaluation, make_maps' included, runs through functionals.pchip.
         counts = {"pchip_slopes": 0, "hermite_eval": 0}
         for name in counts:
             original = getattr(functionals, name)
@@ -307,8 +318,7 @@ class TestVerifyCommand:
                 counts[_name] += 1
                 return _original(*args)
 
-            for module in (functionals, green):
-                monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(functionals, name, counted)
         assert run_cli(["verify", "--n", str(n), "--grid-points", "4096", "--corpus-size", "200",
                         "--seed", "5", "--out", str(tmp_path / "v.json")]) == 0
         assert counts["pchip_slopes"] <= 470

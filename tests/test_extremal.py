@@ -228,7 +228,7 @@ class TestMaximizeMT:
         # back on the nodes' unit deficit, the iterate is stationary: mu * grad H = grad F
         grid = rep.best_profile.grid
         u = rep.best_profile.values
-        u = u * _h_surrogate(u, grid, n) ** (-1.0 / n)
+        u = u * _h_surrogate(u, _surrogate_weights(grid, n), n) ** (-1.0 / n)
         grad_f = singular_mt_gradient(RadialProfile(grid, u, enforce_zero_boundary=False), n, beta)
         mu = float(np.dot(grad_f, u)) / n
         residual = mu * _h_surrogate_gradient(u, grid, n) - grad_f
@@ -258,6 +258,19 @@ class TestMaximizeMT:
             for objective, gradient in objectives:
                 _, traj, _ = _ascend(start.values, grid, n, objective, gradient, max_iter=1)
                 assert traj[1][1] >= traj[0][1]
+
+    def test_surrogate_weights_built_once_per_search(self, grid, monkeypatch):
+        # the ascent builds the deficit weights once, not once per step
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _surrogate_weights(*args)
+
+        monkeypatch.setattr(hl.extremal, "_surrogate_weights", counted)
+        rep = maximize_mt(2, 0.0, grid, _cli_start(grid), SearchOptions(max_iter=40))
+        assert rep.iterations == 40
+        assert 1 <= len(calls) <= 2
 
     @pytest.mark.parametrize("n_points", [64, 128])
     def test_coarse_grid_raises(self, n_points):
@@ -336,8 +349,10 @@ class TestNodeGradients:
     def test_h_surrogate_gradient(self, profile, n):
         g = profile.grid
         x = profile.values.copy()
-        bad = _fd_violations(lambda v: _h_surrogate(v, g, n), x, _h_surrogate_gradient(x, g, n),
-                             self._eligible(profile), np.random.default_rng(n))
+        weights = _surrogate_weights(g, n)
+        bad = _fd_violations(lambda v: _h_surrogate(v, weights, n), x,
+                             _h_surrogate_gradient(x, g, n), self._eligible(profile),
+                             np.random.default_rng(n))
         assert bad == []
 
 

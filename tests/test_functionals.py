@@ -26,7 +26,6 @@ from hmtlab.extremal import MoserParams, moser_profile
 from hmtlab.functionals import (
     cell_hyperbolic_volumes,
     hermite_eval,
-    hermite_plan,
     hyperbolic_ln_norm_pow,
     pchip,
     pchip_slopes,
@@ -127,7 +126,15 @@ def _spline_profile(kind: str, nodes: np.ndarray, rng: np.random.Generator) -> n
 
 
 class TestSplineSlopes:
-    """Slopes read directly match scipy's PCHIP spline bit for bit."""
+    """Values and node slopes match scipy's PCHIP; slopes bit for bit except at the last node.
+
+    scipy reads the last node's derivative at the right end of the last
+    cubic, d[-2] + 2 c1 h + 3 c0 h^2, which equals the node slope d[-1] up
+    to the rounding of those terms.  They reach about 12 times the largest
+    of d[-2], d[-1] and the last secant, so on profiles of any shape the two
+    agree to 4 ulp of 16 times that; on the smooth corpus, where d[-1] is
+    the largest, to 4 ulp of d[-1].
+    """
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(kind=st.sampled_from(["nonincreasing", "nonmonotone", "flat_runs", "sign_changing",
@@ -140,14 +147,28 @@ class TestSplineSlopes:
         values = _spline_profile(kind, g.nodes, rng)
         u = RadialProfile(g, values, enforce_zero_boundary=False)
         ref = PchipInterpolator(g.nodes, values)
-        assert np.array_equal(u.derivative, ref.derivative()(g.nodes))
+        d_ref = ref.derivative()(g.nodes)
+        assert np.array_equal(u.slopes[:-1], d_ref[:-1])
+        terms = max(abs(u.slopes[-2]), abs(values[-1] - values[-2]) / g.spacing.h[-1],
+                    abs(u.slopes[-1]))
+        assert abs(u.slopes[-1] - d_ref[-1]) <= 4.0 * np.spacing(16.0 * terms)
         r = np.concatenate([g.nodes, rng.uniform(g.nodes[0], g.nodes[-1], 200)])
         assert np.array_equal(u(r), ref(r))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_last_slope_within_4_ulp_on_corpus(self, corpora, n):
+        # the certification corpus: smooth profiles whose last slope is the largest term
+        for member in corpora(n):
+            u = RadialProfile(member.grid, member.values, enforce_zero_boundary=False)
+            d_ref = PchipInterpolator(u.grid.nodes, u.values).derivative()(u.grid.nodes[-2:])
+            assert np.array_equal(u.slopes[-2], d_ref[0])
+            assert abs(u.slopes[-1] - d_ref[1]) <= 4.0 * np.spacing(abs(d_ref[1]))
 
     def test_moser_closed_form_derivative_kept(self, grids):
         g = grids(2048, 1e-6)
         u = moser_profile(MoserParams(rho=2.0**-5, n=2), g)
-        r, d = g.nodes, u.derivative
+        r, d = g.nodes, u.slopes
+        assert not d.flags.writeable
         plateau = u.values == u.values[0]
         assert np.all(d[plateau] == 0.0)
         # beyond the corner u' = -C / r exactly, which the spline only approximates
@@ -165,7 +186,7 @@ def _secant_rounding(u: RadialProfile) -> np.ndarray:
 
 
 class TestCarriedSlopes:
-    """scaled(c) hands c * u the parent's slopes and derivative times c, once computed.
+    """scaled(c) hands c * u the parent's slopes times c, once computed.
 
     A fresh fit of c * u forms its secants from rounded values, so it can
     differ from the carried arrays by the rounding of those secants; each
@@ -180,17 +201,15 @@ class TestCarriedSlopes:
         u = corpora(n)[member]
         parent = RadialProfile(u.grid, u.values, enforce_zero_boundary=False)
         unfit = parent.scaled(c)
-        assert "slopes" not in vars(unfit) and unfit._deriv is None
-        parent.derivative
+        assert "slopes" not in vars(unfit)
+        parent.slopes
         carried = parent.scaled(c)
         fresh = RadialProfile(u.grid, c * u.values, enforce_zero_boundary=False)
         assert carried.values.tobytes() == fresh.values.tobytes()
         assert not carried.slopes.flags.writeable
-        bound = 6.0 * _secant_rounding(fresh)
-        for name in ("slopes", "derivative"):
-            got, ref = getattr(carried, name), getattr(fresh, name)
-            assert np.array_equal(got, c * getattr(parent, name))
-            assert np.all(np.abs(got - ref) <= 4.0 * np.spacing(np.abs(ref)) + bound)
+        assert np.array_equal(carried.slopes, c * parent.slopes)
+        assert np.all(np.abs(carried.slopes - fresh.slopes)
+                      <= 4.0 * np.spacing(np.abs(fresh.slopes)) + 6.0 * _secant_rounding(fresh))
 
     @pytest.mark.parametrize("k", [-9, -1, 1, 9])
     @pytest.mark.parametrize("n", [2, 3])
@@ -198,21 +217,21 @@ class TestCarriedSlopes:
         # scaling by 2^k is exact in every operation of the fit
         for u in corpora(n)[:12]:
             parent = RadialProfile(u.grid, u.values, enforce_zero_boundary=False)
-            parent.derivative
+            parent.slopes
             fresh = RadialProfile(u.grid, 2.0**k * u.values, enforce_zero_boundary=False)
             carried = parent.scaled(2.0**k)
             assert np.array_equal(carried.slopes, fresh.slopes)
-            assert np.array_equal(carried.derivative, fresh.derivative)
 
     def test_slopes_only_parent(self, grids):
+        # the slopes are the one carried array: values and slopes are all a profile holds
         g = grids(2048, 1e-6)
         parent = RadialProfile(g, g.one_minus_r2**2)
         parent.slopes
         carried = parent.scaled(3.0)
-        assert carried._deriv is None
+        assert sorted(vars(carried)) == ["grid", "slopes", "values"]
         fresh = RadialProfile(g, 3.0 * parent.values, enforce_zero_boundary=False)
-        assert np.all(np.abs(carried.derivative - fresh.derivative)
-                      <= 4.0 * np.spacing(np.abs(fresh.derivative)) + 6.0 * _secant_rounding(fresh))
+        assert np.all(np.abs(carried.slopes - fresh.slopes)
+                      <= 4.0 * np.spacing(np.abs(fresh.slopes)) + 6.0 * _secant_rounding(fresh))
 
 
 class TestHermiteEvaluator:
@@ -242,10 +261,8 @@ class TestHermiteEvaluator:
         d = pchip_slopes(y, pchip_spacing(x))
         assert np.array_equal(d[:-1], ref.derivative()(x[:-1]))
 
-        clipped = np.clip(q, x[0], x[-1])
         spline = CubicHermiteSpline(x, y, d)
-        plan = hermite_plan(x, clipped)
-        assert hermite_eval(plan, np.diff(x), y, d).tobytes() == spline(clipped).tobytes()
+        assert hermite_eval(x, np.diff(x), y, d, q).tobytes() == spline(q).tobytes()
 
 
 class TestQV:

@@ -18,7 +18,7 @@ from hmtlab import (
 )
 from hmtlab.functionals import Potential
 from hmtlab.green import image_t_grid
-from hmtlab.quad_core import int_pow, trapezoid_weights
+from hmtlab.quad_core import TAIL_SPAN, int_pow, trapezoid_weights
 
 
 class TestConstants:
@@ -74,6 +74,26 @@ class TestGrid:
         assert g.n_points == 256
         assert np.all(np.diff(g.nodes) > 0)
         assert g.s[-1] == eps
+
+    @pytest.mark.parametrize("n_points, eps", [(2048, 1e-16), (16384, 1e-15), (100000, 1e-14)])
+    def test_tail_rounding_together_at_epsilon_raises(self, n_points, eps):
+        # these once collapsed the tail silently: the boundary layer went unresolved
+        with pytest.raises(GridConfigError, match=f"epsilon={eps!r}.*n_points={n_points}"):
+            make_grid(n_points, eps)
+
+    @pytest.mark.parametrize("eps", [0.01, 0.2, 0.49])
+    def test_large_epsilon_collapses_the_tail(self, eps):
+        g = make_grid(2048, eps)
+        assert g.s[-1] == eps
+        h = np.diff(g.nodes[g.nodes >= TAIL_SPAN])  # uniform from the left tail to 1 - eps
+        assert np.all(h > 0.0) and np.allclose(h, h[0], rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("eps", [1e-2 * (1 - 1e-6), 1e-6, 1e-15])
+    def test_xi_is_ln_r(self, eps):
+        g = make_grid(2048, eps)
+        tail = g.s <= TAIL_SPAN
+        assert np.array_equal(g.xi[~tail], np.log(g.nodes[~tail]))  # left and middle zones
+        assert np.array_equal(g.xi[tail], np.log1p(-g.s[tail]))  # exact in s near r = 1
 
     def test_too_few_points(self):
         with pytest.raises(GridConfigError):
@@ -177,7 +197,6 @@ class TestGridWeights:
         w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
         cached = {
             "one_minus_r2": (lambda: grid.one_minus_r2, one_minus_r2),
-            "log_nodes": (lambda: grid.log_nodes, np.log(grid.nodes)),
             "h": (lambda: grid.spacing.h, h),
             "w1": (lambda: grid.spacing.w1, w1),
             "w2": (lambda: grid.spacing.w2, w2),

@@ -21,6 +21,7 @@ from hmtlab import (
     verify_hardy_identity,
 )
 from hmtlab.extremal import MoserParams, seeded_corpus, smoothed_moser_profile
+from hmtlab.functionals import mt_exponent, mt_integrand
 
 
 @pytest.fixture(scope="module")
@@ -295,3 +296,18 @@ class TestImageGrid:
                              for u in corpora(n, size=50, seed=1234, n_points=n_points)))
         # the r-grid's second-order quadrature error, and nothing that falls faster or slower
         assert 0.2 * worst[0] <= worst[1] <= 0.35 * worst[0]
+
+    @pytest.mark.parametrize("n, beta", [(2, 0.5), (3, 2.5)])
+    def test_mt_integrand_reads_ln_t_as_minus_g_over_gamma(self, green_tables, corpora, n, beta):
+        # the weight t^(n-beta-1) comes from the exact ln t the grid was built from, not from
+        # np.log of its rounded exponential
+        table = green_tables(n, "hardy", 1024, 1e-6, 1e-10)
+        maps = make_maps(table, beta=beta)
+        ln_t = -table.g_values / make_constants(n).gamma
+        assert np.array_equal(maps.t_grid.xi, ln_t)
+        for u in corpora(n, size=6, seed=1234, n_points=1024):
+            v = pushforward(u, maps)
+            vals, clamped = mt_integrand(v, n, beta)
+            x = mt_exponent(v.values, n, beta) + (n - beta - 1.0) * ln_t
+            assert not clamped.any()
+            assert vals.tobytes() == np.exp(x).tobytes()
