@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import isotonic_regression
 
 from .errors import (
     DegenerateProfileError,
@@ -70,6 +69,7 @@ RTOL = 1e-12  # relative change of the value that ends either search
 MAX_GAP = 0.01  # largest relative gap between a value on the profile and on the nodes
 SHOULDER = 0.5  # the corpus's Moser corner blend; acceptance criteria 4-6 were checked with it
 TAIL_CUT_BASE = 0.25  # the divergence family's cut depth; criterion 8 was checked with it
+CORNER_CLEARANCE = 16.0  # a Moser corner must lie at least this many times the first node out
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,13 @@ def moser_profile(params: MoserParams, grid: RadialGrid) -> RadialProfile:
     the rescale exact).
     A corner whose nearest node is the first or the last one (in particular
     one below the first node) is not resolved by the grid and raises
-    PreconditionError.
+    PreconditionError.  So does a corner node below CORNER_CLEARANCE = 16
+    times the first node, because the plateau below the first node is cut
+    off and the row comes out low.  At 16384 nodes (n = 2, epsilon = 1e-6)
+    the rows at the default r_min = 1e-10 fell below those on a grid from
+    r_min = 1e-16 by 0.1% at rho = 2^-29 (18.6 r_min), 0.45% at 2^-30
+    (9.3 r_min), 1.9% at 2^-31, 8% at 2^-32 and 43% at 2^-33, beyond the
+    0.44% by which the two gradings differ at rho >= 2^-27.
     """
     idx = int(np.argmin(np.abs(grid.nodes - params.rho)))
     if idx in (0, grid.n_points - 1):
@@ -132,6 +138,12 @@ def moser_profile(params: MoserParams, grid: RadialGrid) -> RadialProfile:
         )
     n = params.n
     rho = float(grid.nodes[idx])
+    if rho < CORNER_CLEARANCE * grid.nodes[0]:
+        raise PreconditionError(
+            f"Moser corner rho={params.rho:.3e} snaps to node {rho:.3e}, below "
+            f"{CORNER_CLEARANCE:g} x r_min = {CORNER_CLEARANCE * grid.nodes[0]:.3e}: the plateau "
+            "below r_min is cut off"
+        )
     big_l, plateau = _moser_plateau(rho, n)
     r = grid.nodes
     vals = np.where(r <= rho, plateau, plateau * np.log(1.0 / r) / big_l)
@@ -253,7 +265,12 @@ def _moser_sweep(n: int, beta: float, lam: float, family: Sequence[MoserParams],
 
 
 def pav_nonincreasing(y: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Weighted pool-adjacent-violators projection onto non-increasing sequences."""
+    """Weighted pool-adjacent-violators projection onto non-increasing sequences.
+
+    scipy is imported on call, so that importing hmtlab needs numpy alone.
+    """
+    from scipy.optimize import isotonic_regression
+
     return isotonic_regression(y, weights=w, increasing=False).x
 
 
@@ -364,13 +381,15 @@ def maximize_mt(
 ) -> SearchReport:
     """Maximize singular_mt over the unit deficit set: _ascend on its quadrature sum F.
 
-    The start is projected once onto non-increasing profiles.  The
-    trajectory records F; the reported value is singular_mt of the last
-    iterate rescaled to h_functional = 1.  A zero start raises, and so does
-    a gap above MAX_GAP between the two deficits of the last iterate.
+    The start is projected once onto non-increasing profiles by its least
+    non-increasing majorant, max over s >= r of u(s), which vanishes only
+    where the start vanishes from r on.  The trajectory records F; the
+    reported value is singular_mt of the last iterate rescaled to
+    h_functional = 1.  A zero start raises, and so does a gap above MAX_GAP
+    between the two deficits of the last iterate.
     """
     opts = options or SearchOptions()
-    u = pav_nonincreasing(np.maximum(start.values, 0.0), grid.weights)
+    u = np.maximum.accumulate(np.maximum(start.values, 0.0)[::-1])[::-1]
     u = RadialProfile(grid, u).values
     if not np.any(u > 0.0):
         raise DegenerateProfileError("start profile is zero after projection")

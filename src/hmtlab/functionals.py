@@ -25,8 +25,6 @@ from functools import cached_property
 from typing import NamedTuple, Tuple
 
 import numpy as np
-# unused here; perfbench/spans.py looks PchipInterpolator up in this module to trace PCHIP builds
-from scipy.interpolate import PchipInterpolator  # noqa: F401
 
 from .errors import DomainError, NumericError, PreconditionError
 from .quad_core import (
@@ -68,6 +66,15 @@ __all__ = [
 ]
 
 TAIL_SHARE_THRESHOLD = 0.5  # divergent-tail detector: last decade carries > 50%
+
+
+def __getattr__(name: str):
+    """scipy's ``PchipInterpolator`` on request (PEP 562); importing hmtlab needs numpy alone."""
+    if name == "PchipInterpolator":
+        from scipy.interpolate import PchipInterpolator
+
+        return PchipInterpolator
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def hermite_eval(x: np.ndarray, h: np.ndarray, y: np.ndarray, d: np.ndarray, xq) -> np.ndarray:

@@ -201,12 +201,16 @@ def make_grid(n_points: int, epsilon: float, grading: Optional[GridGrading] = No
     tail's radii round together at its TAIL_SPAN end) the boundary has no
     singular layer to resolve and the right tail collapses into the uniform
     section.  A tail whose radii round together at its epsilon end cannot
-    resolve the layer and raises GridConfigError.
+    resolve the layer and raises GridConfigError, and so does an epsilon
+    for which 1 - epsilon rounds to 1.
     """
     if not isinstance(n_points, (int, np.integer)) or n_points < 16:
         raise GridConfigError(f"n_points must be an integer >= 16, got {n_points!r}")
     if not (0.0 < epsilon < 0.5):
         raise GridConfigError(f"epsilon must lie in (0, 1/2), got {epsilon!r}")
+    if 1.0 - epsilon == 1.0:
+        raise GridConfigError(f"epsilon={epsilon!r} is below the float resolution at 1: "
+                              "1 - epsilon rounds to 1")
     grading = grading or GridGrading()
     grading.validate()
     n_points = int(n_points)

@@ -68,6 +68,18 @@ class TestMoserProfile:
         with pytest.raises(PreconditionError, match=f"{end} grid node"):
             moser_profile(MoserParams(rho=rho, n=2), g)
 
+    @pytest.mark.parametrize("k", [30, 31, 32])
+    def test_corner_near_r_min_rejected(self, grids, k):
+        # the plateau below r_min = 1e-10 is cut off; these rows came out 0.45-8% low
+        g = grids(2048, 1e-6)
+        with pytest.raises(PreconditionError, match="below 16 x r_min"):
+            moser_profile(MoserParams(rho=2.0**-k, n=2), g)
+
+    def test_corner_clear_of_r_min_accepted(self, grids):
+        g = grids(2048, 1e-6)
+        u = moser_profile(MoserParams(rho=2.0**-29, n=2), g)  # 18.6 r_min
+        assert grad_energy(u, 2) == pytest.approx(1.0, abs=1e-9)
+
 
 class TestNormalizeH:
     def test_quadratic_scale(self, grids):

@@ -2,11 +2,16 @@
 
 Every name a module exports in ``__all__`` must exist, and no module may
 import a name it never uses (a line marked ``# noqa: F401`` is exempt).
-Both catch exports and imports left behind when code is deleted.
+Both catch exports and imports left behind when code is deleted.  Every
+subcommand runs without importing scipy.
 """
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -65,3 +70,39 @@ def test_no_unused_imports(module):
     unused = {name: line for name, line in _imported(tree, source.splitlines()).items()
               if name not in used}
     assert unused == {}
+
+
+# one small argv per subcommand and mode; {tmp} is the directory the reports go to
+CLI_ARGVS = [
+    "green --potential zero --grid-points 256 --epsilon 1e-3 --out {tmp}/g.json",
+    "verify --grid-points 256 --epsilon 1e-3 --corpus-size 2 --out {tmp}/v.json",
+    "verify --green-table {tmp}/g.json --corpus-size 2 --out {tmp}/vt.json",
+    "sweep --mode boundedness --grid-points 256 --k-max 2 --out {tmp}/b.json",
+    "sweep --mode divergence --grid-points 256 --k-max 2 --out {tmp}/d.json",
+    "sweep --mode improved --lam 1.0 --grid-points 512 --k-max 2 --out {tmp}/i.json",
+    "search --mode mt --grid-points 512 --max-iter 3 --out {tmp}/m.json",
+    "search --mode lambda1 --grid-points 512 --max-iter 3 --out {tmp}/l.json",
+    "rearrange-demo --grid-points 64 --out {tmp}/r.json",
+]
+
+NO_SCIPY_SCRIPT = """
+import json, sys
+from hmtlab.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+loaded = sorted(key for key in sys.modules if key.startswith("scipy"))
+import hmtlab.functionals
+from scipy.interpolate import PchipInterpolator
+print(json.dumps({"codes": codes, "scipy": loaded,
+                  "pchip": hmtlab.functionals.PchipInterpolator is PchipInterpolator}))
+"""
+
+
+def test_subcommands_run_on_numpy_alone(tmp_path):
+    # a fresh interpreter: the test modules themselves import scipy
+    argvs = [[arg.format(tmp=tmp_path) for arg in argv.split()] for argv in CLI_ARGVS]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(PACKAGE_DIR.parent), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, timeout=300, check=True)
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"codes": [0] * len(argvs), "scipy": [], "pchip": True}, proc.stderr

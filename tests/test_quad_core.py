@@ -81,6 +81,18 @@ class TestGrid:
         with pytest.raises(GridConfigError, match=f"epsilon={eps!r}.*n_points={n_points}"):
             make_grid(n_points, eps)
 
+    @pytest.mark.parametrize("n_points", [16, 64, 128, 2048])
+    @pytest.mark.parametrize("eps", [2.0**-54, 1e-17, 1e-20])
+    def test_epsilon_that_rounds_one_minus_epsilon_to_one_raises(self, n_points, eps):
+        # at 128 nodes or fewer the graded tail's last radius was exactly 1.0
+        with pytest.raises(GridConfigError, match=f"epsilon={eps!r}.*rounds to 1"):
+            make_grid(n_points, eps)
+
+    def test_smallest_epsilon_below_one_is_accepted(self):
+        eps = np.nextafter(2.0**-54, 1.0)  # 1 - eps is the float just below 1
+        g = make_grid(64, eps)
+        assert g.nodes[-1] == 1.0 - 2.0**-53 and g.s[-1] == eps
+
     @pytest.mark.parametrize("eps", [0.01, 0.2, 0.49])
     def test_large_epsilon_collapses_the_tail(self, eps):
         g = make_grid(2048, eps)
