@@ -280,9 +280,11 @@ def _surrogate_weights(grid: RadialGrid, n: int):
     Returns (dr, cell, hardy, mass) with the factor omega left out: the
     deficit is omega * (sum(cell * |diff(u)/dr|^n) - sum(hardy * u^n)), and
     ||u||_n^n is omega * sum(mass * u^n), the trapezoid rule of ln_norm_pow.
+    omega * hardy is ((n-1)/n)^n times the hyperbolic cell volumes, as in hardy_term.
     """
     mass = grid.nodes_pow(n - 1) * grid.weights
-    hardy = make_constants(n).hardy_const * mass / grid.one_minus_r2_pow(n)
+    density = grid.hyperbolic_density(n)
+    hardy = ((n - 1) / n) ** n / make_constants(n).omega * density * grid.weights
     return grid.spacing.h, np.diff(grid.nodes_pow(n)) / n, hardy, mass
 
 

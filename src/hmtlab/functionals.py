@@ -15,6 +15,17 @@ within a few ulp of the node slope.  No spline object is built.
 Admissible profiles are stored with u = 0 at the last node, enforced by
 subtracting the boundary value; constant shifts leave the gradient energy
 untouched and keep the profile in the zero-boundary class the theory needs.
+
+The Hardy deficit is a statement on hyperbolic space.  The n-energy is
+conformally invariant, so on the Poincare ball, with metric
+g = (2/(1-r^2))^2 |dx|^2,
+
+    H(u) = int |grad u|^n dx - (2(n-1)/n)^n int |u|^n (1-r^2)^(-n) dx
+         = int |grad_g u|^n dv_g - ((n-1)/n)^n int |u|^n dv_g,
+
+and the sharp Hardy weight is ((n-1)/n)^n times the hyperbolic volume
+density.  Every Hardy and hyperbolic sum here reads that density from the
+grid (``RadialGrid.hyperbolic_density``).
 """
 
 from __future__ import annotations
@@ -59,7 +70,6 @@ __all__ = [
     "singular_mt_gradient",
     "hyperbolic_mt",
     "hyperbolic_volume",
-    "cell_hyperbolic_volumes",
     "rearrange",
     "check_polya_szego",
     "check_hardy_littlewood",
@@ -230,7 +240,10 @@ class Potential:
     def at(self, r: np.ndarray, weight: np.ndarray, n: int) -> np.ndarray:
         """V at radii r, given the boundary weight (1 - r^2)^n there.
 
-        Callers form the weight from 1 - r^2 free of cancellation.
+        Callers form the weight from 1 - r^2 free of cancellation.  The
+        Hardy potential ((2(n-1)/n)^n / weight) is ((n-1)/n)^n (2/(1-r^2))^n,
+        the hyperbolic density without its r^(n-1); it stays pointwise
+        because ``make_maps`` evaluates V at a(t), off any grid.
         """
         hc = make_constants(n).hardy_const
         if self.kind == "zero":
@@ -298,20 +311,8 @@ def grad_energy(u: RadialProfile, n: int) -> float:
 
 
 def hardy_term(u: RadialProfile, n: int) -> float:
-    """Sharp-constant boundary Hardy integral of |u|^n."""
-    c = make_constants(n)
-    g = u.grid
-    integrand = int_pow(u.values, n) / g.one_minus_r2_pow(n) * g.nodes_pow(n - 1)
-    return c.hardy_const * c.omega * integrate(integrand, g)
-
-
-def _tail_share(integrand: np.ndarray, grid: RadialGrid) -> float:
-    w = grid.weights
-    total = float(np.dot(integrand, w))
-    if total <= 0.0:
-        return 0.0
-    mask = grid.s <= 10.0 * grid.epsilon
-    return float(np.dot(integrand[mask], w[mask])) / total
+    """Sharp-constant boundary Hardy integral of |u|^n: ((n-1)/n)^n int |u|^n dv_H."""
+    return ((n - 1) / n) ** n * hyperbolic_ln_norm_pow(u, n)
 
 
 def h_functional(u: RadialProfile, n: int) -> float:
@@ -336,7 +337,7 @@ def ln_norm_pow(u: RadialProfile, n: int) -> float:
 
 def hyperbolic_ln_norm_pow(u: RadialProfile, n: int) -> float:
     """int |u|^n dv_H, the L^n norm under the Poincare-ball volume."""
-    return float(np.dot(int_pow(u.values, n), cell_hyperbolic_volumes(u.grid, n)))
+    return integrate(int_pow(u.values, n) * u.grid.hyperbolic_density(n), u.grid)
 
 
 def mt_exponent(values: np.ndarray, n: int, beta: float, scale: float = 1.0) -> np.ndarray:
@@ -387,7 +388,7 @@ def singular_mt_gradient(u: RadialProfile, n: int, beta: float) -> np.ndarray:
 
 
 def hyperbolic_mt(u: RadialProfile, n: int, beta: float, m: int) -> HyperbolicMTResult:
-    """Regularized exponential integral against the hyperbolic volume weight.
+    """Regularized exponential integral against the weight 2^(-n) r^(-beta) dv_H.
 
     omega * int E_m((1-beta/n) alpha_n u^(n/(n-1))) (1-r^2)^(-n) r^(n-beta-1) dr
     with E_m the order-m exponential tail.  m = n is the convergent
@@ -402,10 +403,11 @@ def hyperbolic_mt(u: RadialProfile, n: int, beta: float, m: int) -> HyperbolicMT
     x = mt_exponent(u.values, n, beta)
     overflow = bool(np.any(x > EXP_CLAMP))
     e_vals = truncated_exp(np.minimum(x, EXP_CLAMP), m)
-    integrand = e_vals / g.one_minus_r2_pow(n) * g.nodes_pow(n - beta - 1.0)
-    value = make_constants(n).omega * integrate(integrand, g)
-    flag = _tail_share(integrand, g) > TAIL_SHARE_THRESHOLD
-    return HyperbolicMTResult(value, flag, overflow)
+    integrand = e_vals * g.hyperbolic_density(n) * g.nodes_pow(-beta)
+    total = integrate(integrand, g)
+    tail = g.s <= 10.0 * g.epsilon
+    flag = float(np.dot(integrand[tail], g.weights[tail])) > TAIL_SHARE_THRESHOLD * total
+    return HyperbolicMTResult(2.0**-n * total, flag, overflow)
 
 
 def hyperbolic_volume(r: float, n: int) -> float:
@@ -434,13 +436,6 @@ def hyperbolic_volume(r: float, n: int) -> float:
     return c.omega * total
 
 
-def cell_hyperbolic_volumes(grid: RadialGrid, n: int) -> np.ndarray:
-    """Hyperbolic volume attached to each node's trapezoid cell."""
-    c = make_constants(n)
-    density = int_pow(2.0 / grid.one_minus_r2, n) * grid.nodes_pow(n - 1)
-    return c.omega * density * grid.weights
-
-
 def rearrange(u: RadialProfile, n: int) -> RadialProfile:
     """Radial non-increasing rearrangement w.r.t. the hyperbolic volume.
 
@@ -453,7 +448,7 @@ def rearrange(u: RadialProfile, n: int) -> RadialProfile:
     """
     if np.any(u.values < 0):
         raise PreconditionError("rearrange requires a nonnegative profile")
-    w = cell_hyperbolic_volumes(u.grid, n)
+    w = u.grid.hyperbolic_density(n) * u.grid.weights
     order = np.argsort(-u.values, kind="stable")
     w_sorted = w[order]
     cum_w_src = np.concatenate([[0.0], np.cumsum(w_sorted)])

@@ -311,9 +311,12 @@ def solve_green(
 def extrapolate_c_g(eps_values: Sequence[float], c_g_values: Sequence[float]) -> Dict[str, float]:
     """Extrapolate the pole constant over a truncation schedule.
 
-    The truncated-domain constants approach their limit with a slow
-    logarithmic tail; fitting c_g(eps) = c - a / ln(1/eps) captures it well
-    over decade schedules (a plain power law in eps does not).
+    Fits c_g(eps) = c - a / ln(1/eps) by least squares.  The truncated-domain
+    constants do approach their limit with a slow logarithmic tail, but this
+    form is biased: the committed n = 2 limit, 0.206829, lies 6.3% below the
+    exact ln 2 / pi = 0.2206356.  The exact n = 2 tail is
+    c_g(eps) ~ ln 2 / pi - pi / (4 ln(8/eps)), so ln(8/eps), not ln(1/eps),
+    is the right variable.
     """
     eps_arr = np.asarray(eps_values, dtype=float)
     cg_arr = np.asarray(c_g_values, dtype=float)

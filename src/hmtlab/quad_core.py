@@ -131,8 +131,9 @@ class RadialGrid:
 
     Arrays that depend on the nodes only are computed once, on first use,
     and cached read-only: the trapezoid ``weights``, ``one_minus_r2``, the
-    PCHIP ``spacing``, and the powers ``nodes_pow(k)`` and
-    ``one_minus_r2_pow(k)``.  Each is the expression its callers used to
+    PCHIP ``spacing``, the powers ``nodes_pow(k)`` and
+    ``one_minus_r2_pow(k)``, and ``hyperbolic_density(n)``, the Poincare-ball
+    volume per unit dr.  Each is the expression its callers used to
     evaluate, so a cached array equals the recomputed one to the bit.
     """
 
@@ -166,22 +167,26 @@ class RadialGrid:
         return pchip_spacing(self.nodes)
 
     @cached_property
-    def _powers(self) -> Dict[tuple, np.ndarray]:
+    def _arrays(self) -> Dict[tuple, np.ndarray]:
         return {}
 
     def nodes_pow(self, k: float) -> np.ndarray:
         """nodes ** k, cached per exponent."""
-        return self._power("r", k, self.nodes)
+        return self._cached(("r", k), lambda: self.nodes**k)
 
     def one_minus_r2_pow(self, k: float) -> np.ndarray:
         """one_minus_r2 ** k, cached per exponent."""
-        return self._power("1-r2", k, self.one_minus_r2)
+        return self._cached(("1-r2", k), lambda: self.one_minus_r2**k)
 
-    def _power(self, base: str, k: float, x: np.ndarray) -> np.ndarray:
-        key = (base, k)
-        out = self._powers.get(key)
+    def hyperbolic_density(self, n: int) -> np.ndarray:
+        """omega (2/(1-r^2))^n r^(n-1), the Poincare-ball volume per unit dr, cached per n."""
+        return self._cached(("dv_H", n), lambda: make_constants(n).omega * (
+            int_pow(2.0 / self.one_minus_r2, n) * self.nodes_pow(n - 1)))
+
+    def _cached(self, key: tuple, build) -> np.ndarray:
+        out = self._arrays.get(key)
         if out is None:
-            out = self._powers[key] = _read_only(x**k)
+            out = self._arrays[key] = _read_only(build())
         return out
 
 

@@ -12,7 +12,7 @@ independent quadratures and reported as a defect or a signed margin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple, Tuple
 
 import numpy as np
@@ -53,16 +53,10 @@ class TransplantReport:
     mt_comparison_margin: float
     psi_identity_defect: float
     overflow: bool
-    grad_defect_signed: float
-    hardy_defect_signed: float
 
     def to_dict(self) -> dict:
-        """The reported fields, in field order; the two signed defects stay internal."""
-        return {key: getattr(self, key) for key in _REPORTED}
-
-
-_REPORTED = tuple(f.name for f in fields(TransplantReport)
-                  if f.name not in ("grad_defect_signed", "hardy_defect_signed"))
+        """The fields, in field order; shallow, as asdict's deep copy costs more than the report."""
+        return dict(vars(self))
 
 
 class MTComparison(NamedTuple):
@@ -137,20 +131,16 @@ def transplant_report(u: RadialProfile, maps: TransplantMaps) -> TransplantRepor
     grad_v, grad_phi, hardy_t = _t_integrals(v, maps)
     grad_u = grad_energy(u, n)
     hardy_u = potential_term(u, maps.potential, n)
-    d_grad_signed = grad_u - (grad_v + grad_phi)
-    d_hardy_signed = hardy_u - hardy_t
     mt = check_mt_comparison(u, v, maps)
     return TransplantReport(
         grad_u=grad_u,
         grad_v=grad_v,
         hardy_u=hardy_u,
-        identity_grad_defect=abs(d_grad_signed) / max(1.0, grad_u),
-        identity_hardy_defect=abs(d_hardy_signed) / max(1.0, hardy_u),
+        identity_grad_defect=abs(grad_u - (grad_v + grad_phi)) / max(1.0, grad_u),
+        identity_hardy_defect=abs(hardy_u - hardy_t) / max(1.0, hardy_u),
         hardy_lemma_margin=grad_phi - hardy_t,
         key_margin=(grad_u - hardy_u) - grad_v,
         mt_comparison_margin=mt.margin,
         psi_identity_defect=mt.identity_defect,
         overflow=mt.overflow,
-        grad_defect_signed=d_grad_signed,
-        hardy_defect_signed=d_hardy_signed,
     )

@@ -21,17 +21,17 @@ from hmtlab import (
     make_grid,
     rearrange,
     singular_mt,
+    truncated_exp,
 )
-from hmtlab.extremal import MoserParams, moser_profile
+from hmtlab.extremal import MoserParams, _surrogate_weights, moser_profile
 from hmtlab.functionals import (
-    cell_hyperbolic_volumes,
     hermite_eval,
     hyperbolic_ln_norm_pow,
     pchip,
     pchip_slopes,
     potential_term,
 )
-from hmtlab.quad_core import pchip_spacing
+from hmtlab.quad_core import integrate, make_constants, pchip_spacing
 
 
 @pytest.fixture(scope="module")
@@ -351,8 +351,6 @@ class TestHyperbolicMT:
         g = grids(2048, 1e-6)
         u = RadialProfile(g, 0.5 * g.one_minus_r2)
         x = 4 * math.pi * u.values**2
-        from hmtlab import truncated_exp
-
         kernel = truncated_exp(x, 2)
         direct = np.expm1(x) - x
         mask = x > 1e-3  # direct form loses accuracy below the switchover
@@ -396,6 +394,53 @@ class TestHyperbolicVolume:
         with pytest.raises(DomainError):
             hyperbolic_volume(1.0, 2)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_grid_density_second_order(self, grids, n):
+        # the trapezoid sum of the grid's density is the volume of [r_min, 1-eps]
+        errs = []
+        for n_points in (2048, 8192):
+            g = grids(n_points, 1e-6)
+            ref = hyperbolic_volume(1.0 - 1e-6, n) - hyperbolic_volume(g.nodes[0], n)
+            errs.append(abs(integrate(g.hyperbolic_density(n), g) - ref) / ref)
+        order = math.log(errs[0] / errs[1]) / math.log(4.0)
+        assert errs[1] < 1e-4
+        assert 1.5 <= order <= 2.5, (errs, order)
+
+
+class TestHyperbolicDensity:
+    """Every Hardy and hyperbolic sum reads the grid's density; the (1-r^2)^(-n) forms agree."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_hardy_term_is_hyperbolic_norm(self, corpora, n):
+        for u in corpora(n, size=20, seed=55):
+            assert hardy_term(u, n) == ((n - 1) / n) ** n * hyperbolic_ln_norm_pow(u, n)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_boundary_weight_forms(self, corpora, n):
+        c = make_constants(n)
+        beta = 0.5
+        for u in corpora(n, size=20, seed=55):
+            g = u.grid
+            weight = g.one_minus_r2**n
+            hardy = c.hardy_const * c.omega * np.dot(u.values**n / weight * g.nodes**(n - 1),
+                                                     g.weights)
+            assert hardy_term(u, n) == pytest.approx(hardy, rel=1e-13, abs=0.0)
+
+            x = (1.0 - beta / n) * c.alpha_n * u.values ** (n / (n - 1.0))
+            for m in (n - 1, n):
+                integrand = truncated_exp(x, m) / weight * g.nodes ** (n - beta - 1.0)
+                res = hyperbolic_mt(u, n, beta, m)
+                assert res.value == pytest.approx(c.omega * np.dot(integrand, g.weights),
+                                                  rel=1e-13, abs=0.0)
+                tail = g.s <= 10.0 * g.epsilon
+                share = np.dot(integrand[tail], g.weights[tail]) / np.dot(integrand, g.weights)
+                assert res.divergence_flag == (share > 0.5)
+
+        g = corpora(n, size=20, seed=55)[0].grid
+        surrogate = _surrogate_weights(g, n)[2]
+        old = c.hardy_const * g.nodes**(n - 1) * g.weights / g.one_minus_r2**n
+        assert np.allclose(surrogate, old, rtol=1e-13, atol=0.0)
+
 
 class TestRearrange:
     def test_identity_on_nonincreasing(self, grids):
@@ -412,7 +457,7 @@ class TestRearrange:
         vals = np.random.default_rng(seed).uniform(0.0, 1.0, size)
         if ties:
             vals = np.round(4.0 * vals) / 4.0  # flat runs and zeros
-        w = cell_hyperbolic_volumes(g, n)
+        w = g.hyperbolic_density(n) * g.weights
         star = rearrange(RadialProfile(g, vals, enforce_zero_boundary=False), n).values
         mass = float(np.dot(vals, w))
         assert abs(float(np.dot(star, w)) - mass) <= 1e-13 * mass
@@ -446,7 +491,7 @@ class TestRearrange:
         g = grids(4096, 1e-6)
         u = RadialProfile(g, g.nodes * (1 - g.nodes))
         star = rearrange(u, 2)
-        w = cell_hyperbolic_volumes(g, 2)
+        w = g.hyperbolic_density(2) * g.weights
         levels = np.linspace(1e-3, 0.999 * u.values.max(), 100)
         for t in levels:
             mu_u = w[u.values > t].sum()

@@ -217,6 +217,10 @@ class TestGridWeights:
         for k in (1, 2, 3, 1.5, 0.5):
             cached[f"r^{k}"] = (lambda k=k: grid.nodes_pow(k), grid.nodes**k)
             cached[f"(1-r^2)^{k}"] = (lambda k=k: grid.one_minus_r2_pow(k), one_minus_r2**k)
+        for n in (2, 3, 4) if grid.s[-1] > 0.0 else ():  # the image grid ends at t = 1
+            density = make_constants(n).omega * (int_pow(2.0 / one_minus_r2, n)
+                                                 * grid.nodes**(n - 1))
+            cached[f"dv_H/dr n={n}"] = (lambda n=n: grid.hyperbolic_density(n), density)
         for name, (read, fresh) in cached.items():
             arr = read()
             assert arr is read(), name

@@ -245,10 +245,11 @@ class TestReportChain:
         maps = transplant_maps(n)
         for u in corpora(n, size=10, seed=999):
             rep = transplant_report(u, maps)
-            recombined = (rep.hardy_lemma_margin + rep.grad_defect_signed
-                          - rep.hardy_defect_signed)
-            scale = max(1.0, abs(rep.grad_u))
-            assert abs(rep.key_margin - recombined) <= 1e-4 * scale
+            # key - lemma is the signed grad defect minus the signed Hardy defect
+            budget = (rep.identity_grad_defect * max(1.0, rep.grad_u)
+                      + rep.identity_hardy_defect * max(1.0, rep.hardy_u))
+            gap = abs(rep.key_margin - rep.hardy_lemma_margin)
+            assert gap <= budget + 1e-14 * max(1.0, rep.grad_u)
 
     def test_report_fields(self, transplant_maps, corpora):
         maps = transplant_maps(2)
