@@ -26,9 +26,10 @@ from .functionals import (
     h_functional,
     hyperbolic_mt,
     ln_norm_pow,
+    nonincreasing_majorant,
     pchip,
     singular_mt,
-    singular_mt_gradient,
+    singular_mt_with_gradient,
 )
 from .quad_core import RadialGrid, make_constants
 
@@ -183,8 +184,7 @@ def smoothed_moser_profile(params: MoserParams, grid: RadialGrid) -> RadialProfi
         h11 = x**3 - x**2
         y[mask] = h00 * 1.0 + h01 * y_hi + h11 * dy_hi
     u = RadialProfile(grid, plateau * y, enforce_zero_boundary=True)
-    scale = grad_energy(u, n) ** (-1.0 / n)
-    return u.scaled(scale)
+    return u.scaled(grad_energy(u, n) ** (-1.0 / n))
 
 
 def boundary_tail_profile(grid: RadialGrid, n: int, k: int) -> RadialProfile:
@@ -335,9 +335,8 @@ def _unit_deficit(u: np.ndarray, weights: tuple, n: int) -> np.ndarray:
     return u * h_val ** (-1.0 / n)
 
 
-def _ascend(u: np.ndarray, grid: RadialGrid, n: int, objective: Callable[[RadialProfile], float],
-            gradient: Callable[[RadialProfile], np.ndarray], max_iter: int
-            ) -> Tuple[RadialProfile, List[tuple], bool]:
+def _ascend(u: np.ndarray, grid: RadialGrid, n: int, evaluate: Callable[[np.ndarray], tuple],
+            max_iter: int) -> Tuple[np.ndarray, List[tuple], bool]:
     """Maximize a convex node objective F over the unit deficit set from the start u.
 
     The deficit _h_surrogate is H = E - D, E its gradient part and D the
@@ -349,29 +348,27 @@ def _ascend(u: np.ndarray, grid: RadialGrid, n: int, objective: Callable[[Radial
       Euler's identity and the minimality of w give E(w) >= E(u);
       hence tau <grad F(u), w> >= H(w) + n - 1 >= n H(w)^(1/n);
       so F(w') >= F(u) + <grad F(u), w' - u> >= F(u).
-    Stops at a relative change of F of at most RTOL.  Returns the last
-    iterate, the trajectory of F and whether that stop came before max_iter.
+    ``evaluate`` gives (F, grad F) of node values, once per iterate.  Stops at
+    a relative change of F of at most RTOL.  Returns the last iterate's node
+    values, the trajectory of F and whether that stop came before max_iter.
     """
     omega = make_constants(n).omega
     weights = _surrogate_weights(grid, n)
     dr, cell, hardy, _ = weights
-    prof = RadialProfile(grid, _unit_deficit(u, weights, n), enforce_zero_boundary=False)
-    value = objective(prof)
+    u = _unit_deficit(u, weights, n)
+    value, grad_f = evaluate(u)
     trajectory = [(0, value)]
     converged = False
     for it in range(1, max_iter + 1):
-        u = prof.values
-        grad_f = gradient(prof)
         tau = n / float(np.dot(grad_f, u))
         rhs = hardy * u ** (n - 1) + tau / (omega * n) * grad_f
-        w = _unit_deficit(_solve_gradient_part(rhs, dr, cell, n), weights, n)
-        prof = RadialProfile(grid, w, enforce_zero_boundary=False)
-        prev, value = value, objective(prof)
+        u = _unit_deficit(_solve_gradient_part(rhs, dr, cell, n), weights, n)
+        prev, (value, grad_f) = value, evaluate(u)
         trajectory.append((it, value))
         converged = abs(value - prev) <= RTOL * abs(prev)
         if converged:
             break
-    return prof, trajectory, converged
+    return u, trajectory, converged
 
 
 def maximize_mt(
@@ -391,14 +388,12 @@ def maximize_mt(
     between the two deficits of the last iterate.
     """
     opts = options or SearchOptions()
-    u = np.maximum.accumulate(np.maximum(start.values, 0.0)[::-1])[::-1]
-    u = RadialProfile(grid, u).values
+    u = RadialProfile(grid, nonincreasing_majorant(np.maximum(start.values, 0.0))).values
     if not np.any(u > 0.0):
         raise DegenerateProfileError("start profile is zero after projection")
-    prof, trajectory, converged = _ascend(
-        u, grid, n, lambda p: singular_mt(p, n, beta).value,
-        lambda p: singular_mt_gradient(p, n, beta), opts.max_iter)
-
+    u, trajectory, converged = _ascend(
+        u, grid, n, lambda v: singular_mt_with_gradient(v, grid, n, beta), opts.max_iter)
+    prof = RadialProfile(grid, u, enforce_zero_boundary=False)
     h_val = h_functional(prof, n)
     if not abs(h_val - 1.0) <= MAX_GAP:
         raise DiscretizationFailureError(
@@ -434,10 +429,9 @@ def estimate_lambda1(
     omega = make_constants(n).omega
     mass = _surrogate_weights(grid, n)[3]
     u = np.maximum(grid.one_minus_r2**1.5 - grid.one_minus_r2[-1] ** 1.5, 0.0)
-    prof, trajectory, converged = _ascend(
-        u, grid, n, lambda p: omega * float(np.dot(mass, p.values**n)),
-        lambda p: omega * n * mass * p.values ** (n - 1), opts.max_iter)
-    prof = prof.scaled(trajectory[-1][1] ** (-1.0 / n))
+    u, trajectory, converged = _ascend(u, grid, n, lambda v: (
+        omega * float(np.dot(mass, v**n)), omega * n * mass * v ** (n - 1)), opts.max_iter)
+    prof = RadialProfile(grid, trajectory[-1][1] ** (-1.0 / n) * u, enforce_zero_boundary=False)
     trajectory = [(i, 1.0 / f) for i, f in trajectory]
     lam = trajectory[-1][1]
     norm = ln_norm_pow(prof, n)
@@ -489,7 +483,7 @@ def seeded_corpus(grid: RadialGrid, n: int, size: int, seed: int) -> List[Radial
             rho = rng.uniform(0.05, 0.5)
             prof = smoothed_moser_profile(MoserParams(rho=rho, n=n), grid)
             prof = prof.scaled(rng.uniform(0.5, 1.5))
-        vals = np.maximum.accumulate(prof.values[::-1])[::-1]
+        vals = nonincreasing_majorant(prof.values)
         if not np.array_equal(vals, prof.values):  # else keep prof and the slopes it carries
             prof = RadialProfile(grid, vals, enforce_zero_boundary=False)
         out.append(normalize_h(prof, n))

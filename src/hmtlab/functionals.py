@@ -67,9 +67,10 @@ __all__ = [
     "mt_exponent",
     "mt_integrand",
     "singular_mt",
-    "singular_mt_gradient",
+    "singular_mt_with_gradient",
     "hyperbolic_mt",
     "hyperbolic_volume",
+    "nonincreasing_majorant",
     "rearrange",
     "check_polya_szego",
     "check_hardy_littlewood",
@@ -322,11 +323,9 @@ def h_functional(u: RadialProfile, n: int) -> float:
 
 def potential_term(u: RadialProfile, potential: Potential, n: int) -> float:
     """int V |u|^n dx = omega * int V u^n r^(n-1) dr."""
-    c = make_constants(n)
     g = u.grid
-    return c.omega * integrate(
-        potential.values(g, n) * int_pow(u.values, n) * g.nodes_pow(n - 1), g
-    )
+    vals = potential.values(g, n) * int_pow(u.values, n) * g.nodes_pow(n - 1)
+    return make_constants(n).omega * integrate(vals, g)
 
 
 def ln_norm_pow(u: RadialProfile, n: int) -> float:
@@ -349,14 +348,14 @@ def mt_exponent(values: np.ndarray, n: int, beta: float, scale: float = 1.0) -> 
     return scale * (1.0 - beta / n) * make_constants(n).alpha_n * u_pow
 
 
-def mt_integrand(u: RadialProfile, n: int, beta: float, scale: float = 1.0
+def mt_integrand(values: np.ndarray, xi: np.ndarray, n: int, beta: float, scale: float = 1.0
                  ) -> Tuple[np.ndarray, np.ndarray]:
     """singular_mt's node integrand exp(exponent) r^(n-beta-1), and the mask of clamped nodes.
 
-    Formed in log space from the grid's ln r (``xi``), with the logarithm
-    clamped at EXP_CLAMP.
+    Formed in log space from node values and the grid's ln r (``xi``), with
+    the logarithm clamped at EXP_CLAMP.
     """
-    x = mt_exponent(u.values, n, beta, scale) + (n - beta - 1.0) * u.grid.xi
+    x = mt_exponent(values, n, beta, scale) + (n - beta - 1.0) * xi
     return np.exp(np.minimum(x, EXP_CLAMP)), x > EXP_CLAMP
 
 
@@ -373,18 +372,20 @@ def singular_mt(
     _check_beta(beta, n)
     if exponent_scale <= 0.0:
         raise DomainError(f"exponent_scale must be positive, got {exponent_scale}")
-    vals, clamped = mt_integrand(u, n, beta, exponent_scale)
+    vals, clamped = mt_integrand(u.values, u.grid.xi, n, beta, exponent_scale)
     return MTResult(make_constants(n).omega * integrate(vals, u.grid), bool(clamped.any()))
 
 
-def singular_mt_gradient(u: RadialProfile, n: int, beta: float) -> np.ndarray:
-    """Node gradient of singular_mt's quadrature sum at scale 1; 0 where a node is clamped."""
+def singular_mt_with_gradient(values: np.ndarray, grid: RadialGrid, n: int, beta: float
+                              ) -> Tuple[float, np.ndarray]:
+    """singular_mt's sum at scale 1 and its node gradient (0 where clamped), from one integrand."""
+    _check_beta(beta, n)
     c = make_constants(n)
-    g = u.grid
-    vals, clamped = mt_integrand(u, n, beta)
-    inner = (1.0 - beta / n) * c.alpha_n * (n / (n - 1.0)) * np.maximum(u.values, 0.0) ** (
+    vals, clamped = mt_integrand(values, grid.xi, n, beta)
+    inner = (1.0 - beta / n) * c.alpha_n * (n / (n - 1.0)) * np.maximum(values, 0.0) ** (
         1.0 / (n - 1.0))
-    return np.where(clamped, 0.0, c.omega * g.weights * vals * inner)
+    return (c.omega * integrate(vals, grid),
+            np.where(clamped, 0.0, c.omega * grid.weights * vals * inner))
 
 
 def hyperbolic_mt(u: RadialProfile, n: int, beta: float, m: int) -> HyperbolicMTResult:
@@ -434,6 +435,11 @@ def hyperbolic_volume(r: float, n: int) -> float:
         integrand = int_pow(2.0 / one_minus_sq, n) * int_pow(1.0 - s, n - 1)
         total += float(np.trapezoid(integrand, 1.0 - s))  # 1 - s increases from core to r
     return c.omega * total
+
+
+def nonincreasing_majorant(values: np.ndarray) -> np.ndarray:
+    """The least non-increasing majorant of node values: at each node, the max from it outward."""
+    return np.maximum.accumulate(values[::-1])[::-1]
 
 
 def rearrange(u: RadialProfile, n: int) -> RadialProfile:

@@ -143,9 +143,8 @@ class RadialGrid:
     epsilon: float
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", np.asarray(self.nodes, dtype=float))
-        object.__setattr__(self, "s", np.asarray(self.s, dtype=float))
-        object.__setattr__(self, "xi", np.asarray(self.xi, dtype=float))
+        for name in ("nodes", "s", "xi"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if self.nodes[0] <= 0.0 or np.any(np.diff(self.nodes) <= 0.0):
             raise GridConfigError("grid nodes must be strictly increasing and positive")
 

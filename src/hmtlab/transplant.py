@@ -22,6 +22,7 @@ from .functionals import (
     RadialProfile,
     grad_energy,
     mt_integrand,
+    nonincreasing_majorant,
     potential_term,
     singular_mt,
 )
@@ -74,7 +75,7 @@ def pushforward(u: RadialProfile, maps: TransplantMaps) -> RadialProfile:
     if not u.is_nonincreasing(tol=1e-9):
         raise PreconditionError("pushforward requires a non-increasing profile; rearrange first")
     vals = u.values if u.grid is maps.image_of else u(maps.a)
-    vals = np.maximum.accumulate(vals[::-1])[::-1]  # monotone composition, minus jitter
+    vals = nonincreasing_majorant(vals)  # monotone composition, minus jitter
     return RadialProfile(maps.t_grid, vals, enforce_zero_boundary=True)
 
 
@@ -116,7 +117,7 @@ def check_mt_comparison(u: RadialProfile, v: RadialProfile, maps: TransplantMaps
     n, beta = maps.n, maps.beta
     c = make_constants(n)
     mt_u = singular_mt(u, n, beta)
-    vals_v, clamped_v = mt_integrand(v, n, beta)
+    vals_v, clamped_v = mt_integrand(v.values, v.grid.xi, n, beta)
     mt_v = c.omega * integrate(vals_v, maps.t_grid)
     margin = np.exp((1.0 - beta / n) * c.alpha_n * maps.c_g) * mt_v - mt_u.value
     mt_u_via_t = c.omega * integrate(vals_v * maps.psi, maps.t_grid)

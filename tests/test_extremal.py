@@ -32,7 +32,7 @@ from hmtlab.extremal import (
     boundary_tail_profile,
     pav_nonincreasing,
 )
-from hmtlab.functionals import singular_mt_gradient
+from hmtlab.functionals import singular_mt_with_gradient
 from hmtlab.quad_core import TAIL_SPAN
 
 
@@ -241,7 +241,7 @@ class TestMaximizeMT:
         grid = rep.best_profile.grid
         u = rep.best_profile.values
         u = u * _h_surrogate(u, _surrogate_weights(grid, n), n) ** (-1.0 / n)
-        grad_f = singular_mt_gradient(RadialProfile(grid, u, enforce_zero_boundary=False), n, beta)
+        grad_f = singular_mt_with_gradient(u, grid, n, beta)[1]
         mu = float(np.dot(grad_f, u)) / n
         residual = mu * _h_surrogate_gradient(u, grid, n) - grad_f
         assert np.max(np.abs(residual[:-1])) <= 1e-4 * np.max(np.abs(grad_f))
@@ -261,15 +261,28 @@ class TestMaximizeMT:
         # the monotonicity lemma of _ascend holds for every convex F: the MT sum and the n-norm
         omega = hl.make_constants(n).omega
         mass = _surrogate_weights(grid, n)[3]
-        objectives = [
-            (lambda p: singular_mt(p, n, 0.0).value, lambda p: singular_mt_gradient(p, n, 0.0)),
-            (lambda p: omega * float(np.dot(mass, p.values**n)),
-             lambda p: omega * n * mass * p.values ** (n - 1)),
+        evaluators = [
+            lambda v: singular_mt_with_gradient(v, grid, n, 0.0),
+            lambda v: (omega * float(np.dot(mass, v**n)), omega * n * mass * v ** (n - 1)),
         ]
         for start in seeded_corpus(grid, n, 20, 77):
-            for objective, gradient in objectives:
-                _, traj, _ = _ascend(start.values, grid, n, objective, gradient, max_iter=1)
+            for evaluate in evaluators:
+                _, traj, _ = _ascend(start.values, grid, n, evaluate, max_iter=1)
                 assert traj[1][1] >= traj[0][1]
+
+    def test_one_integrand_per_iterate(self, grid, monkeypatch):
+        # each iterate's value and gradient come from one integrand, plus one for the report
+        calls = []
+        original = hl.functionals.mt_integrand
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(hl.functionals, "mt_integrand", counted)
+        rep = maximize_mt(2, 0.0, grid, _cli_start(grid), SearchOptions(max_iter=40))
+        assert rep.iterations == 40
+        assert len(calls) <= rep.iterations + 2
 
     def test_surrogate_weights_built_once_per_search(self, grid, monkeypatch):
         # the ascent builds the deficit weights once, not once per step
@@ -353,8 +366,8 @@ class TestNodeGradients:
             return singular_mt(RadialProfile(g, x, enforce_zero_boundary=False), n, beta).value
 
         rng = np.random.default_rng(n + 10 * int(beta))
-        bad = _fd_violations(value, profile.values.copy(), singular_mt_gradient(profile, n, beta),
-                             self._eligible(profile), rng)
+        grad = singular_mt_with_gradient(profile.values, g, n, beta)[1]
+        bad = _fd_violations(value, profile.values.copy(), grad, self._eligible(profile), rng)
         assert bad == []
 
     @pytest.mark.parametrize("n", [2, 3])

@@ -24,12 +24,14 @@ from hmtlab import (
     truncated_exp,
 )
 from hmtlab.extremal import MoserParams, _surrogate_weights, moser_profile
+from hmtlab.extremal import seeded_corpus
 from hmtlab.functionals import (
     hermite_eval,
     hyperbolic_ln_norm_pow,
     pchip,
     pchip_slopes,
     potential_term,
+    singular_mt_with_gradient,
 )
 from hmtlab.quad_core import integrate, make_constants, pchip_spacing
 
@@ -337,6 +339,22 @@ class TestSingularMT:
             singular_mt(u, 2, -0.5)
         with pytest.raises(DomainError):
             singular_mt(u, 2, 0.0, exponent_scale=0.0)
+        for beta in (2.0, -0.5):
+            with pytest.raises(DomainError):
+                singular_mt_with_gradient(u.values, g, 2, beta)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    def test_sum_with_gradient_is_singular_mt(self, grids, n, beta):
+        # the ascent's objective is singular_mt's value to the bit, clamped nodes included
+        g = grids(1024, 1e-6)
+        members = [u.values for u in seeded_corpus(g, n, 3, 41)]
+        members.append(40.0 / members[0].max() * members[0])
+        for v in members:
+            value, _ = singular_mt_with_gradient(v, g, n, beta)
+            ref = singular_mt(RadialProfile(g, v, enforce_zero_boundary=False), n, beta)
+            assert value == ref.value
+        assert ref.overflow  # the last member clamps
 
 
 class TestHyperbolicMT:
