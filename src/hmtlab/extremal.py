@@ -283,17 +283,18 @@ def _surrogate_weights(grid: RadialGrid, n: int):
     omega * hardy is ((n-1)/n)^n times the hyperbolic cell volumes, as in hardy_term.
     """
     mass = grid.nodes_pow(n - 1) * grid.weights
-    density = grid.hyperbolic_density(n)
-    hardy = ((n - 1) / n) ** n / make_constants(n).omega * density * grid.weights
+    hardy = ((n - 1) / n) ** n / make_constants(n).omega * grid.hyperbolic_density(n) * grid.weights
     return grid.spacing.h, np.diff(grid.nodes_pow(n)) / n, hardy, mass
 
 
-def _h_surrogate(u_vals: np.ndarray, weights: tuple, n: int) -> float:
+def _h_surrogate(u: np.ndarray, weights: tuple, n: int, work: Optional[np.ndarray] = None) -> float:
     """Interval-difference deficit energy of _surrogate_weights; analytic in the node values."""
     dr, cell, hardy, _ = weights
-    du = np.diff(u_vals) / dr
-    grad_part = float(np.dot(np.abs(du) ** n, cell))
-    return make_constants(n).omega * (grad_part - float(np.dot(u_vals**n, hardy)))
+    du = np.subtract(u[1:], u[:-1], out=None if work is None else work[:-1])
+    du /= dr
+    np.abs(du, out=du)
+    du **= n
+    return make_constants(n).omega * (float(np.dot(du, cell)) - float(np.dot(u**n, hardy)))
 
 
 def _h_surrogate_gradient(u_vals: np.ndarray, grid: RadialGrid, n: int) -> np.ndarray:
@@ -302,31 +303,35 @@ def _h_surrogate_gradient(u_vals: np.ndarray, grid: RadialGrid, n: int) -> np.nd
     dr, cell, hardy, _ = _surrogate_weights(grid, n)
     du = np.diff(u_vals) / dr
     contrib = c.omega * n * np.abs(du) ** (n - 1) * np.sign(du) * cell / dr
-    out = np.zeros_like(u_vals)
-    out[:-1] -= contrib
-    out[1:] += contrib
-    out -= c.omega * n * hardy * np.maximum(u_vals, 0.0) ** (n - 1)
-    return out
+    return (-np.diff(contrib, prepend=0.0, append=0.0)
+            - c.omega * n * hardy * np.maximum(u_vals, 0.0) ** (n - 1))
 
 
-def _solve_gradient_part(
-    rhs: np.ndarray, dr: np.ndarray, cell: np.ndarray, n: int
-) -> np.ndarray:
+def _solve_gradient_part(rhs: np.ndarray, dr: np.ndarray, cell: np.ndarray, n: int,
+                         face: Optional[np.ndarray] = None, w: Optional[np.ndarray] = None
+                         ) -> np.ndarray:
     """Solve grad E(w) = omega * n * rhs with w = 0 at the last node.
 
     E is omega * sum(cell * |diff(w)/dr|^n).  The face fluxes
     cell * slope^(n-1) / dr are the cumulative sums of rhs from the origin
     and w sums the slopes from the boundary, so rhs >= 0 gives a w that is
-    non-increasing exactly.
+    non-increasing exactly.  The buffers ``face`` and ``w`` are optional, both or neither.
     """
-    flux = np.cumsum(rhs[:-1])
-    slope = (flux * dr / cell) ** (1.0 / (n - 1))
-    return np.append(np.cumsum((slope * dr)[::-1])[::-1], 0.0)
+    face, w = (np.empty_like(dr), np.zeros_like(rhs)) if w is None else (face, w)
+    np.add.accumulate(rhs[:-1], out=face)  # the fluxes, turned into slope * dr in place
+    face *= dr
+    face /= cell
+    if n > 2:  # the power 1 at n = 2 would copy the same bits
+        face **= 1.0 / (n - 1)
+    face *= dr
+    np.add.accumulate(face[::-1], out=w[-2::-1])
+    return w
 
 
-def _unit_deficit(u: np.ndarray, weights: tuple, n: int) -> np.ndarray:
-    """Rescale node values to _h_surrogate = 1 (n-homogeneity)."""
-    h_val = _h_surrogate(u, weights, n)
+def _unit_deficit(u: np.ndarray, weights: tuple, n: int,
+                  work: Optional[np.ndarray] = None) -> np.ndarray:
+    """Rescale node values to _h_surrogate = 1 (n-homogeneity); ``work`` goes to _h_surrogate."""
+    h_val = _h_surrogate(u, weights, n, work)
     if not h_val > 0.0:
         raise DiscretizationFailureError(
             f"deficit {h_val!r} on the nodes of a nonzero profile; grid cannot support the "
@@ -351,18 +356,22 @@ def _ascend(u: np.ndarray, grid: RadialGrid, n: int, evaluate: Callable[[np.ndar
     ``evaluate`` gives (F, grad F) of node values, once per iterate.  Stops at
     a relative change of F of at most RTOL.  Returns the last iterate's node
     values, the trajectory of F and whether that stop came before max_iter.
+    Steps fill buffers made once per search, never what ``evaluate`` returns:
+    ``rhs``, ``work`` (tau grad F / (omega n), then _h_surrogate's differences),
+    ``face`` (the fluxes, then slope * dr) and ``w`` (the solve; w[-1] = 0).
     """
     omega = make_constants(n).omega
-    weights = _surrogate_weights(grid, n)
-    dr, cell, hardy, _ = weights
-    u = _unit_deficit(u, weights, n)
+    dr, cell, hardy, _ = weights = _surrogate_weights(grid, n)
+    rhs, work, face, w = np.empty(u.size), np.empty(u.size), np.empty(u.size - 1), np.zeros(u.size)
+    u = _unit_deficit(u, weights, n, work)
     value, grad_f = evaluate(u)
     trajectory = [(0, value)]
     converged = False
     for it in range(1, max_iter + 1):
         tau = n / float(np.dot(grad_f, u))
-        rhs = hardy * u ** (n - 1) + tau / (omega * n) * grad_f
-        u = _unit_deficit(_solve_gradient_part(rhs, dr, cell, n), weights, n)
+        np.multiply(hardy, u if n == 2 else u ** (n - 1), out=rhs)  # rhs = hardy u^(n-1)
+        rhs += np.multiply(grad_f, tau / (omega * n), out=work)  # + tau grad F / (omega n)
+        u = _unit_deficit(_solve_gradient_part(rhs, dr, cell, n, face, w), weights, n, work)
         prev, (value, grad_f) = value, evaluate(u)
         trajectory.append((it, value))
         converged = abs(value - prev) <= RTOL * abs(prev)

@@ -345,18 +345,21 @@ def mt_exponent(values: np.ndarray, n: int, beta: float, scale: float = 1.0) -> 
     At n = 3 the power u^(3/2) is formed as u * sqrt(u), without libm pow.
     """
     u_pow = values * np.sqrt(values) if n == 3 else values ** (n / (n - 1.0))
-    return scale * (1.0 - beta / n) * make_constants(n).alpha_n * u_pow
+    return np.multiply(u_pow, scale * (1.0 - beta / n) * make_constants(n).alpha_n, out=u_pow)
 
 
-def mt_integrand(values: np.ndarray, xi: np.ndarray, n: int, beta: float, scale: float = 1.0
+def mt_integrand(values: np.ndarray, grid: RadialGrid, n: int, beta: float, scale: float = 1.0
                  ) -> Tuple[np.ndarray, np.ndarray]:
     """singular_mt's node integrand exp(exponent) r^(n-beta-1), and the mask of clamped nodes.
 
-    Formed in log space from node values and the grid's ln r (``xi``), with
-    the logarithm clamped at EXP_CLAMP.
+    Formed in place in log space from node values and the row (n - beta - 1) ln r
+    cached on the grid, with the logarithm clamped at EXP_CLAMP.
     """
-    x = mt_exponent(values, n, beta, scale) + (n - beta - 1.0) * xi
-    return np.exp(np.minimum(x, EXP_CLAMP)), x > EXP_CLAMP
+    x = mt_exponent(values, n, beta, scale)
+    x += grid._cached(("xi", n - beta - 1.0), lambda: (n - beta - 1.0) * grid.xi)
+    clamped = x > EXP_CLAMP
+    x[clamped] = EXP_CLAMP  # a scan of the mask alone when no node clamps
+    return np.exp(x, out=x), clamped
 
 
 def singular_mt(
@@ -372,7 +375,7 @@ def singular_mt(
     _check_beta(beta, n)
     if exponent_scale <= 0.0:
         raise DomainError(f"exponent_scale must be positive, got {exponent_scale}")
-    vals, clamped = mt_integrand(u.values, u.grid.xi, n, beta, exponent_scale)
+    vals, clamped = mt_integrand(u.values, u.grid, n, beta, exponent_scale)
     return MTResult(make_constants(n).omega * integrate(vals, u.grid), bool(clamped.any()))
 
 
@@ -381,11 +384,14 @@ def singular_mt_with_gradient(values: np.ndarray, grid: RadialGrid, n: int, beta
     """singular_mt's sum at scale 1 and its node gradient (0 where clamped), from one integrand."""
     _check_beta(beta, n)
     c = make_constants(n)
-    vals, clamped = mt_integrand(values, grid.xi, n, beta)
-    inner = (1.0 - beta / n) * c.alpha_n * (n / (n - 1.0)) * np.maximum(values, 0.0) ** (
-        1.0 / (n - 1.0))
-    return (c.omega * integrate(vals, grid),
-            np.where(clamped, 0.0, c.omega * grid.weights * vals * inner))
+    vals, clamped = mt_integrand(values, grid, n, beta)
+    grad = np.maximum(values, 0.0)
+    if n > 2:  # the power 1 at n = 2 would copy the same bits
+        grad **= 1.0 / (n - 1.0)
+    grad *= (1.0 - beta / n) * c.alpha_n * (n / (n - 1.0))
+    grad *= grid._cached(("omega w", n), lambda: c.omega * grid.weights) * vals
+    grad[clamped] = 0.0
+    return c.omega * integrate(vals, grid), grad
 
 
 def hyperbolic_mt(u: RadialProfile, n: int, beta: float, m: int) -> HyperbolicMTResult:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -60,7 +61,7 @@ ANDERSON_DEPTH = 5  # past steps whose differences the Green solve mixes
 
 @dataclass(frozen=True)
 class GreenTable:
-    """Converged discrete Green function and its pole decomposition."""
+    """Converged discrete Green function and its pole decomposition; its arrays are read-only."""
 
     grid: RadialGrid
     n: int
@@ -72,6 +73,10 @@ class GreenTable:
     iterations: int
     tol: float
 
+    def __post_init__(self):
+        for a in (self.g_values, self.excess, self.remainder):
+            a.flags.writeable = False
+
     @property
     def m_values(self) -> np.ndarray:
         return _mass(self.g_values, self.potential.values(self.grid, self.n), self.grid, self.n)
@@ -80,9 +85,9 @@ class GreenTable:
     def g_deriv(self) -> np.ndarray:
         return -make_constants(self.n).gamma * (1.0 + self.excess) / self.grid.nodes
 
-    @property
+    @cached_property
     def residual(self) -> float:
-        """Sup-norm defect of the flux identity, the mass recomputed from G."""
+        """Sup-norm defect of the flux identity, the mass recomputed from G; computed once."""
         return float(np.max(np.abs(_flux_excess(self.m_values, self.n) - self.excess)))
 
     def validate(self) -> None:
@@ -91,9 +96,8 @@ class GreenTable:
             raise CorruptTableError("G must be strictly decreasing")
         if not np.all(self.excess >= -1e-12):
             raise CorruptTableError("-omega^(1/(n-1)) G' r must be >= 1")
-        residual = self.residual
-        if not math.isfinite(residual) or residual > 10.0 * self.tol:
-            raise CorruptTableError(f"residual {residual} exceeds tolerance {self.tol}")
+        if not math.isfinite(self.residual) or self.residual > 10.0 * self.tol:
+            raise CorruptTableError(f"residual {self.residual} exceeds tolerance {self.tol}")
 
     def to_json_dict(self) -> dict:
         return {

@@ -253,16 +253,17 @@ def integrate(samples: np.ndarray, grid: RadialGrid) -> float:
     """Composite trapezoid of node samples over [nodes[0], 1-eps].
 
     Exact for piecewise-linear integrands; second order on smooth ones.
-    Linear and monotone in the samples.
+    Linear and monotone in the samples.  A non-finite sum, overflow included, raises NumericError.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.shape != grid.nodes.shape:
         raise NumericError(
             f"samples shape {samples.shape} does not match grid ({grid.nodes.shape})"
         )
-    if not np.all(np.isfinite(samples)):
-        raise NumericError("non-finite sample passed to integrate")
-    return float(np.dot(samples, grid.weights))
+    total = float(np.dot(samples, grid.weights))
+    if not math.isfinite(total):
+        raise NumericError("non-finite sample passed to integrate, or its sum overflows")
+    return total
 
 
 def int_pow(x: np.ndarray, k: int) -> np.ndarray:

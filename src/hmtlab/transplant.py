@@ -117,7 +117,7 @@ def check_mt_comparison(u: RadialProfile, v: RadialProfile, maps: TransplantMaps
     n, beta = maps.n, maps.beta
     c = make_constants(n)
     mt_u = singular_mt(u, n, beta)
-    vals_v, clamped_v = mt_integrand(v.values, v.grid.xi, n, beta)
+    vals_v, clamped_v = mt_integrand(v.values, v.grid, n, beta)
     mt_v = c.omega * integrate(vals_v, maps.t_grid)
     margin = np.exp((1.0 - beta / n) * c.alpha_n * maps.c_g) * mt_v - mt_u.value
     mt_u_via_t = c.omega * integrate(vals_v * maps.psi, maps.t_grid)

@@ -306,6 +306,99 @@ class TestMaximizeMT:
             maximize_mt(2, 0.0, grid, _cli_start(grid))
 
 
+class TestBufferedStep:
+    """_ascend's buffered step against the step written as plain numpy expressions."""
+
+    STEPS = 5
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        return make_grid(2048, 1e-6)
+
+    def _check(self, grid, n, start, evaluate, reference_evaluate):
+        u, traj, _ = _ascend(start, grid, n, evaluate, max_iter=self.STEPS)
+        ref_u, ref_traj = _reference_ascent(start, grid, n, reference_evaluate, self.STEPS)
+        assert len(traj) == len(ref_traj) == self.STEPS + 1
+        assert np.array_equal(u, ref_u)
+        assert all(v == ref for (_, v), ref in zip(traj, ref_traj))
+        return u
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    def test_mt_step_to_the_bit(self, grid, n, beta):
+        start = hl.functionals.nonincreasing_majorant(_cli_start(grid).values)
+        self._check(grid, n, start, lambda v: singular_mt_with_gradient(v, grid, n, beta),
+                    lambda v: _reference_mt(v, grid, n, beta))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_lambda1_step_to_the_bit(self, grid, n):
+        omega = hl.make_constants(n).omega
+        mass = _surrogate_weights(grid, n)[3]
+
+        def evaluate(v):
+            return omega * float(np.dot(mass, v**n)), omega * n * mass * v ** (n - 1)
+
+        start = np.maximum(grid.one_minus_r2**1.5 - grid.one_minus_r2[-1] ** 1.5, 0.0)
+        self._check(grid, n, start, evaluate, evaluate)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_h_surrogate_to_the_bit(self, grid, n):
+        # the reference ascent rescales with _h_surrogate itself; its buffered and unbuffered
+        # forms equal the plain expression
+        omega = hl.make_constants(n).omega
+        weights = dr, cell, hardy, _ = _surrogate_weights(grid, n)
+        for u in [_cli_start(grid).values] + [p.values for p in seeded_corpus(grid, n, 3, 5)]:
+            plain = omega * (float(np.dot(np.abs(np.diff(u) / dr) ** n, cell))
+                             - float(np.dot(u**n, hardy)))
+            assert _h_surrogate(u, weights, n) == plain
+            assert _h_surrogate(u, weights, n, np.empty(u.size)) == plain
+
+    @pytest.mark.parametrize("n,beta", [(2, 0.0), (3, 1.0), (4, 0.0)])
+    def test_clamped_step_to_the_bit(self, grid, n, beta):
+        # the ascent rescales its start to unit deficit, where no node clamps; the objective
+        # F(u) = MT(30 u) clamps hundreds of nodes by the last iterate instead
+        start = hl.functionals.nonincreasing_majorant(_cli_start(grid).values)
+        u = self._check(grid, n, start,
+                        lambda v: singular_mt_with_gradient(30.0 * v, grid, n, beta),
+                        lambda v: _reference_mt(30.0 * v, grid, n, beta))
+        assert hl.functionals.mt_integrand(30.0 * u, grid, n, beta)[1].sum() >= 100
+
+
+def _reference_mt(v, grid, n, beta):
+    """singular_mt_with_gradient as plain numpy expressions, each forming a new array."""
+    c = hl.make_constants(n)
+    u_pow = v * np.sqrt(v) if n == 3 else v ** (n / (n - 1.0))
+    x = 1.0 * (1.0 - beta / n) * c.alpha_n * u_pow + (n - beta - 1.0) * grid.xi
+    vals, clamped = np.exp(np.minimum(x, hl.quad_core.EXP_CLAMP)), x > hl.quad_core.EXP_CLAMP
+    inner = (1.0 - beta / n) * c.alpha_n * (n / (n - 1.0)) * np.maximum(v, 0.0) ** (
+        1.0 / (n - 1.0))
+    return (c.omega * float(np.dot(vals, grid.weights)),
+            np.where(clamped, 0.0, c.omega * grid.weights * vals * inner))
+
+
+def _reference_ascent(u, grid, n, evaluate, steps):
+    """``steps`` ascent steps as plain numpy expressions: the cumsum/append solve, no buffers."""
+    omega = hl.make_constants(n).omega
+    weights = _surrogate_weights(grid, n)
+    dr, cell, hardy, _ = weights
+
+    def unit_deficit(v):
+        return v * _h_surrogate(v, weights, n) ** (-1.0 / n)
+
+    u = unit_deficit(u)
+    value, grad_f = evaluate(u)
+    trajectory = [value]
+    for _ in range(steps):
+        tau = n / float(np.dot(grad_f, u))
+        rhs = hardy * u ** (n - 1) + tau / (omega * n) * grad_f
+        flux = np.cumsum(rhs[:-1])
+        slope = (flux * dr / cell) ** (1.0 / (n - 1))
+        u = unit_deficit(np.append(np.cumsum((slope * dr)[::-1])[::-1], 0.0))
+        value, grad_f = evaluate(u)
+        trajectory.append(value)
+    return u, trajectory
+
+
 def _cli_start(grid):
     return RadialProfile(grid, 0.5 * grid.one_minus_r2)
 

@@ -324,6 +324,31 @@ class TestTableRoundTrip:
         assert np.all(np.abs(loaded.excess - table.excess) <= 10.0 * tol * (1.0 + table.excess))
 
 
+class TestResidualOnce:
+    def test_one_mass_pass_per_table(self, grids, monkeypatch):
+        # validate computes the residual; the report reads it without a second mass pass
+        calls = []
+        original = hl.green._mass
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        table = solve_green(2, Potential.hardy_critical(), grids(512, 1e-4), tol=1e-10)
+        monkeypatch.setattr(hl.green, "_mass", counted)
+        assert table.to_json_dict()["residual"] == table.residual
+        assert calls == []
+        # a table rebuilt from G computes its own residual, once per table
+        hl.GreenTable.from_json_dict(table.to_json_dict())
+        assert len(calls) == 3  # the rebuild's assembly, then one residual for each of two tables
+
+    def test_arrays_read_only(self, grids):
+        table = solve_green(2, Potential.hardy_critical(), grids(512, 1e-4), tol=1e-10)
+        for a in (table.g_values, table.excess, table.remainder):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+
 def comparison_supersolution(grid, n):
     """Supersolution check for psi(r) = (-ln r)^((n-1)/n) against the critical potential.
 

@@ -10,6 +10,7 @@ from hmtlab import (
     GridConfigError,
     InvalidDimensionError,
     NumericError,
+    RadialGrid,
     integrate,
     make_constants,
     make_grid,
@@ -228,6 +229,28 @@ class TestGridWeights:
             with pytest.raises(ValueError):
                 arr[0] = 1.0
             assert arr.tobytes() == fresh.tobytes(), name
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_integrate_rejects_a_non_finite_sample(self, grid, bad, where):
+        f = np.ones(grid.n_points)
+        f[{"first": 0, "middle": grid.n_points // 2, "last": -1}[where]] = bad
+        with pytest.raises(NumericError):
+            integrate(f, grid)
+
+    def test_integrate_rejects_an_infinite_pair(self, grid):
+        f = np.ones(grid.n_points)
+        f[3], f[-4] = np.inf, -np.inf
+        with pytest.raises(NumericError), np.errstate(invalid="ignore"):  # inf - inf warns
+            integrate(f, grid)
+
+    def test_integrate_rejects_a_sum_that_overflows(self):
+        # every sample is finite, but their sum over [1, 3] is 2e308; on [r_min, 1 - eps]
+        # the weights add up to less than 1, so samples of 1e308 cannot overflow there
+        x = np.linspace(1.0, 3.0, 64)
+        f = np.full(x.size, 1e308)
+        with pytest.raises(NumericError), np.errstate(over="ignore"):  # the dot product warns
+            integrate(f, RadialGrid(nodes=x, s=1.0 - x, xi=np.log(x), epsilon=0.0))
 
     def test_integrate_unchanged(self, grid):
         f = np.random.default_rng(3).uniform(0.0, 1.0, grid.n_points) / grid.nodes

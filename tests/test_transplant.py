@@ -308,7 +308,7 @@ class TestImageGrid:
         assert np.array_equal(maps.t_grid.xi, ln_t)
         for u in corpora(n, size=6, seed=1234, n_points=1024):
             v = pushforward(u, maps)
-            vals, clamped = mt_integrand(v.values, v.grid.xi, n, beta)
+            vals, clamped = mt_integrand(v.values, v.grid, n, beta)
             x = mt_exponent(v.values, n, beta) + (n - beta - 1.0) * ln_t
             assert not clamped.any()
             assert vals.tobytes() == np.exp(x).tobytes()
