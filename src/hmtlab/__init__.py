@@ -15,7 +15,6 @@ from .errors import (  # noqa: F401
     DegenerateProfileError,
     DiscretizationFailureError,
     DomainError,
-    ExtractionUnstableError,
     GridConfigError,
     HmtError,
     InvalidDimensionError,
@@ -50,7 +49,6 @@ from .green import (  # noqa: F401
     GreenTable,
     TransplantMaps,
     check_boundary_bound,
-    extrapolate_c_g,
     image_t_grid,
     make_maps,
     solve_green,

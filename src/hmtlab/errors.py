@@ -34,10 +34,6 @@ class PotentialInstabilityError(HmtError, RuntimeError):
     """Potential term grew without bound across solver iterations."""
 
 
-class ExtractionUnstableError(HmtError, RuntimeError):
-    """Pole-constant extrapolation was given fewer than two truncation levels."""
-
-
 class CorruptTableError(HmtError, ValueError):
     """A Green table violates its structural invariants."""
 

@@ -308,16 +308,14 @@ def _h_surrogate_gradient(u_vals: np.ndarray, grid: RadialGrid, n: int) -> np.nd
 
 
 def _solve_gradient_part(rhs: np.ndarray, dr: np.ndarray, cell: np.ndarray, n: int,
-                         face: Optional[np.ndarray] = None, w: Optional[np.ndarray] = None
-                         ) -> np.ndarray:
-    """Solve grad E(w) = omega * n * rhs with w = 0 at the last node.
+                         face: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Solve grad E(w) = omega * n * rhs with w = 0 at the last node, into ``w``.
 
     E is omega * sum(cell * |diff(w)/dr|^n).  The face fluxes
     cell * slope^(n-1) / dr are the cumulative sums of rhs from the origin
     and w sums the slopes from the boundary, so rhs >= 0 gives a w that is
-    non-increasing exactly.  The buffers ``face`` and ``w`` are optional, both or neither.
+    non-increasing exactly.
     """
-    face, w = (np.empty_like(dr), np.zeros_like(rhs)) if w is None else (face, w)
     np.add.accumulate(rhs[:-1], out=face)  # the fluxes, turned into slope * dr in place
     face *= dr
     face /= cell
@@ -328,8 +326,7 @@ def _solve_gradient_part(rhs: np.ndarray, dr: np.ndarray, cell: np.ndarray, n: i
     return w
 
 
-def _unit_deficit(u: np.ndarray, weights: tuple, n: int,
-                  work: Optional[np.ndarray] = None) -> np.ndarray:
+def _unit_deficit(u: np.ndarray, weights: tuple, n: int, work: np.ndarray) -> np.ndarray:
     """Rescale node values to _h_surrogate = 1 (n-homogeneity); ``work`` goes to _h_surrogate."""
     h_val = _h_surrogate(u, weights, n, work)
     if not h_val > 0.0:
@@ -482,7 +479,7 @@ def seeded_corpus(grid: RadialGrid, n: int, size: int, seed: int) -> List[Radial
             drops = rng.uniform(0.2, 1.5, kpts + 1) * np.diff(xs)[: kpts + 1]
             vals_desc = np.concatenate([[np.sum(drops)], np.sum(drops) - np.cumsum(drops)])
             vals = np.concatenate([vals_desc[:-1], [0.0, 0.0]])
-            u_vals = np.maximum(pchip(xs, vals, np.minimum(grid.nodes, 1.05)), 0.0)
+            u_vals = np.maximum(pchip(xs, vals, grid.nodes), 0.0)
             prof = RadialProfile(grid, u_vals, enforce_zero_boundary=True)
         elif kind == 1:
             q = rng.uniform(1.0, 3.0)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from . import FORMAT_VERSION
 from .errors import (
     ConvergenceError,
     CorruptTableError,
-    ExtractionUnstableError,
     PotentialInstabilityError,
 )
 from .functionals import Potential, pchip
@@ -50,7 +49,6 @@ __all__ = [
     "GreenTable",
     "TransplantMaps",
     "solve_green",
-    "extrapolate_c_g",
     "check_boundary_bound",
     "make_maps",
 ]
@@ -310,26 +308,6 @@ def solve_green(
     table = _table_from_g(grid, n, potential, v_vals, log_part, g_values, iterations, tol)
     table.validate()
     return table
-
-
-def extrapolate_c_g(eps_values: Sequence[float], c_g_values: Sequence[float]) -> Dict[str, float]:
-    """Extrapolate the pole constant over a truncation schedule.
-
-    Fits c_g(eps) = c - a / ln(1/eps) by least squares.  The truncated-domain
-    constants do approach their limit with a slow logarithmic tail, but this
-    form is biased: the committed n = 2 limit, 0.206829, lies 6.3% below the
-    exact ln 2 / pi = 0.2206356.  The exact n = 2 tail is
-    c_g(eps) ~ ln 2 / pi - pi / (4 ln(8/eps)), so ln(8/eps), not ln(1/eps),
-    is the right variable.
-    """
-    eps_arr = np.asarray(eps_values, dtype=float)
-    cg_arr = np.asarray(c_g_values, dtype=float)
-    if eps_arr.size < 2:
-        raise ExtractionUnstableError("need at least two truncation levels to extrapolate")
-    x = 1.0 / np.log(1.0 / eps_arr)
-    design = np.vstack([np.ones_like(x), x]).T
-    coef, *_ = np.linalg.lstsq(design, cg_arr, rcond=None)
-    return {"limit": float(coef[0]), "slope": float(coef[1])}
 
 
 def _fit_c_g(grid: RadialGrid, g_values: np.ndarray, gamma: float, n: int) -> float:

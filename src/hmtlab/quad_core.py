@@ -253,14 +253,18 @@ def integrate(samples: np.ndarray, grid: RadialGrid) -> float:
     """Composite trapezoid of node samples over [nodes[0], 1-eps].
 
     Exact for piecewise-linear integrands; second order on smooth ones.
-    Linear and monotone in the samples.  A non-finite sum, overflow included, raises NumericError.
+    Linear and monotone in the samples.  A non-finite sum, overflow included, raises
+    NumericError, also under ``-W error::RuntimeWarning``.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.shape != grid.nodes.shape:
         raise NumericError(
             f"samples shape {samples.shape} does not match grid ({grid.nodes.shape})"
         )
-    total = float(np.dot(samples, grid.weights))
+    try:
+        total = float(np.dot(samples, grid.weights))
+    except RuntimeWarning:  # the dot warns on inf - inf and on overflow
+        total = math.nan
     if not math.isfinite(total):
         raise NumericError("non-finite sample passed to integrate, or its sum overflows")
     return total

@@ -13,7 +13,6 @@ from hmtlab import (
     Potential,
     PotentialInstabilityError,
     check_boundary_bound,
-    extrapolate_c_g,
     make_constants,
     make_grid,
     make_maps,
@@ -164,14 +163,10 @@ class TestAndersonMixing:
 
 
 class TestContinuation:
-    def test_truncation_schedule_and_extrapolation(self, grids):
-        eps_values = [1e-2, 1e-3, 1e-4]
+    def test_pole_constant_rises_as_truncation_shrinks(self, grids):
         cgs = [solve_green(2, Potential.hardy_critical(), grids(1024, eps), tol=1e-9).c_g
-               for eps in eps_values]
+               for eps in (1e-2, 1e-3, 1e-4)]
         assert cgs[0] < cgs[1] < cgs[2]
-        fit = extrapolate_c_g(eps_values, cgs)
-        assert fit["limit"] > cgs[-1]
-        assert math.isfinite(fit["slope"])
 
 
 class TestMaps:

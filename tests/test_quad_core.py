@@ -252,6 +252,21 @@ class TestGridWeights:
         with pytest.raises(NumericError), np.errstate(over="ignore"):  # the dot product warns
             integrate(f, RadialGrid(nodes=x, s=1.0 - x, xi=np.log(x), epsilon=0.0))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("case", ["nan", "inf", "-inf", "pair", "overflow"])
+    def test_integrate_raises_numeric_error_when_warnings_are_errors(self, grid, case):
+        f = np.ones(grid.n_points)
+        if case == "pair":
+            f[3], f[-4] = np.inf, -np.inf
+        elif case == "overflow":
+            x = np.linspace(1.0, 3.0, 64)
+            f, grid = np.full(x.size, 1e308), RadialGrid(nodes=x, s=1.0 - x, xi=np.log(x),
+                                                         epsilon=0.0)
+        else:
+            f[grid.n_points // 2] = float(case)
+        with pytest.raises(NumericError):
+            integrate(f, grid)
+
     def test_integrate_unchanged(self, grid):
         f = np.random.default_rng(3).uniform(0.0, 1.0, grid.n_points) / grid.nodes
         assert integrate(f, grid) == float(np.dot(f, trapezoid_weights(grid.nodes)))

@@ -7,9 +7,9 @@ Run from the repository root:
 
 Writes tests/data/oracles.json.  The references are deliberately more
 expensive than anything the tests run: pole constants from one
-100k-node solve per truncation level of the schedule, extrapolated along
-the logarithmic tail, and hyperbolic volumes from an independent
-composite-Simpson rule with two million uniform intervals.  Tests
+100k-node solve per truncation level of the schedule, and hyperbolic
+volumes from an independent composite-Simpson rule with two million
+uniform intervals.  Tests
 compare production-resolution results against these frozen numbers;
 regenerate only when the underlying definitions change, and commit the
 diff.
@@ -26,7 +26,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from hmtlab import (  # noqa: E402
     Potential,
-    extrapolate_c_g,
     make_constants,
     make_grid,
     solve_green,
@@ -35,7 +34,6 @@ from hmtlab import (  # noqa: E402
 ORACLE_PATH = Path(__file__).resolve().parents[1] / "tests" / "data" / "oracles.json"
 
 EPS_SCHEDULE = [1e-2, 1e-3, 1e-4, 1e-5, 1e-6]
-EXTRAP_EPS = [1e-3, 1e-4, 1e-5]
 FINE_NODES = 100_000
 
 
@@ -49,9 +47,8 @@ def c_g_oracles() -> dict:
             ).c_g
             for eps in EPS_SCHEDULE
         }
-        fit = extrapolate_c_g(EXTRAP_EPS, [per_eps[f"{e:.0e}"] for e in EXTRAP_EPS])
-        out[str(n)] = {"per_eps": per_eps, "extrapolated": fit}
-        print(f"  n={n}: {per_eps}  limit={fit['limit']:.6f}  ({time.time()-t0:.1f}s)")
+        out[str(n)] = {"per_eps": per_eps}
+        print(f"  n={n}: {per_eps}  ({time.time()-t0:.1f}s)")
     return out
 
 
