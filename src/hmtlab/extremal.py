@@ -31,7 +31,7 @@ from .functionals import (
     singular_mt,
     singular_mt_with_gradient,
 )
-from .quad_core import RadialGrid, make_constants
+from .quad_core import AndersonMixer, RadialGrid, make_constants
 
 __all__ = [
     "MoserParams",
@@ -66,7 +66,7 @@ class MoserParams:
             raise PreconditionError(f"rho must lie in (0,1), got {self.rho}")
 
 
-RTOL = 1e-12  # relative change of the value that ends either search
+RTOL = 1e-14  # relative change of F over a plain step that ends either search
 MAX_GAP = 0.01  # largest relative gap between a value on the profile and on the nodes
 SHOULDER = 0.5  # the corpus's Moser corner blend; acceptance criteria 4-6 were checked with it
 TAIL_CUT_BASE = 0.25  # the divergence family's cut depth; criterion 8 was checked with it
@@ -342,20 +342,31 @@ def _ascend(u: np.ndarray, grid: RadialGrid, n: int, evaluate: Callable[[np.ndar
     """Maximize a convex node objective F over the unit deficit set from the start u.
 
     The deficit _h_surrogate is H = E - D, E its gradient part and D the
-    Hardy sum, both convex and n-homogeneous.  Each step of this
+    Hardy sum, both convex and n-homogeneous.  The plain step of this
     convex-concave ascent (Yuille & Rangarajan, Neural Comput. 2003) solves
     grad E(w) = grad D(u) + tau * grad F(u) with the stationary multiplier
-    tau = n / <grad F(u), u> and rescales w to w' = w / H(w)^(1/n), so every
-    iterate is non-increasing, and F never decreases:
+    tau = n / <grad F(u), u> and rescales w to w' = w / H(w)^(1/n), so w' is
+    non-increasing, and F(w') >= F(u):
       Euler's identity and the minimality of w give E(w) >= E(u);
       hence tau <grad F(u), w> >= H(w) + n - 1 >= n H(w)^(1/n);
       so F(w') >= F(u) + <grad F(u), w' - u> >= F(u).
-    ``evaluate`` gives (F, grad F) of node values, once per iterate.  Stops at
-    a relative change of F of at most RTOL.  Returns the last iterate's node
-    values, the trajectory of F and whether that stop came before max_iter.
-    Steps fill buffers made once per search, never what ``evaluate`` returns:
-    ``rhs``, ``work`` (tau grad F / (omega n), then _h_surrogate's differences),
-    ``face`` (the fluxes, then slope * dr) and ``w`` (the solve; w[-1] = 0).
+    The plain steps converge linearly, so each step offers an AndersonMixer
+    the iterate and its plain step, and takes the mixed step instead when it
+    is finite, non-increasing with a last node >= 0, of positive deficit,
+    and, rescaled to unit deficit, of F at least F(u).  Otherwise it takes
+    the plain step and restarts the history.  So every iterate is
+    non-increasing on the unit deficit set, and F never decreases: a plain
+    step that lowers F, which rounding does at a converged iterate, ends
+    the run at u.  A rejected mixed step costs one more evaluation.
+    ``evaluate`` gives (F, grad F) of node values, once per node array.
+    Stops at a plain step that changes F by at most RTOL relative; a mixed
+    step that small is confirmed by a plain step first.  Returns the last
+    iterate's node values, the trajectory of F and whether that stop came
+    before max_iter.
+    The plain step fills buffers made once per search, never what
+    ``evaluate`` returns: ``rhs``, ``work`` (tau grad F / (omega n), then
+    _h_surrogate's differences), ``face`` (the fluxes, then slope * dr) and
+    ``w`` (the solve; w[-1] = 0).
     """
     omega = make_constants(n).omega
     dr, cell, hardy, _ = weights = _surrogate_weights(grid, n)
@@ -363,18 +374,42 @@ def _ascend(u: np.ndarray, grid: RadialGrid, n: int, evaluate: Callable[[np.ndar
     u = _unit_deficit(u, weights, n, work)
     value, grad_f = evaluate(u)
     trajectory = [(0, value)]
-    converged = False
+    mixer = AndersonMixer(u.size)
+    converged = confirm = False
     for it in range(1, max_iter + 1):
         tau = n / float(np.dot(grad_f, u))
         np.multiply(hardy, u if n == 2 else u ** (n - 1), out=rhs)  # rhs = hardy u^(n-1)
         rhs += np.multiply(grad_f, tau / (omega * n), out=work)  # + tau grad F / (omega n)
-        u = _unit_deficit(_solve_gradient_part(rhs, dr, cell, n, face, w), weights, n, work)
-        prev, (value, grad_f) = value, evaluate(u)
+        plain = _unit_deficit(_solve_gradient_part(rhs, dr, cell, n, face, w), weights, n, work)
+        mixed = None if confirm else mixer.mix(u, plain - u, plain)
+        step = None if mixed is None else _mixed_step(mixed, value, weights, n, work, evaluate)
+        if step is None:
+            if mixed is not None or confirm:  # the history restarts from the plain step
+                mixer.restart()
+            step = plain, *evaluate(plain)
+            if step[1] < value:  # rounding, at a converged u: end the run there
+                converged = True
+                break
+        prev, (u, value, grad_f) = value, step
         trajectory.append((it, value))
-        converged = abs(value - prev) <= RTOL * abs(prev)
-        if converged:
+        confirm = abs(value - prev) <= RTOL * abs(prev)  # a mixed step this small: confirm it
+        if confirm and u is plain:
+            converged = True
             break
     return u, trajectory, converged
+
+
+def _mixed_step(mixed: np.ndarray, value: float, weights: tuple, n: int, work: np.ndarray,
+                evaluate: Callable[[np.ndarray], tuple]) -> Optional[tuple]:
+    """(node values, F, grad F) of the mixed step rescaled to unit deficit, or None if rejected."""
+    if not (np.all(np.isfinite(mixed)) and mixed[-1] >= 0.0 and np.all(np.diff(mixed) <= 0.0)):
+        return None
+    try:
+        mixed = _unit_deficit(mixed, weights, n, work)
+    except DiscretizationFailureError:  # deficit <= 0: off the set the ascent works on
+        return None
+    step = mixed, *evaluate(mixed)
+    return step if step[1] >= value else None
 
 
 def maximize_mt(

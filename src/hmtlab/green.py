@@ -9,9 +9,10 @@ solution G with pole at the origin,
 with G = 0 at the truncated boundary 1-eps.  The solver iterates this map
 in the log coordinate xi = ln r, where the potential-free part of the flux
 integrates exactly.  Its unknown is the flux excess, and Anderson mixing
-(Walker & Ni, SIAM J. Numer. Anal. 2011) accelerates the plain Picard step,
-falling back to it whenever a mixed step is not finite or has a negative
-excess entry; the iterates therefore do not climb monotonically.  The pole
+(Walker & Ni, SIAM J. Numer. Anal. 2011; ``quad_core.AndersonMixer``, which
+the extremal ascent shares) accelerates the plain Picard step, falling back
+to it whenever a mixed step is not finite or has a negative excess entry;
+the iterates therefore do not climb monotonically.  The pole
 decomposition
 
     G(r) = -gamma ln r + C_G + H(r),   gamma = omega^(-1/(n-1)),
@@ -38,6 +39,7 @@ from .errors import (
 )
 from .functionals import Potential, pchip
 from .quad_core import (
+    AndersonMixer,
     GridGrading,
     RadialGrid,
     cumulative_from_origin,
@@ -54,7 +56,6 @@ __all__ = [
 ]
 
 INSTABILITY_CAP = 1e12  # sup m beyond this across iterations means no spectral gap
-ANDERSON_DEPTH = 5  # past steps whose differences the Green solve mixes
 
 
 @dataclass(frozen=True)
@@ -232,10 +233,11 @@ def solve_green(
     order-preserving (V >= 0 and every step adds positive terms) and
     x = 0, the V = 0 solution, is a subsolution, so plain Picard steps
     would climb monotonically to the minimal fixed point, slowly when the
-    potential is near its spectral threshold.  Anderson mixing of depth
-    ``ANDERSON_DEPTH`` instead combines the last differences of x and of
-    the defect f = T(x) - x: the coefficients c solve the small Gram system
-    dF dF^T c = dF f, and the next iterate is T(x) - (dX + dF)^T c.  The
+    potential is near its spectral threshold.  An AndersonMixer (depth
+    ``quad_core.ANDERSON_DEPTH``) instead combines the last differences of
+    x and of the defect f = T(x) - x: the coefficients c solve the small
+    Gram system dF dF^T c = dF f, and the next iterate is
+    T(x) - (dX + dF)^T c.  The
     mixed iterates do not climb monotonically.  A mixed step that is not
     finite or has a negative excess entry is replaced by the plain step
     T(x), and the history restarts from there.  Once |f| <= tol, the table
@@ -253,12 +255,8 @@ def solve_green(
     v_vals = potential.values(grid, n)
     log_part = gamma * (grid.xi[-1] - grid.xi)
 
-    # ring buffers: row k holds one difference of successive x (d_x) and f (d_f)
     excess = np.zeros_like(log_part)  # assembles to G = log_part
-    d_x = np.empty((ANDERSON_DEPTH, excess.size))
-    d_f = np.empty_like(d_x)
-    kept = 0  # differences recorded since the history was last cleared
-    prev_x = prev_f = None
+    mixer = AndersonMixer(excess.size)
     residual = math.inf
     for iterations in range(1, max_iter + 1):
         g_values, _ = _assemble(excess, log_part, grid, gamma)
@@ -272,26 +270,15 @@ def solve_green(
             )
         defect = _flux_excess(m, n) - excess
         residual = float(np.max(np.abs(defect)))
-        if prev_x is not None:
-            row = kept % ANDERSON_DEPTH
-            np.subtract(excess, prev_x, out=d_x[row])
-            np.subtract(defect, prev_f, out=d_f[row])
-            kept += 1
-        prev_x, prev_f = excess, defect
-        excess = excess + defect  # the plain step
-        rows = min(kept, ANDERSON_DEPTH)
-        if rows:
-            dx, df = d_x[:rows], d_f[:rows]
-            try:
-                coef = np.linalg.solve(df @ df.T, df @ defect)
-            except np.linalg.LinAlgError:  # singular Gram system: no mixed step
-                coef = np.full(rows, np.nan)
-            with np.errstate(invalid="ignore", over="ignore"):
-                mixed = excess - coef @ dx - coef @ df
-            if np.all(np.isfinite(mixed)) and np.min(mixed) >= 0.0:
-                excess = mixed
-            else:  # keep the plain step and restart the history from it
-                kept, prev_x = 0, None
+        plain = excess + defect
+        mixed = mixer.mix(excess, defect, plain)
+        if mixed is None:
+            excess = plain
+        elif np.all(np.isfinite(mixed)) and np.min(mixed) >= 0.0:
+            excess = mixed
+        else:  # keep the plain step and restart the history from it
+            excess = plain
+            mixer.restart()
         if residual <= tol:  # the next iterate is the history's best estimate: return it
             g_values, _ = _assemble(excess, log_part, grid, gamma)
             break
@@ -304,6 +291,7 @@ def solve_green(
             iterations=max_iter,
         )
 
+    del mixer  # free its ring buffers before the assembly, where the memory of the solve peaks
     # final self-consistent assembly from the converged mass
     table = _table_from_g(grid, n, potential, v_vals, log_part, g_values, iterations, tol)
     table.validate()

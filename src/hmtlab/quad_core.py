@@ -1,4 +1,4 @@
-"""Constants, graded radial grids, and singularity-aware quadrature.
+"""Constants, graded radial grids, singularity-aware quadrature, and Anderson mixing.
 
 Everything downstream integrates weighted radial profiles over a truncated
 interval [r_min, 1-eps].  The integrands carry (-ln r)^k singularities at the
@@ -7,6 +7,8 @@ nodes geometrically at both ends and stays uniform in the interior where
 profiles actually vary.  The boundary coordinate s = 1-r is stored exactly
 (the grid is built in s on the right) so that 1-r^2 = s*(2-s) never suffers
 cancellation, which matters for weights like (1-r^2)^(-n) at s ~ 1e-6.
+The Green solve and the extremal ascent accelerate their fixed-point steps
+with the one AndersonMixer.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .errors import (
 )
 
 __all__ = [
+    "AndersonMixer",
     "Constants",
     "GridGrading",
     "PchipSpacing",
@@ -42,6 +45,7 @@ __all__ = [
 
 EXP_CLAMP = 700.0  # exp(700) ~ 1e304, last safe exponent in float64
 TAIL_SPAN = 0.01  # each geometric tail covers r in [r_min, 0.01] or 1 - r in [eps, 0.01]
+ANDERSON_DEPTH = 5  # past steps whose differences an AndersonMixer mixes
 
 
 @dataclass(frozen=True)
@@ -302,14 +306,14 @@ def cumulative_from_origin(samples: np.ndarray, grid: RadialGrid) -> np.ndarray:
 def truncated_exp(t, m: int):
     """Tail of the exponential series E_m(t) = sum_{k>=m} t^k / k!.
 
-    Equals e^t minus the first m Taylor terms.  Small arguments (t < m/2)
+    Equals e^t minus the first m Taylor terms.  Small arguments (t < m)
     are summed as a series from the k = m term up, which avoids the
     catastrophic cancellation of the subtracted form; large arguments use
     the direct form with compensated summation of the Taylor partial sum.
-    Strictly positive for t > 0.  Monotone nondecreasing in t for m <= 5;
-    for m >= 6 the direct form just above t = m/2 rounds with relative
-    error about eps / P(Poisson(m/2) >= m), so neighbouring floats there
-    can dip by rounding (relative 2e-15 at m = 6, 2e-12 at m = 30).
+    The direct form rounds with relative error about
+    eps / P(Poisson(t) >= m), which at t >= m stays below 2 eps, so
+    neighbouring floats do not dip across the switch.  Strictly positive
+    for t > 0 and monotone nondecreasing in t.
     """
     if not isinstance(m, (int, np.integer)) or m < 0:
         raise DomainError(f"truncation order must be an integer >= 0, got {m!r}")
@@ -321,7 +325,7 @@ def truncated_exp(t, m: int):
         raise DomainError("truncated_exp requires finite t >= 0")
 
     out = np.zeros_like(t_arr)
-    small = t_arr < (m / 2.0) if m > 0 else np.zeros(t_arr.shape, dtype=bool)
+    small = t_arr < m if m > 0 else np.zeros(t_arr.shape, dtype=bool)
 
     if m > 0 and small.any():
         ts = t_arr[small]
@@ -351,3 +355,47 @@ def truncated_exp(t, m: int):
         out[big] = exp_t - partial
 
     return float(out[0]) if scalar else out
+
+
+class AndersonMixer:
+    """Anderson mixing of a fixed-point iteration x -> T(x).
+
+    ``mix`` records the iterate x and its defect f = T(x) - x and returns
+    the mixed step plain - (dX + dF)^T c, where the rows of dX and dF are
+    the last ``ANDERSON_DEPTH`` differences of successive x and f and the
+    coefficients c solve the Gram system dF dF^T c = dF f (Walker & Ni,
+    SIAM J. Numer. Anal. 2011).  ``plain`` is the caller's own T(x), passed
+    as it computed it.  A singular Gram system gives NaN coefficients,
+    hence a non-finite step.  The caller judges each mixed step; on
+    rejecting one it takes ``plain`` and calls ``restart``, so the history
+    starts again from the plain step.
+    """
+
+    def __init__(self, size: int):
+        # ring buffers: row k holds one difference of successive x (d_x) and f (d_f)
+        self._d_x = np.empty((ANDERSON_DEPTH, size))
+        self._d_f = np.empty_like(self._d_x)
+        self.restart()
+
+    def restart(self) -> None:
+        self._kept = 0  # differences recorded since the history was last cleared
+        self._prev: Optional[tuple] = None
+
+    def mix(self, x: np.ndarray, defect: np.ndarray, plain: np.ndarray) -> Optional[np.ndarray]:
+        """The mixed step from x, or None while the history holds no difference yet."""
+        if self._prev is not None:
+            row = self._kept % ANDERSON_DEPTH
+            np.subtract(x, self._prev[0], out=self._d_x[row])
+            np.subtract(defect, self._prev[1], out=self._d_f[row])
+            self._kept += 1
+        self._prev = x, defect
+        rows = min(self._kept, ANDERSON_DEPTH)
+        if not rows:
+            return None
+        dx, df = self._d_x[:rows], self._d_f[:rows]
+        try:
+            coef = np.linalg.solve(df @ df.T, df @ defect)
+        except np.linalg.LinAlgError:  # singular Gram system: no mixed step
+            coef = np.full(rows, np.nan)
+        with np.errstate(invalid="ignore", over="ignore"):
+            return plain - coef @ dx - coef @ df

@@ -33,7 +33,7 @@ from hmtlab.extremal import (
     pav_nonincreasing,
 )
 from hmtlab.functionals import singular_mt_with_gradient
-from hmtlab.quad_core import TAIL_SPAN
+from hmtlab.quad_core import TAIL_SPAN, AndersonMixer
 
 
 class TestMoserProfile:
@@ -185,6 +185,18 @@ def ascent_grid():
     return make_grid(1024, 1e-6)
 
 
+# The unmixed ascent (plain steps only, stopped at a relative change of 1e-12) from the CLI
+# start on make_grid(1024, 1e-6): its last node objective F_end and its _el_residual
+PLAIN_ASCENT = {
+    (2, 0.0): (89.69827384178447, 1.607e-06),
+    (2, 1.0): (67.83038638141164, 5.655e-06),
+    (3, 0.0): (96.66127740653693, 1.209e-05),
+    (3, 1.0): (96.2597568378739, 2.468e-05),
+    (4, 0.0): (120.30588416027153, 2.727e-05),
+    (4, 2.0): (148.4205236726256, 8.558e-05),
+}
+
+
 class TestMaximizeMT:
     @pytest.fixture()
     def grid(self, ascent_grid):
@@ -218,8 +230,10 @@ class TestMaximizeMT:
         assert r1.best_value < r0.best_value
 
     def test_stall_flag_is_not_error(self, grid):
+        # the first run stops at max_iter short of convergence (it needs 64 steps here)
         start = RadialProfile(grid, 0.5 * grid.one_minus_r2)
-        first = maximize_mt(2, 0.0, grid, start, SearchOptions(max_iter=400))
+        first = maximize_mt(2, 0.0, grid, start, SearchOptions(max_iter=30))
+        assert first.stalled
         again = maximize_mt(2, 0.0, grid, first.best_profile,
                             SearchOptions(max_iter=400))
         assert isinstance(again.stalled, bool)
@@ -237,14 +251,39 @@ class TestMaximizeMT:
         traj = np.array([v for _, v in rep.trajectory])
         assert np.all(np.diff(traj) >= 0.0)
         assert np.all(np.diff(rep.best_profile.values) <= 0.0)
-        # back on the nodes' unit deficit, the iterate is stationary: mu * grad H = grad F
-        grid = rep.best_profile.grid
-        u = rep.best_profile.values
-        u = u * _h_surrogate(u, _surrogate_weights(grid, n), n) ** (-1.0 / n)
-        grad_f = singular_mt_with_gradient(u, grid, n, beta)[1]
-        mu = float(np.dot(grad_f, u)) / n
-        residual = mu * _h_surrogate_gradient(u, grid, n) - grad_f
-        assert np.max(np.abs(residual[:-1])) <= 1e-4 * np.max(np.abs(grad_f))
+        assert _el_residual(rep, n, beta) <= 1e-4
+
+    @pytest.mark.parametrize("n,beta", sorted(PLAIN_ASCENT))
+    def test_mixing_reaches_a_tighter_optimum(self, ascent_runs, n, beta):
+        rep = ascent_runs(n, beta)
+        f_end, el = PLAIN_ASCENT[n, beta]
+        assert rep.trajectory[-1][1] >= f_end
+        assert _el_residual(rep, n, beta) <= el
+
+    def test_steps_at_cli_defaults(self, grids):
+        grid = grids(2048, 1e-6)
+        mt = maximize_mt(2, 0.0, grid, _cli_start(grid))
+        lam = estimate_lambda1(2, grid)
+        assert not mt.stalled and mt.iterations <= 100  # the plain ascent took 533 steps
+        assert not lam.stalled and lam.iterations <= 30  # and 45
+        assert lam.trajectory[-1][1] <= 2.364542898575714  # its ratio_end
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_value_never_decreases_across_rejected_mixed_steps(self, grid, n, monkeypatch):
+        outcomes = []
+        original = hl.extremal._mixed_step
+
+        def recorded(*args):
+            step = original(*args)
+            outcomes.append(step is not None)
+            return step
+
+        monkeypatch.setattr(hl.extremal, "_mixed_step", recorded)
+        mt = maximize_mt(n, 0.0, grid, _cli_start(grid))
+        lam = estimate_lambda1(n, grid)
+        assert True in outcomes and False in outcomes
+        assert np.all(np.diff([v for _, v in mt.trajectory]) >= 0.0)
+        assert np.all(np.diff([v for _, v in lam.trajectory]) <= 0.0)  # the ratio 1 / F
 
     def test_grid_convergence(self, ascent_runs):
         fine = maximize_mt(2, 0.0, make_grid(2048, 1e-6), _cli_start(make_grid(2048, 1e-6)))
@@ -271,18 +310,20 @@ class TestMaximizeMT:
                 assert traj[1][1] >= traj[0][1]
 
     def test_one_integrand_per_iterate(self, grid, monkeypatch):
-        # each iterate's value and gradient come from one integrand, plus one for the report
+        # each node array's value and gradient come from one integrand: every iterate, every
+        # rejected mixed step and the report's profile is a different array, formed once
         calls = []
         original = hl.functionals.mt_integrand
 
         def counted(*args):
-            calls.append(args)
+            calls.append(args[0].tobytes())
             return original(*args)
 
         monkeypatch.setattr(hl.functionals, "mt_integrand", counted)
         rep = maximize_mt(2, 0.0, grid, _cli_start(grid), SearchOptions(max_iter=40))
         assert rep.iterations == 40
-        assert len(calls) <= rep.iterations + 2
+        assert len(set(calls)) == len(calls)
+        assert rep.iterations + 2 <= len(calls) <= 2 * rep.iterations + 2
 
     def test_surrogate_weights_built_once_per_search(self, grid, monkeypatch):
         # the ascent builds the deficit weights once, not once per step
@@ -377,7 +418,11 @@ def _reference_mt(v, grid, n, beta):
 
 
 def _reference_ascent(u, grid, n, evaluate, steps):
-    """``steps`` ascent steps as plain numpy expressions: the cumsum/append solve, no buffers."""
+    """``steps`` ascent steps as plain numpy expressions: the cumsum/append solve, no buffers.
+
+    The mixing goes through the shared AndersonMixer, with _ascend's acceptance rule for a
+    mixed step; the run takes all ``steps`` steps, so _ascend's stopping rule is left out.
+    """
     omega = hl.make_constants(n).omega
     weights = _surrogate_weights(grid, n)
     dr, cell, hardy, _ = weights
@@ -388,15 +433,45 @@ def _reference_ascent(u, grid, n, evaluate, steps):
     u = unit_deficit(u)
     value, grad_f = evaluate(u)
     trajectory = [value]
+    mixer = AndersonMixer(u.size)
     for _ in range(steps):
         tau = n / float(np.dot(grad_f, u))
         rhs = hardy * u ** (n - 1) + tau / (omega * n) * grad_f
         flux = np.cumsum(rhs[:-1])
         slope = (flux * dr / cell) ** (1.0 / (n - 1))
-        u = unit_deficit(np.append(np.cumsum((slope * dr)[::-1])[::-1], 0.0))
+        plain = unit_deficit(np.append(np.cumsum((slope * dr)[::-1])[::-1], 0.0))
+        mixed = mixer.mix(u, plain - u, plain)
+        if mixed is not None:
+            ok = (np.all(np.isfinite(mixed)) and np.all(np.diff(mixed) <= 0.0)
+                  and mixed[-1] >= 0.0 and _h_surrogate(mixed, weights, n) > 0.0)
+            if ok:
+                mixed = unit_deficit(mixed)
+                mixed_value, mixed_grad = evaluate(mixed)
+                ok = mixed_value >= value
+            if ok:
+                u, value, grad_f = mixed, mixed_value, mixed_grad
+                trajectory.append(value)
+                continue
+            mixer.restart()
+        u = plain
         value, grad_f = evaluate(u)
         trajectory.append(value)
     return u, trajectory
+
+
+def _el_residual(rep, n, beta):
+    """Relative Euler-Lagrange residual max |mu grad H - grad F| / max |grad F| of a search.
+
+    The returned profile is put back on the nodes' unit deficit, where the maximizer is
+    stationary: mu * grad H = grad F with mu = <grad F, u> / n.
+    """
+    grid = rep.best_profile.grid
+    u = rep.best_profile.values
+    u = u * _h_surrogate(u, _surrogate_weights(grid, n), n) ** (-1.0 / n)
+    grad_f = singular_mt_with_gradient(u, grid, n, beta)[1]
+    mu = float(np.dot(grad_f, u)) / n
+    residual = mu * _h_surrogate_gradient(u, grid, n) - grad_f
+    return np.max(np.abs(residual[:-1])) / np.max(np.abs(grad_f))
 
 
 def _cli_start(grid):

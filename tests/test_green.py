@@ -161,6 +161,52 @@ class TestAndersonMixing:
         table = solve_green(2, pot, grid, tol=1e-10)
         assert np.max(np.abs(table.g_values - assemble(x[:, None])[:, 0])) <= 1e-8
 
+    @pytest.mark.parametrize("n,potential,n_points,eps,tol", [
+        (2, "hardy", 512, 1e-4, 1e-8), (3, "hardy", 1024, 1e-6, 1e-10),
+        (2, "hardy+lambda=2", 2048, 1e-6, 1e-10), (4, "const=0.5", 512, 1e-4, 1e-8)])
+    def test_shared_mixer_matches_inline_mixing(self, grids, n, potential, n_points, eps, tol):
+        # the hardy+lambda=2 solve rejects 5 mixed steps; the tables agree to the bit
+        pot, grid = Potential.parse(potential), grids(n_points, eps)
+        table = solve_green(n, pot, grid, tol=tol)
+        ref = _inline_mixing_solve(n, pot, grid, tol)
+        assert table.iterations == ref.iterations
+        for name in ("g_values", "excess", "remainder"):
+            assert np.array_equal(getattr(table, name), getattr(ref, name)), name
+        assert table.c_g == ref.c_g
+
+
+def _inline_mixing_solve(n, potential, grid, tol, depth=5, max_iter=500):
+    """solve_green with its depth-5 Anderson mixing written out inline, as plain numpy."""
+    gamma = make_constants(n).gamma
+    v_vals = potential.values(grid, n)
+    log_part = gamma * (grid.xi[-1] - grid.xi)
+    excess = np.zeros_like(log_part)
+    d_x, d_f = [], []  # a ring: the k-th difference since a restart goes to row k % depth
+    kept, prev_x, prev_f = 0, None, None
+    for iterations in range(1, max_iter + 1):
+        g_values, _ = hl.green._assemble(excess, log_part, grid, gamma)
+        defect = hl.green._flux_excess(hl.green._mass(g_values, v_vals, grid, n), n) - excess
+        if prev_x is not None:
+            if kept < depth:
+                d_x, d_f = d_x + [None], d_f + [None]
+            d_x[kept % depth], d_f[kept % depth] = excess - prev_x, defect - prev_f
+            kept += 1
+        prev_x, prev_f = excess, defect
+        excess = excess + defect
+        if d_x:
+            dx, df = np.array(d_x), np.array(d_f)
+            coef = np.linalg.solve(df @ df.T, df @ defect)
+            mixed = excess - coef @ dx - coef @ df
+            if np.all(np.isfinite(mixed)) and np.min(mixed) >= 0.0:
+                excess = mixed
+            else:
+                d_x, d_f, kept, prev_x = [], [], 0, None
+        if np.max(np.abs(defect)) <= tol:
+            g_values, _ = hl.green._assemble(excess, log_part, grid, gamma)
+            return hl.green._table_from_g(grid, n, potential, v_vals, log_part, g_values,
+                                          iterations, tol)
+    raise AssertionError("the reference solve did not converge")
+
 
 class TestContinuation:
     def test_pole_constant_rises_as_truncation_shrinks(self, grids):

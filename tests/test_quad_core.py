@@ -329,21 +329,21 @@ class TestTruncatedExp:
     @given(m=st.integers(1, 5), steps=st.lists(st.integers(-2**20, 2**20), min_size=2, max_size=8),
            ulps=st.integers(1, 2**30))
     def test_monotone_across_branch_switch(self, m, steps, ulps):
-        # t = m/2 separates the series branch from the subtracted form; the points
+        # t = m separates the series branch from the subtracted form; the points
         # lie within 2^50 float steps of it and include the switch's lower neighbour
-        switch = m / 2.0
+        switch = float(m)
         ts = np.unique(np.concatenate([[np.nextafter(switch, 0.0), switch],
                                        switch + np.array(steps) * ulps * np.spacing(switch)]))
         assert np.all(ts > 0.0)
         assert np.all(np.diff(truncated_exp(ts, m)) >= 0.0)
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "just above t = m/2 the subtracted form e^t - sum_{k<m} t^k/k! rounds with relative "
-        "error about eps / P(Poisson(m/2) >= m), larger than one float step from m = 6 on"))
     def test_monotone_across_branch_switch_high_orders(self):
-        for m in range(6, 31):
-            ts = m / 2.0 + np.arange(-2000, 2001) * np.spacing(m / 2.0)
-            assert np.all(np.diff(truncated_exp(ts, m)) >= 0.0), m
+        # the subtracted form rounds with relative error about eps / P(Poisson(t) >= m); below
+        # t = m, where the series takes over, that exceeds one float step from m = 6 on
+        for m in range(1, 31):
+            for centre in (m / 2.0, float(m)):
+                ts = centre + np.arange(-2000, 2001) * np.spacing(centre)
+                assert np.all(np.diff(truncated_exp(ts, m)) >= 0.0), (m, centre)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
