@@ -12,9 +12,9 @@ config and a format version string; identical config and seed reproduce
 outputs byte for byte (floats are emitted with repr / 17 significant digits
 and nothing time- or host-dependent is written).
 
-Two flags are kept for argvs already in use: ``verify --t-points`` is parsed
-and ignored (not echoed), and ``search --seed`` is echoed but read by no
-computation.
+``RETIRED`` holds each subcommand's flags that no computation reads any
+more (``verify --t-points``, ``search --seed``): they are parsed and ignored,
+so argvs already in use keep working, and never echoed.
 
 Exit codes: 0 success, 1 configuration or validation error, 2 numerical
 failure or violated certification.
@@ -81,7 +81,7 @@ FLAGS: Dict[str, Flag] = {
     "grid_points": Flag(int, 2048, _ALL),
     "epsilon": Flag(float, 1e-6, _ALL),
     "tol": Flag(float, 1e-8, ("green", "verify")),
-    "seed": Flag(int, 1234, ("verify", "search", "rearrange-demo")),
+    "seed": Flag(int, 1234, ("verify", "rearrange-demo")),
     "out": Flag(str, None, _ALL),
     "format": Flag(str, "json", ("sweep", "search", "rearrange-demo"), "json | csv"),
     "mode": Flag(str, None, ("sweep", "search"),
@@ -96,6 +96,9 @@ FLAGS: Dict[str, Flag] = {
     "green_table": Flag(str, None, ("verify",),
                         "validate an existing Green table JSON instead of solving"),
 }
+
+# subcommand -> its retired integer flags, as config keys: parsed, ignored, never echoed
+RETIRED: Dict[str, Tuple[str, ...]] = {"verify": ("t_points",), "search": ("seed",)}
 
 
 def _own_flags(command: str) -> Dict[str, Flag]:
@@ -119,9 +122,9 @@ def _build_parser() -> _ArgumentParser:
         p.add_argument("--config", type=str, help="JSON config file of flat keys")
         for key, flag in _own_flags(command).items():
             p.add_argument("--" + key.replace("_", "-"), type=flag.kind, help=flag.help)
-        if command == "verify":
-            p.add_argument("--t-points", type=int,
-                           help="ignored: verify transplants on the Green table's image grid")
+        for key in RETIRED.get(command, ()):
+            p.add_argument("--" + key.replace("_", "-"), type=int,
+                           help="ignored: kept for argvs already in use")
     return parser
 
 

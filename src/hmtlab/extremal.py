@@ -37,20 +37,16 @@ __all__ = [
     "MoserParams",
     "SearchOptions",
     "SearchReport",
-    "SweepPoint",
-    "ProbeRow",
-    "moser_profile",
-    "smoothed_moser_profile",
-    "boundary_tail_profile",
-    "normalize_h",
     "boundedness_sweep",
+    "bump_corpus",
     "divergence_probe",
+    "estimate_lambda1",
     "improved_sweep",
     "maximize_mt",
-    "estimate_lambda1",
+    "moser_profile",
+    "normalize_h",
     "seeded_corpus",
-    "bump_corpus",
-    "pav_nonincreasing",
+    "smoothed_moser_profile",
 ]
 
 

@@ -50,30 +50,18 @@ from .quad_core import (
 )
 
 __all__ = [
-    "RadialProfile",
     "Potential",
-    "MTResult",
-    "HyperbolicMTResult",
-    "PolyaSzegoResult",
-    "pchip_slopes",
-    "hermite_eval",
-    "pchip",
+    "RadialProfile",
+    "check_hardy_littlewood",
+    "check_polya_szego",
     "grad_energy",
-    "hardy_term",
     "h_functional",
-    "potential_term",
-    "ln_norm_pow",
-    "hyperbolic_ln_norm_pow",
-    "mt_exponent",
-    "mt_integrand",
-    "singular_mt",
-    "singular_mt_with_gradient",
+    "hardy_term",
     "hyperbolic_mt",
     "hyperbolic_volume",
-    "nonincreasing_majorant",
+    "ln_norm_pow",
     "rearrange",
-    "check_polya_szego",
-    "check_hardy_littlewood",
+    "singular_mt",
 ]
 
 TAIL_SHARE_THRESHOLD = 0.5  # divergent-tail detector: last decade carries > 50%
@@ -208,19 +196,22 @@ def _end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
 class Potential:
     """Nonnegative radial potential V(r) with the rearrangement-compatible weight.
 
-    kinds: zero, hardy (critical boundary potential), hardy+lambda,
-    const.  Admissible kinds keep (1-r^2)^n V(r) non-increasing.
+    kinds: zero, hardy (critical boundary potential), hardy+lambda and
+    const; the last two carry ``value``, the lambda added to the Hardy
+    potential or the constant.  Admissible kinds keep (1-r^2)^n V(r)
+    non-increasing.
     """
 
     kind: str
-    lam: float = 0.0
-    alpha: float = 0.0
+    value: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.lam) and self.lam >= 0):
-            raise DomainError(f"lambda must be finite and >= 0, got {self.lam}")
-        if not (math.isfinite(self.alpha) and self.alpha >= 0):
-            raise DomainError(f"constant potential must be finite and >= 0, got {self.alpha}")
+        if self.kind not in _POTENTIAL_KINDS:
+            raise DomainError(f"unknown potential kind {self.kind!r}")
+        if not (math.isfinite(self.value) and self.value >= 0):
+            raise DomainError(f"{self.kind} value must be finite and >= 0, got {self.value}")
+        if self.value != 0.0 and self.kind not in _VALUED_KINDS:
+            raise DomainError(f"potential {self.kind!r} carries no value, got {self.value}")
 
     @classmethod
     def zero(cls) -> "Potential":
@@ -232,11 +223,11 @@ class Potential:
 
     @classmethod
     def hardy_plus_lambda(cls, lam: float) -> "Potential":
-        return cls(kind="hardy+lambda", lam=float(lam))
+        return cls(kind="hardy+lambda", value=float(lam))
 
     @classmethod
     def constant(cls, alpha: float) -> "Potential":
-        return cls(kind="const", alpha=float(alpha))
+        return cls(kind="const", value=float(alpha))
 
     def at(self, r: np.ndarray, weight: np.ndarray, n: int) -> np.ndarray:
         """V at radii r, given the boundary weight (1 - r^2)^n there.
@@ -247,45 +238,38 @@ class Potential:
         because ``make_maps`` evaluates V at a(t), off any grid.
         """
         hc = make_constants(n).hardy_const
-        if self.kind == "zero":
-            return np.zeros_like(r)
-        if self.kind == "hardy":
-            return hc / weight
-        if self.kind == "hardy+lambda":
-            return hc / weight + self.lam
-        if self.kind == "const":
-            return np.full_like(r, self.alpha)
-        raise DomainError(f"unknown potential kind {self.kind!r}")
+        v = hc / weight if self.kind.startswith("hardy") else np.zeros_like(r)
+        return v + self.value if self.kind in _VALUED_KINDS else v
 
     def values(self, grid: RadialGrid, n: int) -> np.ndarray:
         """V at the grid's nodes, from the grid's cached (1 - r^2)^n."""
         return self.at(grid.nodes, grid.one_minus_r2_pow(n), n)
 
     def is_zero(self) -> bool:
-        return self.kind == "zero" or (self.kind == "const" and self.alpha == 0.0)
+        return self.kind == "zero" or (self.kind == "const" and self.value == 0.0)
 
     @classmethod
     def parse(cls, text: str) -> "Potential":
         """Inverse of descriptor(): zero | hardy | hardy+lambda=<x> | const=<x>."""
         if not isinstance(text, str):
             raise DomainError(f"potential must be a string, got {text!r}")
-        if text in ("zero", "hardy"):
-            return cls(kind=text)
-        for prefix, make in (("hardy+lambda=", cls.hardy_plus_lambda), ("const=", cls.constant)):
-            if text.startswith(prefix):
-                try:
-                    value = float(text[len(prefix):])
-                except ValueError:
-                    raise DomainError(f"potential parameter is not a number: {text!r}") from None
-                return make(value)
-        raise DomainError(f"unknown potential {text!r}")
+        kind, sep, number = text.partition("=")
+        if kind not in _POTENTIAL_KINDS or bool(sep) != (kind in _VALUED_KINDS):
+            raise DomainError(f"unknown potential {text!r}")
+        if not sep:
+            return cls(kind=kind)
+        try:
+            value = float(number)
+        except ValueError:
+            raise DomainError(f"potential parameter is not a number: {text!r}") from None
+        return cls(kind=kind, value=value)
 
     def descriptor(self) -> str:
-        if self.kind == "hardy+lambda":
-            return f"hardy+lambda={self.lam!r}"
-        if self.kind == "const":
-            return f"const={self.alpha!r}"
-        return self.kind
+        return f"{self.kind}={self.value!r}" if self.kind in _VALUED_KINDS else self.kind
+
+
+_VALUED_KINDS = ("hardy+lambda", "const")  # the kinds that carry a value
+_POTENTIAL_KINDS = ("zero", "hardy") + _VALUED_KINDS
 
 
 class MTResult(NamedTuple):

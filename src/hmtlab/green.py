@@ -40,7 +40,6 @@ from .errors import (
 from .functionals import Potential, pchip
 from .quad_core import (
     AndersonMixer,
-    GridGrading,
     RadialGrid,
     cumulative_from_origin,
     make_constants,
@@ -50,9 +49,10 @@ from .quad_core import (
 __all__ = [
     "GreenTable",
     "TransplantMaps",
-    "solve_green",
     "check_boundary_bound",
+    "image_t_grid",
     "make_maps",
+    "solve_green",
 ]
 
 INSTABILITY_CAP = 1e12  # sup m beyond this across iterations means no spectral gap
@@ -358,7 +358,7 @@ def make_maps(
     if n_t is None:
         t_grid = image_t_grid(table)
     else:
-        t_grid = make_grid(n_t, t_min, GridGrading(r_min=t_min, tail_fraction=0.2))
+        t_grid = make_grid(n_t, t_min, r_min=t_min, tail_fraction=0.2)
     t = t_grid.nodes
     neg_ln_t = -t_grid.xi  # exact -ln t, log1p-built near t = 1
     ln_t_nodes = -table.g_values / c.gamma  # increasing, ends at 0

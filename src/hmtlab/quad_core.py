@@ -28,18 +28,11 @@ from .errors import (
 )
 
 __all__ = [
-    "AndersonMixer",
     "Constants",
-    "GridGrading",
-    "PchipSpacing",
     "RadialGrid",
+    "integrate",
     "make_constants",
     "make_grid",
-    "pchip_spacing",
-    "integrate",
-    "int_pow",
-    "cumulative_from_origin",
-    "trapezoid_weights",
     "truncated_exp",
 ]
 
@@ -73,32 +66,14 @@ def make_constants(n: int) -> Constants:
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 2:
         raise InvalidDimensionError(f"dimension must be an integer >= 2, got {n!r}")
     n = int(n)
-    omega = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+    try:
+        omega = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+    except OverflowError:  # gamma(n/2) overflows from n = 344 on
+        raise InvalidDimensionError(
+            f"dimension {n} is too large: the constants of the ball overflow float64") from None
     alpha_n = n * omega ** (1.0 / (n - 1))
     hardy_const = (2.0 * (n - 1) / n) ** n
     return Constants(n=n, omega=omega, alpha_n=alpha_n, hardy_const=hardy_const)
-
-
-@dataclass(frozen=True)
-class GridGrading:
-    """Clustering parameters of the three-zone radial mesh.
-
-    A geometric tail runs from ``r_min`` up to ``TAIL_SPAN``, a uniform
-    section covers the interior, and a second geometric tail (in s = 1-r)
-    runs from ``TAIL_SPAN`` down to the truncation eps.  ``tail_fraction``
-    of the nodes goes to each tail.  Spacing therefore decreases
-    geometrically toward both endpoints; the ratio adapts to the node count
-    (a fixed ratio underflows for large grids).
-    """
-
-    r_min: float = 1e-10
-    tail_fraction: float = 0.15
-
-    def validate(self) -> None:
-        if not (0.0 < self.r_min < TAIL_SPAN):
-            raise GridConfigError(f"r_min must lie in (0, {TAIL_SPAN}), got {self.r_min}")
-        if not (0.0 < self.tail_fraction <= 0.4):
-            raise GridConfigError(f"tail_fraction must lie in (0, 0.4], got {self.tail_fraction}")
 
 
 class PchipSpacing(NamedTuple):
@@ -201,16 +176,25 @@ def trapezoid_weights(x: np.ndarray) -> np.ndarray:
     return w
 
 
-def make_grid(n_points: int, epsilon: float, grading: Optional[GridGrading] = None) -> RadialGrid:
+def make_grid(n_points: int, epsilon: float, r_min: float = 1e-10,
+              tail_fraction: float = 0.15) -> RadialGrid:
     """Build the three-zone graded mesh on [r_min, 1-epsilon].
 
-    Requires n_points >= 16 and 0 < epsilon < 1/2.  When epsilon is not
-    small (epsilon >= TAIL_SPAN, or so close below it that the graded
-    tail's radii round together at its TAIL_SPAN end) the boundary has no
-    singular layer to resolve and the right tail collapses into the uniform
-    section.  A tail whose radii round together at its epsilon end cannot
-    resolve the layer and raises GridConfigError, and so does an epsilon
-    for which 1 - epsilon rounds to 1.
+    A geometric tail runs from ``r_min`` up to ``TAIL_SPAN``, a uniform
+    section covers the interior, and a second geometric tail (in s = 1-r)
+    runs from ``TAIL_SPAN`` down to the truncation eps.  ``tail_fraction``
+    of the nodes goes to each tail.  Spacing therefore decreases
+    geometrically toward both endpoints; the ratio adapts to the node count
+    (a fixed ratio underflows for large grids).
+
+    Requires n_points >= 16, 0 < epsilon < 1/2, 0 < r_min < TAIL_SPAN and
+    0 < tail_fraction <= 0.4.  When epsilon is not small (epsilon >=
+    TAIL_SPAN, or so close below it that the graded tail's radii round
+    together at its TAIL_SPAN end) the boundary has no singular layer to
+    resolve and the right tail collapses into the uniform section.  A tail
+    whose radii round together at its epsilon end cannot resolve the layer
+    and raises GridConfigError, and so does an epsilon for which
+    1 - epsilon rounds to 1.
     """
     if not isinstance(n_points, (int, np.integer)) or n_points < 16:
         raise GridConfigError(f"n_points must be an integer >= 16, got {n_points!r}")
@@ -219,12 +203,14 @@ def make_grid(n_points: int, epsilon: float, grading: Optional[GridGrading] = No
     if 1.0 - epsilon == 1.0:
         raise GridConfigError(f"epsilon={epsilon!r} is below the float resolution at 1: "
                               "1 - epsilon rounds to 1")
-    grading = grading or GridGrading()
-    grading.validate()
+    if not (0.0 < r_min < TAIL_SPAN):
+        raise GridConfigError(f"r_min must lie in (0, {TAIL_SPAN}), got {r_min}")
+    if not (0.0 < tail_fraction <= 0.4):
+        raise GridConfigError(f"tail_fraction must lie in (0, 0.4], got {tail_fraction}")
     n_points = int(n_points)
 
-    n_tail = max(4, int(round(n_points * grading.tail_fraction)))
-    left = np.geomspace(grading.r_min, TAIL_SPAN, n_tail)
+    n_tail = max(4, int(round(n_points * tail_fraction)))
+    left = np.geomspace(r_min, TAIL_SPAN, n_tail)
 
     s_right = np.geomspace(TAIL_SPAN, epsilon, n_tail)
     steps = np.diff(1.0 - s_right)
@@ -235,7 +221,7 @@ def make_grid(n_points: int, epsilon: float, grading: Optional[GridGrading] = No
         n_mid = n_points - 2 * n_tail
         if n_mid < 4:
             raise GridConfigError(
-                f"n_points={n_points} too small for tail_fraction={grading.tail_fraction}"
+                f"n_points={n_points} too small for tail_fraction={tail_fraction}"
             )
         mid = np.linspace(TAIL_SPAN, 1.0 - TAIL_SPAN, n_mid + 2)[1:-1]
     else:

@@ -31,12 +31,11 @@ from .quad_core import int_pow, integrate, make_constants
 
 __all__ = [
     "TransplantReport",
-    "MTComparison",
+    "check_mt_comparison",
     "pushforward",
+    "transplant_report",
     "verify_grad_identity",
     "verify_hardy_identity",
-    "check_mt_comparison",
-    "transplant_report",
 ]
 
 

@@ -179,7 +179,7 @@ ECHOED = {
     "sweep": (["--mode", "boundedness", "--grid-points", "256", "--k-max", "2"],
               "beta command epsilon format grid_points k_max k_min lam mode n scale"),
     "search": (["--mode", "lambda1", "--grid-points", "512", "--max-iter", "3"],
-               "beta command epsilon format grid_points max_iter mode n seed"),
+               "beta command epsilon format grid_points max_iter mode n"),
     "rearrange-demo": (["--grid-points", "64"],
                        "beta command epsilon format grid_points n seed"),
 }
@@ -201,9 +201,25 @@ def test_parser_holds_only_the_flags_it_reads(capsys, command):
     assert exit_info.value.code == 0
     flags = set(re.findall(r"--([a-z0-9-]+)", capsys.readouterr().out))
     expected = {key.replace("_", "-") for key in ECHOED[command][1].split()} - {"command"}
-    # verify still parses and ignores --t-points, which criterion 11's argv passes
-    expected |= {"help", "config", "out"} | ({"t-points"} if command == "verify" else set())
+    # retired flags are parsed and ignored: criterion 11's argv passes verify --t-points,
+    # and the benchmark's search argvs pass --seed
+    expected |= {"help", "config", "out"} | {"verify": {"t-points"}, "search": {"seed"}}.get(
+        command, set())
     assert flags == expected
+
+
+@pytest.mark.parametrize("command, key", [("verify", "t_points"), ("search", "seed")])
+def test_retired_flag_ignored_and_its_config_key_rejected(tmp_path, capsys, command, key):
+    argv = [command, *ECHOED[command][0]]
+    out, plain = tmp_path / "o.json", tmp_path / "p.json"
+    assert run_cli(argv + ["--" + key.replace("_", "-"), "7", "--out", str(out)]) == 0
+    assert run_cli(argv + ["--out", str(plain)]) == 0
+    assert out.read_bytes() == plain.read_bytes()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: 7}))
+    capsys.readouterr()
+    assert run_cli(argv + ["--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"hmtlab: unknown config keys for {command}: ['{key}']\n"
 
 
 # flags that every subcommand used to accept though only the config echo read them

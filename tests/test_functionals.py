@@ -303,13 +303,33 @@ class TestPotential:
     @pytest.mark.parametrize("make", [
         lambda: Potential.hardy_plus_lambda(math.nan),
         lambda: Potential.constant(math.inf),
-        lambda: Potential(kind="hardy+lambda", lam=math.nan),
+        lambda: Potential(kind="hardy+lambda", value=math.nan),
         lambda: Potential.hardy_plus_lambda(-1.0),
-        lambda: Potential(kind="const", alpha=-math.inf),
+        lambda: Potential(kind="const", value=-math.inf),
     ])
     def test_rejects_nonfinite_or_negative_parameters(self, make):
         with pytest.raises(DomainError):
             make()
+
+    @given(kind=st.sampled_from(["zero", "hardy", "hardy+lambda", "const"]),
+           value=st.floats(min_value=0.0, allow_infinity=False))
+    def test_every_potential_round_trips(self, kind, value):
+        pot = Potential(kind, value if kind in ("hardy+lambda", "const") else 0.0)
+        assert Potential.parse(pot.descriptor()) == pot
+
+    @pytest.mark.parametrize("kind", ["zero", "hardy"])
+    def test_kind_without_value_rejects_one(self, kind):
+        with pytest.raises(DomainError, match="carries no value"):
+            Potential(kind, 5.0)
+
+    def test_unknown_kind_rejected_at_construction(self):
+        with pytest.raises(DomainError, match="unknown potential kind 'foo'"):
+            Potential("foo")
+
+    def test_parse_reports_construction_errors_as_such(self):
+        # the number converts, the potential rejects it: not "not a number"
+        with pytest.raises(DomainError, match="const value must be finite and >= 0"):
+            Potential.parse("const=-1")
 
 
 class TestSingularMT:

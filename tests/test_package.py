@@ -2,8 +2,10 @@
 
 Every name a module exports in ``__all__`` must exist, and no module may
 import a name it never uses (a line marked ``# noqa: F401`` is exempt).
-Both catch exports and imports left behind when code is deleted.  Every
-subcommand runs without importing scipy.
+Both catch exports and imports left behind when code is deleted.  The
+package re-exports each library module's ``__all__`` (all of ``errors``),
+so that list is the one list of public names.  Every subcommand runs
+without importing scipy.
 """
 
 import ast
@@ -60,6 +62,13 @@ def test_all_names_resolve(module):
     mod = importlib.import_module(f"hmtlab.{module}")
     missing = [name for name in _exported(_tree(module)) if not hasattr(mod, name)]
     assert missing == []
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "cli"])
+def test_package_exports_the_module_list(module):
+    mod = importlib.import_module(f"hmtlab.{module}")
+    names = getattr(mod, "__all__", [name for name in vars(mod) if not name.startswith("_")])
+    assert names and all(getattr(hmtlab, name, None) is getattr(mod, name) for name in names)
 
 
 @pytest.mark.parametrize("module", MODULES)

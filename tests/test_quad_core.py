@@ -46,6 +46,16 @@ class TestConstants:
         with pytest.raises(InvalidDimensionError):
             make_constants(bad)
 
+    @pytest.mark.parametrize("n", [344, 1241, 10**4])
+    def test_dimension_whose_constants_overflow(self, n):
+        # gamma(n/2) overflows float64 from n = 344 on, and pi^(n/2) from n = 1241 on
+        with pytest.raises(InvalidDimensionError, match=f"dimension {n} "):
+            make_constants(n)
+
+    def test_largest_dimension_is_finite(self):
+        c = make_constants(343)
+        assert all(math.isfinite(v) and v > 0.0 for v in (c.omega, c.alpha_n, c.hardy_const))
+
     def test_memoized_per_type(self):
         # 2.0 == 2 hash alike: an untyped cache would serve 2.0 the entry cached for 2
         assert make_constants(2) is make_constants(2)
@@ -116,6 +126,16 @@ class TestGrid:
     def test_bad_epsilon(self, eps):
         with pytest.raises(GridConfigError):
             make_grid(64, eps)
+
+    @pytest.mark.parametrize("r_min", [0.0, -1e-10, TAIL_SPAN, math.nan])
+    def test_bad_r_min(self, r_min):
+        with pytest.raises(GridConfigError, match=r"r_min must lie in \(0, 0.01\)"):
+            make_grid(64, 1e-6, r_min=r_min)
+
+    @pytest.mark.parametrize("tail_fraction", [0.0, 0.41, math.nan])
+    def test_bad_tail_fraction(self, tail_fraction):
+        with pytest.raises(GridConfigError, match=r"tail_fraction must lie in \(0, 0.4\]"):
+            make_grid(64, 1e-6, tail_fraction=tail_fraction)
 
     def test_spacing_clusters_at_both_ends(self):
         g = make_grid(2048, 1e-6)

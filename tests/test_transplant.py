@@ -26,9 +26,7 @@ from hmtlab.functionals import mt_exponent, mt_integrand
 
 @pytest.fixture(scope="module")
 def zero_setup():
-    from hmtlab import GridGrading
-
-    grid = make_grid(8192, 1e-10, GridGrading(r_min=1e-12))
+    grid = make_grid(8192, 1e-10, r_min=1e-12)
     table = solve_green(2, Potential.zero(), grid)
     maps = make_maps(table, beta=0.0, n_t=8192, t_min=1e-11)
     return grid, table, maps
