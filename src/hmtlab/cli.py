@@ -10,7 +10,13 @@ file key that the subcommand does not read is rejected like an unknown one.
 Outputs are JSON or CSV with every file embedding the subcommand's resolved
 config and a format version string; identical config and seed reproduce
 outputs byte for byte (floats are emitted with repr / 17 significant digits
-and nothing time- or host-dependent is written).
+and nothing time- or host-dependent is written).  A JSON report is the bytes
+of ``json.dumps(doc, indent=2)`` plus a newline; ``_emit_json`` writes them
+with the C encoder for every list or dict that holds only scalars.
+
+``main`` builds its parser once per process, on the first call: the parser
+depends only on ``FLAGS``, ``RETIRED`` and the subcommand table, and parsing
+leaves it unchanged.
 
 ``RETIRED`` holds each subcommand's flags that no computation reads any
 more (``verify --t-points``, ``search --seed``): they are parsed and ignored,
@@ -23,6 +29,7 @@ failure or violated certification.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -114,7 +121,9 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _CliError(message)
 
 
+@functools.cache
 def _build_parser() -> _ArgumentParser:
+    """The process's one parser, built on first use; ``parse_args`` leaves it unchanged."""
     parser = _ArgumentParser(prog="hmtlab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for command, run in _COMMANDS.items():
@@ -191,26 +200,57 @@ def _config_for_output(cfg: Dict[str, Any]) -> Dict[str, Any]:
     return {k: cfg[k] for k in sorted(cfg) if k != "out"}
 
 
+# what json encodes without recursing: bool is an int
+_SCALARS = (str, int, float, type(None))
+
+
+def _encode(value: Any, indent: str, parts: List[str]) -> None:
+    """Append ``json.dumps(value, indent=2)`` for ``value`` nested at ``indent``.
+
+    A list or dict whose items are all scalars goes through the C encoder
+    in one call, its separators carrying the line breaks and indentation;
+    only containers that hold containers are walked here.
+    """
+    if isinstance(value, dict):
+        items, ends = value.values(), "{}"
+    elif isinstance(value, (list, tuple)):
+        items, ends = value, "[]"
+    else:
+        parts.append(json.dumps(value))
+        return
+    if not value:
+        parts.append(ends)
+        return
+    inner = indent + "  "
+    # the float test first: the long lists are floats, and the tuple check costs more
+    if all(type(v) is float or isinstance(v, _SCALARS) for v in items):
+        text = json.dumps(value, separators=(",\n" + inner, ": "))
+        parts += [ends[0], "\n", inner, text[1:-1], "\n", indent, ends[1]]
+        return
+    # json's own key rule: int, float, bool and None keys become strings
+    heads = ([json.dumps({key: 0})[1:-4] + ": " for key in value] if isinstance(value, dict)
+             else [""] * len(value))
+    parts.append(ends[0])
+    for i, (head, item) in enumerate(zip(heads, items)):
+        parts += [",\n" if i else "\n", inner, head]
+        _encode(item, inner, parts)
+    parts += ["\n", indent, ends[1]]
+
+
 def _emit_json(payload: Dict[str, Any], cfg: Dict[str, Any]) -> str:
     """``json.dumps(doc, indent=2) + "\\n"``, byte for byte, without its slow path.
 
     With ``indent`` the json module falls back to its pure-Python encoder,
-    which dominates writing the 2.5 MB Green table of 100k nodes.  So each
-    top-level value is encoded on its own: a flat list of floats by the C
-    encoder, whose ", " separators (never part of a float's repr) become the
-    indented line breaks; anything else with ``indent=2``, shifted one level
-    by indenting after each newline (JSON strings hold no raw newline).
+    which dominates writing a 100k-node Green table or a verify corpus.  So
+    ``_encode`` hands every scalar-only list or dict (the G and profile
+    arrays, the config, each report row) to the C encoder and walks only
+    the containers above them.
     """
     doc = {"format_version": FORMAT_VERSION, "config": _config_for_output(cfg)}
     doc.update(payload)
-    parts = []
-    for key, value in doc.items():
-        parts += [",\n  " if parts else "{\n  ", json.dumps(key), ": "]
-        if isinstance(value, list) and value and all(type(v) is float for v in value):
-            parts += ["[\n    ", json.dumps(value)[1:-1].replace(", ", ",\n    "), "\n  ]"]
-        else:
-            parts.append(json.dumps(value, indent=2).replace("\n", "\n  "))
-    parts.append("\n}\n")
+    parts: List[str] = []
+    _encode(doc, "", parts)
+    parts.append("\n")
     return "".join(parts)  # one join: the 2.5 MB report is copied once
 
 

@@ -35,6 +35,7 @@ from . import FORMAT_VERSION
 from .errors import (
     ConvergenceError,
     CorruptTableError,
+    NumericError,
     PotentialInstabilityError,
 )
 from .functionals import Potential, pchip
@@ -118,7 +119,8 @@ class GreenTable:
         is ``make_grid(len(G), epsilon)``.  The solver's last step, repeated
         from G, recomputes the flux excess, G', the remainder and the
         residual; it must pass ``validate``, agree with G to 10 tol gamma and
-        give back c_g as the pole fit of G.  The stored residual is not read.
+        give back c_g as the pole fit of G; a recomputation whose potential
+        mass overflows is corrupt too.  The stored residual is not read.
         A document that still carries r, Gprime or remainder is an
         hmtlab-report/1 table and is rejected, so none of them is read.
         """
@@ -142,16 +144,19 @@ class GreenTable:
         if g.shape != grid.nodes.shape or not np.all(np.isfinite(g)):
             raise CorruptTableError("G must hold one finite value per node")
 
-        table = _table_from_g(grid, n, potential, potential.values(grid, n),
-                              gamma * (grid.xi[-1] - grid.xi), g, iterations, tol)
-        table.validate()
-        if not np.all(np.abs(g - table.g_values) <= 10.0 * tol * gamma):
-            raise CorruptTableError("G disagrees with its recomputation from G")
-        c_g_fit = _fit_c_g(grid, g, gamma, n)
-        if not abs(c_g - c_g_fit) <= 1e-12 * abs(c_g_fit):
-            raise CorruptTableError(f"c_g {c_g!r} differs from {c_g_fit!r}, the fit of G")
-        loaded = replace(table, g_values=g, c_g=c_g_fit)
-        loaded.validate()  # the stored G must itself be strictly decreasing
+        try:
+            table = _table_from_g(grid, n, potential, potential.values(grid, n),
+                                  gamma * (grid.xi[-1] - grid.xi), g, iterations, tol)
+            table.validate()
+            if not np.all(np.abs(g - table.g_values) <= 10.0 * tol * gamma):
+                raise CorruptTableError("G disagrees with its recomputation from G")
+            c_g_fit = _fit_c_g(grid, g, gamma, n)
+            if not abs(c_g - c_g_fit) <= 1e-12 * abs(c_g_fit):
+                raise CorruptTableError(f"c_g {c_g!r} differs from {c_g_fit!r}, the fit of G")
+            loaded = replace(table, g_values=g, c_g=c_g_fit)
+            loaded.validate()  # the stored G must itself be strictly decreasing
+        except PotentialInstabilityError as exc:
+            raise CorruptTableError(f"its recomputation from G fails: {exc}") from exc
         return loaded
 
 
@@ -193,9 +198,22 @@ def _flux_excess(m: np.ndarray, n: int) -> np.ndarray:
 
 
 def _mass(g_values: np.ndarray, v_vals: np.ndarray, grid: RadialGrid, n: int) -> np.ndarray:
-    """Cumulative potential mass m(r) = omega int_0^r V G^(n-1) s^(n-1) ds."""
-    density = make_constants(n).omega * v_vals * g_values ** (n - 1) * grid.nodes_pow(n - 1)
-    return cumulative_from_origin(density, grid)
+    """Cumulative potential mass m(r) = omega int_0^r V G^(n-1) s^(n-1) ds.
+
+    Raises PotentialInstabilityError, and no RuntimeWarning, where the
+    density or its running sum overflows float64.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        density = make_constants(n).omega * v_vals * g_values ** (n - 1) * grid.nodes_pow(n - 1)
+        try:
+            m = cumulative_from_origin(density, grid)
+        except NumericError:  # a non-finite density
+            m = None
+    # a running sum that overflows stays non-finite to its end
+    if m is None or not math.isfinite(m[-1]):
+        raise PotentialInstabilityError(
+            f"potential mass overflows float64 on this grid ({grid.n_points} nodes)")
+    return m
 
 
 def _assemble(excess: np.ndarray, log_part: np.ndarray, grid: RadialGrid,
@@ -246,8 +264,9 @@ def solve_green(
 
     Raises ConvergenceError if tol is not reached within max_iter and
     PotentialInstabilityError when the potential mass diverges across
-    iterations (no spectral gap).  A grid too coarse for the potential's
-    boundary layer ends in either, so both messages name it.
+    iterations (no spectral gap) or overflows float64.  A grid too coarse
+    for the potential's boundary layer ends in either, so all messages name
+    it.
     """
     if tol <= 0.0:
         raise ConvergenceError("tolerance must be positive", residual=None, iterations=0)
@@ -262,7 +281,7 @@ def solve_green(
         g_values, _ = _assemble(excess, log_part, grid, gamma)
         m = _mass(g_values, v_vals, grid, n)
         m_sup = float(np.max(m))
-        if not math.isfinite(m_sup) or m_sup > INSTABILITY_CAP:
+        if m_sup > INSTABILITY_CAP:
             raise PotentialInstabilityError(
                 f"potential mass diverged (sup m = {m_sup:.3e} after {iterations} iterations); "
                 "potential has no spectral gap on this domain, or the grid "

@@ -1,12 +1,17 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hmtlab
 from hmtlab import (
     FORMAT_VERSION,
     ConvergenceError,
@@ -18,7 +23,7 @@ from hmtlab import (
     solve_green,
 )
 from hmtlab import functionals
-from hmtlab.cli import _config_for_output, _emit_json, main
+from hmtlab.cli import _build_parser, _config_for_output, _emit_json, main
 
 
 def run_cli(args):
@@ -65,17 +70,25 @@ TAMPERED_TABLES = {
     "r_empty": lambda d: {**_v1(d), "r": []},
     "g_null": lambda d: {**d, "G": None},
     "g_empty": lambda d: {**d, "G": []},
+    "potential_mass_overflows": lambda d: {**d, "potential": "hardy+lambda=1e308"},
 }
 
 
 _FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e-300])
 _TEXT = st.text(max_size=8) | st.sampled_from(["a, b", "1.5, 2.5", "line\nbreak", "ünï, cødé\n"])
 _SCALARS = st.none() | st.booleans() | st.integers() | _FLOATS | _TEXT
+# json turns int, float, bool and None keys into strings
+_KEYS = _TEXT | st.integers() | _FLOATS | st.booleans() | st.none()
 _VALUES = st.recursive(
     _SCALARS,
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_KEYS, inner, max_size=4),
     max_leaves=12,
 )
+# the shapes reports nest: verify's list of flat report dicts, search's [step, value]
+# trajectory, and dicts keyed by non-strings
+_REPORT_SHAPES = (st.lists(st.dictionaries(_TEXT, _SCALARS, max_size=4), max_size=4)
+                  | st.lists(st.tuples(st.integers(), _FLOATS).map(list), max_size=6)
+                  | st.dictionaries(_KEYS, _VALUES, max_size=4))
 
 
 class TestEmitJson:
@@ -83,7 +96,8 @@ class TestEmitJson:
     @given(
         payload=st.dictionaries(
             _TEXT,
-            st.lists(_FLOATS, max_size=6) | st.lists(st.integers(), max_size=4) | _VALUES,
+            st.lists(_FLOATS, max_size=6) | st.lists(st.integers(), max_size=4) | _VALUES
+            | _REPORT_SHAPES,
             max_size=6,
         ),
         cfg=st.dictionaries(_TEXT, _SCALARS, max_size=4),
@@ -91,6 +105,58 @@ class TestEmitJson:
     def test_matches_indented_dumps(self, payload, cfg):
         doc = {"format_version": FORMAT_VERSION, "config": _config_for_output(cfg), **payload}
         assert _emit_json(payload, cfg) == json.dumps(doc, indent=2) + "\n"
+
+
+# every JSON-writing path at a small grid; {table} is a Green table written first
+REPORT_ARGVS = {
+    "green": ["green", "--grid-points", "256"],
+    "verify": ["verify", "--grid-points", "512", "--corpus-size", "3"],
+    "verify_green_table": ["verify", "--green-table", "{table}"],
+    "sweep_boundedness": ["sweep", "--mode", "boundedness", "--grid-points", "512",
+                          "--k-max", "4"],
+    "sweep_divergence": ["sweep", "--mode", "divergence", "--grid-points", "512", "--k-max", "4"],
+    "sweep_improved": ["sweep", "--mode", "improved", "--lam", "1.0", "--grid-points", "512",
+                       "--k-max", "4"],
+    "search_mt": ["search", "--mode", "mt", "--grid-points", "512"],
+    "search_lambda1": ["search", "--mode", "lambda1", "--grid-points", "512"],
+    "rearrange_demo": ["rearrange-demo", "--grid-points", "256"],
+}
+
+
+@pytest.mark.parametrize("case", list(REPORT_ARGVS))
+def test_report_is_its_indented_dumps(tmp_path, capsys, case):
+    table = tmp_path / "g.json"
+    if case == "verify_green_table":
+        assert main(["green", "--grid-points", "512", "--epsilon", "1e-4",
+                     "--out", str(table)]) == 0
+    assert main([arg.format(table=table) for arg in REPORT_ARGVS[case]]) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    # each call in this process must match the same argv alone in a fresh interpreter
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 3, "grid_points": 512, "corpus_size": 3, "seed": 4}))
+    argvs = [["search", "--mode", "bogus"],
+             ["search", "--mode", "mt", "--bogus-flag", "1"],
+             ["verify", "--config", str(cfg)],
+             ["verify", "--grid-points", "512", "--corpus-size", "2"],
+             ["search", "--mode", "lambda1", "--grid-points", "512"]]
+    in_process = []
+    for argv in argvs:
+        code = main(argv)
+        captured = capsys.readouterr()
+        in_process.append((captured.out, captured.err, code))
+    src = str(Path(hmtlab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    for argv, result in zip(argvs, in_process):
+        proc = subprocess.run([sys.executable, "-m", "hmtlab.cli", *argv], capture_output=True,
+                              text=True, env=env, timeout=300)
+        assert (proc.stdout, proc.stderr, proc.returncode) == result, argv
+    assert [code for _, _, code in in_process] == [1, 1, 0, 0, 0]
+    assert _build_parser() is _build_parser()
 
 
 class TestGreenCommand:
@@ -149,6 +215,16 @@ class TestGreenCommand:
         assert not out.exists()
         with pytest.raises(error, match=f"grid \\({points} nodes\\)"):
             solve_green(2, Potential.hardy_critical(), make_grid(int(points), 1e-6))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_potential_is_a_numerical_failure(self, tmp_path, capsys):
+        out = tmp_path / "g.json"
+        assert run_cli(["green", "--grid-points", "256", "--potential", "hardy+lambda=1e308",
+                        "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("hmtlab: potential mass overflows float64")
+        assert captured.err.count("\n") == 1
 
     def test_epsilon_below_the_grids_resolution_is_a_config_error(self, tmp_path, capsys):
         # the boundary tail's radii round together near 1 - eps; this exited 0 with c_g 0.156
@@ -377,6 +453,7 @@ class TestVerifyCommand:
                         "--epsilon", "1e-4", "--out", str(path)]) == 0
         return json.loads(path.read_text())
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("tamper", list(TAMPERED_TABLES))
     def test_tampered_green_table_rejected(self, tmp_path, capsys, genuine_table, tamper):
         bad = tmp_path / "bad.json"

@@ -122,6 +122,28 @@ class TestSolverErrors:
         with pytest.raises(PotentialInstabilityError):
             solve_green(2, Potential.constant(1e8), grids(512, 1e-3), max_iter=400)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n, potential", [(2, "hardy+lambda=1e308"), (3, "const=1.7e308")])
+    def test_overflowing_mass_is_an_instability(self, grids, n, potential):
+        with pytest.raises(PotentialInstabilityError, match="overflows float64"):
+            solve_green(n, Potential.parse(potential), grids(256, 1e-6))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_table_whose_recomputation_overflows_rejected(self, green_tables):
+        doc = {**green_tables(2, "hardy", 2048, 1e-6).to_json_dict(),
+               "potential": "hardy+lambda=1e308"}
+        with pytest.raises(CorruptTableError, match="overflows float64"):
+            hl.GreenTable.from_json_dict(doc)
+
+    @pytest.mark.parametrize("n, potential", [(2, "hardy"), (3, "hardy+lambda=1.0"), (4, "zero")])
+    def test_mass_on_finite_input_is_the_plain_sum(self, green_tables, n, potential):
+        table = green_tables(n, potential, 2048, 1e-6)
+        v_vals = table.potential.values(table.grid, n)
+        density = (make_constants(n).omega * v_vals * table.g_values ** (n - 1)
+                   * table.grid.nodes_pow(n - 1))
+        plain = cumulative_from_origin(density, table.grid)
+        assert np.array_equal(hl.green._mass(table.g_values, v_vals, table.grid, n), plain)
+
 
 class TestAndersonMixing:
     @pytest.mark.parametrize("n", [2, 3, 4])
