@@ -164,23 +164,37 @@ def smoothed_moser_profile(params: MoserParams, grid: RadialGrid) -> RadialProfi
     held to 1e-4.  The plateau extends to rho; the blend covers
     [rho, rho * (1 + SHOULDER)], capped at r = 0.98.
     """
-    n = params.n
-    rho = params.rho
-    big_l, plateau = _moser_plateau(rho, n)
+    return _smoothed_moser([params.rho], params.n, grid).rows()[0]
+
+
+def _smoothed_moser(rhos: Sequence[float], n: int, grid: RadialGrid) -> RadialProfile:
+    """The stack of smoothed_moser_profile's members at the corner radii rhos, in order.
+
+    Each member's constants (plateau, shoulder end and its value and
+    slope, the energy rescale) are Python floats of its own.
+    """
     r = grid.nodes
-    y = np.minimum(1.0, np.log(1.0 / r) / big_l)
-    hi = min(rho * (1.0 + SHOULDER), 0.98)
-    mask = (r > rho) & (r < hi)
-    if mask.any():
-        x = (r[mask] - rho) / (hi - rho)
-        y_hi = math.log(1.0 / hi) / big_l
-        dy_hi = -(hi - rho) / (big_l * hi)
-        h00 = 2 * x**3 - 3 * x**2 + 1
-        h01 = -2 * x**3 + 3 * x**2
-        h11 = x**3 - x**2
-        y[mask] = h00 * 1.0 + h01 * y_hi + h11 * dy_hi
-    u = RadialProfile(grid, plateau * y, enforce_zero_boundary=True)
-    return u.scaled(grad_energy(u, n) ** (-1.0 / n))
+    rho = np.asarray(rhos, dtype=float)
+    big_l, plateau = (np.array(c) for c in zip(*(_moser_plateau(rho_k, n) for rho_k in rhos)))
+    hi = np.array([min(rho_k * (1.0 + SHOULDER), 0.98) for rho_k in rhos])
+    y = np.minimum(1.0, np.log(1.0 / r) / big_l[:, None])
+    rows, cols = np.nonzero((r > rho[:, None]) & (r < hi[:, None]))
+    x = (r[cols] - rho[rows]) / (hi - rho)[rows]
+    y_hi = np.array([math.log(1.0 / h) / b for h, b in zip(hi.tolist(), big_l.tolist())])
+    dy_hi = -(hi - rho) / (big_l * hi)
+    h00 = 2 * x**3 - 3 * x**2 + 1
+    h01 = -2 * x**3 + 3 * x**2
+    h11 = x**3 - x**2
+    y[rows, cols] = h00 * 1.0 + h01 * y_hi[rows] + h11 * dy_hi[rows]
+    u = RadialProfile(grid, plateau[:, None] * y, enforce_zero_boundary=True)
+    return u.scaled(_inverse_root(grad_energy(u, n), n))
+
+
+def _inverse_root(values, n: int):
+    """values ** (-1/n) by Python's float pow, entry by entry for an array of values."""
+    if np.ndim(values) == 0:
+        return values ** (-1.0 / n)
+    return np.array([v ** (-1.0 / n) for v in values.tolist()])
 
 
 def boundary_tail_profile(grid: RadialGrid, n: int, k: int) -> RadialProfile:
@@ -202,13 +216,14 @@ def boundary_tail_profile(grid: RadialGrid, n: int, k: int) -> RadialProfile:
 
 
 def normalize_h(u: RadialProfile, n: int) -> RadialProfile:
-    """Rescale so the deficit energy is exactly 1 (n-homogeneity)."""
+    """Rescale so the deficit energy is exactly 1 (n-homogeneity), each profile of a stack on its own."""
     h_val = h_functional(u, n)
-    if not (h_val > 0.0):
+    bad = np.atleast_1d(h_val)[~(np.atleast_1d(h_val) > 0.0)]
+    if bad.size:
         raise DegenerateProfileError(
-            f"deficit energy must be positive to normalize, got {h_val!r}"
+            f"deficit energy must be positive to normalize, got {float(bad[0])!r}"
         )
-    return u.scaled(h_val ** (-1.0 / n))
+    return u.scaled(_inverse_root(h_val, n))
 
 
 def boundedness_sweep(n: int, beta: float, family: Sequence[MoserParams], exponent_scale: float,
@@ -487,20 +502,31 @@ def estimate_lambda1(
     )
 
 
-def seeded_corpus(grid: RadialGrid, n: int, size: int, seed: int) -> List[RadialProfile]:
-    """Seeded non-increasing certification corpus, each member at unit deficit energy.
+def seeded_corpus(grid: RadialGrid, n: int, size: int, seed, first: int = 0) -> RadialProfile:
+    """Members first, ..., first + size - 1 of the seeded certification corpus, as a (size, N) stack.
 
-    Cycles three C^1 shapes: monotone splines through coarse decreasing
-    control points with bounded slopes, powers of (1-r^2), and
-    shoulder-smoothed Moser profiles.  All resolvable on production grids,
-    which is what keeps transplant identity defects at the 1e-4 scale.
-    Each member is rescaled by normalize_h, which raises on a member whose
-    deficit energy is not positive.
+    Non-increasing, each member at unit deficit energy.  Member i has shape
+    i mod 3: a monotone spline through coarse decreasing control points
+    with bounded slopes, a power of (1-r^2), or a shoulder-smoothed Moser
+    profile.  All resolvable on production grids, which is what keeps
+    transplant identity defects at the 1e-4 scale.
+
+    ``seed`` is an int or a ``np.random.Generator``.  The members draw their
+    random numbers from it one after another, in member order, and then
+    the stack is built and normalized at once: each shape's rows in one
+    set of array operations (the spline rows one by one), the least
+    non-increasing majorant of every row, one PCHIP fit of the rows whose
+    slopes are not carried from the Moser rescales, and normalize_h, which
+    raises on a member whose deficit energy is not positive.  Each row
+    comes out as it would alone, so blocks drawn in turn from one
+    Generator, each ``first`` where the last one ended, are the rows of a
+    single call of their total size.
     """
     rng = np.random.default_rng(seed)
-    out: List[RadialProfile] = []
-    while len(out) < size:
-        kind = len(out) % 3
+    raw = np.zeros((size, grid.n_points))
+    powers, mosers = [], []
+    for i in range(size):
+        kind = (first + i) % 3
         if kind == 0:
             kpts = int(rng.integers(3, 7))
             gaps = rng.uniform(0.08, 1.0, kpts + 1)
@@ -510,21 +536,29 @@ def seeded_corpus(grid: RadialGrid, n: int, size: int, seed: int) -> List[Radial
             drops = rng.uniform(0.2, 1.5, kpts + 1) * np.diff(xs)[: kpts + 1]
             vals_desc = np.concatenate([[np.sum(drops)], np.sum(drops) - np.cumsum(drops)])
             vals = np.concatenate([vals_desc[:-1], [0.0, 0.0]])
-            u_vals = np.maximum(pchip(xs, vals, grid.nodes), 0.0)
-            prof = RadialProfile(grid, u_vals, enforce_zero_boundary=True)
+            raw[i] = np.maximum(pchip(xs, vals, grid.nodes), 0.0)
         elif kind == 1:
-            q = rng.uniform(1.0, 3.0)
-            amp = rng.uniform(0.3, 2.0)
-            prof = RadialProfile(grid, amp * grid.one_minus_r2**q, enforce_zero_boundary=True)
+            powers.append((i, rng.uniform(1.0, 3.0), rng.uniform(0.3, 2.0)))  # q, amplitude
         else:
-            rho = rng.uniform(0.05, 0.5)
-            prof = smoothed_moser_profile(MoserParams(rho=rho, n=n), grid)
-            prof = prof.scaled(rng.uniform(0.5, 1.5))
-        vals = nonincreasing_majorant(prof.values)
-        if not np.array_equal(vals, prof.values):  # else keep prof and the slopes it carries
-            prof = RadialProfile(grid, vals, enforce_zero_boundary=False)
-        out.append(normalize_h(prof, n))
-    return out
+            mosers.append((i, rng.uniform(0.05, 0.5), rng.uniform(0.5, 1.5)))  # rho, scale
+    if powers:
+        rows, q, amp = (np.array(c) for c in zip(*powers))
+        raw[rows] = amp[:, None] * grid.one_minus_r2 ** q[:, None]
+    values = RadialProfile(grid, raw, enforce_zero_boundary=True).values
+    slopes = np.empty_like(values)
+    refit = np.ones(size, dtype=bool)
+    if mosers:
+        rows, rho, scale = zip(*mosers)
+        moser = _smoothed_moser(rho, n, grid).scaled(scale)
+        rows = list(rows)
+        values[rows], slopes[rows], refit[rows] = moser.values, moser.slopes, False
+    majorant = nonincreasing_majorant(values)
+    refit |= np.any(majorant != values, axis=-1)  # a member the majorant moved is fitted anew
+    slopes[refit] = RadialProfile(grid, majorant[refit], enforce_zero_boundary=False).slopes
+    slopes.flags.writeable = False
+    prof = RadialProfile(grid, majorant, enforce_zero_boundary=False)
+    prof.slopes = slopes
+    return normalize_h(prof, n)
 
 
 def bump_corpus(grid: RadialGrid, n: int, size: int, seed: int) -> List[RadialProfile]:

@@ -12,6 +12,15 @@ pieces, both with scipy's arithmetic.  Values equal those of scipy's
 but the last, where scipy evaluates the end of the last cubic and rounds
 within a few ulp of the node slope.  No spline object is built.
 
+A profile's values may be one row of N node values or a (k, N) stack of
+rows on one grid, the nodes on the last axis.  The slopes, the cubic
+evaluation, ``scaled`` and the functionals of the certification chain
+(``grad_energy``, ``hardy_term``, ``h_functional``, ``potential_term``,
+``mt_integrand`` and ``singular_mt``) work row by row on a stack, with the
+arithmetic of one row, and return one value per row.  Each row is summed
+by its own ``np.dot`` (``quad_core.integrate``), so a row's results do
+not depend on the stack it was computed in.
+
 Admissible profiles are stored with u = 0 at the last node, enforced by
 subtracting the boundary value; constant shifts leave the gradient energy
 untouched and keep the profile in the zero-boundary class the theory needs.
@@ -33,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -85,16 +94,19 @@ def hermite_eval(x: np.ndarray, h: np.ndarray, y: np.ndarray, d: np.ndarray, xq)
     coefficients are scipy's ``CubicHermiteSpline`` ones, and the sum
     c3 + c2 s + c1 s^2 + c0 s^3 in s = q - x[i] is formed term by term from
     0 in the order its ``PPoly`` evaluation adds them, so the result is
-    scipy's to the bit.
+    scipy's to the bit.  y and d may be (k, N) stacks, each row read at
+    the same queries.
     """
     xq = np.asarray(xq, dtype=float)
     i = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, x.size - 2)
     s = xq - x[i]
     secant = np.diff(y) / h
-    t = (d[:-1] + d[1:] - 2.0 * secant) / h
-    c0, c1 = t / h, (secant - d[:-1]) / h - t
+    t = (d[..., :-1] + d[..., 1:] - 2.0 * secant) / h
+    c0, c1 = t / h, (secant - d[..., :-1]) / h - t
     s2 = s * s
-    return 0.0 + y[i] + d[i] * s + c1[i] * s2 + c0[i] * (s2 * s)
+    # np.take keeps a stack's rows in C order, where a[..., i] would give F order
+    y_i, d_i, c1_i, c0_i = (np.take(a, i, axis=-1) for a in (y, d, c1, c0))
+    return 0.0 + y_i + d_i * s + c1_i * s2 + c0_i * (s2 * s)
 
 
 def pchip_slopes(y: np.ndarray, spacing: PchipSpacing) -> np.ndarray:
@@ -103,18 +115,30 @@ def pchip_slopes(y: np.ndarray, spacing: PchipSpacing) -> np.ndarray:
     Interior nodes take the weighted harmonic mean of the adjacent secants,
     or 0 where the secants change sign or one is flat; both ends use
     Moler's shape-preserving one-sided three-point rule.  Needs three nodes
-    or more.
+    or more.  y may be a (k, N) stack; each row is fitted on its own.
+
+    The harmonic means are formed in the output and the secant array, in
+    place, with scipy's operations in scipy's order.  A stack's temporaries
+    are large, and each one allocated afresh costs the page faults of
+    memory the allocator has just handed back to the system.
     """
     h = spacing.h
-    m = np.diff(y) / h
+    m = np.diff(y)
+    m /= h
     d = np.empty_like(y)
-    sm = np.sign(m)
-    flat = (sm[1:] != sm[:-1]) | (m[1:] == 0.0) | (m[:-1] == 0.0)
+    ends, inner = [0, -1], [1, -2]  # each end's own interval and secant, then the next ones
+    d[..., ends] = _end_slopes(h[ends], h[inner], m[..., ends], m[..., inner])
+    # flat where an adjacent secant is 0 or the two differ in sign
+    rise, flat = m > 0.0, m == 0.0
+    flat = flat[..., 1:] | flat[..., :-1]
+    flat |= rise[..., 1:] != rise[..., :-1]
+    whmean, m1 = d[..., 1:-1], m[..., 1:]
     with np.errstate(divide="ignore", invalid="ignore"):  # flat entries divide by 0
-        whmean = (spacing.w1 / m[:-1] + spacing.w2 / m[1:]) / spacing.w12
-        d[1:-1] = np.where(flat, 0.0, 1.0 / whmean)
-    d[0] = _end_slope(h[0], h[1], m[0], m[1])
-    d[-1] = _end_slope(h[-1], h[-2], m[-1], m[-2])
+        np.divide(spacing.w1, m[..., :-1], out=whmean)
+        whmean += np.divide(spacing.w2, m1, out=m1)
+        whmean /= spacing.w12
+        np.divide(1.0, whmean, out=whmean)
+    whmean[flat] = 0.0
     return d
 
 
@@ -125,8 +149,10 @@ def pchip(x: np.ndarray, y: np.ndarray, xq) -> np.ndarray:
 
 
 class RadialProfile:
-    """Sampled radial function u(r) >= 0 on a RadialGrid.
+    """Sampled radial function u(r) >= 0 on a RadialGrid, or a stack of them.
 
+    ``values`` holds the N node values, or a (k, N) stack of k profiles on
+    the one grid; ``rows`` splits a stack into its profiles.
     ``enforce_zero_boundary`` subtracts u at the last node (default), which
     is what every admissible profile uses; pass False for diagnostic
     profiles that legitimately carry boundary values.
@@ -141,14 +167,15 @@ class RadialProfile:
 
     def __init__(self, grid: RadialGrid, values, *, enforce_zero_boundary: bool = True):
         values = np.asarray(values, dtype=float)
-        if values.shape != grid.nodes.shape:
+        if values.shape[-1:] != grid.nodes.shape or values.ndim > 2:
             raise PreconditionError(
                 f"values shape {values.shape} does not match grid ({grid.nodes.shape})"
             )
         if not np.all(np.isfinite(values)):
             raise NumericError("profile values must be finite")
         if enforce_zero_boundary:
-            values = np.maximum(values - values[-1], 0.0)
+            values = values - values[..., -1:]
+            np.maximum(values, 0.0, out=values)
         self.grid = grid
         self.values = values
 
@@ -160,20 +187,24 @@ class RadialProfile:
         return d
 
     def __call__(self, r) -> np.ndarray:
-        """u(r), with r clipped to the grid's range."""
+        """u(r), with r clipped to the grid's range; one row of values per profile of a stack."""
         r = np.clip(np.asarray(r, dtype=float), self.grid.nodes[0], self.grid.nodes[-1])
         return hermite_eval(self.grid.nodes, self.grid.spacing.h, self.values, self.slopes, r)
 
     def is_nonincreasing(self, tol: float = 1e-12) -> bool:
-        return bool(np.all(np.diff(self.values) <= tol * max(1.0, float(self.values.max(initial=0.0)))))
+        """Whether every profile's rises stay below tol times max(1, its largest value)."""
+        top = np.maximum(1.0, self.values.max(axis=-1, initial=0.0, keepdims=True))
+        return bool(np.all(np.diff(self.values) <= tol * top))
 
-    def scaled(self, c: float) -> "RadialProfile":
+    def scaled(self, c) -> "RadialProfile":
         """c * u on the same grid, carrying c * slopes if they are already set.
 
-        PCHIP is homogeneous (every secant, harmonic mean and end slope
-        scales by c), so the carried slopes are the fit of c * u up to the
-        rounding of its secants, and the rescale costs no new fit.
+        c is a number, or one factor per profile of a stack.  PCHIP is
+        homogeneous (every secant, harmonic mean and end slope scales by c),
+        so the carried slopes are the fit of c * u up to the rounding of its
+        secants, and the rescale costs no new fit.
         """
+        c = np.asarray(c, dtype=float)[..., None]
         out = RadialProfile(self.grid, c * self.values, enforce_zero_boundary=False)
         if "slopes" in self.__dict__:
             d = c * self.slopes
@@ -181,15 +212,24 @@ class RadialProfile:
             out.slopes = d
         return out
 
+    def rows(self) -> List["RadialProfile"]:
+        """The profiles of a stack, each viewing its row of values and of slopes, if set."""
+        out = [RadialProfile(self.grid, row, enforce_zero_boundary=False) for row in self.values]
+        if "slopes" in self.__dict__:
+            for prof, d in zip(out, self.slopes):
+                prof.slopes = d
+        return out
 
-def _end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
-    """Moler's one-sided three-point end slope, clipped to keep the end monotone."""
+
+def _end_slopes(h0: np.ndarray, h1: np.ndarray, m0: np.ndarray, m1: np.ndarray) -> np.ndarray:
+    """Moler's one-sided three-point end slopes, clipped to keep the ends monotone.
+
+    0 where the slope's sign differs from the end secant m0's; else 3 m0
+    where the two secants differ in sign and the slope exceeds 3 |m0|.
+    """
     d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return d
+    d = np.where(np.sign(d) != np.sign(m0), 0.0, d)
+    return np.where((np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0)), 3.0 * m0, d)
 
 
 @dataclass(frozen=True)
@@ -235,10 +275,17 @@ class Potential:
         Callers form the weight from 1 - r^2 free of cancellation.  The
         Hardy potential ((2(n-1)/n)^n / weight) is ((n-1)/n)^n (2/(1-r^2))^n,
         the hyperbolic density without its r^(n-1); it stays pointwise
-        because ``make_maps`` evaluates V at a(t), off any grid.
+        because ``make_maps`` evaluates V at a(t), off any grid.  Where the
+        weight underflows to 0 or the quotient overflows (large n near the
+        boundary), V is inf without a RuntimeWarning, and the potential mass
+        of the Green solve raises PotentialInstabilityError on it.
         """
         hc = make_constants(n).hardy_const
-        v = hc / weight if self.kind.startswith("hardy") else np.zeros_like(r)
+        if self.kind.startswith("hardy"):
+            with np.errstate(divide="ignore", over="ignore"):
+                v = hc / weight
+        else:
+            v = np.zeros_like(r)
         return v + self.value if self.kind in _VALUED_KINDS else v
 
     def values(self, grid: RadialGrid, n: int) -> np.ndarray:
@@ -288,39 +335,49 @@ class PolyaSzegoResult(NamedTuple):
     h_margin: float
 
 
-def grad_energy(u: RadialProfile, n: int) -> float:
-    """omega * int |u'|^n r^(n-1) dr over the truncated domain."""
+def grad_energy(u: RadialProfile, n: int):
+    """omega * int |u'|^n r^(n-1) dr over the truncated domain, per profile of a stack."""
     c = make_constants(n)
     g = u.grid
-    return c.omega * integrate(int_pow(np.abs(u.slopes), n) * g.nodes_pow(n - 1), g)
+    vals = int_pow(np.abs(u.slopes), n)
+    vals *= g.nodes_pow(n - 1)
+    return c.omega * integrate(vals, g)
 
 
-def hardy_term(u: RadialProfile, n: int) -> float:
+def hardy_term(u: RadialProfile, n: int):
     """Sharp-constant boundary Hardy integral of |u|^n: ((n-1)/n)^n int |u|^n dv_H."""
     return ((n - 1) / n) ** n * hyperbolic_ln_norm_pow(u, n)
 
 
-def h_functional(u: RadialProfile, n: int) -> float:
+def h_functional(u: RadialProfile, n: int):
     """Hardy-deficit energy: gradient energy minus the sharp Hardy term."""
     return grad_energy(u, n) - hardy_term(u, n)
 
 
-def potential_term(u: RadialProfile, potential: Potential, n: int) -> float:
-    """int V |u|^n dx = omega * int V u^n r^(n-1) dr."""
+def potential_term(u: RadialProfile, potential: Potential, n: int,
+                   u_pow: Optional[np.ndarray] = None):
+    """int V |u|^n dx = omega * int V u^n r^(n-1) dr; u_pow is u^n (``int_pow``) if already formed."""
     g = u.grid
-    vals = potential.values(g, n) * int_pow(u.values, n) * g.nodes_pow(n - 1)
+    if u_pow is None:
+        u_pow = int_pow(u.values, n)
+    vals = potential.values(g, n) * u_pow
+    vals *= g.nodes_pow(n - 1)
     return make_constants(n).omega * integrate(vals, g)
 
 
-def ln_norm_pow(u: RadialProfile, n: int) -> float:
+def ln_norm_pow(u: RadialProfile, n: int):
     """||u||_n^n with respect to Lebesgue measure on the ball."""
     c = make_constants(n)
-    return c.omega * integrate(int_pow(u.values, n) * u.grid.nodes_pow(n - 1), u.grid)
+    vals = int_pow(u.values, n)
+    vals *= u.grid.nodes_pow(n - 1)
+    return c.omega * integrate(vals, u.grid)
 
 
-def hyperbolic_ln_norm_pow(u: RadialProfile, n: int) -> float:
+def hyperbolic_ln_norm_pow(u: RadialProfile, n: int):
     """int |u|^n dv_H, the L^n norm under the Poincare-ball volume."""
-    return integrate(int_pow(u.values, n) * u.grid.hyperbolic_density(n), u.grid)
+    vals = int_pow(u.values, n)
+    vals *= u.grid.hyperbolic_density(n)
+    return integrate(vals, u.grid)
 
 
 def mt_exponent(values: np.ndarray, n: int, beta: float, scale: float = 1.0) -> np.ndarray:
@@ -328,39 +385,54 @@ def mt_exponent(values: np.ndarray, n: int, beta: float, scale: float = 1.0) -> 
 
     At n = 3 the power u^(3/2) is formed as u * sqrt(u), without libm pow.
     """
-    u_pow = values * np.sqrt(values) if n == 3 else values ** (n / (n - 1.0))
+    if n == 3:
+        u_pow = np.sqrt(values)
+        u_pow *= values
+    else:
+        u_pow = values ** (n / (n - 1.0))
     return np.multiply(u_pow, scale * (1.0 - beta / n) * make_constants(n).alpha_n, out=u_pow)
 
 
-def mt_integrand(values: np.ndarray, grid: RadialGrid, n: int, beta: float, scale: float = 1.0
-                 ) -> Tuple[np.ndarray, np.ndarray]:
+def mt_integrand(values: np.ndarray, grid: RadialGrid, n: int, beta: float, scale: float = 1.0,
+                 exponent: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
     """singular_mt's node integrand exp(exponent) r^(n-beta-1), and the mask of clamped nodes.
 
-    Formed in place in log space from node values and the row (n - beta - 1) ln r
-    cached on the grid, with the logarithm clamped at EXP_CLAMP.
+    Formed in log space from node values and the row (n - beta - 1) ln r
+    cached on the grid, with the logarithm clamped at EXP_CLAMP.  A given
+    ``exponent`` is ``mt_exponent(values, n, beta, scale)`` formed already;
+    it is read, not overwritten, so one exponent serves two grids.
     """
-    x = mt_exponent(values, n, beta, scale)
-    x += grid._cached(("xi", n - beta - 1.0), lambda: (n - beta - 1.0) * grid.xi)
+    row = grid._cached(("xi", n - beta - 1.0), lambda: (n - beta - 1.0) * grid.xi)
+    if exponent is None:
+        x = mt_exponent(values, n, beta, scale)
+        x += row
+    else:
+        x = exponent + row
     clamped = x > EXP_CLAMP
     x[clamped] = EXP_CLAMP  # a scan of the mask alone when no node clamps
     return np.exp(x, out=x), clamped
 
 
 def singular_mt(
-    u: RadialProfile, n: int, beta: float, exponent_scale: float = 1.0
+    u: RadialProfile, n: int, beta: float, exponent_scale: float = 1.0,
+    exponent: Optional[np.ndarray] = None,
 ) -> MTResult:
     """Singular exponential integral with weight r^(-beta).
 
     omega * int exp(scale * (1 - beta/n) * alpha_n * u^(n/(n-1))) r^(n-beta-1) dr,
     evaluated in log space per node and clamped at exp(EXP_CLAMP); a clamped
     node sets the overflow flag (concentrating families legitimately get
-    there, so the flag is data rather than an error).
+    there, so the flag is data rather than an error).  On a stack, value
+    and flag hold one entry per profile.  ``exponent`` is passed on to
+    ``mt_integrand``.
     """
     _check_beta(beta, n)
     if exponent_scale <= 0.0:
         raise DomainError(f"exponent_scale must be positive, got {exponent_scale}")
-    vals, clamped = mt_integrand(u.values, u.grid, n, beta, exponent_scale)
-    return MTResult(make_constants(n).omega * integrate(vals, u.grid), bool(clamped.any()))
+    vals, clamped = mt_integrand(u.values, u.grid, n, beta, exponent_scale, exponent)
+    overflow = clamped.any(axis=-1)
+    return MTResult(make_constants(n).omega * integrate(vals, u.grid),
+                    bool(overflow) if overflow.ndim == 0 else overflow)
 
 
 def singular_mt_with_gradient(values: np.ndarray, grid: RadialGrid, n: int, beta: float
@@ -428,8 +500,18 @@ def hyperbolic_volume(r: float, n: int) -> float:
 
 
 def nonincreasing_majorant(values: np.ndarray) -> np.ndarray:
-    """The least non-increasing majorant of node values: at each node, the max from it outward."""
-    return np.maximum.accumulate(values[::-1])[::-1]
+    """The least non-increasing majorant of node values: at each node, the max from it outward.
+
+    Row by row on a (k, N) stack.  Values that are non-increasing already
+    come back as they are, the same array when no row rises: the check
+    costs about a fifteenth of the running maximum.
+    """
+    rises = np.any(values[..., 1:] > values[..., :-1], axis=-1)
+    if not np.any(rises):
+        return values
+    out = values.copy()
+    out[rises] = np.maximum.accumulate(values[rises][..., ::-1], axis=-1)[..., ::-1]
+    return out
 
 
 def rearrange(u: RadialProfile, n: int) -> RadialProfile:

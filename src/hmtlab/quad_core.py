@@ -239,23 +239,36 @@ def make_grid(n_points: int, epsilon: float, r_min: float = 1e-10,
     return RadialGrid(nodes=nodes, s=s, xi=xi, epsilon=epsilon)
 
 
-def integrate(samples: np.ndarray, grid: RadialGrid) -> float:
+def integrate(samples: np.ndarray, grid: RadialGrid):
     """Composite trapezoid of node samples over [nodes[0], 1-eps].
 
     Exact for piecewise-linear integrands; second order on smooth ones.
     Linear and monotone in the samples.  A non-finite sum, overflow included, raises
     NumericError, also under ``-W error::RuntimeWarning``.
+
+    ``samples`` is one row of node values, whose sum comes back as a float,
+    or a (k, N) stack of rows, whose k sums come back as an array.  Each row
+    is summed by its own ``np.dot(row, weights)`` on contiguous memory, so a
+    row's sum does not depend on the stack it sits in: BLAS gemv
+    (``stack @ weights``) rounds a row differently by its position in the
+    stack, and a strided row is summed in another order.
     """
-    samples = np.asarray(samples, dtype=float)
-    if samples.shape != grid.nodes.shape:
+    samples = np.ascontiguousarray(samples, dtype=float)
+    if samples.shape[-1:] != grid.nodes.shape or samples.ndim > 2:
         raise NumericError(
             f"samples shape {samples.shape} does not match grid ({grid.nodes.shape})"
         )
+    w = grid.weights
     try:
-        total = float(np.dot(samples, grid.weights))
+        if samples.ndim == 1:
+            total = float(np.dot(samples, w))
+            finite = math.isfinite(total)
+        else:
+            total = np.array([np.dot(row, w) for row in samples])
+            finite = bool(np.isfinite(total).all())
     except RuntimeWarning:  # the dot warns on inf - inf and on overflow
-        total = math.nan
-    if not math.isfinite(total):
+        finite = False
+    if not finite:
         raise NumericError("non-finite sample passed to integrate, or its sum overflows")
     return total
 
@@ -265,16 +278,29 @@ def int_pow(x: np.ndarray, k: int) -> np.ndarray:
 
     k = 1 returns x itself and k = 2 is x * x, which is numpy's ``x**2`` to
     the bit; a larger k takes one rounding per multiplication, so it lies
-    within k - 1 ulp of ``x**k``.
+    within k - 1 ulp of ``x**k``.  Any larger k gives a new array, whose
+    products are formed in place in at most two buffers made here.
     """
     out = None
+    out_made = x_made = False  # whether out, x are arrays made here that nothing else holds
     while True:
         if k & 1:
-            out = x if out is None else out * x
+            if out is None:
+                out, out_made, x_made = x, x_made, False  # one buffer, now out's
+            elif out_made:
+                out *= x
+            elif x_made and k == 1:  # x, the last power, is not needed again
+                x *= out
+                out, out_made = x, True
+            else:
+                out, out_made = out * x, True
         k >>= 1
         if not k:
             return out
-        x = x * x
+        if x_made:
+            x *= x
+        else:
+            x, x_made = x * x, True
 
 
 def cumulative_from_origin(samples: np.ndarray, grid: RadialGrid) -> np.ndarray:

@@ -64,7 +64,7 @@ def corpora(grids):
     def get(n, size=50, seed=1234, n_points=4096, eps=1e-6):
         key = (n, size, seed, n_points, eps)
         if key not in cache:
-            cache[key] = hl.seeded_corpus(grids(n_points, eps), n, size, seed)
+            cache[key] = hl.seeded_corpus(grids(n_points, eps), n, size, seed).rows()
         return cache[key]
 
     return get

@@ -23,7 +23,7 @@ from hmtlab import (
     solve_green,
 )
 from hmtlab import functionals
-from hmtlab.cli import _build_parser, _config_for_output, _emit_json, main
+from hmtlab.cli import CORPUS_BLOCK, _build_parser, _config_for_output, _emit_json, main
 
 
 def run_cli(args):
@@ -217,10 +217,10 @@ class TestGreenCommand:
             solve_green(2, Potential.hardy_critical(), make_grid(int(points), 1e-6))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_overflowing_potential_is_a_numerical_failure(self, tmp_path, capsys):
+    @pytest.mark.parametrize("argv", [["--potential", "hardy+lambda=1e308"], ["--n", "100"]])
+    def test_overflowing_potential_is_a_numerical_failure(self, tmp_path, capsys, argv):
         out = tmp_path / "g.json"
-        assert run_cli(["green", "--grid-points", "256", "--potential", "hardy+lambda=1e308",
-                        "--out", str(out)]) == 2
+        assert run_cli(["green", "--grid-points", "256", *argv, "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and not out.exists()
         assert captured.err.startswith("hmtlab: potential mass overflows float64")
@@ -402,6 +402,9 @@ class TestVerifyCommand:
         # each profile's PCHIP fit is made once and carried through its rescales, and the
         # image grid needs no evaluation of it; refitting and evaluating made 736 and 270.
         # Every fit and evaluation, make_maps' included, runs through functionals.pchip.
+        # A block of CORPUS_BLOCK profiles takes three fits (its Moser rows, its other rows,
+        # their pushforwards): 13 blocks * 3 + 67 spline members' control points + make_maps'
+        # 3 = 109, where one fit per profile and per pushforward made 470.
         counts = {"pchip_slopes": 0, "hermite_eval": 0}
         for name in counts:
             original = getattr(functionals, name)
@@ -413,8 +416,19 @@ class TestVerifyCommand:
             monkeypatch.setattr(functionals, name, counted)
         assert run_cli(["verify", "--n", str(n), "--grid-points", "4096", "--corpus-size", "200",
                         "--seed", "5", "--out", str(tmp_path / "v.json")]) == 0
-        assert counts["pchip_slopes"] <= 470
+        assert counts["pchip_slopes"] <= 109
         assert counts["hermite_eval"] <= 70
+
+    def test_reports_do_not_depend_on_the_block_layout(self, tmp_path):
+        def reports(size):
+            out = tmp_path / f"v{size}.json"
+            assert run_cli(["verify", "--n", "3", "--grid-points", "1024", "--corpus-size",
+                            str(size), "--seed", "11", "--out", str(out)]) == 0
+            return [json.dumps(rep, indent=2) for rep in json.loads(out.read_text())["reports"]]
+
+        full = reports(200)
+        for size in (1, CORPUS_BLOCK - 1, CORPUS_BLOCK, CORPUS_BLOCK + 1):
+            assert reports(size) == full[:size]
 
     def test_zero_potential_identity(self, tmp_path):
         out = tmp_path / "v0.json"

@@ -216,7 +216,7 @@ class TestMaximizeMT:
     def test_multistart_stability(self, grid):
         vals = []
         for seed in range(5):
-            corpus = seeded_corpus(grid, 2, 5, 100 + seed)
+            corpus = seeded_corpus(grid, 2, 5, 100 + seed).rows()
             rep = maximize_mt(2, 0.0, grid, corpus[seed % 5],
                               SearchOptions(max_iter=120))
             vals.append(rep.best_value)
@@ -291,7 +291,7 @@ class TestMaximizeMT:
 
     def test_start_independence(self, grid, ascent_runs):
         vals = [ascent_runs(2, 0.0).best_value]
-        for start in seeded_corpus(grid, 2, 4, 2024):
+        for start in seeded_corpus(grid, 2, 4, 2024).rows():
             vals.append(maximize_mt(2, 0.0, grid, start).best_value)
         assert (max(vals) - min(vals)) / min(vals) <= 1e-8
 
@@ -304,7 +304,7 @@ class TestMaximizeMT:
             lambda v: singular_mt_with_gradient(v, grid, n, 0.0),
             lambda v: (omega * float(np.dot(mass, v**n)), omega * n * mass * v ** (n - 1)),
         ]
-        for start in seeded_corpus(grid, n, 20, 77):
+        for start in seeded_corpus(grid, n, 20, 77).rows():
             for evaluate in evaluators:
                 _, traj, _ = _ascend(start.values, grid, n, evaluate, max_iter=1)
                 assert traj[1][1] >= traj[0][1]
@@ -388,7 +388,7 @@ class TestBufferedStep:
         # forms equal the plain expression
         omega = hl.make_constants(n).omega
         weights = dr, cell, hardy, _ = _surrogate_weights(grid, n)
-        for u in [_cli_start(grid).values] + [p.values for p in seeded_corpus(grid, n, 3, 5)]:
+        for u in [_cli_start(grid).values] + list(seeded_corpus(grid, n, 3, 5).values):
             plain = omega * (float(np.dot(np.abs(np.diff(u) / dr) ** n, cell))
                              - float(np.dot(u**n, hardy)))
             assert _h_surrogate(u, weights, n) == plain
@@ -518,7 +518,7 @@ class TestNodeGradients:
     @pytest.fixture(params=[0, 1, 2], ids=["spline", "power", "moser"])
     def profile(self, request, ascent_grid):
         # one member of each of the corpus's three shapes
-        return seeded_corpus(ascent_grid, 2, 3, 31)[request.param]
+        return seeded_corpus(ascent_grid, 2, 3, 31).rows()[request.param]
 
     @staticmethod
     def _eligible(u):
@@ -653,8 +653,8 @@ class TestImprovedSweep:
 class TestSeededCorpus:
     def test_deterministic(self, grids):
         g = grids(2048, 1e-6)
-        a = seeded_corpus(g, 2, 6, 42)
-        b = seeded_corpus(g, 2, 6, 42)
+        a = seeded_corpus(g, 2, 6, 42).rows()
+        b = seeded_corpus(g, 2, 6, 42).rows()
         for ua, ub in zip(a, b):
             assert np.array_equal(ua.values, ub.values)
 

@@ -368,7 +368,7 @@ class TestSingularMT:
     def test_sum_with_gradient_is_singular_mt(self, grids, n, beta):
         # the ascent's objective is singular_mt's value to the bit, clamped nodes included
         g = grids(1024, 1e-6)
-        members = [u.values for u in seeded_corpus(g, n, 3, 41)]
+        members = list(seeded_corpus(g, n, 3, 41).values)
         members.append(40.0 / members[0].max() * members[0])
         for v in members:
             value, _ = singular_mt_with_gradient(v, g, n, beta)

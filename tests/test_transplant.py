@@ -21,7 +21,8 @@ from hmtlab import (
     verify_hardy_identity,
 )
 from hmtlab.extremal import MoserParams, seeded_corpus, smoothed_moser_profile
-from hmtlab.functionals import mt_exponent, mt_integrand
+from hmtlab.functionals import mt_exponent, mt_integrand, potential_term
+from hmtlab.quad_core import integrate
 
 
 @pytest.fixture(scope="module")
@@ -103,7 +104,7 @@ class TestPushforwardPlan:
         table = green_tables(2, "hardy", 4096, 1e-6, 1e-10)
         maps = make_maps(table)
         home = corpora(2)[0]
-        away = seeded_corpus(grids(2048, 1e-6), 2, 3, 99)
+        away = seeded_corpus(grids(2048, 1e-6), 2, 3, 99).rows()
         for u in [home, *away, home]:
             v = pushforward(u, maps)
             if u is home:
@@ -310,3 +311,54 @@ class TestImageGrid:
             x = mt_exponent(v.values, n, beta) + (n - beta - 1.0) * ln_t
             assert not clamped.any()
             assert vals.tobytes() == np.exp(x).tobytes()
+
+
+def _reference_fields(u, maps):
+    """A profile's report fields from the one-profile functionals, outside the chain."""
+    n, beta, c = maps.n, maps.beta, make_constants(maps.n)
+    node_data = u.values if u.grid is maps.image_of else u(maps.a)
+    v = RadialProfile(maps.t_grid, np.maximum.accumulate(node_data[::-1])[::-1])
+    grad_u, grad_v = hl.grad_energy(u, n), hl.grad_energy(v, n)
+    vp_pow = np.abs(v.slopes) ** n * maps.t_grid.nodes ** (n - 1)
+    grad_phi = c.omega * integrate(vp_pow * maps.phi, maps.t_grid)
+    hardy_u = potential_term(u, maps.potential, n)
+    hardy_t = c.omega * integrate(v.values**n * maps.hardy_weight, maps.t_grid)
+    mt_u, mt_v = hl.singular_mt(u, n, beta), hl.singular_mt(v, n, beta)
+    mt_u_via_t = c.omega * integrate(mt_integrand(v.values, v.grid, n, beta)[0] * maps.psi,
+                                     maps.t_grid)
+    return {
+        "grad_u": grad_u,
+        "grad_v": grad_v,
+        "hardy_u": hardy_u,
+        "identity_grad_defect": abs(grad_u - (grad_v + grad_phi)) / max(1.0, grad_u),
+        "identity_hardy_defect": abs(hardy_u - hardy_t) / max(1.0, hardy_u),
+        "hardy_lemma_margin": grad_phi - hardy_t,
+        "key_margin": (grad_u - hardy_u) - grad_v,
+        "mt_comparison_margin": math.exp((1.0 - beta / n) * c.alpha_n * maps.c_g) * mt_v.value
+                                - mt_u.value,
+        "psi_identity_defect": abs(mt_u_via_t - mt_u.value) / max(1.0, mt_u.value),
+        "overflow": mt_u.overflow or mt_v.overflow,
+    }
+
+
+class TestStackedReports:
+    """transplant_report of a corpus stack: one report per row, each that of the row alone."""
+
+    @pytest.mark.parametrize("t_grid", ["image", "n_t"])
+    @pytest.mark.parametrize("potential", ["zero", "hardy", "const=0.5"])
+    @pytest.mark.parametrize("n, beta", [(2, 0.0), (3, 0.0), (3, 2.5), (4, 0.0), (4, 2.5)])
+    def test_rows_match_independent_reference(self, green_tables, grids, n, beta, potential,
+                                              t_grid):
+        table = green_tables(n, potential, 1024, 1e-6, 1e-10)
+        maps = make_maps(table, beta=beta, n_t=None if t_grid == "image" else 1536)
+        stack = seeded_corpus(grids(1024, 1e-6), n, 6, 17)  # each of the three shapes twice
+        assert stack.values.shape == (6, 1024)
+        reports = transplant_report(stack, maps)
+        assert len(reports) == 6
+        for row, rep in zip(stack.rows(), reports):
+            got, ref = rep.to_dict(), _reference_fields(row, maps)
+            assert got.keys() == ref.keys()
+            assert got.pop("overflow") is ref.pop("overflow")
+            for key, value in ref.items():
+                assert abs(got[key] - value) <= 1e-13 * max(1.0, abs(value)), (key, got[key], value)
+            assert transplant_report(row, maps) == rep  # the one-row case, to the bit
