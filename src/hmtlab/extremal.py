@@ -362,9 +362,9 @@ def _ascend(u: np.ndarray, grid: RadialGrid, n: int, evaluate: Callable[[np.ndar
       hence tau <grad F(u), w> >= H(w) + n - 1 >= n H(w)^(1/n);
       so F(w') >= F(u) + <grad F(u), w' - u> >= F(u).
     The plain steps converge linearly, so each step offers an AndersonMixer
-    the iterate and its plain step, and takes the mixed step instead when it
-    is finite, non-increasing with a last node >= 0, of positive deficit,
-    and, rescaled to unit deficit, of F at least F(u).  Otherwise it takes
+    the plain step and its change from u, and takes the mixed step instead
+    when it is finite, non-increasing with a last node >= 0, of positive
+    deficit, and, rescaled to unit deficit, of F at least F(u).  Otherwise it takes
     the plain step and restarts the history.  So every iterate is
     non-increasing on the unit deficit set, and F never decreases: a plain
     step that lowers F, which rounding does at a converged iterate, ends
@@ -392,7 +392,7 @@ def _ascend(u: np.ndarray, grid: RadialGrid, n: int, evaluate: Callable[[np.ndar
         np.multiply(hardy, u if n == 2 else u ** (n - 1), out=rhs)  # rhs = hardy u^(n-1)
         rhs += np.multiply(grad_f, tau / (omega * n), out=work)  # + tau grad F / (omega n)
         plain = _unit_deficit(_solve_gradient_part(rhs, dr, cell, n, face, w), weights, n, work)
-        mixed = None if confirm else mixer.mix(u, plain - u, plain)
+        mixed = None if confirm else mixer.mix(plain - u, plain)
         step = None if mixed is None else _mixed_step(mixed, value, weights, n, work, evaluate)
         if step is None:
             if mixed is not None or confirm:  # the history restarts from the plain step

@@ -9,11 +9,13 @@ solution G with pole at the origin,
 with G = 0 at the truncated boundary 1-eps.  The solver iterates this map
 in the log coordinate xi = ln r, where the potential-free part of the flux
 integrates exactly.  Its unknown is the flux excess, and Anderson mixing
-(Walker & Ni, SIAM J. Numer. Anal. 2011; ``quad_core.AndersonMixer``, which
-the extremal ascent shares) accelerates the plain Picard step, falling back
-to it whenever a mixed step is not finite or has a negative excess entry;
-the iterates therefore do not climb monotonically.  The pole
-decomposition
+(Walker & Ni, SIAM J. Numer. Anal. 2011, in the Type-II form of
+``quad_core.AndersonMixer``, which the extremal ascent shares) accelerates
+the plain Picard step, falling back to it whenever a mixed step is not
+finite or has a negative excess entry; the iterates therefore do not climb
+monotonically.  Each step writes into node arrays allocated once per solve,
+and computes the same floats as the allocating step functions that rebuild
+a table from its G.  The pole decomposition
 
     G(r) = -gamma ln r + C_G + H(r),   gamma = omega^(-1/(n-1)),
 
@@ -192,21 +194,29 @@ class TransplantMaps:
         return self.a / self.t_grid.nodes
 
 
-def _flux_excess(m: np.ndarray, n: int) -> np.ndarray:
-    # (1+m)^(1/(n-1)) - 1 without rounding to zero for m below 1 ulp
-    return np.expm1(np.log1p(m) / (n - 1))
+def _flux_excess(m: np.ndarray, n: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+    # (1+m)^(1/(n-1)) - 1 without rounding to zero for m below 1 ulp; out may be m itself
+    out = np.log1p(m, out=out)
+    out /= n - 1
+    return np.expm1(out, out=out)
 
 
-def _mass(g_values: np.ndarray, v_vals: np.ndarray, grid: RadialGrid, n: int) -> np.ndarray:
+def _mass(g_values: np.ndarray, v_vals: np.ndarray, grid: RadialGrid, n: int,
+          out: Optional[np.ndarray] = None, work: Optional[np.ndarray] = None) -> np.ndarray:
     """Cumulative potential mass m(r) = omega int_0^r V G^(n-1) s^(n-1) ds.
 
+    The density omega V G^(n-1) r^(n-1), rounded left to right, is formed in
+    ``out``, which then receives m; ``work`` is a node array for G^(n-1) and
+    the increments.  Either is allocated when not given.
     Raises PotentialInstabilityError, and no RuntimeWarning, where the
     density or its running sum overflows float64.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        density = make_constants(n).omega * v_vals * g_values ** (n - 1) * grid.nodes_pow(n - 1)
+        density = np.multiply(make_constants(n).omega, v_vals, out=out)
+        density *= np.power(g_values, n - 1, out=work)
+        density *= grid.nodes_pow(n - 1)
         try:
-            m = cumulative_from_origin(density, grid)
+            m = cumulative_from_origin(density, grid, out=density, work=work)
         except NumericError:  # a non-finite density
             m = None
     # a running sum that overflows stays non-finite to its end
@@ -216,13 +226,23 @@ def _mass(g_values: np.ndarray, v_vals: np.ndarray, grid: RadialGrid, n: int) ->
     return m
 
 
-def _assemble(excess: np.ndarray, log_part: np.ndarray, grid: RadialGrid,
-              gamma: float) -> Tuple[np.ndarray, np.ndarray]:
-    # H(r) = -gamma int_{xi_min}^{xi} (flux - 1) dxi', a sum of tiny positive increments;
+def _assemble(excess: np.ndarray, log_part: np.ndarray, grid: RadialGrid, gamma: float,
+              out: Optional[np.ndarray] = None,
+              work: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
+    """(G, H) from the flux excess: G in ``out``, H in ``work``, each allocated when not given."""
+    # H(r) = -gamma int_{xi_min}^{xi} (flux - 1) dxi', a sum of tiny positive increments
+    # formed in place: 0.5 gamma (excess[1:] + excess[:-1]) dxi, summed, negated
+    h_rem = np.empty_like(excess) if work is None else work
+    incr = np.add(excess[1:], excess[:-1], out=h_rem[1:])
+    incr *= 0.5 * gamma
+    incr *= grid.dxi
+    np.cumsum(incr, out=incr)
+    h_rem[0] = 0.0
+    np.negative(h_rem, out=h_rem)
     # G(r) = gamma(xi_max - xi) + (H(r) - H(r_max)), both pieces cancellation-free
-    incr = 0.5 * gamma * (excess[1:] + excess[:-1]) * np.diff(grid.xi)
-    h_rem = -np.concatenate([[0.0], np.cumsum(incr)])
-    return log_part + (h_rem - h_rem[-1]), h_rem
+    g_values = np.subtract(h_rem, h_rem[-1], out=out)
+    g_values += log_part
+    return g_values, h_rem
 
 
 def _table_from_g(grid: RadialGrid, n: int, potential: Potential, v_vals: np.ndarray,
@@ -253,14 +273,16 @@ def solve_green(
     would climb monotonically to the minimal fixed point, slowly when the
     potential is near its spectral threshold.  An AndersonMixer (depth
     ``quad_core.ANDERSON_DEPTH``) instead combines the last differences of
-    x and of the defect f = T(x) - x: the coefficients c solve the small
-    Gram system dF dF^T c = dF f, and the next iterate is
-    T(x) - (dX + dF)^T c.  The
-    mixed iterates do not climb monotonically.  A mixed step that is not
-    finite or has a negative excess entry is replaced by the plain step
-    T(x), and the history restarts from there.  Once |f| <= tol, the table
-    is assembled from the next iterate, the history's best estimate of the
-    fixed point, which costs no further potential mass.
+    the defect f = T(x) - x and of the plain steps T(x): the coefficients c
+    solve the small Gram system dF dF^T c = dF f, and the next iterate is
+    T(x) - c @ dG, dG the differences of T(x).  The mixed iterates do not
+    climb monotonically.  A mixed step that is not finite or has a negative
+    excess entry is replaced by the plain step T(x), and the history
+    restarts from there.  Once |f| <= tol, the table is assembled from the
+    next iterate, the history's best estimate of the fixed point, which
+    costs no further potential mass.  Each step fills four node arrays
+    allocated once per solve, with the same floats as the allocating step;
+    they and the mixer's buffers are freed before that final assembly.
 
     Raises ConvergenceError if tol is not reached within max_iter and
     PotentialInstabilityError when the potential mass diverges across
@@ -270,16 +292,32 @@ def solve_green(
     """
     if tol <= 0.0:
         raise ConvergenceError("tolerance must be positive", residual=None, iterations=0)
-    gamma = make_constants(n).gamma
     v_vals = potential.values(grid, n)
-    log_part = gamma * (grid.xi[-1] - grid.xi)
+    log_part = make_constants(n).gamma * (grid.xi[-1] - grid.xi)
+    g_values, iterations = _iterate(n, v_vals, log_part, grid, tol, max_iter)
+    # final self-consistent assembly from the converged mass
+    table = _table_from_g(grid, n, potential, v_vals, log_part, g_values, iterations, tol)
+    table.validate()
+    return table
 
-    excess = np.zeros_like(log_part)  # assembles to G = log_part
+
+def _iterate(n: int, v_vals: np.ndarray, log_part: np.ndarray, grid: RadialGrid, tol: float,
+             max_iter: int) -> Tuple[np.ndarray, int]:
+    """``solve_green``'s mixed iteration: G of the iterate after the converged step, and its count.
+
+    The step's buffers: ``g_values`` (G), ``m`` (the density, the mass,
+    then the defect), ``work`` (H, G^(n-1), the increments, then |f|) and
+    ``plain``.  The iterate is ``plain`` or the mixer's last step, which its
+    next step does not overwrite.
+    """
+    gamma = make_constants(n).gamma
+    g_values, m, work = np.empty_like(log_part), np.empty_like(log_part), np.empty_like(log_part)
+    excess = plain = np.zeros_like(log_part)  # assembles to G = log_part
     mixer = AndersonMixer(excess.size)
     residual = math.inf
     for iterations in range(1, max_iter + 1):
-        g_values, _ = _assemble(excess, log_part, grid, gamma)
-        m = _mass(g_values, v_vals, grid, n)
+        _assemble(excess, log_part, grid, gamma, out=g_values, work=work)
+        _mass(g_values, v_vals, grid, n, out=m, work=work)
         m_sup = float(np.max(m))
         if m_sup > INSTABILITY_CAP:
             raise PotentialInstabilityError(
@@ -287,10 +325,10 @@ def solve_green(
                 "potential has no spectral gap on this domain, or the grid "
                 f"({grid.n_points} nodes) is too coarse to resolve it"
             )
-        defect = _flux_excess(m, n) - excess
-        residual = float(np.max(np.abs(defect)))
-        plain = excess + defect
-        mixed = mixer.mix(excess, defect, plain)
+        defect = np.subtract(_flux_excess(m, n, out=m), excess, out=m)
+        residual = float(np.max(np.abs(defect, out=work)))
+        np.add(excess, defect, out=plain)
+        mixed = mixer.mix(defect, plain)
         if mixed is None:
             excess = plain
         elif np.all(np.isfinite(mixed)) and np.min(mixed) >= 0.0:
@@ -299,22 +337,14 @@ def solve_green(
             excess = plain
             mixer.restart()
         if residual <= tol:  # the next iterate is the history's best estimate: return it
-            g_values, _ = _assemble(excess, log_part, grid, gamma)
-            break
-    else:
-        raise ConvergenceError(
-            f"no convergence in {max_iter} iterations (residual {residual:.3e} > tol {tol:.3e}); "
-            f"the grid ({grid.n_points} nodes) may be too coarse, or the potential too close "
-            "to its spectral threshold",
-            residual=residual,
-            iterations=max_iter,
-        )
-
-    del mixer  # free its ring buffers before the assembly, where the memory of the solve peaks
-    # final self-consistent assembly from the converged mass
-    table = _table_from_g(grid, n, potential, v_vals, log_part, g_values, iterations, tol)
-    table.validate()
-    return table
+            return _assemble(excess, log_part, grid, gamma, out=g_values, work=work)[0], iterations
+    raise ConvergenceError(
+        f"no convergence in {max_iter} iterations (residual {residual:.3e} > tol {tol:.3e}); "
+        f"the grid ({grid.n_points} nodes) may be too coarse, or the potential too close "
+        "to its spectral threshold",
+        residual=residual,
+        iterations=max_iter,
+    )
 
 
 def _fit_c_g(grid: RadialGrid, g_values: np.ndarray, gamma: float, n: int) -> float:

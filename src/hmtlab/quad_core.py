@@ -85,9 +85,9 @@ class PchipSpacing(NamedTuple):
     w12: np.ndarray  # w1 + w2
 
 
-def pchip_spacing(x: np.ndarray) -> PchipSpacing:
-    """The PCHIP slope weights of strictly increasing breakpoints x, read-only."""
-    h = np.diff(x)
+def pchip_spacing(x: np.ndarray, h: Optional[np.ndarray] = None) -> PchipSpacing:
+    """The PCHIP slope weights of strictly increasing breakpoints x, read-only; h is np.diff(x)."""
+    h = np.diff(x) if h is None else h
     w1 = 2.0 * h[1:] + h[:-1]
     w2 = h[1:] + 2.0 * h[:-1]
     return PchipSpacing(*(_read_only(a) for a in (h, w1, w2, w1 + w2)))
@@ -109,10 +109,10 @@ class RadialGrid:
              exact -G/gamma on the Green table's image grid
 
     Arrays that depend on the nodes only are computed once, on first use,
-    and cached read-only: the trapezoid ``weights``, ``one_minus_r2``, the
-    PCHIP ``spacing``, the powers ``nodes_pow(k)`` and
-    ``one_minus_r2_pow(k)``, and ``hyperbolic_density(n)``, the Poincare-ball
-    volume per unit dr.  Each is the expression its callers used to
+    and cached read-only: the steps ``dr`` and ``dxi`` of nodes and xi, the
+    trapezoid ``weights``, ``one_minus_r2``, the PCHIP ``spacing`` (whose h
+    is ``dr``), the powers ``nodes_pow(k)`` and ``one_minus_r2_pow(k)``, and
+    ``hyperbolic_density(n)``, the Poincare-ball volume per unit dr.  Each is the expression its callers used to
     evaluate, so a cached array equals the recomputed one to the bit.
     """
 
@@ -137,12 +137,20 @@ class RadialGrid:
         return _read_only(self.s * (2.0 - self.s))
 
     @cached_property
+    def dr(self) -> np.ndarray:
+        return _read_only(np.diff(self.nodes))
+
+    @cached_property
+    def dxi(self) -> np.ndarray:
+        return _read_only(np.diff(self.xi))
+
+    @cached_property
     def weights(self) -> np.ndarray:
         return _read_only(trapezoid_weights(self.nodes))
 
     @cached_property
     def spacing(self) -> PchipSpacing:
-        return pchip_spacing(self.nodes)
+        return pchip_spacing(self.nodes, self.dr)
 
     @cached_property
     def _arrays(self) -> Dict[tuple, np.ndarray]:
@@ -303,13 +311,21 @@ def int_pow(x: np.ndarray, k: int) -> np.ndarray:
             x, x_made = x * x, True
 
 
-def cumulative_from_origin(samples: np.ndarray, grid: RadialGrid) -> np.ndarray:
-    """F(r_i) = int_{r_0}^{r_i} samples dr by cumulative trapezoid."""
+def cumulative_from_origin(samples: np.ndarray, grid: RadialGrid, out: Optional[np.ndarray] = None,
+                           work: Optional[np.ndarray] = None) -> np.ndarray:
+    """F(r_i) = int_{r_0}^{r_i} samples dr by cumulative trapezoid.
+
+    ``out`` (which may be ``samples`` itself) receives F and ``work``, a
+    node array, the increments; either is allocated when not given.
+    """
     samples = np.asarray(samples, dtype=float)
     if not np.all(np.isfinite(samples)):
         raise NumericError("non-finite sample in cumulative integral")
-    incr = 0.5 * (samples[1:] + samples[:-1]) * np.diff(grid.nodes)
-    out = np.empty_like(samples)
+    # 0.5 (samples[1:] + samples[:-1]) dr, one rounding at a time in that order
+    incr = np.add(samples[1:], samples[:-1], out=None if work is None else work[1:])
+    incr *= 0.5
+    incr *= grid.dr
+    out = np.empty_like(samples) if out is None else out
     out[0] = 0.0
     np.cumsum(incr, out=out[1:])
     return out
@@ -370,44 +386,63 @@ def truncated_exp(t, m: int):
 
 
 class AndersonMixer:
-    """Anderson mixing of a fixed-point iteration x -> T(x).
+    """Type-II Anderson mixing of a fixed-point iteration x -> T(x).
 
-    ``mix`` records the iterate x and its defect f = T(x) - x and returns
-    the mixed step plain - (dX + dF)^T c, where the rows of dX and dF are
-    the last ``ANDERSON_DEPTH`` differences of successive x and f and the
-    coefficients c solve the Gram system dF dF^T c = dF f (Walker & Ni,
-    SIAM J. Numer. Anal. 2011).  ``plain`` is the caller's own T(x), passed
-    as it computed it.  A singular Gram system gives NaN coefficients,
-    hence a non-finite step.  The caller judges each mixed step; on
-    rejecting one it takes ``plain`` and calls ``restart``, so the history
-    starts again from the plain step.
+    ``mix`` takes the defect f = T(x) - x and the caller's own plain step
+    T(x), passed as it computed it, and returns the mixed step
+    plain - c @ dG.  The rows of dF and dG are the last ``ANDERSON_DEPTH``
+    differences of successive f and of successive plain steps, and the
+    coefficients c solve the Gram system dF dF^T c = dF f.  This is Anderson
+    acceleration (Walker & Ni, SIAM J. Numer. Anal. 2011) in the Type-II
+    multisecant form (Fang & Saad, Numer. Linear Algebra Appl. 2009): its
+    step plain - c @ (dX + dF) needs only dG = dX + dF, the differences of
+    x + f, so x itself is never read.  The Gram matrix is kept and updated
+    by one row and column per step.  A singular Gram system gives NaN
+    coefficients, hence a non-finite step.  The caller judges each mixed
+    step; on rejecting one it takes ``plain`` and calls ``restart``, so the
+    history starts again from the plain step.
+
+    The mixer copies f and plain, so the caller may reuse their buffers.
+    The step is written into one of two buffers the mixer owns, in turn: it
+    shares memory with neither argument nor the previous step, and the call
+    after next overwrites it.
     """
 
     def __init__(self, size: int):
-        # ring buffers: row k holds one difference of successive x (d_x) and f (d_f)
-        self._d_x = np.empty((ANDERSON_DEPTH, size))
-        self._d_f = np.empty_like(self._d_x)
+        # ring buffers: row k holds one difference of successive f (d_f) and plain steps (d_g);
+        # the row the next difference goes to holds the last f and plain until then
+        self._d_f = np.empty((ANDERSON_DEPTH, size))
+        self._d_g = np.empty_like(self._d_f)
+        self._gram = np.empty((ANDERSON_DEPTH, ANDERSON_DEPTH))  # d_f d_f^T, row by row
+        self._steps = np.empty((2, size))
+        self._turn = 0  # the buffer the last step went to
         self.restart()
 
     def restart(self) -> None:
         self._kept = 0  # differences recorded since the history was last cleared
-        self._prev: Optional[tuple] = None
+        self._primed = False  # whether the last f and plain are stored
 
-    def mix(self, x: np.ndarray, defect: np.ndarray, plain: np.ndarray) -> Optional[np.ndarray]:
-        """The mixed step from x, or None while the history holds no difference yet."""
-        if self._prev is not None:
-            row = self._kept % ANDERSON_DEPTH
-            np.subtract(x, self._prev[0], out=self._d_x[row])
-            np.subtract(defect, self._prev[1], out=self._d_f[row])
+    def mix(self, defect: np.ndarray, plain: np.ndarray) -> Optional[np.ndarray]:
+        """The mixed step, or None while the history holds no difference yet."""
+        step = None
+        row = self._kept % ANDERSON_DEPTH
+        if self._primed:
+            np.subtract(defect, self._d_f[row], out=self._d_f[row])
+            np.subtract(plain, self._d_g[row], out=self._d_g[row])
             self._kept += 1
-        self._prev = x, defect
-        rows = min(self._kept, ANDERSON_DEPTH)
-        if not rows:
-            return None
-        dx, df = self._d_x[:rows], self._d_f[:rows]
-        try:
-            coef = np.linalg.solve(df @ df.T, df @ defect)
-        except np.linalg.LinAlgError:  # singular Gram system: no mixed step
-            coef = np.full(rows, np.nan)
-        with np.errstate(invalid="ignore", over="ignore"):
-            return plain - coef @ dx - coef @ df
+            rows = min(self._kept, ANDERSON_DEPTH)
+            df = self._d_f[:rows]
+            self._gram[row, :rows] = self._gram[:rows, row] = df @ df[row]
+            try:
+                coef = np.linalg.solve(self._gram[:rows, :rows], df @ defect)
+            except np.linalg.LinAlgError:  # singular Gram system: no mixed step
+                coef = np.full(rows, np.nan)
+            self._turn ^= 1
+            with np.errstate(invalid="ignore", over="ignore"):
+                step = np.matmul(coef, self._d_g[:rows], out=self._steps[self._turn])
+                np.subtract(plain, step, out=step)
+            row = self._kept % ANDERSON_DEPTH
+        self._d_f[row] = defect
+        self._d_g[row] = plain
+        self._primed = True
+        return step

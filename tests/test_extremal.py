@@ -440,7 +440,7 @@ def _reference_ascent(u, grid, n, evaluate, steps):
         flux = np.cumsum(rhs[:-1])
         slope = (flux * dr / cell) ** (1.0 / (n - 1))
         plain = unit_deficit(np.append(np.cumsum((slope * dr)[::-1])[::-1], 0.0))
-        mixed = mixer.mix(u, plain - u, plain)
+        mixed = mixer.mix(plain - u, plain)
         if mixed is not None:
             ok = (np.all(np.isfinite(mixed)) and np.all(np.diff(mixed) <= 0.0)
                   and mixed[-1] >= 0.0 and _h_surrogate(mixed, weights, n) > 0.0)

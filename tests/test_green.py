@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -147,6 +148,32 @@ class TestSolverErrors:
         assert np.array_equal(hl.green._mass(table.g_values, v_vals, table.grid, n), plain)
 
 
+class TestStepFunctions:
+    @pytest.mark.parametrize("n, potential", [(2, "hardy"), (3, "hardy+lambda=1.0"),
+                                              (4, "const=0.5")])
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_steps_are_the_plain_expressions(self, green_tables, n, potential, buffered):
+        # the solve's steps fill reused buffers, the table's assembly allocates; both are
+        # these expressions to the bit, the sign of H's leading zero included
+        table = green_tables(n, potential, 2048, 1e-6)
+        grid, c, x = table.grid, make_constants(n), table.excess
+        v_vals = table.potential.values(grid, n)
+        log_part = c.gamma * (grid.xi[-1] - grid.xi)
+        h_rem = -np.concatenate([[0.0], np.cumsum(0.5 * c.gamma * (x[1:] + x[:-1])
+                                                  * np.diff(grid.xi))])
+        g_values = log_part + (h_rem - h_rem[-1])
+        density = c.omega * v_vals * g_values ** (n - 1) * grid.nodes ** (n - 1)
+        m = np.concatenate([[0.0], np.cumsum(0.5 * (density[1:] + density[:-1])
+                                             * np.diff(grid.nodes))])
+        out, work, m_out = (np.empty(x.size) for _ in range(3)) if buffered else (None,) * 3
+        g, h = hl.green._assemble(x, log_part, grid, c.gamma, out=out, work=work)
+        assert g.tobytes() == g_values.tobytes() and h.tobytes() == h_rem.tobytes()
+        mass = hl.green._mass(g, v_vals, grid, n, out=m_out, work=work)
+        assert mass.tobytes() == m.tobytes()
+        flux = hl.green._flux_excess(mass, n, out=mass if buffered else None)
+        assert flux.tobytes() == np.expm1(np.log1p(m) / (n - 1)).tobytes()
+
+
 class TestAndersonMixing:
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("potential", ["hardy", "hardy+lambda=1.0"])
@@ -198,34 +225,52 @@ class TestAndersonMixing:
             assert np.array_equal(getattr(table, name), getattr(ref, name)), name
         assert table.c_g == ref.c_g
 
+    def test_memory_peak_stays_below_the_allocating_solve(self):
+        # 4648992 bytes: the tracemalloc peak of this call when each step allocated its
+        # arrays and the mixer recomputed dF dF^T (Type-I form); numpy 2.4, CPython 3.11
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            solve_green(3, Potential.hardy_critical(), make_grid(20000, 1e-6), tol=1e-10)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4648992
+
 
 def _inline_mixing_solve(n, potential, grid, tol, depth=5, max_iter=500):
-    """solve_green with its depth-5 Anderson mixing written out inline, as plain numpy."""
+    """solve_green with its depth-5 Type-II Anderson mixing written out inline, as plain numpy.
+
+    Row k of the ring holds the k-th difference of the defects f and of the plain steps
+    since a restart (k % depth); the Gram matrix dF dF^T gains one row and column per step.
+    """
     gamma = make_constants(n).gamma
     v_vals = potential.values(grid, n)
     log_part = gamma * (grid.xi[-1] - grid.xi)
     excess = np.zeros_like(log_part)
-    d_x, d_f = [], []  # a ring: the k-th difference since a restart goes to row k % depth
-    kept, prev_x, prev_f = 0, None, None
+    d_f, d_plain = np.empty((depth, excess.size)), np.empty((depth, excess.size))
+    gram = np.empty((depth, depth))
+    kept, prev_f, prev_plain = 0, None, None
     for iterations in range(1, max_iter + 1):
         g_values, _ = hl.green._assemble(excess, log_part, grid, gamma)
         defect = hl.green._flux_excess(hl.green._mass(g_values, v_vals, grid, n), n) - excess
-        if prev_x is not None:
-            if kept < depth:
-                d_x, d_f = d_x + [None], d_f + [None]
-            d_x[kept % depth], d_f[kept % depth] = excess - prev_x, defect - prev_f
+        residual = np.max(np.abs(defect))
+        excess = plain = excess + defect
+        if prev_f is not None:
+            row = kept % depth
+            d_f[row], d_plain[row] = defect - prev_f, plain - prev_plain
             kept += 1
-        prev_x, prev_f = excess, defect
-        excess = excess + defect
-        if d_x:
-            dx, df = np.array(d_x), np.array(d_f)
-            coef = np.linalg.solve(df @ df.T, df @ defect)
-            mixed = excess - coef @ dx - coef @ df
+            rows = min(kept, depth)
+            gram[row, :rows] = gram[:rows, row] = d_f[:rows] @ d_f[row]
+            coef = np.linalg.solve(gram[:rows, :rows], d_f[:rows] @ defect)
+            mixed = plain - coef @ d_plain[:rows]
             if np.all(np.isfinite(mixed)) and np.min(mixed) >= 0.0:
                 excess = mixed
-            else:
-                d_x, d_f, kept, prev_x = [], [], 0, None
-        if np.max(np.abs(defect)) <= tol:
+            else:  # a restart: the next step records its f and plain afresh
+                kept, defect = 0, None
+        prev_f, prev_plain = defect, plain
+        if residual <= tol:
             g_values, _ = hl.green._assemble(excess, log_part, grid, gamma)
             return hl.green._table_from_g(grid, n, potential, v_vals, log_part, g_values,
                                           iterations, tol)

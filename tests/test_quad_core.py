@@ -1,4 +1,5 @@
 import math
+from typing import NamedTuple, Optional
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from hmtlab import (
 )
 from hmtlab.functionals import Potential
 from hmtlab.green import image_t_grid
-from hmtlab.quad_core import TAIL_SPAN, int_pow, trapezoid_weights
+from hmtlab.quad_core import ANDERSON_DEPTH, TAIL_SPAN, AndersonMixer, int_pow, trapezoid_weights
 
 
 class TestConstants:
@@ -231,6 +232,8 @@ class TestGridWeights:
         cached = {
             "one_minus_r2": (lambda: grid.one_minus_r2, one_minus_r2),
             "h": (lambda: grid.spacing.h, h),
+            "dr": (lambda: grid.dr, h),
+            "dxi": (lambda: grid.dxi, np.diff(grid.xi)),
             "w1": (lambda: grid.spacing.w1, w1),
             "w2": (lambda: grid.spacing.w2, w2),
             "w12": (lambda: grid.spacing.w12, w1 + w2),
@@ -372,3 +375,80 @@ class TestTruncatedExp:
             truncated_exp(1.0, -1)
         with pytest.raises(DomainError):
             truncated_exp(1.0, 2.5)
+
+
+class MixStep(NamedTuple):
+    defect: np.ndarray
+    plain: np.ndarray
+    step: Optional[np.ndarray]  # a copy of what mix returned
+    gram: np.ndarray  # a copy of the mixer's kept Gram matrix
+    history: list  # (x, f) of each call since the last restart
+    shares: bool  # whether the step shared memory with x, f, plain or the last step
+
+
+class TestAndersonMixer:
+    """The Type-II mixer against the Type-I expression, on a contraction of 64 unknowns.
+
+    18 steps with a restart after the fifth, so the ring of 5 differences wraps after it.
+    """
+
+    @staticmethod
+    def _run(size=64, steps=18, restart_at=5):
+        rng = np.random.default_rng(11)
+        a = rng.standard_normal((size, size))
+        a *= 0.9 / np.linalg.norm(a, 2)
+        b = rng.standard_normal(size)
+        mixer = AndersonMixer(size)
+        x, history, records = np.zeros(size), [], []
+        for k in range(steps):
+            defect = b + a @ np.tanh(x) - x
+            plain = x + defect
+            history.append((x.copy(), defect))  # a step of the mixer is rewritten two calls on
+            mixed = mixer.mix(defect, plain)
+            held = (x, defect, plain)  # x is the last step, or a plain step
+            shares = mixed is not None and any(np.shares_memory(mixed, h) for h in held)
+            records.append(MixStep(defect, plain, None if mixed is None else mixed.copy(),
+                                   mixer._gram.copy(), list(history), shares))
+            x = plain if mixed is None else mixed
+            if k + 1 == restart_at:
+                mixer.restart()
+                history = []
+        return records
+
+    @staticmethod
+    def _ring(history):
+        """dX and dF since the restart in ring order: the k-th difference is row k % 5."""
+        diffs = [(x1 - x0, f1 - f0) for (x0, f0), (x1, f1) in zip(history, history[1:])]
+        rows = [None] * min(len(diffs), ANDERSON_DEPTH)
+        for k, d in enumerate(diffs):
+            rows[k % ANDERSON_DEPTH] = d
+        return np.array([d[0] for d in rows]), np.array([d[1] for d in rows])
+
+    def test_history_restarts_and_wraps(self):
+        records = self._run()
+        assert [r.step is None for r in records[:7]] == [True, False, False, False, False,
+                                                         True, False]
+        assert max(len(r.history) for r in records) - 1 > ANDERSON_DEPTH
+
+    def test_kept_gram_matrix_is_df_df_t(self):
+        for r in self._run():
+            if r.step is None:
+                continue
+            _, df = self._ring(r.history)
+            ref = df @ df.T
+            scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))  # the rounding scale of a dot
+            assert np.all(np.abs(r.gram[:len(df), :len(df)] - ref) <= 1e-13 * scale)
+
+    def test_type_ii_step_is_the_type_i_step(self):
+        mixed = [r for r in self._run() if r.step is not None]
+        assert len(mixed) >= 15
+        for r in mixed:
+            dx, df = self._ring(r.history)
+            coef = np.linalg.solve(df @ df.T, df @ r.defect)
+            type_i = r.plain - coef @ dx - coef @ df
+            assert np.max(np.abs(r.step - type_i)) <= 1e-13 * np.max(np.abs(type_i))
+
+    def test_step_shares_no_memory_with_what_the_caller_holds(self):
+        records = self._run()
+        assert sum(r.step is not None for r in records) >= 15
+        assert not any(r.shares for r in records)
