@@ -14,9 +14,22 @@ and nothing time- or host-dependent is written).  A JSON report is the bytes
 of ``json.dumps(doc, indent=2)`` plus a newline; ``_emit_json`` writes them
 with the C encoder for every list or dict that holds only scalars.
 
+A 1-D array in a report (the Green table's G) is written in chunks of
+``ARRAY_CHUNK`` values, each chunk's ``tolist()`` through the C encoder, so
+the bytes are those of the list and no list of the whole array is built:
+its hundred thousand float objects would cost a type scan and fresh memory
+on every report.
+
 ``main`` builds its parser once per process, on the first call: the parser
 depends only on ``FLAGS``, ``RETIRED`` and the subcommand table, and parsing
 leaves it unchanged.
+
+``main`` also sets the process's allocator policy on its first call, where
+the C library is glibc: freed memory stays in the heap for reuse instead of
+going back to the system, which would fault it in again on the next report
+(``_hold_freed_memory``).  Importing ``hmtlab.cli`` sets nothing, so library
+users keep glibc's defaults.  Where ``mallopt`` is missing or refuses a
+value the policy is left unset; outputs do not depend on it.
 
 ``verify`` builds and certifies its corpus ``CORPUS_BLOCK`` profiles at a
 time, so its memory does not grow with ``--corpus-size``; every report is
@@ -33,6 +46,7 @@ failure or violated certification.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import json
 import math
@@ -79,6 +93,22 @@ from .transplant import TransplantReport, transplant_report
 # longer a job (fewer rows pay more numpy calls per row, more outgrow the cache).
 # Reports do not depend on it.
 CORPUS_BLOCK = 16
+
+# A 1-D array is written this many values per encoder call: 8192 floats are at most
+# about 200 KB of text, and the chunk's float objects are freed before the next.
+ARRAY_CHUNK = 8192
+
+# glibc's mallopt parameters and the values main sets.  By default glibc maps blocks
+# above a dynamic threshold (128 KB at first) with mmap and trims the heap top beyond
+# another, so the 0.5 MB block temporaries of verify, the 0.8 MB 100k-node arrays of
+# green and the 2.5 MB verify report were handed back to the system when freed and
+# faulted in again on the next use.  With these values every one of them is served
+# from the heap and stays there.  Both are set: either one alone turns off glibc's
+# dynamic thresholds and faulted more than the defaults.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_BYTES = 32 << 20  # glibc's largest accepted value on 64-bit hosts
+_TRIM_THRESHOLD_BYTES = 64 << 20
 
 
 class Flag(NamedTuple):
@@ -222,8 +252,21 @@ def _encode(value: Any, indent: str, parts: List[str]) -> None:
 
     A list or dict whose items are all scalars goes through the C encoder
     in one call, its separators carrying the line breaks and indentation;
-    only containers that hold containers are walked here.
+    only containers that hold containers are walked here.  A 1-D array is
+    written as its ``tolist()``, ``ARRAY_CHUNK`` values per encoder call.
     """
+    if isinstance(value, np.ndarray) and value.ndim == 1:
+        if not value.size:
+            parts.append("[]")
+            return
+        inner = indent + "  "
+        sep = ",\n" + inner
+        parts += ["[\n", inner]
+        for start in range(0, value.size, ARRAY_CHUNK):
+            text = json.dumps(value[start:start + ARRAY_CHUNK].tolist(), separators=(sep, ": "))
+            parts += [sep if start else "", text[1:-1]]
+        parts += ["\n", indent, "]"]
+        return
     if isinstance(value, dict):
         items, ends = value.values(), "{}"
     elif isinstance(value, (list, tuple)):
@@ -255,9 +298,9 @@ def _emit_json(payload: Dict[str, Any], cfg: Dict[str, Any]) -> str:
 
     With ``indent`` the json module falls back to its pure-Python encoder,
     which dominates writing a 100k-node Green table or a verify corpus.  So
-    ``_encode`` hands every scalar-only list or dict (the G and profile
-    arrays, the config, each report row) to the C encoder and walks only
-    the containers above them.
+    ``_encode`` hands every scalar-only list or dict (the profile lists, the
+    config, each report row) and every 1-D array (G), in chunks, to the C
+    encoder and walks only the containers above them.
     """
     doc = {"format_version": FORMAT_VERSION, "config": _config_for_output(cfg)}
     doc.update(payload)
@@ -310,7 +353,7 @@ def _solve_green(cfg: Dict[str, Any]) -> GreenTable:
 def _cmd_green(cfg: Dict[str, Any]) -> int:
     """solve the Green function and extract its pole data"""
     table = _solve_green(cfg)
-    payload = dict(table.to_json_dict())
+    payload = table.report_fields()
     payload["boundary_bound_constant"] = check_boundary_bound(table)
     _write(_emit_json(payload, cfg), cfg)
     return 0
@@ -438,9 +481,9 @@ def _cmd_rearrange_demo(cfg: Dict[str, Any]) -> int:
         "hardy_littlewood_margin": check_hardy_littlewood(profile, n, float(cfg["beta"])),
         "ln_hyperbolic_before": hyperbolic_ln_norm_pow(profile, n),
         "ln_hyperbolic_after": hyperbolic_ln_norm_pow(star, n),
-        "r": grid.nodes.tolist(),
-        "u": profile.values.tolist(),
-        "u_star": star.values.tolist(),
+        "r": grid.nodes,
+        "u": profile.values,
+        "u_star": star.values,
     }
     if cfg["format"] == "csv":
         header = ["r", "u", "u_star"]
@@ -460,7 +503,25 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _hold_freed_memory() -> None:
+    """Set glibc's mmap and trim thresholds once per process; a no-op without ``mallopt``.
+
+    The mmap threshold goes first and the trim threshold only once it is
+    accepted, so a refused value leaves glibc's dynamic thresholds as they were.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES):
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
+    _hold_freed_memory()
     try:
         args = _build_parser().parse_args(argv)
         cfg = _resolve_config(args)

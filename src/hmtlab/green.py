@@ -94,14 +94,14 @@ class GreenTable:
 
     def validate(self) -> None:
         """Raise CorruptTableError if any structural invariant fails."""
-        if np.any(np.diff(self.g_values) >= 0.0):
-            raise CorruptTableError("G must be strictly decreasing")
+        _check_decreasing(self.g_values)
         if not np.all(self.excess >= -1e-12):
             raise CorruptTableError("-omega^(1/(n-1)) G' r must be >= 1")
         if not math.isfinite(self.residual) or self.residual > 10.0 * self.tol:
             raise CorruptTableError(f"residual {self.residual} exceeds tolerance {self.tol}")
 
-    def to_json_dict(self) -> dict:
+    def report_fields(self) -> dict:
+        """``to_json_dict`` with G left as the read-only array, for a writer that takes arrays."""
         return {
             "n": self.n,
             "potential": self.potential.descriptor(),
@@ -110,8 +110,11 @@ class GreenTable:
             "residual": self.residual,
             "tol": self.tol,
             "iterations": self.iterations,
-            "G": self.g_values.tolist(),
+            "G": self.g_values,
         }
+
+    def to_json_dict(self) -> dict:
+        return {**self.report_fields(), "G": self.g_values.tolist()}
 
     @classmethod
     def from_json_dict(cls, doc) -> "GreenTable":
@@ -121,8 +124,9 @@ class GreenTable:
         is ``make_grid(len(G), epsilon)``.  The solver's last step, repeated
         from G, recomputes the flux excess, G', the remainder and the
         residual; it must pass ``validate``, agree with G to 10 tol gamma and
-        give back c_g as the pole fit of G; a recomputation whose potential
-        mass overflows is corrupt too.  The stored residual is not read.
+        give back c_g as the pole fit of G, and the stored G must itself be
+        strictly decreasing; a recomputation whose potential mass overflows
+        is corrupt too.  The stored residual is not read.
         A document that still carries r, Gprime or remainder is an
         hmtlab-report/1 table and is rejected, so none of them is read.
         """
@@ -155,11 +159,12 @@ class GreenTable:
             c_g_fit = _fit_c_g(grid, g, gamma, n)
             if not abs(c_g - c_g_fit) <= 1e-12 * abs(c_g_fit):
                 raise CorruptTableError(f"c_g {c_g!r} differs from {c_g_fit!r}, the fit of G")
-            loaded = replace(table, g_values=g, c_g=c_g_fit)
-            loaded.validate()  # the stored G must itself be strictly decreasing
+            # the rest of validate holds for the loaded table as for table: its excess is
+            # the one formed from the mass of g, so its residual is 0.0 by construction
+            _check_decreasing(g)
         except PotentialInstabilityError as exc:
             raise CorruptTableError(f"its recomputation from G fails: {exc}") from exc
-        return loaded
+        return replace(table, g_values=g, c_g=c_g_fit)
 
 
 @dataclass(frozen=True)
@@ -192,6 +197,11 @@ class TransplantMaps:
     @property
     def a_over_t(self) -> np.ndarray:
         return self.a / self.t_grid.nodes
+
+
+def _check_decreasing(g_values: np.ndarray) -> None:
+    if np.any(np.diff(g_values) >= 0.0):
+        raise CorruptTableError("G must be strictly decreasing")
 
 
 def _flux_excess(m: np.ndarray, n: int, out: Optional[np.ndarray] = None) -> np.ndarray:

@@ -1,6 +1,8 @@
+import ctypes
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -23,7 +25,15 @@ from hmtlab import (
     solve_green,
 )
 from hmtlab import functionals
-from hmtlab.cli import CORPUS_BLOCK, _build_parser, _config_for_output, _emit_json, main
+from hmtlab import cli
+from hmtlab.cli import (
+    ARRAY_CHUNK,
+    CORPUS_BLOCK,
+    _build_parser,
+    _config_for_output,
+    _emit_json,
+    main,
+)
 
 
 def run_cli(args):
@@ -106,6 +116,24 @@ class TestEmitJson:
         doc = {"format_version": FORMAT_VERSION, "config": _config_for_output(cfg), **payload}
         assert _emit_json(payload, cfg) == json.dumps(doc, indent=2) + "\n"
 
+    @pytest.mark.parametrize("length", [0, 1, 7, ARRAY_CHUNK - 1, ARRAY_CHUNK, ARRAY_CHUNK + 1,
+                                        2 * ARRAY_CHUNK + 3])
+    def test_float_arrays_match_their_lists(self, length):
+        rng = np.random.default_rng(length)
+        values = rng.standard_normal(length) * 10.0 ** rng.integers(-300, 300, size=length)
+        special = [-0.0, 5e-324, 1e16, 1e-5, math.nan, math.inf, -math.inf]
+        spots = np.arange(0, length, max(1, length // len(special)))[:len(special)]
+        values[spots] = special[:spots.size]
+        values.flags.writeable = False  # as the Green table's G
+        payload = {"G": values, "nested": {"rows": [values[::-1], 1.5, {"x": values}]},
+                   "empty": np.empty(0), "after": [values]}
+        as_lists = {"G": values.tolist(),
+                    "nested": {"rows": [values[::-1].tolist(), 1.5, {"x": values.tolist()}]},
+                    "empty": [], "after": [values.tolist()]}
+        cfg = {"n": 2, "out": None}
+        doc = {"format_version": FORMAT_VERSION, "config": _config_for_output(cfg), **as_lists}
+        assert _emit_json(payload, cfg) == json.dumps(doc, indent=2) + "\n"
+
 
 # every JSON-writing path at a small grid; {table} is a Green table written first
 REPORT_ARGVS = {
@@ -157,6 +185,94 @@ def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
         assert (proc.stdout, proc.stderr, proc.returncode) == result, argv
     assert [code for _, _, code in in_process] == [1, 1, 0, 0, 0]
     assert _build_parser() is _build_parser()
+
+
+# in a fresh interpreter: every mallopt call made by importing hmtlab and by two mains
+_RECORD_MALLOPT = """
+import ctypes, json
+calls = []
+
+class Recording(ctypes.CDLL):
+    def __getattr__(self, name):
+        if name == "mallopt":
+            return lambda *args: calls.append(args) or 1
+        return super().__getattr__(name)
+
+ctypes.CDLL = Recording
+import hmtlab, hmtlab.cli
+after_import = list(calls)
+for _ in range(2):
+    hmtlab.cli.main(["search", "--mode", "bogus"])
+print(json.dumps([after_import, calls]))
+"""
+
+# minor page faults of a second verify run in one process
+_SECOND_RUN_FAULTS = """
+import resource, sys
+from hmtlab.cli import main
+argv = ["verify", "--n", "3", "--grid-points", "4096", "--corpus-size", "200", "--out", sys.argv[1]]
+assert main(argv) == 0
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+assert main(argv) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def _no_libc(name):
+    raise OSError("no C library")
+
+
+def _run_python(script, *args):
+    src = str(Path(hmtlab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestAllocatorPolicy:
+    @pytest.fixture(autouse=True)
+    def _fresh_policy(self):
+        cli._hold_freed_memory.cache_clear()
+        yield
+        cli._hold_freed_memory.cache_clear()
+
+    def test_set_by_the_first_main_only(self):
+        after_import, calls = json.loads(_run_python(_RECORD_MALLOPT))
+        assert after_import == []
+        assert calls == [[cli._M_MMAP_THRESHOLD, cli._MMAP_THRESHOLD_BYTES],
+                         [cli._M_TRIM_THRESHOLD, cli._TRIM_THRESHOLD_BYTES]]
+
+    def test_refused_mmap_threshold_leaves_trim_unset(self, monkeypatch):
+        calls = []
+
+        class Refusing:
+            def __init__(self, name):
+                self.mallopt = lambda *args: calls.append(args) or 0
+
+        monkeypatch.setattr(ctypes, "CDLL", Refusing)
+        assert main(["search", "--mode", "bogus"]) == 1
+        assert calls == [(cli._M_MMAP_THRESHOLD, cli._MMAP_THRESHOLD_BYTES)]
+
+    @pytest.mark.parametrize("cdll", [_no_libc, lambda name: object()],
+                             ids=["cdll_raises", "no_mallopt"])
+    def test_without_mallopt_outputs_unchanged(self, monkeypatch, capsys, cdll):
+        argv = ["green", "--grid-points", "256"]
+        assert main(argv) == 0
+        expected = capsys.readouterr()
+        cli._hold_freed_memory.cache_clear()
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        assert main(argv) == 0
+        assert capsys.readouterr() == expected
+
+    @pytest.mark.skipif(platform.system() != "Linux" or platform.libc_ver()[0] != "glibc",
+                        reason="the policy is glibc's mallopt")
+    def test_second_run_reuses_freed_memory(self, tmp_path):
+        # under glibc's defaults the freed 0.5 MB block temporaries go back to the system,
+        # and the second run faults them in again: about 12,000 minor faults on 2 cores
+        assert int(_run_python(_SECOND_RUN_FAULTS, str(tmp_path / "v.json"))) < 500
 
 
 class TestGreenCommand:

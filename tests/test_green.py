@@ -395,6 +395,18 @@ class TestTableRoundTrip:
         with pytest.raises(CorruptTableError, match="G disagrees"):
             hl.GreenTable.from_json_dict(doc)
 
+    def test_stored_g_not_strictly_decreasing_rejected(self, grids):
+        # with V = 0 the recomputation does not see G, and a flat step at the boundary
+        # end moves G by less than 10 tol gamma: only the check on the stored G rejects it
+        table = solve_green(2, Potential.zero(), grids(2048, 1e-6), tol=1e-4)
+        g = table.g_values.copy()
+        g[-2] = g[-1]
+        assert np.all(np.abs(g - table.g_values) <= 10.0 * table.tol * make_constants(2).gamma)
+        doc = {**table.to_json_dict(), "G": g.tolist(),
+               "c_g": _fit_c_g(table.grid, g, make_constants(2).gamma, 2)}
+        with pytest.raises(CorruptTableError, match="G must be strictly decreasing"):
+            hl.GreenTable.from_json_dict(doc)
+
     def test_reloads_exactly_at_loose_tolerance(self, grids):
         self._check_round_trip(
             solve_green(3, Potential.hardy_critical(), grids(2048, 1e-6), tol=1e-4)
@@ -435,7 +447,8 @@ class TestTableRoundTrip:
 
 
 class TestResidualOnce:
-    def test_one_mass_pass_per_table(self, grids, monkeypatch):
+    @pytest.mark.parametrize("n, potential", [(2, "hardy"), (3, "hardy"), (2, "hardy+lambda=2")])
+    def test_one_mass_pass_per_table(self, grids, monkeypatch, n, potential):
         # validate computes the residual; the report reads it without a second mass pass
         calls = []
         original = hl.green._mass
@@ -444,13 +457,16 @@ class TestResidualOnce:
             calls.append(args)
             return original(*args)
 
-        table = solve_green(2, Potential.hardy_critical(), grids(512, 1e-4), tol=1e-10)
+        table = solve_green(n, Potential.parse(potential), grids(512, 1e-4), tol=1e-10)
         monkeypatch.setattr(hl.green, "_mass", counted)
         assert table.to_json_dict()["residual"] == table.residual
         assert calls == []
-        # a table rebuilt from G computes its own residual, once per table
-        hl.GreenTable.from_json_dict(table.to_json_dict())
-        assert len(calls) == 3  # the rebuild's assembly, then one residual for each of two tables
+        loaded = hl.GreenTable.from_json_dict(table.to_json_dict())
+        assert len(calls) == 2  # the rebuild's assembly, then the rebuilt table's residual
+        # the loaded table's excess is the one formed from its own G, so the residual
+        # that load no longer computes is exactly 0
+        assert loaded.residual == 0.0
+        assert len(calls) == 3
 
     def test_arrays_read_only(self, grids):
         table = solve_green(2, Potential.hardy_critical(), grids(512, 1e-4), tol=1e-10)
