@@ -31,7 +31,7 @@ class ConvergenceError(HmtError, RuntimeError):
 
 
 class PotentialInstabilityError(HmtError, RuntimeError):
-    """Potential term grew without bound across solver iterations."""
+    """No positive Green function: the flux vanishes before the pole, or the mass overflows."""
 
 
 class CorruptTableError(HmtError, ValueError):

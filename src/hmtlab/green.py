@@ -6,22 +6,20 @@ solution G with pole at the origin,
     -omega^(1/(n-1)) G'(b) b = (1 + m(b))^(1/(n-1)),
     m(b) = omega * int_0^b V(s) G(s)^(n-1) s^(n-1) ds,
 
-with G = 0 at the truncated boundary 1-eps.  The solver iterates this map
-in the log coordinate xi = ln r, where the potential-free part of the flux
-integrates exactly.  Its unknown is the flux excess, and Anderson mixing
-(Walker & Ni, SIAM J. Numer. Anal. 2011, in the Type-II form of
-``quad_core.AndersonMixer``, which the extremal ascent shares) accelerates
-the plain Picard step, falling back to it whenever a mixed step is not
-finite or has a negative excess entry; the iterates therefore do not climb
-monotonically.  Each step writes into node arrays allocated once per solve,
-and computes the same floats as the allocating step functions that rebuild
-a table from its G.  The pole decomposition
+with G = 0 at the truncated boundary 1-eps.  The discrete identity is
+homogeneous in G and the flux 1 + m, so the solver fixes the flux at the
+boundary instead of at the pole, where the problem is causal: plain
+Picard steps, each two cumulative sums inward from the boundary, converge
+without mixing, and one rescale restores the pole normalization.  A flux
+that vanishes before the pole shows that no positive Green function
+exists.  The pole decomposition
 
     G(r) = -gamma ln r + C_G + H(r),   gamma = omega^(-1/(n-1)),
 
-is assembled without cancellation: the log part is exact in xi and the
+is assembled without cancellation: the log part is exact in xi, the
 remainder H is accumulated from the origin as a sum of tiny positive flux
-excesses, so H stays meaningful down to 1e-300.
+excesses, so H stays meaningful down to 1e-300, and G adds the same
+excesses summed from the boundary, where it is tiny itself.
 """
 
 from __future__ import annotations
@@ -42,9 +40,9 @@ from .errors import (
 )
 from .functionals import Potential, pchip
 from .quad_core import (
-    AndersonMixer,
     RadialGrid,
     cumulative_from_origin,
+    int_pow,
     make_constants,
     make_grid,
 )
@@ -57,9 +55,6 @@ __all__ = [
     "make_maps",
     "solve_green",
 ]
-
-INSTABILITY_CAP = 1e12  # sup m beyond this across iterations means no spectral gap
-
 
 @dataclass(frozen=True)
 class GreenTable:
@@ -204,55 +199,55 @@ def _check_decreasing(g_values: np.ndarray) -> None:
         raise CorruptTableError("G must be strictly decreasing")
 
 
-def _flux_excess(m: np.ndarray, n: int, out: Optional[np.ndarray] = None) -> np.ndarray:
-    # (1+m)^(1/(n-1)) - 1 without rounding to zero for m below 1 ulp; out may be m itself
-    out = np.log1p(m, out=out)
-    out /= n - 1
-    return np.expm1(out, out=out)
+def _flux_excess(m: np.ndarray, n: int) -> np.ndarray:
+    # (1+m)^(1/(n-1)) - 1 without rounding to zero for m below 1 ulp
+    return np.expm1(np.log1p(m) / (n - 1))
 
 
-def _mass(g_values: np.ndarray, v_vals: np.ndarray, grid: RadialGrid, n: int,
-          out: Optional[np.ndarray] = None, work: Optional[np.ndarray] = None) -> np.ndarray:
+def _mass(g_values: np.ndarray, v_vals: np.ndarray, grid: RadialGrid, n: int) -> np.ndarray:
     """Cumulative potential mass m(r) = omega int_0^r V G^(n-1) s^(n-1) ds.
 
-    The density omega V G^(n-1) r^(n-1), rounded left to right, is formed in
-    ``out``, which then receives m; ``work`` is a node array for G^(n-1) and
-    the increments.  Either is allocated when not given.
+    The density omega V G^(n-1) r^(n-1) is rounded left to right.
     Raises PotentialInstabilityError, and no RuntimeWarning, where the
     density or its running sum overflows float64.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        density = np.multiply(make_constants(n).omega, v_vals, out=out)
-        density *= np.power(g_values, n - 1, out=work)
+        density = make_constants(n).omega * v_vals
+        density *= np.power(g_values, n - 1)
         density *= grid.nodes_pow(n - 1)
         try:
-            m = cumulative_from_origin(density, grid, out=density, work=work)
+            m = cumulative_from_origin(density, grid)
         except NumericError:  # a non-finite density
             m = None
     # a running sum that overflows stays non-finite to its end
     if m is None or not math.isfinite(m[-1]):
-        raise PotentialInstabilityError(
-            f"potential mass overflows float64 on this grid ({grid.n_points} nodes)")
+        raise _mass_overflow(grid)
     return m
 
 
-def _assemble(excess: np.ndarray, log_part: np.ndarray, grid: RadialGrid, gamma: float,
-              out: Optional[np.ndarray] = None,
-              work: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
-    """(G, H) from the flux excess: G in ``out``, H in ``work``, each allocated when not given."""
-    # H(r) = -gamma int_{xi_min}^{xi} (flux - 1) dxi', a sum of tiny positive increments
-    # formed in place: 0.5 gamma (excess[1:] + excess[:-1]) dxi, summed, negated
-    h_rem = np.empty_like(excess) if work is None else work
-    incr = np.add(excess[1:], excess[:-1], out=h_rem[1:])
+def _mass_overflow(grid: RadialGrid) -> PotentialInstabilityError:
+    return PotentialInstabilityError(
+        f"potential mass overflows float64 on this grid ({grid.n_points} nodes)")
+
+
+def _sum_from_boundary(incr: np.ndarray) -> np.ndarray:
+    """Node array whose entry j is sum_{k>=j} incr[k], accumulated from the boundary; 0 at it."""
+    tail = np.zeros(incr.size + 1)
+    np.cumsum(incr[::-1], out=tail[-2::-1])
+    return tail
+
+
+def _assemble(excess: np.ndarray, log_part: np.ndarray, grid: RadialGrid,
+              gamma: float) -> Tuple[np.ndarray, np.ndarray]:
+    """(G, H) from the flux excess, the integral of gamma (flux - 1) dxi summed both ways."""
+    incr = np.add(excess[1:], excess[:-1])
     incr *= 0.5 * gamma
     incr *= grid.dxi
-    np.cumsum(incr, out=incr)
-    h_rem[0] = 0.0
-    np.negative(h_rem, out=h_rem)
-    # G(r) = gamma(xi_max - xi) + (H(r) - H(r_max)), both pieces cancellation-free
-    g_values = np.subtract(h_rem, h_rem[-1], out=out)
-    g_values += log_part
-    return g_values, h_rem
+    # H(r) = -gamma int_{xi_min}^{xi} (flux - 1) dxi', a sum of tiny positive increments
+    h_rem = -np.concatenate(([0.0], np.cumsum(incr)))
+    # G(r) = gamma(xi_max - xi) + gamma int_xi^{xi_max} (flux - 1) dxi', the tail summed from
+    # the boundary: G is tiny there, and H - H(r_max) would cancel to |H(r_max)| ulp
+    return log_part + _sum_from_boundary(incr), h_rem
 
 
 def _table_from_g(grid: RadialGrid, n: int, potential: Potential, v_vals: np.ndarray,
@@ -274,87 +269,92 @@ def solve_green(
     tol: float = 1e-8,
     max_iter: int = 500,
 ) -> GreenTable:
-    """Anderson-mixed fixed-point solve of the flux identity on the truncated ball.
+    """Solve the flux identity on the truncated ball inward from the boundary.
 
-    The unknown is the flux excess x; one plain step T assembles G from x,
-    integrates its potential mass and returns the new excess.  T is
-    order-preserving (V >= 0 and every step adds positive terms) and
-    x = 0, the V = 0 solution, is a subsolution, so plain Picard steps
-    would climb monotonically to the minimal fixed point, slowly when the
-    potential is near its spectral threshold.  An AndersonMixer (depth
-    ``quad_core.ANDERSON_DEPTH``) instead combines the last differences of
-    the defect f = T(x) - x and of the plain steps T(x): the coefficients c
-    solve the small Gram system dF dF^T c = dF f, and the next iterate is
-    T(x) - c @ dG, dG the differences of T(x).  The mixed iterates do not
-    climb monotonically.  A mixed step that is not finite or has a negative
-    excess entry is replaced by the plain step T(x), and the history
-    restarts from there.  Once |f| <= tol, the table is assembled from the
-    next iterate, the history's best estimate of the fixed point, which
-    costs no further potential mass.  Each step fills four node arrays
-    allocated once per solve, with the same floats as the allocating step;
-    they and the mixer's buffers are freed before that final assembly.
+    The discrete equations are homogeneous in (G, Phi), Phi = 1 + m the
+    flux to the power n - 1: G -> kG takes Phi to k^(n-1) Phi.  So the
+    solve fixes Phi = 1 at the boundary node instead of at the pole, where
+    the problem is causal (Volterra): each Picard step sums, from the
+    boundary in,
 
-    Raises ConvergenceError if tol is not reached within max_iter and
-    PotentialInstabilityError when the potential mass diverges across
-    iterations (no spectral gap) or overflows float64.  A grid too coarse
-    for the potential's boundary layer ends in either, so all messages name
-    it.
+        G_j   = sum_{k>=j} gamma/2 (Phi_k^(1/(n-1)) + Phi_{k+1}^(1/(n-1))) dxi_k,
+        Phi_j = 1 - sum_{k>=j} 1/2 (d_k + d_{k+1}) dr_k,   d = omega V r^(n-1) G^(n-1),
+
+    from Phi = 1, with Phi clamped at 0 before the root.  It needs no
+    mixing.  The steps stop when max |dPhi| <= tol |Phi_0|; G is then
+    rescaled by Phi_0^(-1/(n-1)), which puts the flux 1 at the pole, and
+    the table is assembled from it.  ``iterations`` counts the steps.
+
+    Raises ConvergenceError if tol is not reached within max_iter, or if
+    the assembled table's residual exceeds 10 tol, which happens where the
+    flux excess is so large that tol lies below its rounding.  Raises
+    PotentialInstabilityError when Phi_0 <= 0: the flux vanishes before
+    the pole, so no positive Green function exists (half-linear Sturm
+    comparison; Dosly & Rehak, Half-linear Differential Equations, 2005)
+    and the potential has no spectral gap on this grid; or when the
+    potential mass overflows float64.  A grid too coarse for the
+    potential's boundary layer ends in either, so all messages name it.
     """
     if tol <= 0.0:
         raise ConvergenceError("tolerance must be positive", residual=None, iterations=0)
     v_vals = potential.values(grid, n)
+    g_values, iterations = _inward_picard(n, v_vals, grid, tol, max_iter)
     log_part = make_constants(n).gamma * (grid.xi[-1] - grid.xi)
-    g_values, iterations = _iterate(n, v_vals, log_part, grid, tol, max_iter)
-    # final self-consistent assembly from the converged mass
     table = _table_from_g(grid, n, potential, v_vals, log_part, g_values, iterations, tol)
+    if not table.residual <= 10.0 * tol:
+        raise ConvergenceError(
+            f"flux residual {table.residual:.3e} of the assembled table exceeds 10 tol "
+            f"({10.0 * tol:.3e}); tol lies below the flux's rounding on this grid "
+            f"({grid.n_points} nodes)",
+            residual=table.residual,
+            iterations=iterations,
+        )
     table.validate()
     return table
 
 
-def _iterate(n: int, v_vals: np.ndarray, log_part: np.ndarray, grid: RadialGrid, tol: float,
-             max_iter: int) -> Tuple[np.ndarray, int]:
-    """``solve_green``'s mixed iteration: G of the iterate after the converged step, and its count.
-
-    The step's buffers: ``g_values`` (G), ``m`` (the density, the mass,
-    then the defect), ``work`` (H, G^(n-1), the increments, then |f|) and
-    ``plain``.  The iterate is ``plain`` or the mixer's last step, which its
-    next step does not overwrite.
-    """
-    gamma = make_constants(n).gamma
-    g_values, m, work = np.empty_like(log_part), np.empty_like(log_part), np.empty_like(log_part)
-    excess = plain = np.zeros_like(log_part)  # assembles to G = log_part
-    mixer = AndersonMixer(excess.size)
-    residual = math.inf
+def _inward_picard(n: int, v_vals: np.ndarray, grid: RadialGrid, tol: float,
+                   max_iter: int) -> Tuple[np.ndarray, int]:
+    """``solve_green``'s iteration: G normalized to flux 1 at the pole, and the step count."""
+    c = make_constants(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        weight = c.omega * v_vals * grid.nodes_pow(n - 1)
+    if not np.all(np.isfinite(weight)):
+        raise _mass_overflow(grid)
+    half_dxi = 0.5 * c.gamma * grid.dxi
+    half_dr = 0.5 * grid.dr
+    phi = np.ones_like(weight)
+    change = math.inf
     for iterations in range(1, max_iter + 1):
-        _assemble(excess, log_part, grid, gamma, out=g_values, work=work)
-        _mass(g_values, v_vals, grid, n, out=m, work=work)
-        m_sup = float(np.max(m))
-        if m_sup > INSTABILITY_CAP:
-            raise PotentialInstabilityError(
-                f"potential mass diverged (sup m = {m_sup:.3e} after {iterations} iterations); "
-                "potential has no spectral gap on this domain, or the grid "
-                f"({grid.n_points} nodes) is too coarse to resolve it"
-            )
-        defect = np.subtract(_flux_excess(m, n, out=m), excess, out=m)
-        residual = float(np.max(np.abs(defect, out=work)))
-        np.add(excess, defect, out=plain)
-        mixed = mixer.mix(defect, plain)
-        if mixed is None:
-            excess = plain
-        elif np.all(np.isfinite(mixed)) and np.min(mixed) >= 0.0:
-            excess = mixed
-        else:  # keep the plain step and restart the history from it
-            excess = plain
-            mixer.restart()
-        if residual <= tol:  # the next iterate is the history's best estimate: return it
-            return _assemble(excess, log_part, grid, gamma, out=g_values, work=work)[0], iterations
-    raise ConvergenceError(
-        f"no convergence in {max_iter} iterations (residual {residual:.3e} > tol {tol:.3e}); "
-        f"the grid ({grid.n_points} nodes) may be too coarse, or the potential too close "
-        "to its spectral threshold",
-        residual=residual,
-        iterations=max_iter,
-    )
+        root = np.maximum(phi, 0.0)
+        if n > 2:
+            root **= 1.0 / (n - 1)
+        g_values = _sum_from_boundary((root[1:] + root[:-1]) * half_dxi)
+        with np.errstate(over="ignore", invalid="ignore"):
+            density = weight * int_pow(g_values, n - 1)
+            new = 1.0 - _sum_from_boundary((density[1:] + density[:-1]) * half_dr)
+        if not math.isfinite(new[0]):  # the running sum overflowed; it stays so to the pole
+            raise _mass_overflow(grid)
+        change = float(np.max(np.abs(new - phi)))
+        phi = new
+        if change <= tol * abs(phi[0]):
+            break
+    else:
+        raise ConvergenceError(
+            f"no convergence in {max_iter} iterations (flux change {change:.3e} > "
+            f"tol |Phi_0| = {tol * abs(phi[0]):.3e}); the grid ({grid.n_points} nodes) "
+            "may be too coarse, or the potential too close to its spectral threshold",
+            residual=change,
+            iterations=max_iter,
+        )
+    if phi[0] <= 0.0:
+        j = int(np.flatnonzero(phi <= 0.0)[-1])
+        raise PotentialInstabilityError(
+            f"flux vanishes at r = {grid.nodes[j]:.4g} (node {j}) after {iterations} "
+            "iterations: no positive Green function, so the potential has no spectral gap "
+            f"on this domain, or the grid ({grid.n_points} nodes) is too coarse to resolve it"
+        )
+    return g_values * phi[0] ** (-1.0 / (n - 1)), iterations
 
 
 def _fit_c_g(grid: RadialGrid, g_values: np.ndarray, gamma: float, n: int) -> float:

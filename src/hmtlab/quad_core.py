@@ -7,8 +7,8 @@ nodes geometrically at both ends and stays uniform in the interior where
 profiles actually vary.  The boundary coordinate s = 1-r is stored exactly
 (the grid is built in s on the right) so that 1-r^2 = s*(2-s) never suffers
 cancellation, which matters for weights like (1-r^2)^(-n) at s ~ 1e-6.
-The Green solve and the extremal ascent accelerate their fixed-point steps
-with the one AndersonMixer.
+The extremal ascent accelerates its fixed-point steps with the
+AndersonMixer.
 """
 
 from __future__ import annotations
@@ -311,24 +311,16 @@ def int_pow(x: np.ndarray, k: int) -> np.ndarray:
             x, x_made = x * x, True
 
 
-def cumulative_from_origin(samples: np.ndarray, grid: RadialGrid, out: Optional[np.ndarray] = None,
-                           work: Optional[np.ndarray] = None) -> np.ndarray:
-    """F(r_i) = int_{r_0}^{r_i} samples dr by cumulative trapezoid.
-
-    ``out`` (which may be ``samples`` itself) receives F and ``work``, a
-    node array, the increments; either is allocated when not given.
-    """
+def cumulative_from_origin(samples: np.ndarray, grid: RadialGrid) -> np.ndarray:
+    """F(r_i) = int_{r_0}^{r_i} samples dr by cumulative trapezoid."""
     samples = np.asarray(samples, dtype=float)
     if not np.all(np.isfinite(samples)):
         raise NumericError("non-finite sample in cumulative integral")
     # 0.5 (samples[1:] + samples[:-1]) dr, one rounding at a time in that order
-    incr = np.add(samples[1:], samples[:-1], out=None if work is None else work[1:])
+    incr = np.add(samples[1:], samples[:-1])
     incr *= 0.5
     incr *= grid.dr
-    out = np.empty_like(samples) if out is None else out
-    out[0] = 0.0
-    np.cumsum(incr, out=out[1:])
-    return out
+    return np.concatenate(([0.0], np.cumsum(incr)))
 
 
 def truncated_exp(t, m: int):

@@ -320,9 +320,10 @@ class TestGreenCommand:
         assert err.startswith("hmtlab: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("points, error", [("64", PotentialInstabilityError),
-                                               ("96", ConvergenceError)])
+                                               ("96", PotentialInstabilityError)])
     def test_coarse_grid_named_when_the_solve_fails(self, tmp_path, capsys, points, error):
-        # the default hardy potential at eps = 1e-6 needs about 128 nodes
+        # the default hardy potential at eps = 1e-6 needs about 128 nodes; on 96 the
+        # discrete flux vanishes before the pole (Phi_0 = -2.3e-4), so no positive G exists
         out = tmp_path / "g.json"
         assert run_cli(["green", "--grid-points", points, "--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -331,6 +332,19 @@ class TestGreenCommand:
         assert not out.exists()
         with pytest.raises(error, match=f"grid \\({points} nodes\\)"):
             solve_green(2, Potential.hardy_critical(), make_grid(int(points), 1e-6))
+
+    @pytest.mark.parametrize("argv, start", [
+        (["--n", "3", "--potential", "const=20"], "hmtlab: flux vanishes at r = "),
+        (["--epsilon", "1e-12", "--grid-points", "16384", "--tol", "1e-10"],
+         "hmtlab: flux residual ")])
+    def test_failed_solve_is_one_line(self, tmp_path, capsys, argv, start):
+        # no positive Green function, and a tol below the flux's rounding at eps = 1e-12
+        out = tmp_path / "g.json"
+        assert run_cli(["green", *argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(start) and err.count("\n") == 1
+        assert err.rstrip().endswith("refine --grid-points to rule out the grid")
+        assert not out.exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("argv", [["--potential", "hardy+lambda=1e308"], ["--n", "100"]])

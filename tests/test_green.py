@@ -123,6 +123,21 @@ class TestSolverErrors:
         with pytest.raises(PotentialInstabilityError):
             solve_green(2, Potential.constant(1e8), grids(512, 1e-3), max_iter=400)
 
+    def test_instability_named_in_one_pass(self, grids):
+        # above the spectral threshold the flux reaches 0 at r = 0.141 (node 498) within
+        # 10 inward steps
+        with pytest.raises(PotentialInstabilityError,
+                           match=r"flux vanishes at r = 0\.1411 \(node 498\).*grid \(2048 nodes\)"):
+            solve_green(3, Potential.constant(20.0), grids(2048, 1e-6), max_iter=40)
+
+    def test_residual_beyond_its_bound_is_a_convergence_failure(self, grids):
+        # the flux excess reaches 7.6e4 at eps = 1e-12, so the assembled table's absolute
+        # residual (4.1e-9) cannot meet tol 1e-10; the solve says so instead of returning
+        # a table that its own validate rejects
+        with pytest.raises(ConvergenceError, match="grid \\(16384 nodes\\)") as err:
+            solve_green(2, Potential.hardy_critical(), grids(16384, 1e-12), tol=1e-10)
+        assert err.value.residual > 1e-9 and err.value.iterations <= 40
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     # at n = 100 the boundary weight (1 - r^2)^n underflows to 0, so V is inf there
     @pytest.mark.parametrize("n, potential", [(2, "hardy+lambda=1e308"), (3, "const=1.7e308"),
@@ -151,26 +166,24 @@ class TestSolverErrors:
 class TestStepFunctions:
     @pytest.mark.parametrize("n, potential", [(2, "hardy"), (3, "hardy+lambda=1.0"),
                                               (4, "const=0.5")])
-    @pytest.mark.parametrize("buffered", [False, True])
-    def test_steps_are_the_plain_expressions(self, green_tables, n, potential, buffered):
-        # the solve's steps fill reused buffers, the table's assembly allocates; both are
-        # these expressions to the bit, the sign of H's leading zero included
+    def test_steps_are_the_plain_expressions(self, green_tables, n, potential):
+        # the table's assembly is these expressions to the bit, the sign of H's leading zero
+        # included: G sums its tail from the boundary, H from the origin
         table = green_tables(n, potential, 2048, 1e-6)
         grid, c, x = table.grid, make_constants(n), table.excess
         v_vals = table.potential.values(grid, n)
         log_part = c.gamma * (grid.xi[-1] - grid.xi)
-        h_rem = -np.concatenate([[0.0], np.cumsum(0.5 * c.gamma * (x[1:] + x[:-1])
-                                                  * np.diff(grid.xi))])
-        g_values = log_part + (h_rem - h_rem[-1])
+        incr = 0.5 * c.gamma * (x[1:] + x[:-1]) * np.diff(grid.xi)
+        h_rem = -np.concatenate([[0.0], np.cumsum(incr)])
+        g_values = log_part + np.concatenate([np.cumsum(incr[::-1])[::-1], [0.0]])
         density = c.omega * v_vals * g_values ** (n - 1) * grid.nodes ** (n - 1)
         m = np.concatenate([[0.0], np.cumsum(0.5 * (density[1:] + density[:-1])
                                              * np.diff(grid.nodes))])
-        out, work, m_out = (np.empty(x.size) for _ in range(3)) if buffered else (None,) * 3
-        g, h = hl.green._assemble(x, log_part, grid, c.gamma, out=out, work=work)
+        g, h = hl.green._assemble(x, log_part, grid, c.gamma)
         assert g.tobytes() == g_values.tobytes() and h.tobytes() == h_rem.tobytes()
-        mass = hl.green._mass(g, v_vals, grid, n, out=m_out, work=work)
+        mass = hl.green._mass(g, v_vals, grid, n)
         assert mass.tobytes() == m.tobytes()
-        flux = hl.green._flux_excess(mass, n, out=mass if buffered else None)
+        flux = hl.green._flux_excess(mass, n)
         assert flux.tobytes() == np.expm1(np.log1p(m) / (n - 1)).tobytes()
 
 
@@ -178,7 +191,7 @@ class TestAndersonMixing:
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("potential", ["hardy", "hardy+lambda=1.0"])
     def test_iteration_count(self, green_tables, n, potential):
-        # depth-5 Anderson mixing takes 16-17 steps on these cases (plain Picard: 182-244)
+        # the inward iteration takes 17-20 steps on these cases
         assert green_tables(n, potential, 2048, 1e-6, 1e-10).iterations <= 40
 
     @pytest.mark.parametrize("potential", ["hardy", "hardy+lambda=1.0", "hardy+lambda=2"])
@@ -212,19 +225,6 @@ class TestAndersonMixing:
         table = solve_green(2, pot, grid, tol=1e-10)
         assert np.max(np.abs(table.g_values - assemble(x[:, None])[:, 0])) <= 1e-8
 
-    @pytest.mark.parametrize("n,potential,n_points,eps,tol", [
-        (2, "hardy", 512, 1e-4, 1e-8), (3, "hardy", 1024, 1e-6, 1e-10),
-        (2, "hardy+lambda=2", 2048, 1e-6, 1e-10), (4, "const=0.5", 512, 1e-4, 1e-8)])
-    def test_shared_mixer_matches_inline_mixing(self, grids, n, potential, n_points, eps, tol):
-        # the hardy+lambda=2 solve rejects 5 mixed steps; the tables agree to the bit
-        pot, grid = Potential.parse(potential), grids(n_points, eps)
-        table = solve_green(n, pot, grid, tol=tol)
-        ref = _inline_mixing_solve(n, pot, grid, tol)
-        assert table.iterations == ref.iterations
-        for name in ("g_values", "excess", "remainder"):
-            assert np.array_equal(getattr(table, name), getattr(ref, name)), name
-        assert table.c_g == ref.c_g
-
     def test_memory_peak_stays_below_the_allocating_solve(self):
         # 4648992 bytes: the tracemalloc peak of this call when each step allocated its
         # arrays and the mixer recomputed dF dF^T (Type-I form); numpy 2.4, CPython 3.11
@@ -239,49 +239,50 @@ class TestAndersonMixing:
         assert peak <= 4648992
 
 
-def _inline_mixing_solve(n, potential, grid, tol, depth=5, max_iter=500):
-    """solve_green with its depth-5 Type-II Anderson mixing written out inline, as plain numpy.
-
-    Row k of the ring holds the k-th difference of the defects f and of the plain steps
-    since a restart (k % depth); the Gram matrix dF dF^T gains one row and column per step.
-    """
-    gamma = make_constants(n).gamma
-    v_vals = potential.values(grid, n)
-    log_part = gamma * (grid.xi[-1] - grid.xi)
-    excess = np.zeros_like(log_part)
-    d_f, d_plain = np.empty((depth, excess.size)), np.empty((depth, excess.size))
-    gram = np.empty((depth, depth))
-    kept, prev_f, prev_plain = 0, None, None
-    for iterations in range(1, max_iter + 1):
-        g_values, _ = hl.green._assemble(excess, log_part, grid, gamma)
-        defect = hl.green._flux_excess(hl.green._mass(g_values, v_vals, grid, n), n) - excess
-        residual = np.max(np.abs(defect))
-        excess = plain = excess + defect
-        if prev_f is not None:
-            row = kept % depth
-            d_f[row], d_plain[row] = defect - prev_f, plain - prev_plain
-            kept += 1
-            rows = min(kept, depth)
-            gram[row, :rows] = gram[:rows, row] = d_f[:rows] @ d_f[row]
-            coef = np.linalg.solve(gram[:rows, :rows], d_f[:rows] @ defect)
-            mixed = plain - coef @ d_plain[:rows]
-            if np.all(np.isfinite(mixed)) and np.min(mixed) >= 0.0:
-                excess = mixed
-            else:  # a restart: the next step records its f and plain afresh
-                kept, defect = 0, None
-        prev_f, prev_plain = defect, plain
-        if residual <= tol:
-            g_values, _ = hl.green._assemble(excess, log_part, grid, gamma)
-            return hl.green._table_from_g(grid, n, potential, v_vals, log_part, g_values,
-                                          iterations, tol)
-    raise AssertionError("the reference solve did not converge")
-
-
 class TestContinuation:
     def test_pole_constant_rises_as_truncation_shrinks(self, grids):
         cgs = [solve_green(2, Potential.hardy_critical(), grids(1024, eps), tol=1e-9).c_g
                for eps in (1e-2, 1e-3, 1e-4)]
         assert cgs[0] < cgs[1] < cgs[2]
+
+
+class TestSmallTruncation:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n_points", [2048, 16384, 65536])
+    def test_converges_at_eps_1e12(self, grids, n, n_points):
+        # 26-34 inward steps: G summed from the boundary keeps its digits where it is tiny
+        table = solve_green(n, Potential.hardy_critical(), grids(n_points, 1e-12), tol=1e-8)
+        table.validate()
+        assert table.iterations <= 40
+
+
+def _agm(a, b):
+    for _ in range(60):  # far more steps than float64 needs: the convergence is quadratic
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+    return a
+
+
+def exact_c_g_n2(eps):
+    """Pole constant of the n = 2 Hardy Green function on the ball of radius 1 - eps.
+
+    There -Delta_g G - G/4 = delta_0 on the Poincare disk, whose radial
+    solutions are Legendre functions of order -1/2; Landen's transformation
+    writes them as arithmetic-geometric means M, and
+    c_g(eps) = ln 2/pi - M(1, sqrt(eps (2 - eps))) / (4 M(1, 1 - eps)).
+    """
+    return math.log(2.0) / math.pi - _agm(1.0, math.sqrt(eps * (2.0 - eps))) / (
+        4.0 * _agm(1.0, 1.0 - eps))
+
+
+class TestClosedFormN2:
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12])
+    def test_second_order_in_the_grid(self, grids, eps):
+        # errors 2.0e-3, 4.9e-4, 1.2e-4 at eps = 1e-12; observed orders 2.00-2.05
+        exact = exact_c_g_n2(eps)
+        err = [solve_green(2, Potential.hardy_critical(), grids(n_points, eps), tol=1e-9).c_g
+               - exact for n_points in (2048, 4096, 8192)]
+        for coarse, fine in zip(err, err[1:]):
+            assert 1.5 <= math.log2(coarse / fine) <= 2.5
 
 
 class TestMaps:
