@@ -14,11 +14,14 @@ and nothing time- or host-dependent is written).  A JSON report is the bytes
 of ``json.dumps(doc, indent=2)`` plus a newline; ``_emit_json`` writes them
 with the C encoder for every list or dict that holds only scalars.
 
-A 1-D array in a report (the Green table's G) is written in chunks of
-``ARRAY_CHUNK`` values, each chunk's ``tolist()`` through the C encoder, so
-the bytes are those of the list and no list of the whole array is built:
-its hundred thousand float objects would cost a type scan and fresh memory
-on every report.
+A 1-D array in a report (the Green table's G, ``rearrange-demo``'s r, u and
+u_star) is written in chunks of ``ARRAY_CHUNK`` values with the bytes of its
+``tolist()``, but no float object is made: a numpy kernel finds each float64
+value's shortest round-trip digits (Schubfach) and lays out the text that
+``float.__repr__`` writes, a hundred thousand values in a few dozen array
+operations per chunk.  A chunk holding a subnormal, NaN or infinity, and an
+array of any other dtype, goes through ``json.dumps`` of its ``tolist()``.
+The kernel's tables are built on first use.
 
 ``main`` builds its parser once per process, on the first call: the parser
 depends only on ``FLAGS``, ``RETIRED`` and the subcommand table, and parsing
@@ -94,9 +97,24 @@ from .transplant import TransplantReport, transplant_report
 # Reports do not depend on it.
 CORPUS_BLOCK = 16
 
-# A 1-D array is written this many values per encoder call: 8192 floats are at most
-# about 200 KB of text, and the chunk's float objects are freed before the next.
+# A 1-D array is written this many values per _array_text call: the kernel's row and
+# index temporaries of 8192 floats take about 3 MB and are freed before the next chunk.
 ARRAY_CHUNK = 8192
+
+# _float_text: Schubfach's power-of-ten table starts at 10**324, and v = digits 10**k
+# with k = floor(log10(2**q)) >= -324 for every normal double.
+_G_K_MIN = -324
+_LOW32 = 2**32 - 1
+_LOW63 = 2**63 - 1
+_POW10 = 10 ** np.arange(18, dtype=np.uint64)
+# columns of a value's row of bytes: 17 digits, |exponent| as 4 digits, the exponent's
+# sign, then fixed characters; NUL pads a text shorter than the layout's _TEXT_WIDTH,
+# the length of "-1.2345678901234567e-308"
+_LEAD, _EXP = 0, 17
+_EXP_SIGN, _MINUS, _DOT, _ZERO, _E, _NUL, _COMMA = range(21, 28)
+_FIXED_BYTES = b"-.0e\0,"  # columns _MINUS to _COMMA
+_ROW_WIDTH = 28
+_TEXT_WIDTH = 24
 
 # glibc's mallopt parameters and the values main sets.  By default glibc maps blocks
 # above a dynamic threshold (128 KB at first) with mmap and trims the heap top beyond
@@ -247,13 +265,177 @@ def _config_for_output(cfg: Dict[str, Any]) -> Dict[str, Any]:
 _SCALARS = (str, int, float, type(None))
 
 
+@functools.cache
+def _pow10_table() -> np.ndarray:
+    """Schubfach's g of each 10**-k, k in [-324, 292], as five uint64 rows.
+
+    g = floor(10**-k / 2**r) + 1 with r chosen so that 2**125 <= g < 2**126;
+    with g1 = g >> 63 and g0 = g mod 2**63 the rows are g1 and the 32-bit
+    halves of g1 and of g0.  Built with Python ints on first use.
+    """
+    rows = []
+    for k in range(_G_K_MIN, 293):
+        p = 10 ** abs(k)
+        if k <= 0:  # 10**-k = p: its top 126 bits, p itself when shorter
+            shift = p.bit_length() - 126
+            g = (p >> shift if shift >= 0 else p << -shift) + 1
+        else:  # 10**-k = 1 / p
+            g = (1 << (125 + p.bit_length())) // p + 1
+        g1, g0 = g >> 63, g & _LOW63
+        rows.append((g1, g1 >> 32, g1 & _LOW32, g0 >> 32, g0 & _LOW32))
+    return np.array(rows, dtype=np.uint64).T.copy()
+
+
+def _mul_hi(a_hi, a_lo, b_hi, b_lo):
+    """The high 64 bits of the 128-bit product a*b, from the 32-bit halves of a and b."""
+    mid = a_lo * b_hi + (a_lo * b_lo >> 32)
+    mid2 = a_hi * b_lo + (mid & _LOW32)
+    return a_hi * b_hi + (mid >> 32) + (mid2 >> 32)
+
+
+def _round_to_odd(g, cp):
+    """Schubfach's rop(g cp / 2**127): the floor, its low bit set when inexact."""
+    g1, g1_hi, g1_lo, g0_hi, g0_lo = g
+    cp_hi, cp_lo = cp >> 32, cp & _LOW32
+    z = (g1 * cp >> 1) + _mul_hi(g0_hi, g0_lo, cp_hi, cp_lo)
+    return (_mul_hi(g1_hi, g1_lo, cp_hi, cp_lo) + (z >> 63)) | ((z & _LOW63) + _LOW63 >> 63)
+
+
+def _shortest_digits(bits: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(digits, k) of each positive normal double v = digits * 10**k, as ``repr`` picks it.
+
+    Schubfach (Giulietti, "The Schubfach way to render doubles", 2020): of
+    the decimals that round to v, the shortest, and of those the nearest,
+    the even one on a tie.  ``digits`` may end in zeros.
+    """
+    biased = (bits >> 52).astype(np.int64)
+    c = bits & (2**52 - 1) | 2**52
+    q = biased - 1075  # v = c 2**q
+    irregular = (c == 2**52) & (biased > 1)  # the gap below v is half the gap above
+    # floor(log10(2**q)), or floor(log10(3/4 2**q)) when irregular
+    k = (q * 661_971_961_083 - irregular * 274_743_187_321) >> 41
+    h = (q + ((-k * 913_124_641_741) >> 38) + 2).astype(np.uint64)  # 1..5
+    g = np.take(_pow10_table(), k - _G_K_MIN, axis=1)
+    odd = c & 1  # round half to even: the interval's ends belong to v when c is even
+    cb = c << 2  # v, the interval's ends (cb - 2 or cb - 1, cb + 2) in units of 2**(q - 2)
+    vbl, vb, vbr = _round_to_odd(g, np.stack([cb - 2 + irregular, cb, cb + 2]) << h)
+    vbl += odd
+    vbr -= odd
+    s = vb >> 2
+    sp = s // 10 * 10  # at most one multiple of 10**(k + 1) lies in the interval
+    up_in = vbl <= sp << 2
+    wp_in = sp + 10 << 2 <= vbr
+    u_in = vbl <= s << 2
+    w_in = s + 1 << 2 <= vbr
+    rest = vb & 3  # both s and s + 1 in the interval: the nearer, the even one on a tie
+    up = np.where(u_in != w_in, w_in, (rest == 3) | (rest == 2) & (s & 1 == 1))
+    return np.where(up_in != wp_in, sp + wp_in * np.uint64(10), s + up), k
+
+
+@functools.cache
+def _digit_quads() -> np.ndarray:
+    """The four ASCII digits of 0..9999, each as one uint32."""
+    quad = np.arange(10000)
+    chars = np.stack([quad // 1000, quad // 100 % 10, quad // 10 % 10, quad % 10], axis=1)
+    return (chars + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+
+
+def _layout(negative: int, size: int, place: int) -> List[int]:
+    """The source columns of ``repr``'s text for a class of values.
+
+    ``size`` is the count of shortest digits; ``place`` 0..19 is the decimal
+    point position -3..16 that ``repr`` writes in fixed notation, 20 and 21
+    are exponent notation with a 2- and a 3-digit exponent.
+    """
+    digits = list(range(size))
+    if place < 20:
+        point = place - 3
+        if point <= 0:
+            cols = [_ZERO, _DOT] + [_ZERO] * -point + digits
+        elif point < size:
+            cols = digits[:point] + [_DOT] + digits[point:]
+        else:  # the digit columns past the shortest digits hold zeros
+            cols = list(range(point)) + [_DOT, _ZERO]
+    else:
+        cols = [_LEAD] + ([_DOT] + digits[1:] if size > 1 else []) + [_E, _EXP_SIGN]
+        cols += list(range(_EXP + (1 if place == 21 else 2), _EXP + 4))
+    return [_MINUS] * negative + cols
+
+
+@functools.cache
+def _layouts() -> np.ndarray:
+    """Row (negative * 17 + size - 1) * 22 + place: ``_layout``, NUL-padded, then a comma."""
+    table = np.full((2 * 17 * 22, _TEXT_WIDTH + 1), _NUL, dtype=np.intp)
+    row = 0
+    for negative in (0, 1):
+        for size in range(1, 18):
+            for place in range(22):
+                cols = _layout(negative, size, place)
+                table[row, :len(cols)] = cols
+                row += 1
+    table[:, _TEXT_WIDTH] = _COMMA
+    return table
+
+
+def _float_text(bits: np.ndarray, sep: str) -> str:
+    """The ``repr`` of each zero or normal double in ``bits``, joined by ``sep``.
+
+    Each value's digits, exponent and the fixed characters fill one row of
+    bytes.  Its class's layout gathers its text and a comma out of the row,
+    NUL where the text is shorter; the NULs are dropped and each comma, the
+    one character no ``repr`` of a float holds, becomes ``sep``.
+    """
+    zero = bits << 1 == 0
+    digits, k = _shortest_digits(np.where(zero, np.uint64(0x3FF0000000000000), bits & _LOW63))
+    size = np.searchsorted(_POW10, digits, side="right")
+    digits = digits * _POW10[17 - size]  # now 17 digits; 1.0 stands in for a zero
+    point = k + size  # v = 0.d1d2... * 10**point
+    top = digits // 10**8
+    lead = top // 10**8
+    quads = np.empty((digits.size, 5), dtype=np.intp)
+    for col, eight in ((0, top - lead * 10**8), (2, digits - top * 10**8)):
+        quads[:, col] = eight // 10000
+        quads[:, col + 1] = eight % 10000
+    exponent = np.abs(point - 1)  # of d.ddd notation
+    quads[:, 4] = exponent
+    rows = np.empty((digits.size, _ROW_WIDTH), dtype=np.uint8)
+    rows[:, _LEAD] = lead + ord("0")
+    rows[:, 1:_EXP_SIGN] = _digit_quads()[quads].view(np.uint8)
+    rows[:, _EXP_SIGN] = np.where(point > 0, ord("+"), ord("-"))
+    rows[:, _MINUS:] = np.frombuffer(_FIXED_BYTES, dtype=np.uint8)
+    size = 17 - np.argmax(rows[:, 16::-1] != ord("0"), axis=1)  # the shortest digits
+    rows[zero, _LEAD] = ord("0")  # a zero is written as 1.0 with the digit 0
+    place = np.where((point >= -3) & (point <= 16), point + 3, np.where(exponent < 100, 20, 21))
+    negative = (bits >> 63).view(np.int64)
+    index = _layouts()[(negative * 17 + size - 1) * 22 + place]
+    index += np.arange(0, rows.size, _ROW_WIDTH)[:, None]
+    text = rows.ravel()[index]
+    return text[text != 0][:-1].tobytes().replace(b",", sep.encode()).decode("ascii")
+
+
+def _array_text(chunk: np.ndarray, sep: str) -> str:
+    """``json.dumps(chunk.tolist(), separators=(sep, ": "))`` without its brackets.
+
+    A float64 chunk of zeros and normal values goes through ``_float_text``;
+    one holding a subnormal, NaN or infinity, and any other dtype, through
+    ``json.dumps`` itself.
+    """
+    if chunk.dtype == np.float64:
+        bits = np.ascontiguousarray(chunk).view(np.uint64)
+        biased = bits >> 52 & 0x7FF
+        if ((biased > 0) & (biased < 0x7FF) | (bits << 1 == 0)).all():
+            return _float_text(bits, sep)
+    return json.dumps(chunk.tolist(), separators=(sep, ": "))[1:-1]
+
+
 def _encode(value: Any, indent: str, parts: List[str]) -> None:
     """Append ``json.dumps(value, indent=2)`` for ``value`` nested at ``indent``.
 
     A list or dict whose items are all scalars goes through the C encoder
     in one call, its separators carrying the line breaks and indentation;
     only containers that hold containers are walked here.  A 1-D array is
-    written as its ``tolist()``, ``ARRAY_CHUNK`` values per encoder call.
+    written ``ARRAY_CHUNK`` values at a time by ``_array_text``: the text of
+    its ``tolist()``, without building the list.
     """
     if isinstance(value, np.ndarray) and value.ndim == 1:
         if not value.size:
@@ -263,8 +445,7 @@ def _encode(value: Any, indent: str, parts: List[str]) -> None:
         sep = ",\n" + inner
         parts += ["[\n", inner]
         for start in range(0, value.size, ARRAY_CHUNK):
-            text = json.dumps(value[start:start + ARRAY_CHUNK].tolist(), separators=(sep, ": "))
-            parts += [sep if start else "", text[1:-1]]
+            parts += [sep if start else "", _array_text(value[start:start + ARRAY_CHUNK], sep)]
         parts += ["\n", indent, "]"]
         return
     if isinstance(value, dict):
@@ -299,8 +480,8 @@ def _emit_json(payload: Dict[str, Any], cfg: Dict[str, Any]) -> str:
     With ``indent`` the json module falls back to its pure-Python encoder,
     which dominates writing a 100k-node Green table or a verify corpus.  So
     ``_encode`` hands every scalar-only list or dict (the profile lists, the
-    config, each report row) and every 1-D array (G), in chunks, to the C
-    encoder and walks only the containers above them.
+    config, each report row) to the C encoder and every 1-D array (G), in
+    chunks, to ``_array_text``, and walks only the containers above them.
     """
     doc = {"format_version": FORMAT_VERSION, "config": _config_for_output(cfg)}
     doc.update(payload)

@@ -191,7 +191,7 @@ class RadialProfile:
         r = np.clip(np.asarray(r, dtype=float), self.grid.nodes[0], self.grid.nodes[-1])
         return hermite_eval(self.grid.nodes, self.grid.spacing.h, self.values, self.slopes, r)
 
-    def is_nonincreasing(self, tol: float = 1e-12) -> bool:
+    def is_nonincreasing(self, tol: float) -> bool:
         """Whether every profile's rises stay below tol times max(1, its largest value)."""
         top = np.maximum(1.0, self.values.max(axis=-1, initial=0.0, keepdims=True))
         return bool(np.all(np.diff(self.values) <= tol * top))

@@ -135,6 +135,102 @@ class TestEmitJson:
         assert _emit_json(payload, cfg) == json.dumps(doc, indent=2) + "\n"
 
 
+def _dumps_text(values, sep):
+    """The reference ``_array_text`` must match: the json encoder on the list."""
+    return json.dumps(values.tolist(), separators=(sep, ": "))[1:-1]
+
+
+_SEPS = st.sampled_from([",\n  ", ",\n    ", ",\n" + " " * 12])
+_TINY = np.finfo(np.float64).tiny  # the smallest normal value
+
+
+def _kernel_edges():
+    """Values where the digits or the layout change: see test_kernel_edges."""
+    powers = [2.0 ** e for e in range(-1022, 1024)] + [float(f"1e{e}") for e in range(-307, 309)]
+    switches = [1e16, 9999999999999998.0, 1e15, 1e17, 0.0001, 9.999999999999999e-05, 0.001,
+                1e-05, 0.1, 0.5, 1.0, 10.0, 100.0, 1234.5, 0.3, 1 / 3, 2 / 3, 4.35,
+                123456789012345678.0, 9007199254740992.0, 9007199254740993.0, 2.0 ** 53 - 1]
+    three_digit = [1e100, 9.99e99, 1.5e-100, 1e-99, 1.2345678901234567e-250, 7.5e299]
+    ends = [np.finfo(np.float64).max, _TINY, 0.0]
+    values = np.array(powers + switches + three_digit + ends)
+    with np.errstate(over="ignore"):  # nextafter(max, inf) is inf, dropped below
+        # the neighbours of 2**e: mantissa 2**52 has the half-width gap below it
+        values = np.concatenate([values, np.nextafter(values, np.inf),
+                                 np.nextafter(values, -np.inf)])
+    values = values[np.isfinite(values) & ((values == 0.0) | (np.abs(values) >= _TINY))]
+    return np.concatenate([values, -values])
+
+
+class TestArrayText:
+    """``_array_text`` writes exactly the text of ``json.dumps(values.tolist())``."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(values=st.lists(st.floats(width=64), max_size=40), sep=_SEPS)
+    def test_matches_dumps_with_nan_inf_and_subnormals(self, values, sep):
+        values = np.array(values, dtype=np.float64)
+        if values.size:
+            assert cli._array_text(values, sep) == _dumps_text(values, sep)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(values=st.lists(st.floats(width=64, allow_nan=False, allow_infinity=False,
+                                     allow_subnormal=False), min_size=1, max_size=40),
+           sep=_SEPS)
+    def test_kernel_matches_dumps(self, values, sep):
+        # zeros and normal values only: the kernel itself, not the json fallback
+        values = np.array(values, dtype=np.float64)
+        assert cli._float_text(values.view(np.uint64), sep) == _dumps_text(values, sep)
+
+    def test_kernel_edges(self):
+        values = _kernel_edges()
+        assert values.size > 10000
+        text = cli._float_text(values.view(np.uint64), ",\n  ")
+        assert text.split(",\n  ") == [repr(v) for v in values.tolist()]
+
+    def test_kernel_on_random_bit_patterns(self):
+        bits = np.random.default_rng(2024).integers(0, 2**64, size=50000, dtype=np.uint64,
+                                                    endpoint=False)
+        values = bits.view(np.float64)
+        values = values[np.isfinite(values) & (np.abs(values) >= _TINY)]
+        assert cli._float_text(values.view(np.uint64), ", ") == _dumps_text(values, ", ")
+
+    @pytest.mark.parametrize("special", [math.nan, math.inf, -math.inf, 5e-324, -_TINY / 3])
+    def test_special_values_take_the_json_path(self, special):
+        values = np.linspace(-1.0, 1.0, 9)
+        values[4] = special
+        assert cli._array_text(values, ",\n  ") == _dumps_text(values, ",\n  ")
+
+    @pytest.mark.parametrize("view", ["reversed", "strided", "reversed_strided", "read_only"])
+    def test_views(self, view):
+        rng = np.random.default_rng(5)
+        size = 2 * ARRAY_CHUNK + 7
+        base = rng.standard_normal(size) * 10.0 ** rng.integers(-20, 20, size)
+        values = {"reversed": base[::-1], "strided": base[1::3], "reversed_strided": base[-2::-2],
+                  "read_only": base.copy()}[view]
+        values.flags.writeable = view != "read_only"
+        assert cli._array_text(values, ",\n    ") == _dumps_text(values, ",\n    ")
+        cfg = {"n": 2, "out": None}
+        doc = {"format_version": FORMAT_VERSION, "config": _config_for_output(cfg),
+               "G": values.tolist()}
+        assert _emit_json({"G": values}, cfg) == json.dumps(doc, indent=2) + "\n"
+
+    def test_other_dtypes_write_their_lists(self):
+        for values in (np.arange(-3, 5), np.linspace(0.0, 1.0, 7, dtype=np.float32),
+                       np.linspace(0.0, 1.0, 7).astype(">f8")):
+            assert cli._array_text(values, ", ") == _dumps_text(values, ", ")
+
+    def test_import_builds_no_table(self):
+        tables = ("_pow10_table", "_digit_quads", "_layouts")
+        script = ("import json, sys, numpy as np, hmtlab, hmtlab.cli as cli\n"
+                  f"sizes = lambda: [getattr(cli, t).cache_info().currsize for t in {tables}]\n"
+                  "before = sizes(); cli._array_text(np.array([1.5]), ', ')\n"
+                  "print(json.dumps([before, sizes()]))\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(hmtlab.__file__).parents[1]), *filter(None, [os.environ.get("PYTHONPATH")])])}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=300, check=True)
+        assert json.loads(proc.stdout) == [[0, 0, 0], [1, 1, 1]]
+
+
 # every JSON-writing path at a small grid; {table} is a Green table written first
 REPORT_ARGVS = {
     "green": ["green", "--grid-points", "256"],
