@@ -295,7 +295,7 @@ def _surrogate_weights(grid: RadialGrid, n: int):
     """
     mass = grid.nodes_pow(n - 1) * grid.weights
     hardy = ((n - 1) / n) ** n / make_constants(n).omega * grid.hyperbolic_density(n) * grid.weights
-    return grid.spacing.h, np.diff(grid.nodes_pow(n)) / n, hardy, mass
+    return grid.dr, np.diff(grid.nodes_pow(n)) / n, hardy, mass
 
 
 def _h_surrogate(u: np.ndarray, weights: tuple, n: int, work: Optional[np.ndarray] = None) -> float:

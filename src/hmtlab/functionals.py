@@ -49,12 +49,10 @@ import numpy as np
 from .errors import DomainError, NumericError, PreconditionError
 from .quad_core import (
     EXP_CLAMP,
-    PchipSpacing,
     RadialGrid,
     int_pow,
     integrate,
     make_constants,
-    pchip_spacing,
     truncated_exp,
 )
 
@@ -85,13 +83,13 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def hermite_eval(x: np.ndarray, h: np.ndarray, y: np.ndarray, d: np.ndarray, xq) -> np.ndarray:
+def hermite_eval(x: np.ndarray, y: np.ndarray, d: np.ndarray, xq) -> np.ndarray:
     """Cubic Hermite interpolant of node values y and slopes d at the queries xq.
 
-    x holds strictly increasing breakpoints and h = diff(x).  Each query is
-    located as scipy's ``PPoly`` locates it (x[i] <= q < x[i+1], the last
-    piece closed on the right, the ends extended outward).  The piece
-    coefficients are scipy's ``CubicHermiteSpline`` ones, and the sum
+    x holds strictly increasing breakpoints.  Each query is located as
+    scipy's ``PPoly`` locates it (x[i] <= q < x[i+1], the last piece closed
+    on the right, the ends extended outward).  The piece coefficients are
+    scipy's ``CubicHermiteSpline`` ones, from h = diff(x), and the sum
     c3 + c2 s + c1 s^2 + c0 s^3 in s = q - x[i] is formed term by term from
     0 in the order its ``PPoly`` evaluation adds them, so the result is
     scipy's to the bit.  y and d may be (k, N) stacks, each row read at
@@ -100,6 +98,7 @@ def hermite_eval(x: np.ndarray, h: np.ndarray, y: np.ndarray, d: np.ndarray, xq)
     xq = np.asarray(xq, dtype=float)
     i = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, x.size - 2)
     s = xq - x[i]
+    h = np.diff(x)
     secant = np.diff(y) / h
     t = (d[..., :-1] + d[..., 1:] - 2.0 * secant) / h
     c0, c1 = t / h, (secant - d[..., :-1]) / h - t
@@ -109,20 +108,23 @@ def hermite_eval(x: np.ndarray, h: np.ndarray, y: np.ndarray, d: np.ndarray, xq)
     return 0.0 + y_i + d_i * s + c1_i * s2 + c0_i * (s2 * s)
 
 
-def pchip_slopes(y: np.ndarray, spacing: PchipSpacing) -> np.ndarray:
-    """Fritsch-Carlson node slopes of the PCHIP fit, as scipy computes them.
+def pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Fritsch-Carlson node slopes of the PCHIP fit of (x, y), as scipy computes them.
 
     Interior nodes take the weighted harmonic mean of the adjacent secants,
     or 0 where the secants change sign or one is flat; both ends use
-    Moler's shape-preserving one-sided three-point rule.  Needs three nodes
-    or more.  y may be a (k, N) stack; each row is fitted on its own.
+    Moler's shape-preserving one-sided three-point rule.  x holds three or
+    more strictly increasing breakpoints.  y may be a (k, N) stack; each
+    row is fitted on its own.
 
     The harmonic means are formed in the output and the secant array, in
-    place, with scipy's operations in scipy's order.  A stack's temporaries
-    are large, and each one allocated afresh costs the page faults of
-    memory the allocator has just handed back to the system.
+    place, with scipy's operations in scipy's order: a stack's temporaries
+    are large, and writing into memory already in cache is faster than
+    filling fresh arrays.
     """
-    h = spacing.h
+    h = np.diff(x)
+    w1 = 2.0 * h[1:] + h[:-1]
+    w2 = h[1:] + 2.0 * h[:-1]
     m = np.diff(y)
     m /= h
     d = np.empty_like(y)
@@ -134,9 +136,9 @@ def pchip_slopes(y: np.ndarray, spacing: PchipSpacing) -> np.ndarray:
     flat |= rise[..., 1:] != rise[..., :-1]
     whmean, m1 = d[..., 1:-1], m[..., 1:]
     with np.errstate(divide="ignore", invalid="ignore"):  # flat entries divide by 0
-        np.divide(spacing.w1, m[..., :-1], out=whmean)
-        whmean += np.divide(spacing.w2, m1, out=m1)
-        whmean /= spacing.w12
+        np.divide(w1, m[..., :-1], out=whmean)
+        whmean += np.divide(w2, m1, out=m1)
+        whmean /= w1 + w2
         np.divide(1.0, whmean, out=whmean)
     whmean[flat] = 0.0
     return d
@@ -144,8 +146,7 @@ def pchip_slopes(y: np.ndarray, spacing: PchipSpacing) -> np.ndarray:
 
 def pchip(x: np.ndarray, y: np.ndarray, xq) -> np.ndarray:
     """The PCHIP interpolant of (x, y) at xq; equals ``PchipInterpolator(x, y)(xq)``."""
-    spacing = pchip_spacing(x)
-    return hermite_eval(x, spacing.h, y, pchip_slopes(y, spacing), xq)
+    return hermite_eval(x, y, pchip_slopes(x, y), xq)
 
 
 class RadialProfile:
@@ -182,14 +183,14 @@ class RadialProfile:
     @cached_property
     def slopes(self) -> np.ndarray:
         """Fritsch-Carlson node slopes of the PCHIP fit (``pchip_slopes``), read-only."""
-        d = pchip_slopes(self.values, self.grid.spacing)
+        d = pchip_slopes(self.grid.nodes, self.values)
         d.flags.writeable = False
         return d
 
     def __call__(self, r) -> np.ndarray:
         """u(r), with r clipped to the grid's range; one row of values per profile of a stack."""
         r = np.clip(np.asarray(r, dtype=float), self.grid.nodes[0], self.grid.nodes[-1])
-        return hermite_eval(self.grid.nodes, self.grid.spacing.h, self.values, self.slopes, r)
+        return hermite_eval(self.grid.nodes, self.values, self.slopes, r)
 
     def is_nonincreasing(self, tol: float) -> bool:
         """Whether every profile's rises stay below tol times max(1, its largest value)."""

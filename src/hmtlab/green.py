@@ -146,8 +146,7 @@ class GreenTable:
             raise CorruptTableError("G must hold one finite value per node")
 
         try:
-            table = _table_from_g(grid, n, potential, potential.values(grid, n),
-                                  gamma * (grid.xi[-1] - grid.xi), g, iterations, tol)
+            table = _table_from_g(grid, n, potential, g, iterations, tol)
             table.validate()
             if not np.all(np.abs(g - table.g_values) <= 10.0 * tol * gamma):
                 raise CorruptTableError("G disagrees with its recomputation from G")
@@ -237,8 +236,7 @@ def _sum_from_boundary(incr: np.ndarray) -> np.ndarray:
     return tail
 
 
-def _assemble(excess: np.ndarray, log_part: np.ndarray, grid: RadialGrid,
-              gamma: float) -> Tuple[np.ndarray, np.ndarray]:
+def _assemble(excess: np.ndarray, grid: RadialGrid, gamma: float) -> Tuple[np.ndarray, np.ndarray]:
     """(G, H) from the flux excess, the integral of gamma (flux - 1) dxi summed both ways."""
     incr = np.add(excess[1:], excess[:-1])
     incr *= 0.5 * gamma
@@ -247,16 +245,15 @@ def _assemble(excess: np.ndarray, log_part: np.ndarray, grid: RadialGrid,
     h_rem = -np.concatenate(([0.0], np.cumsum(incr)))
     # G(r) = gamma(xi_max - xi) + gamma int_xi^{xi_max} (flux - 1) dxi', the tail summed from
     # the boundary: G is tiny there, and H - H(r_max) would cancel to |H(r_max)| ulp
-    return log_part + _sum_from_boundary(incr), h_rem
+    return gamma * (grid.xi[-1] - grid.xi) + _sum_from_boundary(incr), h_rem
 
 
-def _table_from_g(grid: RadialGrid, n: int, potential: Potential, v_vals: np.ndarray,
-                  log_part: np.ndarray, g_values: np.ndarray, iterations: int,
-                  tol: float) -> GreenTable:
+def _table_from_g(grid: RadialGrid, n: int, potential: Potential, g_values: np.ndarray,
+                  iterations: int, tol: float) -> GreenTable:
     """One self-consistent assembly: the mass of G, its flux excess, then G, H and c_g."""
     gamma = make_constants(n).gamma
-    excess = _flux_excess(_mass(g_values, v_vals, grid, n), n)
-    g_fin, h_rem = _assemble(excess, log_part, grid, gamma)
+    excess = _flux_excess(_mass(g_values, potential.values(grid, n), grid, n), n)
+    g_fin, h_rem = _assemble(excess, grid, gamma)
     return GreenTable(grid=grid, n=n, potential=potential, g_values=g_fin, excess=excess,
                       c_g=_fit_c_g(grid, g_fin, gamma, n), remainder=h_rem,
                       iterations=iterations, tol=tol)
@@ -297,10 +294,8 @@ def solve_green(
     """
     if tol <= 0.0:
         raise ConvergenceError("tolerance must be positive", residual=None, iterations=0)
-    v_vals = potential.values(grid, n)
-    g_values, iterations = _inward_picard(n, v_vals, grid, tol, max_iter)
-    log_part = make_constants(n).gamma * (grid.xi[-1] - grid.xi)
-    table = _table_from_g(grid, n, potential, v_vals, log_part, g_values, iterations, tol)
+    g_values, iterations = _inward_picard(n, potential.values(grid, n), grid, tol, max_iter)
+    table = _table_from_g(grid, n, potential, g_values, iterations, tol)
     if not table.residual <= 10.0 * tol:
         raise ConvergenceError(
             f"flux residual {table.residual:.3e} of the assembled table exceeds 10 tol "
@@ -412,8 +407,7 @@ def make_maps(
     """
     c = make_constants(table.n)
     n = table.n
-    if np.any(np.diff(table.g_values) >= 0.0):
-        raise CorruptTableError("cannot invert a non-monotone Green table")
+    _check_decreasing(table.g_values)
     if n_t is None:
         t_grid = image_t_grid(table)
     else:
@@ -426,11 +420,12 @@ def make_maps(
     a = np.exp(pchip(ln_t_nodes, ln_r, ln_t_query))
     a = np.clip(a, table.grid.nodes[0], table.grid.nodes[-1])
 
-    # phi and ln(1 - a^2) are PCHIPs in ln r read at ln a; 1 - a^2 is formed
-    # from the interpolated log so that it keeps its digits as a -> 1
-    ln_a = np.log(a)
-    phi = np.maximum(pchip(ln_r, table.m_values, ln_a), 0.0)
-    one_minus_a2 = np.exp(pchip(ln_r, np.log(table.grid.one_minus_r2), ln_a))
+    # phi and ln(1 - a^2) are PCHIPs in ln r read at ln a, fitted as one stack; 1 - a^2
+    # is formed from the interpolated log so that it keeps its digits as a -> 1
+    stack = np.stack([table.m_values, np.log(table.grid.one_minus_r2)])
+    phi, ln_one_minus_a2 = pchip(ln_r, stack, np.log(a))
+    phi = np.maximum(phi, 0.0)
+    one_minus_a2 = np.exp(ln_one_minus_a2)
     v_at_a = table.potential.at(a, one_minus_a2**n, n)
     hardy_weight = v_at_a * a**n / (t * (1.0 + phi) ** (1.0 / (n - 1)))
     psi = (a / t) ** (n - beta) / (1.0 + phi) ** (1.0 / (n - 1))

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Dict, NamedTuple, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -76,23 +76,6 @@ def make_constants(n: int) -> Constants:
     return Constants(n=n, omega=omega, alpha_n=alpha_n, hardy_const=hardy_const)
 
 
-class PchipSpacing(NamedTuple):
-    """Node spacing h and the Fritsch-Carlson weights w1 = 2h_k + h_(k-1), w2 = h_k + 2h_(k-1)."""
-
-    h: np.ndarray
-    w1: np.ndarray
-    w2: np.ndarray
-    w12: np.ndarray  # w1 + w2
-
-
-def pchip_spacing(x: np.ndarray, h: Optional[np.ndarray] = None) -> PchipSpacing:
-    """The PCHIP slope weights of strictly increasing breakpoints x, read-only; h is np.diff(x)."""
-    h = np.diff(x) if h is None else h
-    w1 = 2.0 * h[1:] + h[:-1]
-    w2 = h[1:] + 2.0 * h[:-1]
-    return PchipSpacing(*(_read_only(a) for a in (h, w1, w2, w1 + w2)))
-
-
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -110,9 +93,9 @@ class RadialGrid:
 
     Arrays that depend on the nodes only are computed once, on first use,
     and cached read-only: the steps ``dr`` and ``dxi`` of nodes and xi, the
-    trapezoid ``weights``, ``one_minus_r2``, the PCHIP ``spacing`` (whose h
-    is ``dr``), the powers ``nodes_pow(k)`` and ``one_minus_r2_pow(k)``, and
-    ``hyperbolic_density(n)``, the Poincare-ball volume per unit dr.  Each is the expression its callers used to
+    trapezoid ``weights``, ``one_minus_r2``, the powers ``nodes_pow(k)`` and
+    ``one_minus_r2_pow(k)``, and ``hyperbolic_density(n)``, the Poincare-ball
+    volume per unit dr.  Each is the expression its callers used to
     evaluate, so a cached array equals the recomputed one to the bit.
     """
 
@@ -147,10 +130,6 @@ class RadialGrid:
     @cached_property
     def weights(self) -> np.ndarray:
         return _read_only(trapezoid_weights(self.nodes))
-
-    @cached_property
-    def spacing(self) -> PchipSpacing:
-        return pchip_spacing(self.nodes, self.dr)
 
     @cached_property
     def _arrays(self) -> Dict[tuple, np.ndarray]:
@@ -394,10 +373,8 @@ class AndersonMixer:
     step; on rejecting one it takes ``plain`` and calls ``restart``, so the
     history starts again from the plain step.
 
-    The mixer copies f and plain, so the caller may reuse their buffers.
-    The step is written into one of two buffers the mixer owns, in turn: it
-    shares memory with neither argument nor the previous step, and the call
-    after next overwrites it.
+    The mixer copies f and plain, so the caller may reuse their buffers,
+    and each step is a new array.
     """
 
     def __init__(self, size: int):
@@ -406,8 +383,6 @@ class AndersonMixer:
         self._d_f = np.empty((ANDERSON_DEPTH, size))
         self._d_g = np.empty_like(self._d_f)
         self._gram = np.empty((ANDERSON_DEPTH, ANDERSON_DEPTH))  # d_f d_f^T, row by row
-        self._steps = np.empty((2, size))
-        self._turn = 0  # the buffer the last step went to
         self.restart()
 
     def restart(self) -> None:
@@ -429,10 +404,8 @@ class AndersonMixer:
                 coef = np.linalg.solve(self._gram[:rows, :rows], df @ defect)
             except np.linalg.LinAlgError:  # singular Gram system: no mixed step
                 coef = np.full(rows, np.nan)
-            self._turn ^= 1
             with np.errstate(invalid="ignore", over="ignore"):
-                step = np.matmul(coef, self._d_g[:rows], out=self._steps[self._turn])
-                np.subtract(plain, step, out=step)
+                step = plain - coef @ self._d_g[:rows]
             row = self._kept % ANDERSON_DEPTH
         self._d_f[row] = defect
         self._d_g[row] = plain

@@ -33,7 +33,7 @@ from hmtlab.functionals import (
     potential_term,
     singular_mt_with_gradient,
 )
-from hmtlab.quad_core import integrate, make_constants, pchip_spacing
+from hmtlab.quad_core import integrate, make_constants
 
 
 @pytest.fixture(scope="module")
@@ -151,7 +151,7 @@ class TestSplineSlopes:
         ref = PchipInterpolator(g.nodes, values)
         d_ref = ref.derivative()(g.nodes)
         assert np.array_equal(u.slopes[:-1], d_ref[:-1])
-        terms = max(abs(u.slopes[-2]), abs(values[-1] - values[-2]) / g.spacing.h[-1],
+        terms = max(abs(u.slopes[-2]), abs(values[-1] - values[-2]) / g.dr[-1],
                     abs(u.slopes[-1]))
         assert abs(u.slopes[-1] - d_ref[-1]) <= 4.0 * np.spacing(16.0 * terms)
         r = np.concatenate([g.nodes, rng.uniform(g.nodes[0], g.nodes[-1], 200)])
@@ -181,7 +181,7 @@ class TestSplineSlopes:
 def _secant_rounding(u: RadialProfile) -> np.ndarray:
     """Per node, the larger bound eps (|y_k| + |y_k+1|) / h_k on an adjacent secant's rounding."""
     y = np.abs(u.values)
-    noise = np.finfo(float).eps * (y[:-1] + y[1:]) / u.grid.spacing.h
+    noise = np.finfo(float).eps * (y[:-1] + y[1:]) / u.grid.dr
     out = np.maximum(np.append(noise, 0.0), np.insert(noise, 0, 0.0))
     out[0], out[-1] = noise[:2].max(), noise[-2:].max()  # the end slopes use two secants
     return out
@@ -260,11 +260,33 @@ class TestHermiteEvaluator:
 
         ref = PchipInterpolator(x, y)
         assert pchip(x, y, q).tobytes() == ref(q).tobytes()
-        d = pchip_slopes(y, pchip_spacing(x))
+        d = pchip_slopes(x, y)
         assert np.array_equal(d[:-1], ref.derivative()(x[:-1]))
 
         spline = CubicHermiteSpline(x, y, d)
-        assert hermite_eval(x, np.diff(x), y, d, q).tobytes() == spline(q).tobytes()
+        assert hermite_eval(x, y, d, q).tobytes() == spline(q).tobytes()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(rows=st.integers(1, 4), size=st.integers(3, 64), flat_run=st.integers(0, 5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_stack_fits_each_row_alone(self, rows, size, flat_run, seed):
+        # make_maps fits phi and ln(1 - a^2) as one (2, N) stack; each row must come
+        # out as its own fit would, including flat runs and secants that change sign
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-2.0, 2.0) + np.cumsum(rng.uniform(1e-3, 1.0, size))
+        stack = rng.standard_normal((rows, size))
+        stack[0] = np.abs(stack[0])  # sign changes of the secants, none of the values
+        if flat_run:
+            start = int(rng.integers(0, size - 1))
+            stack[:, start:start + flat_run + 1] = stack[:, start:start + 1]
+        q = np.concatenate([x, x[:-1] + rng.uniform(0.0, 1.0, size - 1) * np.diff(x),
+                            [x[0] - 0.5, x[-1] + 0.5]])
+        fitted = pchip(x, stack, q)
+        assert fitted.shape == (rows, q.size)
+        for row, values in zip(fitted, stack):
+            assert row.tobytes() == pchip(x, values, q).tobytes()
+        slopes = np.stack([pchip_slopes(x, values) for values in stack])
+        assert pchip_slopes(x, stack).tobytes() == slopes.tobytes()
 
 
 class TestQV:

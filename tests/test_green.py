@@ -179,7 +179,7 @@ class TestStepFunctions:
         density = c.omega * v_vals * g_values ** (n - 1) * grid.nodes ** (n - 1)
         m = np.concatenate([[0.0], np.cumsum(0.5 * (density[1:] + density[:-1])
                                              * np.diff(grid.nodes))])
-        g, h = hl.green._assemble(x, log_part, grid, c.gamma)
+        g, h = hl.green._assemble(x, grid, c.gamma)
         assert g.tobytes() == g_values.tobytes() and h.tobytes() == h_rem.tobytes()
         mass = hl.green._mass(g, v_vals, grid, n)
         assert mass.tobytes() == m.tobytes()
@@ -187,7 +187,7 @@ class TestStepFunctions:
         assert flux.tobytes() == np.expm1(np.log1p(m) / (n - 1)).tobytes()
 
 
-class TestAndersonMixing:
+class TestInwardIteration:
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("potential", ["hardy", "hardy+lambda=1.0"])
     def test_iteration_count(self, green_tables, n, potential):
@@ -199,7 +199,7 @@ class TestAndersonMixing:
         # At n = 2 the flux excess is the mass itself, so one step x -> A x + b of
         # the discrete flux map is affine.  A is built column by column from unit
         # excesses and the fixed point solves (I - A) x = b directly.  hardy+lambda=2
-        # has spectral radius about 0.965, beyond what 500 plain steps resolve.
+        # is the case nearest its threshold: A's spectral radius is about 0.965.
         grid = grids(1024, 1e-6)
         pot = Potential.parse(potential)
         c = make_constants(2)
@@ -226,8 +226,9 @@ class TestAndersonMixing:
         assert np.max(np.abs(table.g_values - assemble(x[:, None])[:, 0])) <= 1e-8
 
     def test_memory_peak_stays_below_the_allocating_solve(self):
-        # 4648992 bytes: the tracemalloc peak of this call when each step allocated its
-        # arrays and the mixer recomputed dF dF^T (Type-I form); numpy 2.4, CPython 3.11
+        # 4648992 bytes: the tracemalloc peak of this call in an older solve that allocated
+        # every step's arrays afresh; the inward iteration peaks near 2.57 MB (19 steps,
+        # a few node arrays live at a time); numpy 2.4, CPython 3.11
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]

@@ -227,16 +227,10 @@ class TestGridWeights:
 
     def test_cached_arrays_read_only_and_recomputed(self, grid):
         one_minus_r2 = grid.s * (2.0 - grid.s)
-        h = np.diff(grid.nodes)
-        w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
         cached = {
             "one_minus_r2": (lambda: grid.one_minus_r2, one_minus_r2),
-            "h": (lambda: grid.spacing.h, h),
-            "dr": (lambda: grid.dr, h),
+            "dr": (lambda: grid.dr, np.diff(grid.nodes)),
             "dxi": (lambda: grid.dxi, np.diff(grid.xi)),
-            "w1": (lambda: grid.spacing.w1, w1),
-            "w2": (lambda: grid.spacing.w2, w2),
-            "w12": (lambda: grid.spacing.w12, w1 + w2),
         }
         for k in (1, 2, 3, 1.5, 0.5):
             cached[f"r^{k}"] = (lambda k=k: grid.nodes_pow(k), grid.nodes**k)
@@ -403,7 +397,7 @@ class TestAndersonMixer:
         for k in range(steps):
             defect = b + a @ np.tanh(x) - x
             plain = x + defect
-            history.append((x.copy(), defect))  # a step of the mixer is rewritten two calls on
+            history.append((x, defect))
             mixed = mixer.mix(defect, plain)
             held = (x, defect, plain)  # x is the last step, or a plain step
             shares = mixed is not None and any(np.shares_memory(mixed, h) for h in held)
