@@ -148,7 +148,8 @@ FLAGS: Dict[str, Flag] = {
                       "zero | hardy | hardy+lambda=<x> | const=<x>"),
     "grid_points": Flag(int, 2048, _ALL),
     "epsilon": Flag(float, 1e-6, _ALL),
-    "tol": Flag(float, 1e-8, ("green", "verify")),
+    "tol": Flag(float, 1e-8, ("green", "verify"),
+                "bound on the Green table's flux residual (10 tol) and its reload check"),
     "seed": Flag(int, 1234, ("verify", "rearrange-demo")),
     "out": Flag(str, None, _ALL),
     "format": Flag(str, "json", ("sweep", "search", "rearrange-demo"), "json | csv"),

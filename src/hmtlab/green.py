@@ -8,11 +8,11 @@ solution G with pole at the origin,
 
 with G = 0 at the truncated boundary 1-eps.  The discrete identity is
 homogeneous in G and the flux 1 + m, so the solver fixes the flux at the
-boundary instead of at the pole, where the problem is causal: plain
-Picard steps, each two cumulative sums inward from the boundary, converge
-without mixing, and one rescale restores the pole normalization.  A flux
-that vanishes before the pole shows that no positive Green function
-exists.  The pole decomposition
+boundary instead of at the pole, where the problem is causal: it marches
+inward window by window, plain Picard steps of two cumulative sums over a
+window's nodes from the G and flux of its outer node, and one rescale
+restores the pole normalization.  A flux that vanishes before the pole
+shows that no positive Green function exists.  The pole decomposition
 
     G(r) = -gamma ln r + C_G + H(r),   gamma = omega^(-1/(n-1)),
 
@@ -55,6 +55,10 @@ __all__ = [
     "make_maps",
     "solve_green",
 ]
+
+# solve_green's windows; 1, 2 or 4 fail 2-5 tol-1e-10 solves at eps = 1e-12, N <= 2048, that 8 pass
+MARCH_WINDOWS = 8
+MARCH_WINDOW_NODES = 4096
 
 @dataclass(frozen=True)
 class GreenTable:
@@ -229,11 +233,13 @@ def _mass_overflow(grid: RadialGrid) -> PotentialInstabilityError:
         f"potential mass overflows float64 on this grid ({grid.n_points} nodes)")
 
 
-def _sum_from_boundary(incr: np.ndarray) -> np.ndarray:
-    """Node array whose entry j is sum_{k>=j} incr[k], accumulated from the boundary; 0 at it."""
-    tail = np.zeros(incr.size + 1)
-    np.cumsum(incr[::-1], out=tail[-2::-1])
-    return tail
+def _sum_from_boundary(incr: np.ndarray, start: float = 0.0,
+                       out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Node array (``out`` if given) whose entry j is start + sum_{k>=j} incr[k], from the end."""
+    out = np.empty(incr.size + 1) if out is None else out
+    out[:-1], out[-1] = incr, start
+    np.add.accumulate(out[::-1], out=out[::-1])
+    return out
 
 
 def _assemble(excess: np.ndarray, grid: RadialGrid, gamma: float) -> Tuple[np.ndarray, np.ndarray]:
@@ -271,30 +277,34 @@ def solve_green(
     The discrete equations are homogeneous in (G, Phi), Phi = 1 + m the
     flux to the power n - 1: G -> kG takes Phi to k^(n-1) Phi.  So the
     solve fixes Phi = 1 at the boundary node instead of at the pole, where
-    the problem is causal (Volterra): each Picard step sums, from the
-    boundary in,
+    the problem is causal (Volterra), and marches inward through
+    max(MARCH_WINDOWS, ceil((N - 1) / MARCH_WINDOW_NODES)) windows of equal
+    node count (Linz, Analytical and Numerical Methods for Volterra
+    Equations, 1985).  On the window [lo, hi] each Picard step sums
 
-        G_j   = sum_{k>=j} gamma/2 (Phi_k^(1/(n-1)) + Phi_{k+1}^(1/(n-1))) dxi_k,
-        Phi_j = 1 - sum_{k>=j} 1/2 (d_k + d_{k+1}) dr_k,   d = omega V r^(n-1) G^(n-1),
+        G_j   = G_hi + sum_{j<=k<hi} gamma/2 (Phi_k^(1/(n-1)) + Phi_{k+1}^(1/(n-1))) dxi_k,
+        Phi_j = Phi_hi - sum_{j<=k<hi} 1/2 (d_k + d_{k+1}) dr_k,   d = omega V r^(n-1) G^(n-1),
 
-    from Phi = 1, with Phi clamped at 0 before the root.  It needs no
-    mixing.  The steps stop when max |dPhi| <= tol |Phi_0|; G is then
-    rescaled by Phi_0^(-1/(n-1)), which puts the flux 1 at the pole, and
-    the table is assembled from it.  ``iterations`` counts the steps.
+    from the boundary in, starting at Phi = Phi_hi and clamping Phi at 0
+    before the root; no mixing.  A window stops at max |dPhi| <= 64 ulp of
+    Phi_hi, its rounding level, or raises ConvergenceError naming its
+    nodes after max_iter steps; ``iterations`` is the most steps any window
+    took.  G is then rescaled by Phi_0^(-1/(n-1)), which puts the flux 1 at
+    the pole, and the table is assembled from it.  tol bounds only that
+    table: a residual above 10 tol is a ConvergenceError, which happens
+    where the flux excess is so large that tol lies below its rounding.
 
-    Raises ConvergenceError if tol is not reached within max_iter, or if
-    the assembled table's residual exceeds 10 tol, which happens where the
-    flux excess is so large that tol lies below its rounding.  Raises
-    PotentialInstabilityError when Phi_0 <= 0: the flux vanishes before
-    the pole, so no positive Green function exists (half-linear Sturm
-    comparison; Dosly & Rehak, Half-linear Differential Equations, 2005)
-    and the potential has no spectral gap on this grid; or when the
-    potential mass overflows float64.  A grid too coarse for the
-    potential's boundary layer ends in either, so all messages name it.
+    Raises PotentialInstabilityError when Phi <= 0 at a window's inner
+    node, naming the outermost such node: no positive Green function
+    exists (half-linear Sturm comparison; Dosly & Rehak, Half-linear
+    Differential Equations, 2005), so the potential has no spectral gap on
+    this grid; or when the potential mass overflows float64.  A grid too
+    coarse for the potential's boundary layer ends in either, so all
+    messages name it.
     """
     if tol <= 0.0:
         raise ConvergenceError("tolerance must be positive", residual=None, iterations=0)
-    g_values, iterations = _inward_picard(n, potential.values(grid, n), grid, tol, max_iter)
+    g_values, iterations = _inward_march(n, potential.values(grid, n), grid, max_iter)
     table = _table_from_g(grid, n, potential, g_values, iterations, tol)
     if not table.residual <= 10.0 * tol:
         raise ConvergenceError(
@@ -308,48 +318,57 @@ def solve_green(
     return table
 
 
-def _inward_picard(n: int, v_vals: np.ndarray, grid: RadialGrid, tol: float,
-                   max_iter: int) -> Tuple[np.ndarray, int]:
-    """``solve_green``'s iteration: G normalized to flux 1 at the pole, and the step count."""
+def _inward_march(n: int, v_vals: np.ndarray, grid: RadialGrid,
+                  max_iter: int) -> Tuple[np.ndarray, int]:
+    """``solve_green``'s march: G normalized to flux 1 at the pole, and a window's most steps."""
     c = make_constants(n)
+    half_dxi = 0.5 * c.gamma * grid.dxi
+    neg_half_dr = -0.5 * grid.dr
+    # the root Phi^(1/(n-1)): sqrt and cbrt instead of x ** (1/k), which calls libm pow
+    root = {3: np.sqrt, 4: np.cbrt}.get(n, lambda p, out: np.power(p, 1.0 / (n - 1), out=out))
+    size = grid.n_points
+    windows = max(MARCH_WINDOWS, -(-(size - 1) // MARCH_WINDOW_NODES))
+    edges = np.linspace(0, size - 1, windows + 1, dtype=int).tolist()
+    g_values, g_hi, phi_hi, iterations = np.empty(size), 0.0, 1.0, 0
     with np.errstate(over="ignore", invalid="ignore"):
         weight = c.omega * v_vals * grid.nodes_pow(n - 1)
-    if not np.all(np.isfinite(weight)):
-        raise _mass_overflow(grid)
-    half_dxi = 0.5 * c.gamma * grid.dxi
-    half_dr = 0.5 * grid.dr
-    phi = np.ones_like(weight)
-    change = math.inf
-    for iterations in range(1, max_iter + 1):
-        root = np.maximum(phi, 0.0)
-        if n > 2:
-            root **= 1.0 / (n - 1)
-        g_values = _sum_from_boundary((root[1:] + root[:-1]) * half_dxi)
-        with np.errstate(over="ignore", invalid="ignore"):
-            density = weight * int_pow(g_values, n - 1)
-            new = 1.0 - _sum_from_boundary((density[1:] + density[:-1]) * half_dr)
-        if not math.isfinite(new[0]):  # the running sum overflowed; it stays so to the pole
+        if not np.all(np.isfinite(weight)):
             raise _mass_overflow(grid)
-        change = float(np.max(np.abs(new - phi)))
-        phi = new
-        if change <= tol * abs(phi[0]):
-            break
-    else:
-        raise ConvergenceError(
-            f"no convergence in {max_iter} iterations (flux change {change:.3e} > "
-            f"tol |Phi_0| = {tol * abs(phi[0]):.3e}); the grid ({grid.n_points} nodes) "
-            "may be too coarse, or the potential too close to its spectral threshold",
-            residual=change,
-            iterations=max_iter,
-        )
-    if phi[0] <= 0.0:
-        j = int(np.flatnonzero(phi <= 0.0)[-1])
-        raise PotentialInstabilityError(
-            f"flux vanishes at r = {grid.nodes[j]:.4g} (node {j}) after {iterations} "
-            "iterations: no positive Green function, so the potential has no spectral gap "
-            f"on this domain, or the grid ({grid.n_points} nodes) is too coarse to resolve it"
-        )
-    return g_values * phi[0] ** (-1.0 / (n - 1)), iterations
+        for lo, hi in zip(edges[-2::-1], edges[:0:-1]):
+            w_w, dxi_w, dr_w = weight[lo:hi + 1], half_dxi[lo:hi], neg_half_dr[lo:hi]
+            g_w, (phi_w, root_w, new) = g_values[lo:hi + 1], np.full((3, hi + 1 - lo), phi_hi)
+            rounding, change = 64.0 * np.finfo(float).eps * abs(phi_hi), math.inf
+            for steps in range(1, max_iter + 1):
+                np.maximum(phi_w, 0.0, out=root_w)
+                if n > 2:
+                    root(root_w, out=root_w)
+                _sum_from_boundary((root_w[1:] + root_w[:-1]) * dxi_w, g_hi, out=g_w)
+                d_w = w_w * int_pow(g_w, n - 1)
+                _sum_from_boundary((d_w[1:] + d_w[:-1]) * dr_w, phi_hi, out=new)
+                if not math.isfinite(new[0]):  # the running sum overflowed; so it stays inward
+                    raise _mass_overflow(grid)
+                change = float(np.abs(np.subtract(new, phi_w, out=root_w), out=root_w).max())
+                phi_w, new = new, phi_w
+                if change <= rounding:
+                    break
+            else:
+                raise ConvergenceError(
+                    f"no convergence on nodes {lo}-{hi} in {max_iter} iterations (flux change "
+                    f"{change:.3e} > {rounding:.3e}); the grid ({size} nodes) may be too coarse, "
+                    "or the potential too close to its spectral threshold",
+                    residual=change,
+                    iterations=max_iter,
+                )
+            if phi_w[0] <= 0.0:
+                j = lo + int(np.flatnonzero(phi_w <= 0.0)[-1])
+                raise PotentialInstabilityError(
+                    f"flux vanishes at r = {grid.nodes[j]:.4g} (node {j}) after {steps} "
+                    "iterations: no positive Green function, so the potential has no spectral "
+                    f"gap on this domain, or the grid ({size} nodes) is too coarse to resolve it"
+                )
+            g_hi, phi_hi, iterations = g_w[0], phi_w[0], max(iterations, steps)
+    g_values *= phi_hi ** (-1.0 / (n - 1))
+    return g_values, iterations
 
 
 def _fit_c_g(grid: RadialGrid, g_values: np.ndarray, gamma: float, n: int) -> float:

@@ -431,10 +431,11 @@ class TestGreenCommand:
 
     @pytest.mark.parametrize("argv, start", [
         (["--n", "3", "--potential", "const=20"], "hmtlab: flux vanishes at r = "),
-        (["--epsilon", "1e-12", "--grid-points", "16384", "--tol", "1e-10"],
+        (["--epsilon", "1e-12", "--grid-points", "16384", "--tol", "1e-12"],
          "hmtlab: flux residual ")])
     def test_failed_solve_is_one_line(self, tmp_path, capsys, argv, start):
         # no positive Green function, and a tol below the flux's rounding at eps = 1e-12
+        # (the residual is 1.3e-10 there, so tol 1e-10 passes and 1e-12 cannot)
         out = tmp_path / "g.json"
         assert run_cli(["green", *argv, "--out", str(out)]) == 2
         err = capsys.readouterr().err

@@ -125,18 +125,18 @@ class TestSolverErrors:
 
     def test_instability_named_in_one_pass(self, grids):
         # above the spectral threshold the flux reaches 0 at r = 0.141 (node 498) within
-        # 10 inward steps
+        # 6 inward steps of its window
         with pytest.raises(PotentialInstabilityError,
                            match=r"flux vanishes at r = 0\.1411 \(node 498\).*grid \(2048 nodes\)"):
             solve_green(3, Potential.constant(20.0), grids(2048, 1e-6), max_iter=40)
 
     def test_residual_beyond_its_bound_is_a_convergence_failure(self, grids):
         # the flux excess reaches 7.6e4 at eps = 1e-12, so the assembled table's absolute
-        # residual (4.1e-9) cannot meet tol 1e-10; the solve says so instead of returning
-        # a table that its own validate rejects
+        # residual (1.3e-10, the flux's rounding there) cannot meet tol 1e-12; the solve
+        # says so instead of returning a table that its own validate rejects
         with pytest.raises(ConvergenceError, match="grid \\(16384 nodes\\)") as err:
-            solve_green(2, Potential.hardy_critical(), grids(16384, 1e-12), tol=1e-10)
-        assert err.value.residual > 1e-9 and err.value.iterations <= 40
+            solve_green(2, Potential.hardy_critical(), grids(16384, 1e-12), tol=1e-12)
+        assert err.value.residual > 1e-11 and err.value.iterations <= 40
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     # at n = 100 the boundary weight (1 - r^2)^n underflows to 0, so V is inf there
@@ -191,7 +191,7 @@ class TestInwardIteration:
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("potential", ["hardy", "hardy+lambda=1.0"])
     def test_iteration_count(self, green_tables, n, potential):
-        # the inward iteration takes 17-20 steps on these cases
+        # the slowest window of the inward march takes 14-15 steps on these cases
         assert green_tables(n, potential, 2048, 1e-6, 1e-10).iterations <= 40
 
     @pytest.mark.parametrize("potential", ["hardy", "hardy+lambda=1.0", "hardy+lambda=2"])
@@ -225,10 +225,33 @@ class TestInwardIteration:
         table = solve_green(2, pot, grid, tol=1e-10)
         assert np.max(np.abs(table.g_values - assemble(x[:, None])[:, 0])) <= 1e-8
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("potential", ["hardy", "hardy+lambda=1.0"])
+    def test_windows_stitch_to_the_single_window_solve(self, grids, monkeypatch, n, potential):
+        # 8 windows of 256 nodes against one window of all 2048: each window starts from the
+        # G and flux at its outer node, so both converge to the same discrete solution
+        # (5.8e-14 relative in G, 2.1e-13 in c_g at most)
+        grid, pot = grids(2048, 1e-6), Potential.parse(potential)
+        marched = solve_green(n, pot, grid, tol=1e-10)
+        monkeypatch.setattr(hl.green, "MARCH_WINDOWS", 1)
+        monkeypatch.setattr(hl.green, "MARCH_WINDOW_NODES", grid.n_points)
+        single = solve_green(n, pot, grid, tol=1e-10)
+        assert single.iterations > marched.iterations
+        g, ref = marched.g_values[:-1], single.g_values[:-1]  # both are 0 at the boundary
+        assert np.max(np.abs(g - ref) / ref) <= 1e-12
+        assert abs(marched.c_g - single.c_g) <= 1e-12 * abs(single.c_g)
+
+    def test_near_threshold_potential_on_a_fine_grid(self):
+        # hardy+lambda=2.36 sits just below the n = 2 spectral threshold; a Picard iteration
+        # over all 100k nodes left a residual of 6.1e-9 here, each window reaches 3.1e-10
+        table = solve_green(2, Potential.parse("hardy+lambda=2.36"), make_grid(100000, 1e-6),
+                            tol=1e-10)
+        table.validate()
+
     def test_memory_peak_stays_below_the_allocating_solve(self):
-        # 4648992 bytes: the tracemalloc peak of this call in an older solve that allocated
-        # every step's arrays afresh; the inward iteration peaks near 2.57 MB (19 steps,
-        # a few node arrays live at a time); numpy 2.4, CPython 3.11
+        # the tracemalloc peak of this call is 2728188 bytes under the windowed march (G and
+        # a few arrays of one window live at a time), so the bound leaves 15%; numpy 2.4,
+        # CPython 3.11
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -237,7 +260,7 @@ class TestInwardIteration:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 4648992
+        assert peak <= 3137416
 
 
 class TestContinuation:
@@ -250,9 +273,12 @@ class TestContinuation:
 class TestSmallTruncation:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     @pytest.mark.parametrize("n_points", [2048, 16384, 65536])
-    def test_converges_at_eps_1e12(self, grids, n, n_points):
-        # 26-34 inward steps: G summed from the boundary keeps its digits where it is tiny
-        table = solve_green(n, Potential.hardy_critical(), grids(n_points, 1e-12), tol=1e-8)
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10])
+    def test_converges_at_eps_1e12(self, grids, n, n_points, tol):
+        # 16-26 steps in the slowest window: G summed from the boundary keeps its digits
+        # where it is tiny, and each window converges to the rounding of its own flux; at
+        # tol 1e-10 the residuals reach 2.0 tol at n = 2
+        table = solve_green(n, Potential.hardy_critical(), grids(n_points, 1e-12), tol=tol)
         table.validate()
         assert table.iterations <= 40
 
