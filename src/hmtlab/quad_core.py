@@ -234,11 +234,12 @@ def integrate(samples: np.ndarray, grid: RadialGrid):
     NumericError, also under ``-W error::RuntimeWarning``.
 
     ``samples`` is one row of node values, whose sum comes back as a float,
-    or a (k, N) stack of rows, whose k sums come back as an array.  Each row
-    is summed by its own ``np.dot(row, weights)`` on contiguous memory, so a
-    row's sum does not depend on the stack it sits in: BLAS gemv
-    (``stack @ weights``) rounds a row differently by its position in the
-    stack, and a strided row is summed in another order.
+    or a (k, N) stack of rows, whose k sums come back as an array.  A stack
+    is summed by one ``np.vecdot(stack, weights)`` on contiguous memory,
+    which takes each row's dot product on its own, so a row's sum is its
+    ``np.dot(row, weights)`` to the bit, whatever stack it sits in: BLAS
+    gemv (``stack @ weights``) rounds a row differently by its position in
+    the stack, and a strided row is summed in another order.
     """
     samples = np.ascontiguousarray(samples, dtype=float)
     if samples.shape[-1:] != grid.nodes.shape or samples.ndim > 2:
@@ -251,7 +252,7 @@ def integrate(samples: np.ndarray, grid: RadialGrid):
             total = float(np.dot(samples, w))
             finite = math.isfinite(total)
         else:
-            total = np.array([np.dot(row, w) for row in samples])
+            total = np.vecdot(samples, w)
             finite = bool(np.isfinite(total).all())
     except RuntimeWarning:  # the dot warns on inf - inf and on overflow
         finite = False
@@ -261,33 +262,20 @@ def integrate(samples: np.ndarray, grid: RadialGrid):
 
 
 def int_pow(x: np.ndarray, k: int) -> np.ndarray:
-    """x**k for an integer k >= 1 by binary exponentiation, without libm pow.
+    """x**k for an integer k >= 1 by square-and-multiply, without libm pow.
 
     k = 1 returns x itself and k = 2 is x * x, which is numpy's ``x**2`` to
     the bit; a larger k takes one rounding per multiplication, so it lies
-    within k - 1 ulp of ``x**k``.  Any larger k gives a new array, whose
-    products are formed in place in at most two buffers made here.
+    within k - 1 ulp of ``x**k``.  Any k >= 2 gives a new array.
     """
     out = None
-    out_made = x_made = False  # whether out, x are arrays made here that nothing else holds
     while True:
         if k & 1:
-            if out is None:
-                out, out_made, x_made = x, x_made, False  # one buffer, now out's
-            elif out_made:
-                out *= x
-            elif x_made and k == 1:  # x, the last power, is not needed again
-                x *= out
-                out, out_made = x, True
-            else:
-                out, out_made = out * x, True
+            out = x if out is None else out * x
         k >>= 1
         if not k:
             return out
-        if x_made:
-            x *= x
-        else:
-            x, x_made = x * x, True
+        x = x * x
 
 
 def cumulative_from_origin(samples: np.ndarray, grid: RadialGrid) -> np.ndarray:

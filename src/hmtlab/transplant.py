@@ -15,8 +15,9 @@ step for all rows in one set of array operations and sum each row on its
 own (``quad_core.integrate``), so a report does not depend on the rows
 certified with it.  A stack gives one report per row; one profile is the
 one-row case, and ``verify_grad_identity`` and ``verify_hardy_identity``
-read its report.  On the image grid v's node values are u's, so u^n and
-the MT exponent are formed once and serve both sides.
+read its report.  Each side forms its own powers and MT exponent: on the
+image grid v's node values are u's, but finding that out costs as much as
+forming them again.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .errors import PreconditionError
 from .functionals import (
     RadialProfile,
     grad_energy,
-    mt_exponent,
     mt_integrand,
     nonincreasing_majorant,
     potential_term,
@@ -89,8 +89,8 @@ def pushforward(u: RadialProfile, maps: TransplantMaps) -> RadialProfile:
     return RadialProfile(maps.t_grid, vals, enforce_zero_boundary=True)
 
 
-def _t_integrals(v: RadialProfile, v_pow: np.ndarray, maps: TransplantMaps):
-    """The chain's t-side integrals (grad_v, grad_phi, hardy_t) of v, with v_pow = v^n, each omega times
+def _t_integrals(v: RadialProfile, maps: TransplantMaps):
+    """The chain's t-side integrals (grad_v, grad_phi, hardy_t) of v, each omega times
 
         int |v'|^n t^(n-1) dt,  int |v'|^n t^(n-1) phi dt,  int v^n phi' (-ln t)^(1-n) dt.
     """
@@ -101,13 +101,8 @@ def _t_integrals(v: RadialProfile, v_pow: np.ndarray, maps: TransplantMaps):
     grad_v = c.omega * integrate(vp_pow, maps.t_grid)
     vp_pow *= maps.phi
     grad_phi = c.omega * integrate(vp_pow, maps.t_grid)
-    hardy_t = c.omega * integrate(v_pow * maps.hardy_weight, maps.t_grid)
+    hardy_t = c.omega * integrate(int_pow(v.values, n) * maps.hardy_weight, maps.t_grid)
     return grad_v, grad_phi, hardy_t
-
-
-def _same_nodes(u: RadialProfile, v: RadialProfile) -> bool:
-    """Whether v holds u's node values, as the pushforward to the image grid does."""
-    return u.values.shape == v.values.shape and np.array_equal(u.values, v.values)
 
 
 def verify_grad_identity(u: RadialProfile, v: RadialProfile, maps: TransplantMaps) -> float:
@@ -130,10 +125,8 @@ def check_mt_comparison(u: RadialProfile, v: RadialProfile, maps: TransplantMaps
     """
     n, beta = maps.n, maps.beta
     c = make_constants(n)
-    x = mt_exponent(u.values, n, beta)
-    mt_u = singular_mt(u, n, beta, exponent=x)
-    vals_v, clamped_v = mt_integrand(v.values, v.grid, n, beta,
-                                     exponent=x if _same_nodes(u, v) else None)
+    mt_u = singular_mt(u, n, beta)
+    vals_v, clamped_v = mt_integrand(v.values, v.grid, n, beta)
     mt_v = c.omega * integrate(vals_v, maps.t_grid)
     margin = np.exp((1.0 - beta / n) * c.alpha_n * maps.c_g) * mt_v - mt_u.value
     vals_v *= maps.psi
@@ -154,11 +147,9 @@ def transplant_report(u: RadialProfile, maps: TransplantMaps):
 def _chain(u: RadialProfile, v: RadialProfile, maps: TransplantMaps):
     """transplant_report of u, given its pushforward v."""
     n = maps.n
-    u_pow = int_pow(u.values, n)
-    grad_v, grad_phi, hardy_t = _t_integrals(
-        v, u_pow if _same_nodes(u, v) else int_pow(v.values, n), maps)
+    hardy_u = potential_term(u, maps.potential, n)
     grad_u = grad_energy(u, n)
-    hardy_u = potential_term(u, maps.potential, n, u_pow)
+    grad_v, grad_phi, hardy_t = _t_integrals(v, maps)
     mt = check_mt_comparison(u, v, maps)
     columns = {
         "grad_u": grad_u,

@@ -1,4 +1,5 @@
 import math
+import warnings
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -289,6 +290,41 @@ class TestGridWeights:
         assert integrate(f, grid) == float(np.dot(f, trapezoid_weights(grid.nodes)))
 
 
+class TestIntegrateStack:
+    """A (k, N) stack sums each row to its own np.dot, so a report does not depend on its block."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(k=st.integers(2, 20), n_points=st.integers(16, 4096),
+           layout=st.sampled_from(["C", "F", "strided"]), seed=st.integers(0, 2**32 - 1))
+    def test_rows_sum_to_their_own_dot(self, k, n_points, layout, seed):
+        rng = np.random.default_rng(seed)
+        grid = make_grid(n_points, 1e-4)
+        stack = rng.uniform(-1.0, 1.0, (k, n_points)) * 10.0 ** rng.uniform(-150.0, 150.0,
+                                                                            (k, n_points))
+        ref = np.array([np.dot(row, grid.weights) for row in stack])
+        if layout == "F":
+            stack = np.asfortranarray(stack)
+        elif layout == "strided":
+            wide = np.empty((k, 2 * n_points))
+            wide[:, ::2] = stack
+            stack = wide[:, ::2]
+        assert integrate(stack, grid).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("filter_", ["default", "error"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "pair"])
+    def test_a_non_finite_row_raises(self, bad, filter_):
+        grid = make_grid(512, 1e-4)
+        stack = np.ones((5, grid.n_points))
+        if bad == "pair":
+            stack[2, 3], stack[2, -4] = np.inf, -np.inf
+        else:
+            stack[2, grid.n_points // 2] = float(bad)
+        with warnings.catch_warnings(record=True):  # recorded, not shown, under "default"
+            warnings.simplefilter(filter_)
+            with pytest.raises(NumericError):
+                integrate(stack, grid)
+
+
 class TestIntPow:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(k=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
@@ -305,6 +341,29 @@ class TestIntPow:
         normal = np.isfinite(ref) & (np.abs(ref) >= np.finfo(float).tiny)
         err = np.abs(got[normal] - ref[normal])
         assert np.all(err <= (k - 1) * np.spacing(np.abs(ref[normal])))
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_is_square_and_multiply_to_the_bit(self, k):
+        # x^(2^j) by repeated squaring, then the factors of k's set bits multiplied from the lowest
+        rng = np.random.default_rng(k)
+        x = rng.uniform(-3.0, 3.0, 2000) * 10.0 ** rng.uniform(-35.0, 35.0, 2000)
+        x[:3] = (0.0, 1.0, -1.0)
+        squares = [x]
+        while 2 ** len(squares) <= k:
+            squares.append(squares[-1] * squares[-1])
+        factors = [sq for j, sq in enumerate(squares) if k >> j & 1]
+        ref = factors[0]
+        for f in factors[1:]:
+            ref = ref * f
+        assert int_pow(x, k).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_result_is_not_x(self, k):
+        x = np.linspace(-2.0, 2.0, 64)
+        kept = x.copy()
+        out = int_pow(x, k)
+        out[:] = 7.0
+        assert x.tobytes() == kept.tobytes()
 
 
 class TestTruncatedExp:
