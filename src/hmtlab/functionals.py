@@ -18,9 +18,10 @@ evaluation, ``scaled`` and the functionals of the certification chain
 (``grad_energy``, ``hardy_term``, ``h_functional``, ``potential_term``,
 ``mt_integrand`` and ``singular_mt``) work row by row on a stack, with the
 arithmetic of one row, and return one value per row.  Each functional
-forms the powers it needs itself, and ``quad_core.integrate`` sums each
-row as its own ``np.dot`` would, so a row's results do not depend on the
-stack it was computed in.
+forms the powers it needs itself, bar an MT exponent handed to
+``mt_integrand``, and ``quad_core.integrate`` sums each row as its own
+``np.dot`` would, so a row's results do not depend on the stack it was
+computed in.
 
 Admissible profiles are stored with u = 0 at the last node, enforced by
 subtracting the boundary value; constant shifts leave the gradient energy
@@ -43,7 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, NamedTuple, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -392,35 +393,41 @@ def mt_exponent(values: np.ndarray, n: int, beta: float, scale: float = 1.0) -> 
     return np.multiply(u_pow, scale * (1.0 - beta / n) * make_constants(n).alpha_n, out=u_pow)
 
 
-def mt_integrand(values: np.ndarray, grid: RadialGrid, n: int, beta: float, scale: float = 1.0
-                 ) -> Tuple[np.ndarray, np.ndarray]:
+def mt_integrand(values: np.ndarray, grid: RadialGrid, n: int, beta: float, scale: float = 1.0,
+                 exponent: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
     """singular_mt's node integrand exp(exponent) r^(n-beta-1), and the mask of clamped nodes.
 
     Formed in log space from ``mt_exponent(values, n, beta, scale)`` and the
     row (n - beta - 1) ln r cached on the grid, with the logarithm clamped
-    at EXP_CLAMP.
+    at EXP_CLAMP.  A given ``exponent`` is that exponent formed already; it
+    is read, not overwritten, so one libm pow serves two grids.
     """
     row = grid._cached(("xi", n - beta - 1.0), lambda: (n - beta - 1.0) * grid.xi)
-    x = mt_exponent(values, n, beta, scale)
-    x += row
+    if exponent is None:
+        x = mt_exponent(values, n, beta, scale)
+        x += row
+    else:
+        x = exponent + row
     clamped = x > EXP_CLAMP
     x[clamped] = EXP_CLAMP  # a scan of the mask alone when no node clamps
     return np.exp(x, out=x), clamped
 
 
-def singular_mt(u: RadialProfile, n: int, beta: float, exponent_scale: float = 1.0) -> MTResult:
+def singular_mt(u: RadialProfile, n: int, beta: float, exponent_scale: float = 1.0,
+                exponent: Optional[np.ndarray] = None) -> MTResult:
     """Singular exponential integral with weight r^(-beta).
 
     omega * int exp(scale * (1 - beta/n) * alpha_n * u^(n/(n-1))) r^(n-beta-1) dr,
     evaluated in log space per node and clamped at exp(EXP_CLAMP); a clamped
     node sets the overflow flag (concentrating families legitimately get
     there, so the flag is data rather than an error).  On a stack, value
-    and flag hold one entry per profile.
+    and flag hold one entry per profile.  ``exponent`` is passed on to
+    ``mt_integrand``.
     """
     _check_beta(beta, n)
     if exponent_scale <= 0.0:
         raise DomainError(f"exponent_scale must be positive, got {exponent_scale}")
-    vals, clamped = mt_integrand(u.values, u.grid, n, beta, exponent_scale)
+    vals, clamped = mt_integrand(u.values, u.grid, n, beta, exponent_scale, exponent)
     overflow = clamped.any(axis=-1)
     return MTResult(make_constants(n).omega * integrate(vals, u.grid),
                     bool(overflow) if overflow.ndim == 0 else overflow)
