@@ -242,7 +242,8 @@ class Potential:
     kinds: zero, hardy (critical boundary potential), hardy+lambda and
     const; the last two carry ``value``, the lambda added to the Hardy
     potential or the constant.  Admissible kinds keep (1-r^2)^n V(r)
-    non-increasing.
+    non-increasing.  Build one as ``Potential(kind, value)``, with a float value
+    so that its descriptor reads ``const=2.0``, or as ``Potential.parse(descriptor)``.
     """
 
     kind: str
@@ -255,22 +256,6 @@ class Potential:
             raise DomainError(f"{self.kind} value must be finite and >= 0, got {self.value}")
         if self.value != 0.0 and self.kind not in _VALUED_KINDS:
             raise DomainError(f"potential {self.kind!r} carries no value, got {self.value}")
-
-    @classmethod
-    def zero(cls) -> "Potential":
-        return cls(kind="zero")
-
-    @classmethod
-    def hardy_critical(cls) -> "Potential":
-        return cls(kind="hardy")
-
-    @classmethod
-    def hardy_plus_lambda(cls, lam: float) -> "Potential":
-        return cls(kind="hardy+lambda", value=float(lam))
-
-    @classmethod
-    def constant(cls, alpha: float) -> "Potential":
-        return cls(kind="const", value=float(alpha))
 
     def at(self, r: np.ndarray, weight: np.ndarray, n: int) -> np.ndarray:
         """V at radii r, given the boundary weight (1 - r^2)^n there.
@@ -398,11 +383,11 @@ def mt_integrand(values: np.ndarray, grid: RadialGrid, n: int, beta: float, scal
     """singular_mt's node integrand exp(exponent) r^(n-beta-1), and the mask of clamped nodes.
 
     Formed in log space from ``mt_exponent(values, n, beta, scale)`` and the
-    row (n - beta - 1) ln r cached on the grid, with the logarithm clamped
-    at EXP_CLAMP.  A given ``exponent`` is that exponent formed already; it
-    is read, not overwritten, so one libm pow serves two grids.
+    row (n - beta - 1) ln r, with the logarithm clamped at EXP_CLAMP.  A
+    given ``exponent`` is that exponent formed already; it is read, not
+    overwritten, so one libm pow serves two grids.
     """
-    row = grid._cached(("xi", n - beta - 1.0), lambda: (n - beta - 1.0) * grid.xi)
+    row = (n - beta - 1.0) * grid.xi
     if exponent is None:
         x = mt_exponent(values, n, beta, scale)
         x += row
@@ -443,7 +428,7 @@ def singular_mt_with_gradient(values: np.ndarray, grid: RadialGrid, n: int, beta
     if n > 2:  # the power 1 at n = 2 would copy the same bits
         grad **= 1.0 / (n - 1.0)
     grad *= (1.0 - beta / n) * c.alpha_n * (n / (n - 1.0))
-    grad *= grid._cached(("omega w", n), lambda: c.omega * grid.weights) * vals
+    grad *= c.omega * grid.weights * vals
     grad[clamped] = 0.0
     return c.omega * integrate(vals, grid), grad
 

@@ -432,10 +432,9 @@ def make_maps(
     else:
         t_grid = make_grid(n_t, t_min, r_min=t_min, tail_fraction=0.2)
     t = t_grid.nodes
-    neg_ln_t = -t_grid.xi  # exact -ln t, log1p-built near t = 1
     ln_t_nodes = -table.g_values / c.gamma  # increasing, ends at 0
     ln_r = table.grid.xi
-    ln_t_query = np.clip(-neg_ln_t, ln_t_nodes[0], ln_t_nodes[-1])
+    ln_t_query = np.clip(t_grid.xi, ln_t_nodes[0], ln_t_nodes[-1])  # exact ln t, log1p-built near 1
     a = np.exp(pchip(ln_t_nodes, ln_r, ln_t_query))
     a = np.clip(a, table.grid.nodes[0], table.grid.nodes[-1])
 
@@ -446,8 +445,9 @@ def make_maps(
     phi = np.maximum(phi, 0.0)
     one_minus_a2 = np.exp(ln_one_minus_a2)
     v_at_a = table.potential.at(a, one_minus_a2**n, n)
-    hardy_weight = v_at_a * a**n / (t * (1.0 + phi) ** (1.0 / (n - 1)))
-    psi = (a / t) ** (n - beta) / (1.0 + phi) ** (1.0 / (n - 1))
+    phi_root = (1.0 + phi) ** (1.0 / (n - 1))
+    hardy_weight = v_at_a * a**n / (t * phi_root)
+    psi = (a / t) ** (n - beta) / phi_root
 
     maps = TransplantMaps(
         t_grid=t_grid, a=a, phi=phi, psi=psi, beta=beta, n=n, c_g=table.c_g,

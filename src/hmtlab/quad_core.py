@@ -176,12 +176,12 @@ def make_grid(n_points: int, epsilon: float, r_min: float = 1e-10,
 
     Requires n_points >= 16, 0 < epsilon < 1/2, 0 < r_min < TAIL_SPAN and
     0 < tail_fraction <= 0.4.  When epsilon is not small (epsilon >=
-    TAIL_SPAN, or so close below it that the graded tail's radii round
-    together at its TAIL_SPAN end) the boundary has no singular layer to
-    resolve and the right tail collapses into the uniform section.  A tail
-    whose radii round together at its epsilon end cannot resolve the layer
-    and raises GridConfigError, and so does an epsilon for which
-    1 - epsilon rounds to 1.
+    TAIL_SPAN = 0.01, or so close below it that the graded tail's radii
+    round together at its TAIL_SPAN end) the boundary has no singular layer
+    to resolve: the right tail is the single node 1 - epsilon, and the
+    uniform section runs up to it.  A tail whose radii round together at its
+    epsilon end cannot resolve the layer and raises GridConfigError, and so
+    does an epsilon for which 1 - epsilon rounds to 1.
     """
     if not isinstance(n_points, (int, np.integer)) or n_points < 16:
         raise GridConfigError(f"n_points must be an integer >= 16, got {n_points!r}")
@@ -201,23 +201,16 @@ def make_grid(n_points: int, epsilon: float, r_min: float = 1e-10,
 
     s_right = np.geomspace(TAIL_SPAN, epsilon, n_tail)
     steps = np.diff(1.0 - s_right)
-    if epsilon < TAIL_SPAN and steps[0] > 0.0:
-        if not np.all(steps > 0.0):
-            raise GridConfigError(f"epsilon={epsilon!r} is too small for n_points={n_points}: "
-                                  "the boundary tail's radii 1 - s round together near 1 - epsilon")
-        n_mid = n_points - 2 * n_tail
-        if n_mid < 4:
-            raise GridConfigError(
-                f"n_points={n_points} too small for tail_fraction={tail_fraction}"
-            )
-        mid = np.linspace(TAIL_SPAN, 1.0 - TAIL_SPAN, n_mid + 2)[1:-1]
-    else:
-        # boundary truncation is far from 1: uniform section runs straight to 1-eps
+    if epsilon >= TAIL_SPAN or steps[0] <= 0.0:
+        # no boundary layer to grade: the right tail is the one node 1 - eps
         s_right = np.asarray([epsilon])
-        n_mid = n_points - n_tail - 1
-        if n_mid < 4:
-            raise GridConfigError(f"n_points={n_points} too small for the requested grading")
-        mid = np.linspace(TAIL_SPAN, 1.0 - epsilon, n_mid + 2)[1:-1]
+    elif not np.all(steps > 0.0):
+        raise GridConfigError(f"epsilon={epsilon!r} is too small for n_points={n_points}: "
+                              "the boundary tail's radii 1 - s round together near 1 - epsilon")
+    n_mid = n_points - n_tail - s_right.size
+    if n_mid < 4:
+        raise GridConfigError(f"n_points={n_points} too small for tail_fraction={tail_fraction}")
+    mid = np.linspace(TAIL_SPAN, 1.0 - s_right[0], n_mid + 2)[1:-1]  # geomspace ends at TAIL_SPAN
 
     # left and mid are built in r, the right tail in s = 1 - r
     nodes = np.concatenate([left, mid, 1.0 - s_right])
@@ -312,9 +305,9 @@ def truncated_exp(t, m: int):
         raise DomainError("truncated_exp requires finite t >= 0")
 
     out = np.zeros_like(t_arr)
-    small = t_arr < m if m > 0 else np.zeros(t_arr.shape, dtype=bool)
+    small = t_arr < m  # empty at m = 0, since t >= 0
 
-    if m > 0 and small.any():
+    if small.any():
         ts = t_arr[small]
         term = ts**m / math.factorial(m)
         total = term.copy()

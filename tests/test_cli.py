@@ -427,7 +427,7 @@ class TestGreenCommand:
         assert f"grid ({points} nodes)" in err and "refine --grid-points" in err
         assert not out.exists()
         with pytest.raises(error, match=f"grid \\({points} nodes\\)"):
-            solve_green(2, Potential.hardy_critical(), make_grid(int(points), 1e-6))
+            solve_green(2, Potential("hardy"), make_grid(int(points), 1e-6))
 
     @pytest.mark.parametrize("argv, start", [
         (["--n", "3", "--potential", "const=20"], "hmtlab: flux vanishes at r = "),

@@ -295,25 +295,25 @@ class TestQV:
     def test_zero_potential_gives_grad(self, grids):
         g = grids(2048, 1e-6)
         u = RadialProfile(g, g.one_minus_r2)
-        assert potential_term(u, Potential.zero(), 2) == 0.0
+        assert potential_term(u, Potential("zero"), 2) == 0.0
 
     def test_hardy_potential_matches_h(self, grids):
         g = grids(2048, 1e-6)
         u = RadialProfile(g, g.one_minus_r2)
-        q_v = grad_energy(u, 2) - potential_term(u, Potential.hardy_critical(), 2)
+        q_v = grad_energy(u, 2) - potential_term(u, Potential("hardy"), 2)
         assert q_v == pytest.approx(h_functional(u, 2), rel=1e-10)
 
     def test_linear_in_constant_potential(self, grids):
         g = grids(2048, 1e-6)
         u = RadialProfile(g, g.one_minus_r2)
-        p1 = potential_term(u, Potential.constant(1.0), 2)
-        p3 = potential_term(u, Potential.constant(3.0), 2)
+        p1 = potential_term(u, Potential("const", 1.0), 2)
+        p3 = potential_term(u, Potential("const", 3.0), 2)
         assert p3 - p1 == pytest.approx(2.0 * ln_norm_pow(u, 2), rel=1e-10)
 
 
 class TestPotential:
-    @pytest.mark.parametrize("pot", [Potential.zero(), Potential.hardy_critical(),
-                                     Potential.hardy_plus_lambda(0.5), Potential.constant(2.0)])
+    @pytest.mark.parametrize("pot", [Potential("zero"), Potential("hardy"),
+                                     Potential("hardy+lambda", 0.5), Potential("const", 2.0)])
     def test_parse_inverts_descriptor(self, pot):
         assert Potential.parse(pot.descriptor()) == pot
 
@@ -323,10 +323,10 @@ class TestPotential:
             Potential.parse(text)
 
     @pytest.mark.parametrize("make", [
-        lambda: Potential.hardy_plus_lambda(math.nan),
-        lambda: Potential.constant(math.inf),
+        lambda: Potential.parse("hardy+lambda=nan"),
+        lambda: Potential.parse("const=inf"),
         lambda: Potential(kind="hardy+lambda", value=math.nan),
-        lambda: Potential.hardy_plus_lambda(-1.0),
+        lambda: Potential.parse("hardy+lambda=-1.0"),
         lambda: Potential(kind="const", value=-math.inf),
     ])
     def test_rejects_nonfinite_or_negative_parameters(self, make):

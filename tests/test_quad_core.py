@@ -112,6 +112,24 @@ class TestGrid:
         h = np.diff(g.nodes[g.nodes >= TAIL_SPAN])  # uniform from the left tail to 1 - eps
         assert np.all(h > 0.0) and np.allclose(h, h[0], rtol=1e-9, atol=0.0)
 
+    @pytest.mark.parametrize("r_min, tail_fraction", [(1e-10, 0.15), (1e-8, 0.2)])
+    @pytest.mark.parametrize("eps, graded", [(1e-15, True), (1e-6, True),
+                                             (10.0**-2.0000000000000004, False),
+                                             (0.01, False), (0.2, False)])
+    def test_zones_to_the_bit(self, eps, graded, r_min, tail_fraction):
+        # a graded right tail runs in s from TAIL_SPAN down to eps; otherwise it is the node eps
+        n_points = 1024  # 2048 nodes at tail_fraction 0.2 cannot grade down to 1e-15
+        n_tail = round(n_points * tail_fraction)
+        left = np.geomspace(r_min, TAIL_SPAN, n_tail)
+        s_right = np.geomspace(TAIL_SPAN, eps, n_tail) if graded else np.array([eps])
+        n_mid = n_points - n_tail - s_right.size
+        mid = np.linspace(TAIL_SPAN, 1.0 - (TAIL_SPAN if graded else eps), n_mid + 2)[1:-1]
+        g = make_grid(n_points, eps, r_min=r_min, tail_fraction=tail_fraction)
+        assert np.array_equal(g.nodes, np.concatenate([left, mid, 1.0 - s_right]))
+        assert np.array_equal(g.s, np.concatenate([1.0 - left, 1.0 - mid, s_right]))
+        assert np.array_equal(g.xi, np.concatenate([np.log(left), np.log(mid),
+                                                    np.log1p(-s_right)]))
+
     @pytest.mark.parametrize("eps", [1e-2 * (1 - 1e-6), 1e-6, 1e-15])
     def test_xi_is_ln_r(self, eps):
         g = make_grid(2048, eps)
@@ -223,7 +241,7 @@ class TestGridWeights:
         g = make_grid(512, 1e-4)
         if request.param == "make_grid":
             return g
-        return image_t_grid(solve_green(2, Potential.hardy_critical(), g, tol=1e-10))
+        return image_t_grid(solve_green(2, Potential("hardy"), g, tol=1e-10))
 
     def test_cached_trapezoid_weights(self, grid):
         assert np.array_equal(grid.weights, trapezoid_weights(grid.nodes))

@@ -28,7 +28,7 @@ from hmtlab.quad_core import integrate
 @pytest.fixture(scope="module")
 def zero_setup():
     grid = make_grid(8192, 1e-10, r_min=1e-12)
-    table = solve_green(2, Potential.zero(), grid)
+    table = solve_green(2, Potential("zero"), grid)
     maps = make_maps(table, beta=0.0, n_t=8192, t_min=1e-11)
     return grid, table, maps
 

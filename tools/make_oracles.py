@@ -43,7 +43,7 @@ def c_g_oracles() -> dict:
         t0 = time.time()
         per_eps = {
             f"{eps:.0e}": solve_green(
-                n, Potential.hardy_critical(), make_grid(FINE_NODES, eps), tol=1e-10
+                n, Potential("hardy"), make_grid(FINE_NODES, eps), tol=1e-10
             ).c_g
             for eps in EPS_SCHEDULE
         }
