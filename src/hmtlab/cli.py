@@ -11,12 +11,12 @@ Outputs are JSON or CSV with every file embedding the subcommand's resolved
 config and a format version string; identical config and seed reproduce
 outputs byte for byte (floats are emitted with repr / 17 significant digits
 and nothing time- or host-dependent is written).  A JSON report is the bytes
-of ``json.dumps(doc, indent=2)`` plus a newline; ``_emit_json`` writes them
-with the C encoder for every list or dict that holds only scalars.
+of ``json.dumps(doc, indent=2)`` plus a newline, each array written as its
+``tolist()``; ``_emit_json`` splices each 1-D array's text into json's layout.
 
-A 1-D array in a report (the Green table's G, ``rearrange-demo``'s r, u and
-u_star) is written in chunks of ``ARRAY_CHUNK`` values with the bytes of its
-``tolist()``, but no float object is made: a numpy kernel finds each float64
+That text (the Green table's G, ``search``'s profile_values,
+``rearrange-demo``'s r, u and u_star) is written in chunks of ``ARRAY_CHUNK``
+values, but no float object is made: a numpy kernel finds each float64
 value's shortest round-trip digits (Schubfach) and lays out the text that
 ``float.__repr__`` writes, a hundred thousand values in a few dozen array
 operations per chunk.  A chunk holding a subnormal, NaN or infinity, and an
@@ -262,8 +262,8 @@ def _config_for_output(cfg: Dict[str, Any]) -> Dict[str, Any]:
     return {k: cfg[k] for k in sorted(cfg) if k != "out"}
 
 
-# what json encodes without recursing: bool is an int
-_SCALARS = (str, int, float, type(None))
+# _emit_json's stand-in for a 1-D array: json.dumps writes it, the array's text replaces it
+_ARRAY_MARK = "\0hmtlab-array\0"
 
 
 @functools.cache
@@ -429,65 +429,36 @@ def _array_text(chunk: np.ndarray, sep: str) -> str:
     return json.dumps(chunk.tolist(), separators=(sep, ": "))[1:-1]
 
 
-def _encode(value: Any, indent: str, parts: List[str]) -> None:
-    """Append ``json.dumps(value, indent=2)`` for ``value`` nested at ``indent``.
-
-    A list or dict whose items are all scalars goes through the C encoder
-    in one call, its separators carrying the line breaks and indentation;
-    only containers that hold containers are walked here.  A 1-D array is
-    written ``ARRAY_CHUNK`` values at a time by ``_array_text``: the text of
-    its ``tolist()``, without building the list.
-    """
-    if isinstance(value, np.ndarray) and value.ndim == 1:
-        if not value.size:
-            parts.append("[]")
-            return
-        inner = indent + "  "
-        sep = ",\n" + inner
-        parts += ["[\n", inner]
-        for start in range(0, value.size, ARRAY_CHUNK):
-            parts += [sep if start else "", _array_text(value[start:start + ARRAY_CHUNK], sep)]
-        parts += ["\n", indent, "]"]
-        return
-    if isinstance(value, dict):
-        items, ends = value.values(), "{}"
-    elif isinstance(value, (list, tuple)):
-        items, ends = value, "[]"
-    else:
-        parts.append(json.dumps(value))
-        return
-    if not value:
-        parts.append(ends)
-        return
-    inner = indent + "  "
-    # the float test first: the long lists are floats, and the tuple check costs more
-    if all(type(v) is float or isinstance(v, _SCALARS) for v in items):
-        text = json.dumps(value, separators=(",\n" + inner, ": "))
-        parts += [ends[0], "\n", inner, text[1:-1], "\n", indent, ends[1]]
-        return
-    # json's own key rule: int, float, bool and None keys become strings
-    heads = ([json.dumps({key: 0})[1:-4] + ": " for key in value] if isinstance(value, dict)
-             else [""] * len(value))
-    parts.append(ends[0])
-    for i, (head, item) in enumerate(zip(heads, items)):
-        parts += [",\n" if i else "\n", inner, head]
-        _encode(item, inner, parts)
-    parts += ["\n", indent, ends[1]]
-
-
 def _emit_json(payload: Dict[str, Any], cfg: Dict[str, Any]) -> str:
-    """``json.dumps(doc, indent=2) + "\\n"``, byte for byte, without its slow path.
+    """``json.dumps(doc, indent=2) + "\\n"``, its 1-D arrays written by ``_array_text``.
 
-    With ``indent`` the json module falls back to its pure-Python encoder,
-    which dominates writing a 100k-node Green table or a verify corpus.  So
-    ``_encode`` hands every scalar-only list or dict (the profile lists, the
-    config, each report row) to the C encoder and every 1-D array (G), in
-    chunks, to ``_array_text``, and walks only the containers above them.
+    ``json.dumps`` writes ``_ARRAY_MARK`` for each array, and each mark is then
+    replaced by its array's text, ``ARRAY_CHUNK`` values at a time.
     """
-    doc = {"format_version": FORMAT_VERSION, "config": _config_for_output(cfg)}
-    doc.update(payload)
-    parts: List[str] = []
-    _encode(doc, "", parts)
+    doc = {"format_version": FORMAT_VERSION, "config": _config_for_output(cfg), **payload}
+    arrays: List[np.ndarray] = []
+
+    def mark(value: Any) -> str:
+        if not (isinstance(value, np.ndarray) and value.ndim == 1):
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        arrays.append(value)
+        return _ARRAY_MARK
+
+    pieces = json.dumps(doc, indent=2, default=mark).split(json.dumps(_ARRAY_MARK))
+    if len(pieces) != len(arrays) + 1:  # a string of the document holds the mark itself
+        pieces = [json.dumps(doc, indent=2, default=np.ndarray.tolist)]
+    parts = [pieces[0]]
+    for array, piece in zip(arrays, pieces[1:]):
+        line = parts[-1][parts[-1].rfind("\n") + 1:]  # the mark's line up to the mark
+        indent = line[:len(line) - len(line.lstrip(" "))]
+        sep = ",\n" + indent + "  "
+        for start in range(0, array.size, ARRAY_CHUNK):
+            text = _array_text(array[start:start + ARRAY_CHUNK], sep)
+            parts += [sep if start else "[" + sep[1:], text]
+        parts += ["\n" + indent + "]" if array.size else "[]", piece]
+    # json's indented encoder is a cycle of closures that holds mark, and so every array,
+    # until the cyclic collector runs
+    arrays.clear()
     parts.append("\n")
     return "".join(parts)  # one join: the 2.5 MB report is copied once
 

@@ -84,13 +84,14 @@ class SearchReport:
     stalled: bool
 
     def to_dict(self) -> dict:
+        """The report's document; profile_values is the best profile's array, for the writer."""
         return {
             "best_value": self.best_value,
             "iterations": self.iterations,
             "constraint_residual": self.constraint_residual,
             "stalled": self.stalled,
             "trajectory": [[int(i), float(v)] for i, v in self.trajectory],
-            "profile_values": self.best_profile.values.tolist(),
+            "profile_values": self.best_profile.values,
         }
 
 

@@ -100,7 +100,7 @@ class GreenTable:
             raise CorruptTableError(f"residual {self.residual} exceeds tolerance {self.tol}")
 
     def report_fields(self) -> dict:
-        """``to_json_dict`` with G left as the read-only array, for a writer that takes arrays."""
+        """The table's document, G as the read-only array; ``from_json_dict`` reads it back."""
         return {
             "n": self.n,
             "potential": self.potential.descriptor(),
@@ -112,20 +112,18 @@ class GreenTable:
             "G": self.g_values,
         }
 
-    def to_json_dict(self) -> dict:
-        return {**self.report_fields(), "G": self.g_values.tolist()}
-
     @classmethod
     def from_json_dict(cls, doc) -> "GreenTable":
-        """Rebuild a table from ``to_json_dict`` output, trusting only its G.
+        """Rebuild a table from ``report_fields`` or its JSON, trusting only its G.
 
-        The inputs are n, potential, epsilon, tol, iterations and G; the grid
-        is ``make_grid(len(G), epsilon)``.  The solver's last step, repeated
-        from G, recomputes the flux excess, G', the remainder and the
-        residual; it must pass ``validate``, agree with G to 10 tol gamma and
-        give back c_g as the pole fit of G, and the stored G must itself be
-        strictly decreasing; a recomputation whose potential mass overflows
-        is corrupt too.  The stored residual is not read.
+        The inputs are n, potential, epsilon, tol, iterations and G, an array
+        or the list a JSON report holds; the grid is ``make_grid(len(G),
+        epsilon)``.  The solver's last step, repeated from G, recomputes the
+        flux excess, G', the remainder and the residual; it must pass
+        ``validate``, agree with G to 10 tol gamma and give back c_g as the
+        pole fit of G, and the stored G must itself be strictly decreasing; a
+        recomputation whose potential mass overflows is corrupt too.  The
+        stored residual is not read.
         A document that still carries r, Gprime or remainder is an
         hmtlab-report/1 table and is rejected, so none of them is read.
         """

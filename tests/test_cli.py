@@ -1,4 +1,5 @@
 import ctypes
+import gc
 import json
 import math
 import os
@@ -6,6 +7,7 @@ import platform
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -89,8 +91,9 @@ _TEXT = st.text(max_size=8) | st.sampled_from(["a, b", "1.5, 2.5", "line\nbreak"
 _SCALARS = st.none() | st.booleans() | st.integers() | _FLOATS | _TEXT
 # json turns int, float, bool and None keys into strings
 _KEYS = _TEXT | st.integers() | _FLOATS | st.booleans() | st.none()
+# a 1-D float64 array may sit at any depth, as G does in a Green table's report
 _VALUES = st.recursive(
-    _SCALARS,
+    _SCALARS | st.lists(_FLOATS, max_size=6).map(np.array),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_KEYS, inner, max_size=4),
     max_leaves=12,
 )
@@ -99,6 +102,17 @@ _VALUES = st.recursive(
 _REPORT_SHAPES = (st.lists(st.dictionaries(_TEXT, _SCALARS, max_size=4), max_size=4)
                   | st.lists(st.tuples(st.integers(), _FLOATS).map(list), max_size=6)
                   | st.dictionaries(_KEYS, _VALUES, max_size=4))
+
+
+def _as_lists(value):
+    """``value`` with each array replaced by its ``tolist()``: what a report's JSON holds."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {key: _as_lists(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_as_lists(item) for item in value]
+    return value
 
 
 class TestEmitJson:
@@ -113,7 +127,30 @@ class TestEmitJson:
         cfg=st.dictionaries(_TEXT, _SCALARS, max_size=4),
     )
     def test_matches_indented_dumps(self, payload, cfg):
-        doc = {"format_version": FORMAT_VERSION, "config": _config_for_output(cfg), **payload}
+        doc = {"format_version": FORMAT_VERSION, "config": _config_for_output(cfg),
+               **_as_lists(payload)}
+        assert _emit_json(payload, cfg) == json.dumps(doc, indent=2) + "\n"
+
+    def test_keeps_no_reference_to_its_arrays(self):
+        # json's indented encoder is a cycle of closures that holds the default hook, so
+        # with the collector off an array the hook kept would outlive the call
+        g = np.linspace(1.0, 0.0, 3 * ARRAY_CHUNK)
+        g.flags.writeable = False  # as the Green table's G
+        written = weakref.ref(g)
+        gc.disable()
+        try:
+            _emit_json({"G": g}, {"n": 2, "out": None})
+            del g
+            assert written() is None
+        finally:
+            gc.enable()
+
+    def test_string_equal_to_the_mark(self):
+        mark = cli._ARRAY_MARK
+        payload = {"G": np.array([1.0, -0.5]), "label": mark, mark: [mark, np.empty(0)]}
+        cfg = {"n": 2, "out": None}
+        doc = {"format_version": FORMAT_VERSION, "config": _config_for_output(cfg),
+               **_as_lists(payload)}
         assert _emit_json(payload, cfg) == json.dumps(doc, indent=2) + "\n"
 
     @pytest.mark.parametrize("length", [0, 1, 7, ARRAY_CHUNK - 1, ARRAY_CHUNK, ARRAY_CHUNK + 1,

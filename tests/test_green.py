@@ -149,7 +149,7 @@ class TestSolverErrors:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_table_whose_recomputation_overflows_rejected(self, green_tables):
-        doc = {**green_tables(2, "hardy", 2048, 1e-6).to_json_dict(),
+        doc = {**green_tables(2, "hardy", 2048, 1e-6).report_fields(),
                "potential": "hardy+lambda=1e308"}
         with pytest.raises(CorruptTableError, match="overflows float64"):
             hl.GreenTable.from_json_dict(doc)
@@ -370,11 +370,14 @@ class TestContinuumReference:
         # measured 9e-15, 3e-13 and 6e-13
         assert continuum_c_g(2, eps) == pytest.approx(exact_c_g_n2(eps), rel=0.0, abs=2e-12)
 
-    @pytest.mark.parametrize("n", [3, 4])
-    @pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-12])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-6, 1e-9, 1e-12])
     def test_second_order_in_the_grid(self, grids, n, eps):
-        # n = 3: errors 7.2e-6/1.1e-7, 9.2e-5/1.4e-6, 1.6e-3/2.4e-5 on 2048/16384 nodes;
-        # n = 4: 4.2e-6/6.6e-8, 7.0e-5/1.1e-6, 1.3e-3/1.9e-5; observed orders 2.00-2.03
+        # errors on 2048/16384 nodes at eps = 1e-2 (a one-node boundary tail), 1e-3, 1e-6,
+        # 1e-9 and 1e-12; observed orders 2.00-2.03
+        # n = 3: 3.9e-8/6.1e-10, 7.2e-6/1.1e-7, 9.2e-5/1.4e-6, 4.8e-4/7.3e-6, 1.6e-3/2.4e-5;
+        # n = 4: 3.2e-8/5.0e-10, 4.2e-6/6.6e-8, 7.0e-5/1.1e-6, 3.7e-4/5.7e-6, 1.3e-3/1.9e-5;
+        # n = 5: 2.3e-8/3.6e-10, 2.6e-6/4.1e-8, 5.6e-5/8.7e-7, 3.0e-4/4.6e-6, 1.1e-3/1.5e-5
         ref = continuum_c_g(n, eps)
         coarse, fine = (solve_green(n, Potential("hardy"), grids(n_points, eps), tol=1e-10).c_g
                         - ref for n_points in (2048, 16384))
@@ -487,7 +490,7 @@ class TestTableRoundTrip:
         # passes validate and the c_g fit; only its recomputation from G rejects it
         table = solve_green(2, Potential("zero"), grids(2048, 1e-6))
         g = table.g_values + 1e-3
-        doc = {**table.to_json_dict(), "G": g.tolist(),
+        doc = {**table.report_fields(), "G": g.tolist(),
                "c_g": _fit_c_g(table.grid, g, make_constants(2).gamma, 2)}
         with pytest.raises(CorruptTableError, match="G disagrees"):
             hl.GreenTable.from_json_dict(doc)
@@ -499,7 +502,7 @@ class TestTableRoundTrip:
         g = table.g_values.copy()
         g[-2] = g[-1]
         assert np.all(np.abs(g - table.g_values) <= 10.0 * table.tol * make_constants(2).gamma)
-        doc = {**table.to_json_dict(), "G": g.tolist(),
+        doc = {**table.report_fields(), "G": g.tolist(),
                "c_g": _fit_c_g(table.grid, g, make_constants(2).gamma, 2)}
         with pytest.raises(CorruptTableError, match="G must be strictly decreasing"):
             hl.GreenTable.from_json_dict(doc)
@@ -527,7 +530,8 @@ class TestTableRoundTrip:
 
     @staticmethod
     def _check_round_trip(table):
-        loaded = hl.GreenTable.from_json_dict(json.loads(json.dumps(table.to_json_dict())))
+        text = json.dumps(table.report_fields(), default=np.ndarray.tolist)
+        loaded = hl.GreenTable.from_json_dict(json.loads(text))
         loaded.validate()
         assert np.array_equal(loaded.g_values, table.g_values)
         assert loaded.c_g == table.c_g
@@ -556,9 +560,9 @@ class TestResidualOnce:
 
         table = solve_green(n, Potential.parse(potential), grids(512, 1e-4), tol=1e-10)
         monkeypatch.setattr(hl.green, "_mass", counted)
-        assert table.to_json_dict()["residual"] == table.residual
+        assert table.report_fields()["residual"] == table.residual
         assert calls == []
-        loaded = hl.GreenTable.from_json_dict(table.to_json_dict())
+        loaded = hl.GreenTable.from_json_dict(table.report_fields())
         assert len(calls) == 2  # the rebuild's assembly, then the rebuilt table's residual
         # the loaded table's excess is the one formed from its own G, so the residual
         # that load no longer computes is exactly 0
