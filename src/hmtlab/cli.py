@@ -32,7 +32,11 @@ the C library is glibc: freed memory stays in the heap for reuse instead of
 going back to the system, which would fault it in again on the next report
 (``_hold_freed_memory``).  Importing ``hmtlab.cli`` sets nothing, so library
 users keep glibc's defaults.  Where ``mallopt`` is missing or refuses a
-value the policy is left unset; outputs do not depend on it.
+value the policy is left unset; outputs do not depend on it.  Under the
+policy the heap's high-water mark stays resident for the rest of the
+process, so a command's peak live memory is its footprint: ``green``
+drops its table, and with it the grid and the grid's cached arrays,
+before the writer runs.
 
 ``verify`` builds and certifies its corpus ``CORPUS_BLOCK`` profiles at a
 time, so its memory does not grow with ``--corpus-size``; every report is
@@ -508,6 +512,9 @@ def _cmd_green(cfg: Dict[str, Any]) -> int:
     table = _solve_green(cfg)
     payload = table.report_fields()
     payload["boundary_bound_constant"] = check_boundary_bound(table)
+    # the payload's G refers to no grid, so the table, its grid and the grid's cached
+    # arrays are freed before the writer runs
+    del table
     _write(_emit_json(payload, cfg), cfg)
     return 0
 

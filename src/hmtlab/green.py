@@ -62,7 +62,11 @@ MARCH_WINDOW_NODES = 4096
 
 @dataclass(frozen=True)
 class GreenTable:
-    """Converged discrete Green function and its pole decomposition; its arrays are read-only."""
+    """Converged discrete Green function and its pole decomposition; its arrays are read-only.
+
+    The remainder H is formed from ``excess`` on first read and cached: a
+    solve, a load and a report never read it.
+    """
 
     grid: RadialGrid
     n: int
@@ -70,17 +74,26 @@ class GreenTable:
     g_values: np.ndarray
     excess: np.ndarray  # flux - 1, kept apart from 1 so that tiny values survive
     c_g: float
-    remainder: np.ndarray
     iterations: int
     tol: float
 
     def __post_init__(self):
-        for a in (self.g_values, self.excess, self.remainder):
+        for a in (self.g_values, self.excess):
             a.flags.writeable = False
+
+    @cached_property
+    def remainder(self) -> np.ndarray:
+        """H(r) = -gamma int_{xi_min}^{xi} (flux - 1) dxi', a sum of tiny positive increments."""
+        h = np.empty(self.excess.size)
+        h[0] = 0.0
+        np.cumsum(_increments(self.excess, self.grid, make_constants(self.n).gamma), out=h[1:])
+        np.negative(h, out=h)
+        h.flags.writeable = False
+        return h
 
     @property
     def m_values(self) -> np.ndarray:
-        return _mass(self.g_values, self.potential.values(self.grid, self.n), self.grid, self.n)
+        return _mass(self.g_values, self.potential, self.grid, self.n)
 
     @property
     def g_deriv(self) -> np.ndarray:
@@ -89,7 +102,9 @@ class GreenTable:
     @cached_property
     def residual(self) -> float:
         """Sup-norm defect of the flux identity, the mass recomputed from G; computed once."""
-        return float(np.max(np.abs(_flux_excess(self.m_values, self.n) - self.excess)))
+        defect = _flux_excess(self.m_values, self.n)
+        defect -= self.excess
+        return float(np.max(np.abs(defect, out=defect)))
 
     def validate(self) -> None:
         """Raise CorruptTableError if any structural invariant fails."""
@@ -119,11 +134,11 @@ class GreenTable:
         The inputs are n, potential, epsilon, tol, iterations and G, an array
         or the list a JSON report holds; the grid is ``make_grid(len(G),
         epsilon)``.  The solver's last step, repeated from G, recomputes the
-        flux excess, G', the remainder and the residual; it must pass
-        ``validate``, agree with G to 10 tol gamma and give back c_g as the
-        pole fit of G, and the stored G must itself be strictly decreasing; a
-        recomputation whose potential mass overflows is corrupt too.  The
-        stored residual is not read.
+        flux excess and the residual (G' and the remainder are formed from
+        the excess when read); it must pass ``validate``, agree with G to 10
+        tol gamma and give back c_g as the pole fit of G, and the stored G
+        must itself be strictly decreasing; a recomputation whose potential
+        mass overflows is corrupt too.  The stored residual is not read.
         A document that still carries r, Gprime or remainder is an
         hmtlab-report/1 table and is rejected, so none of them is read.
         """
@@ -202,18 +217,22 @@ def _check_decreasing(g_values: np.ndarray) -> None:
 
 def _flux_excess(m: np.ndarray, n: int) -> np.ndarray:
     # (1+m)^(1/(n-1)) - 1 without rounding to zero for m below 1 ulp
-    return np.expm1(np.log1p(m) / (n - 1))
+    x = np.log1p(m)
+    x /= n - 1
+    return np.expm1(x, out=x)
 
 
-def _mass(g_values: np.ndarray, v_vals: np.ndarray, grid: RadialGrid, n: int) -> np.ndarray:
+def _mass(g_values: np.ndarray, potential: Potential, grid: RadialGrid, n: int) -> np.ndarray:
     """Cumulative potential mass m(r) = omega int_0^r V G^(n-1) s^(n-1) ds.
 
-    The density omega V G^(n-1) r^(n-1) is rounded left to right.
-    Raises PotentialInstabilityError, and no RuntimeWarning, where the
-    density or its running sum overflows float64.
+    The density omega V G^(n-1) r^(n-1) is rounded left to right, in the
+    buffer of the potential's node values.  Raises PotentialInstabilityError,
+    and no RuntimeWarning, where the density or its running sum overflows
+    float64.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        density = make_constants(n).omega * v_vals
+        density = potential.values(grid, n)
+        density *= make_constants(n).omega
         density *= np.power(g_values, n - 1)
         density *= grid.nodes_pow(n - 1)
         try:
@@ -240,27 +259,35 @@ def _sum_from_boundary(incr: np.ndarray, start: float = 0.0,
     return out
 
 
-def _assemble(excess: np.ndarray, grid: RadialGrid, gamma: float) -> Tuple[np.ndarray, np.ndarray]:
-    """(G, H) from the flux excess, the integral of gamma (flux - 1) dxi summed both ways."""
+def _increments(excess: np.ndarray, grid: RadialGrid, gamma: float) -> np.ndarray:
+    """gamma/2 (excess_k + excess_{k+1}) dxi_k, one rounding at a time in that order."""
     incr = np.add(excess[1:], excess[:-1])
     incr *= 0.5 * gamma
     incr *= grid.dxi
-    # H(r) = -gamma int_{xi_min}^{xi} (flux - 1) dxi', a sum of tiny positive increments
-    h_rem = -np.concatenate(([0.0], np.cumsum(incr)))
-    # G(r) = gamma(xi_max - xi) + gamma int_xi^{xi_max} (flux - 1) dxi', the tail summed from
-    # the boundary: G is tiny there, and H - H(r_max) would cancel to |H(r_max)| ulp
-    return gamma * (grid.xi[-1] - grid.xi) + _sum_from_boundary(incr), h_rem
+    return incr
+
+
+def _assemble(excess: np.ndarray, grid: RadialGrid, gamma: float) -> np.ndarray:
+    """G from the flux excess: gamma (xi_max - xi) + gamma int_xi^{xi_max} (flux - 1) dxi'.
+
+    The integral is summed from the boundary, where G is tiny: ``remainder``'s
+    H - H(r_max) would cancel to |H(r_max)| ulp there.
+    """
+    g = _sum_from_boundary(_increments(excess, grid, gamma))
+    log_part = np.subtract(grid.xi[-1], grid.xi)
+    log_part *= gamma
+    g += log_part
+    return g
 
 
 def _table_from_g(grid: RadialGrid, n: int, potential: Potential, g_values: np.ndarray,
                   iterations: int, tol: float) -> GreenTable:
-    """One self-consistent assembly: the mass of G, its flux excess, then G, H and c_g."""
+    """One self-consistent assembly: the mass of G, its flux excess, then G and c_g."""
     gamma = make_constants(n).gamma
-    excess = _flux_excess(_mass(g_values, potential.values(grid, n), grid, n), n)
-    g_fin, h_rem = _assemble(excess, grid, gamma)
+    excess = _flux_excess(_mass(g_values, potential, grid, n), n)
+    g_fin = _assemble(excess, grid, gamma)
     return GreenTable(grid=grid, n=n, potential=potential, g_values=g_fin, excess=excess,
-                      c_g=_fit_c_g(grid, g_fin, gamma, n), remainder=h_rem,
-                      iterations=iterations, tol=tol)
+                      c_g=_fit_c_g(grid, g_fin, gamma, n), iterations=iterations, tol=tol)
 
 
 def solve_green(
@@ -291,6 +318,9 @@ def solve_green(
     the pole, and the table is assembled from it.  tol bounds only that
     table: a residual above 10 tol is a ConvergenceError, which happens
     where the flux excess is so large that tol lies below its rounding.
+    Besides G, the march holds one window's arrays at a time, and the
+    solve does not form the remainder H: ``GreenTable.remainder`` forms it
+    on first read.
 
     Raises PotentialInstabilityError when Phi <= 0 at a window's inner
     node, naming the outermost such node: no positive Green function
@@ -304,6 +334,7 @@ def solve_green(
         raise ConvergenceError("tolerance must be positive", residual=None, iterations=0)
     g_values, iterations = _inward_march(n, potential.values(grid, n), grid, max_iter)
     table = _table_from_g(grid, n, potential, g_values, iterations, tol)
+    del g_values  # the march's G: the residual's mass pass runs without it
     if not table.residual <= 10.0 * tol:
         raise ConvergenceError(
             f"flux residual {table.residual:.3e} of the assembled table exceeds 10 tol "
@@ -320,20 +351,22 @@ def _inward_march(n: int, v_vals: np.ndarray, grid: RadialGrid,
                   max_iter: int) -> Tuple[np.ndarray, int]:
     """``solve_green``'s march: G normalized to flux 1 at the pole, and a window's most steps."""
     c = make_constants(n)
-    half_dxi = 0.5 * c.gamma * grid.dxi
-    neg_half_dr = -0.5 * grid.dr
+    r_pow = grid.nodes_pow(n - 1)
     # the root Phi^(1/(n-1)): sqrt and cbrt instead of x ** (1/k), which calls libm pow
     root = {3: np.sqrt, 4: np.cbrt}.get(n, lambda p, out: np.power(p, 1.0 / (n - 1), out=out))
     size = grid.n_points
     windows = max(MARCH_WINDOWS, -(-(size - 1) // MARCH_WINDOW_NODES))
     edges = np.linspace(0, size - 1, windows + 1, dtype=int).tolist()
-    g_values, g_hi, phi_hi, iterations = np.empty(size), 0.0, 1.0, 0
     with np.errstate(over="ignore", invalid="ignore"):
-        weight = c.omega * v_vals * grid.nodes_pow(n - 1)
-        if not np.all(np.isfinite(weight)):
+        # every window's weight is checked before the first runs, so an overflow anywhere
+        # is reported before a flux that vanishes
+        if not np.all(np.isfinite(c.omega * v_vals * r_pow)):
             raise _mass_overflow(grid)
+        g_values, g_hi, phi_hi, iterations = np.empty(size), 0.0, 1.0, 0
         for lo, hi in zip(edges[-2::-1], edges[:0:-1]):
-            w_w, dxi_w, dr_w = weight[lo:hi + 1], half_dxi[lo:hi], neg_half_dr[lo:hi]
+            # the window's slices of omega V r^(n-1), gamma/2 dxi and -dr/2
+            w_w = c.omega * v_vals[lo:hi + 1] * r_pow[lo:hi + 1]
+            dxi_w, dr_w = 0.5 * c.gamma * grid.dxi[lo:hi], -0.5 * grid.dr[lo:hi]
             g_w, (phi_w, root_w, new) = g_values[lo:hi + 1], np.full((3, hi + 1 - lo), phi_hi)
             rounding, change = 64.0 * np.finfo(float).eps * abs(phi_hi), math.inf
             for steps in range(1, max_iter + 1):

@@ -276,11 +276,15 @@ def cumulative_from_origin(samples: np.ndarray, grid: RadialGrid) -> np.ndarray:
     samples = np.asarray(samples, dtype=float)
     if not np.all(np.isfinite(samples)):
         raise NumericError("non-finite sample in cumulative integral")
-    # 0.5 (samples[1:] + samples[:-1]) dr, one rounding at a time in that order
-    incr = np.add(samples[1:], samples[:-1])
+    out = np.empty(samples.size)
+    out[0] = 0.0
+    # 0.5 (samples[1:] + samples[:-1]) dr, one rounding at a time in that order, summed in place
+    incr = out[1:]
+    np.add(samples[1:], samples[:-1], out=incr)
     incr *= 0.5
     incr *= grid.dr
-    return np.concatenate(([0.0], np.cumsum(incr)))
+    np.cumsum(incr, out=incr)
+    return out
 
 
 def truncated_exp(t, m: int):

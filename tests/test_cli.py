@@ -7,6 +7,7 @@ import platform
 import re
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -428,6 +429,24 @@ class TestGreenCommand:
         assert doc["residual"] <= doc["tol"]
         assert len(doc["G"]) == 512
         assert not {"r", "Gprime", "remainder"} & set(doc)
+
+    def test_memory_peak_of_a_green_job(self, capsys):
+        # the tracemalloc peak of this job is 3896516 bytes, the report writer's, with the
+        # table and its grid freed (the solve's own peak is lower), so the bound leaves 15%;
+        # numpy 2.4, CPython 3.11
+        assert main(["green", "--grid-points", "256"]) == 0  # builds the writer's tables
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            code = main(["green", "--n", "3", "--epsilon", "1e-6", "--grid-points", "20000",
+                         "--tol", "1e-10"])
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and len(json.loads(capsys.readouterr().out)["G"]) == 20000
+        assert peak <= 4480993
 
     def test_invalid_dimension(self, capsys):
         assert run_cli(["green", "--n", "1"]) == 1

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -161,7 +162,7 @@ class TestSolverErrors:
         density = (make_constants(n).omega * v_vals * table.g_values ** (n - 1)
                    * table.grid.nodes_pow(n - 1))
         plain = cumulative_from_origin(density, table.grid)
-        assert np.array_equal(hl.green._mass(table.g_values, v_vals, table.grid, n), plain)
+        assert np.array_equal(hl.green._mass(table.g_values, table.potential, table.grid, n), plain)
 
 
 class TestStepFunctions:
@@ -180,9 +181,10 @@ class TestStepFunctions:
         density = c.omega * v_vals * g_values ** (n - 1) * grid.nodes ** (n - 1)
         m = np.concatenate([[0.0], np.cumsum(0.5 * (density[1:] + density[:-1])
                                              * np.diff(grid.nodes))])
-        g, h = hl.green._assemble(x, grid, c.gamma)
-        assert g.tobytes() == g_values.tobytes() and h.tobytes() == h_rem.tobytes()
-        mass = hl.green._mass(g, v_vals, grid, n)
+        g = hl.green._assemble(x, grid, c.gamma)
+        assert g.tobytes() == g_values.tobytes()
+        assert table.remainder.tobytes() == h_rem.tobytes()
+        mass = hl.green._mass(g, table.potential, grid, n)
         assert mass.tobytes() == m.tobytes()
         flux = hl.green._flux_excess(mass, n)
         assert flux.tobytes() == np.expm1(np.log1p(m) / (n - 1)).tobytes()
@@ -250,9 +252,9 @@ class TestInwardIteration:
         table.validate()
 
     def test_memory_peak_stays_below_the_allocating_solve(self):
-        # the tracemalloc peak of this call is 2728188 bytes under the windowed march (G and
-        # a few arrays of one window live at a time), so the bound leaves 15%; numpy 2.4,
-        # CPython 3.11
+        # the tracemalloc peak of this call is 1927790 bytes: the march holds one window's
+        # arrays, H is not formed and the mass is summed in place, so the bound leaves 15%;
+        # numpy 2.4, CPython 3.11
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -261,7 +263,7 @@ class TestInwardIteration:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 3137416
+        assert peak <= 2216959
 
 
 class TestContinuation:
@@ -571,9 +573,13 @@ class TestResidualOnce:
 
     def test_arrays_read_only(self, grids):
         table = solve_green(2, Potential("hardy"), grids(512, 1e-4), tol=1e-10)
+        assert "remainder" not in vars(table)  # a solve does not form H
         for a in (table.g_values, table.excess, table.remainder):
             with pytest.raises(ValueError):
                 a[0] = 0.0
+        assert table.remainder is table.remainder
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            table.remainder = np.zeros(512)
 
 
 def comparison_supersolution(grid, n):
