@@ -59,7 +59,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -255,6 +255,7 @@ def _validate(cfg: Dict[str, Any]) -> None:
     require("max_iter", lambda m: m >= 1, "be >= 1")
     require("corpus_size", lambda c: c >= 1, "be >= 1")
     require("margin_tol", lambda m: math.isfinite(m) and m >= 0.0, "be finite and >= 0")
+    require("k_max", lambda k: k <= 1074, "be <= 1074, the last k whose scale 2^-k is nonzero")
     require("k_min", lambda k: 1 <= k <= cfg["k_max"], f"lie in [1, --k-max={cfg.get('k_max')}]")
     require("scale", lambda s: math.isfinite(s) and s > 0.0, "be finite and positive")
     require("lam", lambda v: math.isfinite(v) and v >= 0.0, "be finite and >= 0")
@@ -467,7 +468,7 @@ def _emit_json(payload: Dict[str, Any], cfg: Dict[str, Any]) -> str:
     return "".join(parts)  # one join: the 2.5 MB report is copied once
 
 
-def _emit_csv(header: List[str], rows: List[List[Any]], cfg: Dict[str, Any]) -> str:
+def _emit_csv(header: List[str], rows: Iterable[Sequence[Any]], cfg: Dict[str, Any]) -> str:
     lines = [
         f"# format_version={FORMAT_VERSION}",
         "# config=" + json.dumps(_config_for_output(cfg)),
@@ -494,6 +495,15 @@ def _write(text: str, cfg: Dict[str, Any]) -> None:
             raise _CliError(f"cannot write {cfg['out']}: {exc}") from exc
     else:
         sys.stdout.write(text)
+
+
+def _write_report(cfg: Dict[str, Any], payload: Dict[str, Any], header: List[str],
+                  rows: Iterable[Sequence[Any]]) -> None:
+    """Write the payload as JSON, or under ``--format csv`` the header and rows."""
+    if cfg["format"] == "csv":
+        _write(_emit_csv(header, rows, cfg), cfg)
+    else:
+        _write(_emit_json(payload, cfg), cfg)
 
 
 def _solve_green(cfg: Dict[str, Any]) -> GreenTable:
@@ -599,10 +609,7 @@ def _cmd_sweep(cfg: Dict[str, Any]) -> int:
         rows = [[p.param, p.value, p.overflow, p.divergence_flag] for p in points]
         json_rows = [p._asdict() for p in points]
 
-    if cfg["format"] == "csv":
-        _write(_emit_csv(header, rows, cfg), cfg)
-    else:
-        _write(_emit_json({"rows": json_rows, **extra}, cfg), cfg)
+    _write_report(cfg, {"rows": json_rows, **extra}, header, rows)
     return 0
 
 
@@ -619,12 +626,9 @@ def _cmd_search(cfg: Dict[str, Any]) -> int:
         report = maximize_mt(n, float(cfg["beta"]), grid, start, options)
     else:
         report = estimate_lambda1(n, grid, options)
-    if cfg["format"] == "csv":
-        header = ["param", "value", "overflow", "divergence_flag"]
-        rows = [[float(i), v, False, False] for i, v in report.trajectory]
-        _write(_emit_csv(header, rows, cfg), cfg)
-    else:
-        _write(_emit_json({"search": report.to_dict()}, cfg), cfg)
+    rows = ([float(i), v, False, False] for i, v in report.trajectory)
+    _write_report(cfg, {"search": report.to_dict()},
+                  ["param", "value", "overflow", "divergence_flag"], rows)
     return 0
 
 
@@ -645,12 +649,7 @@ def _cmd_rearrange_demo(cfg: Dict[str, Any]) -> int:
         "u": profile.values,
         "u_star": star.values,
     }
-    if cfg["format"] == "csv":
-        header = ["r", "u", "u_star"]
-        rows = [[r, u, s] for r, u, s in zip(grid.nodes, profile.values, star.values)]
-        _write(_emit_csv(header, rows, cfg), cfg)
-    else:
-        _write(_emit_json(payload, cfg), cfg)
+    _write_report(cfg, payload, ["r", "u", "u_star"], zip(grid.nodes, profile.values, star.values))
     return 0
 
 

@@ -17,11 +17,10 @@ rows on one grid, the nodes on the last axis.  The slopes, the cubic
 evaluation, ``scaled`` and the functionals of the certification chain
 (``grad_energy``, ``hardy_term``, ``h_functional``, ``potential_term``,
 ``mt_integrand`` and ``singular_mt``) work row by row on a stack, with the
-arithmetic of one row, and return one value per row.  Each functional
-forms the powers it needs itself, bar an MT exponent handed to
-``mt_integrand``, and ``quad_core.integrate`` sums each row as its own
-``np.dot`` would, so a row's results do not depend on the stack it was
-computed in.
+arithmetic of one row, and return one value per row.  The n-th-power
+integrals go through ``power_integral``, which fixes their rounding order,
+and ``quad_core.integrate`` sums each row as its own ``np.dot`` would, so a
+row's results do not depend on the stack it was computed in.
 
 Admissible profiles are stored with u = 0 at the last node, enforced by
 subtracting the boundary value; constant shifts leave the gradient energy
@@ -323,13 +322,22 @@ class PolyaSzegoResult(NamedTuple):
     h_margin: float
 
 
+def power_integral(values: np.ndarray, n: int, grid: RadialGrid, *weights: np.ndarray):
+    """integrate(values^n times the weights), one sum per row of a stack.
+
+    Rounding order: ``int_pow(values, n)``, a new array at n >= 2, times each
+    weight in place in the order given, then ``integrate``.
+    """
+    vals = int_pow(values, n)
+    for w in weights:
+        vals *= w
+    return integrate(vals, grid)
+
+
 def grad_energy(u: RadialProfile, n: int):
     """omega * int |u'|^n r^(n-1) dr over the truncated domain, per profile of a stack."""
-    c = make_constants(n)
     g = u.grid
-    vals = int_pow(np.abs(u.slopes), n)
-    vals *= g.nodes_pow(n - 1)
-    return c.omega * integrate(vals, g)
+    return make_constants(n).omega * power_integral(np.abs(u.slopes), n, g, g.nodes_pow(n - 1))
 
 
 def hardy_term(u: RadialProfile, n: int):
@@ -345,24 +353,19 @@ def h_functional(u: RadialProfile, n: int):
 def potential_term(u: RadialProfile, potential: Potential, n: int):
     """int V |u|^n dx = omega * int V u^n r^(n-1) dr."""
     g = u.grid
-    vals = potential.values(g, n) * int_pow(u.values, n)
-    vals *= g.nodes_pow(n - 1)
-    return make_constants(n).omega * integrate(vals, g)
+    return make_constants(n).omega * power_integral(u.values, n, g, potential.values(g, n),
+                                                    g.nodes_pow(n - 1))
 
 
 def ln_norm_pow(u: RadialProfile, n: int):
     """||u||_n^n with respect to Lebesgue measure on the ball."""
-    c = make_constants(n)
-    vals = int_pow(u.values, n)
-    vals *= u.grid.nodes_pow(n - 1)
-    return c.omega * integrate(vals, u.grid)
+    g = u.grid
+    return make_constants(n).omega * power_integral(u.values, n, g, g.nodes_pow(n - 1))
 
 
 def hyperbolic_ln_norm_pow(u: RadialProfile, n: int):
     """int |u|^n dv_H, the L^n norm under the Poincare-ball volume."""
-    vals = int_pow(u.values, n)
-    vals *= u.grid.hyperbolic_density(n)
-    return integrate(vals, u.grid)
+    return power_integral(u.values, n, u.grid, u.grid.hyperbolic_density(n))
 
 
 def mt_exponent(values: np.ndarray, n: int, beta: float, scale: float = 1.0) -> np.ndarray:

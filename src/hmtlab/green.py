@@ -64,8 +64,8 @@ MARCH_WINDOW_NODES = 4096
 class GreenTable:
     """Converged discrete Green function and its pole decomposition; its arrays are read-only.
 
-    The remainder H is formed from ``excess`` on first read and cached: a
-    solve, a load and a report never read it.
+    c_g, the pole fit of G, and the remainder H, from ``excess``, are formed
+    on first read and cached: a solve, a load and a report never read H.
     """
 
     grid: RadialGrid
@@ -73,13 +73,17 @@ class GreenTable:
     potential: Potential
     g_values: np.ndarray
     excess: np.ndarray  # flux - 1, kept apart from 1 so that tiny values survive
-    c_g: float
     iterations: int
     tol: float
 
     def __post_init__(self):
         for a in (self.g_values, self.excess):
             a.flags.writeable = False
+
+    @cached_property
+    def c_g(self) -> float:
+        """C_G = lim (G(r) + gamma ln r) at the pole: ``_fit_c_g`` of G, on first read."""
+        return _fit_c_g(self.grid, self.g_values, make_constants(self.n).gamma, self.n)
 
     @cached_property
     def remainder(self) -> np.ndarray:
@@ -135,10 +139,10 @@ class GreenTable:
         or the list a JSON report holds; the grid is ``make_grid(len(G),
         epsilon)``.  The solver's last step, repeated from G, recomputes the
         flux excess and the residual (G' and the remainder are formed from
-        the excess when read); it must pass ``validate``, agree with G to 10
-        tol gamma and give back c_g as the pole fit of G, and the stored G
-        must itself be strictly decreasing; a recomputation whose potential
-        mass overflows is corrupt too.  The stored residual is not read.
+        the excess when read); it must pass ``validate`` and agree with G to
+        10 tol gamma, the stored c_g must be the loaded c_g, the pole fit of
+        G, and the stored G must be strictly decreasing; a recomputation whose
+        potential mass overflows is corrupt too.  The stored residual is not read.
         A document that still carries r, Gprime or remainder is an
         hmtlab-report/1 table and is rejected, so none of them is read.
         """
@@ -167,15 +171,15 @@ class GreenTable:
             table.validate()
             if not np.all(np.abs(g - table.g_values) <= 10.0 * tol * gamma):
                 raise CorruptTableError("G disagrees with its recomputation from G")
-            c_g_fit = _fit_c_g(grid, g, gamma, n)
-            if not abs(c_g - c_g_fit) <= 1e-12 * abs(c_g_fit):
-                raise CorruptTableError(f"c_g {c_g!r} differs from {c_g_fit!r}, the fit of G")
+            loaded = replace(table, g_values=g)
+            if not abs(c_g - loaded.c_g) <= 1e-12 * abs(loaded.c_g):
+                raise CorruptTableError(f"c_g {c_g!r} differs from {loaded.c_g!r}, the fit of G")
             # the rest of validate holds for the loaded table as for table: its excess is
             # the one formed from the mass of g, so its residual is 0.0 by construction
             _check_decreasing(g)
         except PotentialInstabilityError as exc:
             raise CorruptTableError(f"its recomputation from G fails: {exc}") from exc
-        return replace(table, g_values=g, c_g=c_g_fit)
+        return loaded
 
 
 @dataclass(frozen=True)
@@ -282,12 +286,11 @@ def _assemble(excess: np.ndarray, grid: RadialGrid, gamma: float) -> np.ndarray:
 
 def _table_from_g(grid: RadialGrid, n: int, potential: Potential, g_values: np.ndarray,
                   iterations: int, tol: float) -> GreenTable:
-    """One self-consistent assembly: the mass of G, its flux excess, then G and c_g."""
-    gamma = make_constants(n).gamma
+    """One self-consistent assembly: the mass of G, its flux excess, then G."""
     excess = _flux_excess(_mass(g_values, potential, grid, n), n)
-    g_fin = _assemble(excess, grid, gamma)
+    g_fin = _assemble(excess, grid, make_constants(n).gamma)
     return GreenTable(grid=grid, n=n, potential=potential, g_values=g_fin, excess=excess,
-                      c_g=_fit_c_g(grid, g_fin, gamma, n), iterations=iterations, tol=tol)
+                      iterations=iterations, tol=tol)
 
 
 def solve_green(

@@ -227,8 +227,8 @@ def integrate(samples: np.ndarray, grid: RadialGrid):
     NumericError, also under ``-W error::RuntimeWarning``.
 
     ``samples`` is one row of node values, whose sum comes back as a float,
-    or a (k, N) stack of rows, whose k sums come back as an array.  A stack
-    is summed by one ``np.vecdot(stack, weights)`` on contiguous memory,
+    or a (k, N) stack of rows, whose k sums come back as an array.  Both are
+    summed by one ``np.vecdot(samples, weights)`` on contiguous memory,
     which takes each row's dot product on its own, so a row's sum is its
     ``np.dot(row, weights)`` to the bit, whatever stack it sits in: BLAS
     gemv (``stack @ weights``) rounds a row differently by its position in
@@ -239,19 +239,14 @@ def integrate(samples: np.ndarray, grid: RadialGrid):
         raise NumericError(
             f"samples shape {samples.shape} does not match grid ({grid.nodes.shape})"
         )
-    w = grid.weights
     try:
-        if samples.ndim == 1:
-            total = float(np.dot(samples, w))
-            finite = math.isfinite(total)
-        else:
-            total = np.vecdot(samples, w)
-            finite = bool(np.isfinite(total).all())
+        total = np.vecdot(samples, grid.weights)
+        finite = bool(np.isfinite(total).all())
     except RuntimeWarning:  # the dot warns on inf - inf and on overflow
         finite = False
     if not finite:
         raise NumericError("non-finite sample passed to integrate, or its sum overflows")
-    return total
+    return float(total) if samples.ndim == 1 else total
 
 
 def int_pow(x: np.ndarray, k: int) -> np.ndarray:

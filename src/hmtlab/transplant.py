@@ -15,9 +15,10 @@ step for all rows in one set of array operations and sum each row on its
 own (``quad_core.integrate``), so a report does not depend on the rows
 certified with it.  A stack gives one report per row; one profile is the
 one-row case, and ``verify_grad_identity`` and ``verify_hardy_identity``
-read its report.  Each side forms its own n-th powers.  The MT exponent is
-formed once and serves v too when v holds u's node values, as on the
-image grid: at n >= 4 it is a libm pow, over ten times the cost of the check.
+read its report.  Its n-th-power integrals go through ``power_integral``
+but the t-side gradient pair, which shares one |v'|^n buffer.  The MT
+exponent is formed once and serves v too when v holds u's node values, as
+on the image grid: at n >= 4 it is a libm pow, over ten times the cost of the check.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .functionals import (
     mt_integrand,
     nonincreasing_majorant,
     potential_term,
+    power_integral,
     singular_mt,
 )
 from .green import TransplantMaps
@@ -102,13 +104,8 @@ def _t_integrals(v: RadialProfile, maps: TransplantMaps):
     grad_v = c.omega * integrate(vp_pow, maps.t_grid)
     vp_pow *= maps.phi
     grad_phi = c.omega * integrate(vp_pow, maps.t_grid)
-    hardy_t = c.omega * integrate(int_pow(v.values, n) * maps.hardy_weight, maps.t_grid)
+    hardy_t = c.omega * power_integral(v.values, n, maps.t_grid, maps.hardy_weight)
     return grad_v, grad_phi, hardy_t
-
-
-def _same_nodes(u: RadialProfile, v: RadialProfile) -> bool:
-    """Whether v holds u's node values, as the pushforward to the image grid does."""
-    return u.values.shape == v.values.shape and np.array_equal(u.values, v.values)
 
 
 def verify_grad_identity(u: RadialProfile, v: RadialProfile, maps: TransplantMaps) -> float:
@@ -134,7 +131,7 @@ def check_mt_comparison(u: RadialProfile, v: RadialProfile, maps: TransplantMaps
     x = mt_exponent(u.values, n, beta)
     mt_u = singular_mt(u, n, beta, exponent=x)
     vals_v, clamped_v = mt_integrand(v.values, v.grid, n, beta,
-                                     exponent=x if _same_nodes(u, v) else None)
+                                     exponent=x if np.array_equal(u.values, v.values) else None)
     mt_v = c.omega * integrate(vals_v, maps.t_grid)
     margin = np.exp((1.0 - beta / n) * c.alpha_n * maps.c_g) * mt_v - mt_u.value
     vals_v *= maps.psi

@@ -629,6 +629,12 @@ OUT_OF_RANGE = {
     # rho = 2^-k drops below the first node (1e-10) from k = 34 on
     "moser_corner_below_grid": ["sweep", "--mode", "boundedness", "--k-min", "30",
                                 "--k-max", "40"],
+    # would list 10^9 ks before the first member; 2^-k is 0.0 in float64 beyond k = 1074
+    "k_max_beyond_float64": ["sweep", "--mode", "divergence", "--k-max", "1000000000"],
+}
+OUT_OF_RANGE_MESSAGES = {
+    "k_max_beyond_float64": "hmtlab: --k-max must be <= 1074, the last k whose scale 2^-k is "
+                            "nonzero, got 1000000000\n",
 }
 
 
@@ -640,7 +646,15 @@ def test_out_of_range_flag_rejected(tmp_path, capsys, case):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("hmtlab: ") and captured.err.count("\n") == 1
+    assert captured.err == OUT_OF_RANGE_MESSAGES.get(case, captured.err)
     assert not out.exists()
+
+
+def test_k_max_bound_is_the_last_nonzero_scale():
+    assert 2.0 ** -1074 > 0.0 and 2.0 ** -1075 == 0.0
+    cli._validate({"n": 2, "k_min": 1, "k_max": 1074})
+    with pytest.raises(cli._CliError, match="--k-max must be <= 1074"):
+        cli._validate({"n": 2, "k_min": 1, "k_max": 1075})
 
 
 def test_unwritable_out_rejected(tmp_path, capsys):

@@ -33,7 +33,9 @@ from hmtlab.functionals import (
     potential_term,
     singular_mt_with_gradient,
 )
-from hmtlab.quad_core import integrate, make_constants
+from hmtlab.green import make_maps
+from hmtlab.quad_core import int_pow, integrate, make_constants
+from hmtlab.transplant import _t_integrals, pushforward
 
 
 @pytest.fixture(scope="module")
@@ -309,6 +311,34 @@ class TestQV:
         p1 = potential_term(u, Potential("const", 1.0), 2)
         p3 = potential_term(u, Potential("const", 3.0), 2)
         assert p3 - p1 == pytest.approx(2.0 * ln_norm_pow(u, 2), rel=1e-10)
+
+
+class TestPowerIntegrals:
+    """The n-th-power integrals through power_integral are their former expressions to the bit."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("potential", ["zero", "hardy", "hardy+lambda=0.7", "const=2.3"])
+    def test_integrals_are_the_plain_expressions(self, green_tables, n, potential):
+        table = green_tables(n, potential, 1024, 1e-6)
+        maps = make_maps(table)
+        g, omega = table.grid, make_constants(n).omega
+        r_pow, v_vals = g.nodes_pow(n - 1), table.potential.values(g, n)
+        stack = seeded_corpus(g, n, 5, 40 + n)
+        for u in (stack, stack.rows()[2]):
+            v = pushforward(u, maps)
+            pairs = [
+                (grad_energy(u, n), omega * integrate(int_pow(np.abs(u.slopes), n) * r_pow, g)),
+                (ln_norm_pow(u, n), omega * integrate(int_pow(u.values, n) * r_pow, g)),
+                (hyperbolic_ln_norm_pow(u, n),
+                 integrate(int_pow(u.values, n) * g.hyperbolic_density(n), g)),
+                (potential_term(u, table.potential, n),
+                 omega * integrate(v_vals * int_pow(u.values, n) * r_pow, g)),
+                (_t_integrals(v, maps)[2],
+                 omega * integrate(int_pow(v.values, n) * maps.hardy_weight, maps.t_grid)),
+            ]
+            for got, plain in pairs:
+                assert np.shape(got) == np.shape(plain) == u.values.shape[:-1]
+                assert np.asarray(got).tobytes() == np.asarray(plain).tobytes()
 
 
 class TestPotential:

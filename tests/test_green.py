@@ -549,6 +549,25 @@ class TestTableRoundTrip:
         assert np.all(np.abs(loaded.excess - table.excess) <= 10.0 * tol * (1.0 + table.excess))
 
 
+class TestPoleConstantFittedFromG:
+    def test_c_g_is_no_field(self):
+        assert [f.name for f in dataclasses.fields(hl.GreenTable)] == [
+            "grid", "n", "potential", "g_values", "excess", "iterations", "tol"]
+
+    @pytest.mark.parametrize("n, potential", [(2, "hardy"), (3, "hardy+lambda=1.0"),
+                                              (4, "const=0.5")])
+    def test_c_g_is_the_fit_of_its_g(self, green_tables, n, potential):
+        table = green_tables(n, potential, 2048, 1e-6)
+        text = json.dumps(table.report_fields(), default=np.ndarray.tolist)
+        loaded = hl.GreenTable.from_json_dict(json.loads(text))
+        gamma = make_constants(n).gamma
+        for t in (table, loaded):
+            assert t.c_g == _fit_c_g(t.grid, t.g_values, gamma, n)
+            assert "c_g" in vars(t) and t.c_g is t.c_g
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            table.c_g = 0.0
+
+
 class TestResidualOnce:
     @pytest.mark.parametrize("n, potential", [(2, "hardy"), (3, "hardy"), (2, "hardy+lambda=2")])
     def test_one_mass_pass_per_table(self, grids, monkeypatch, n, potential):

@@ -331,7 +331,7 @@ class TestIntegrateStack:
         grid = make_grid(n_points, 1e-4)
         stack = rng.uniform(-1.0, 1.0, (k, n_points)) * 10.0 ** rng.uniform(-150.0, 150.0,
                                                                             (k, n_points))
-        ref = np.array([np.dot(row, grid.weights) for row in stack])
+        ref = np.array([float(np.dot(row, grid.weights)) for row in stack])
         if layout == "F":
             stack = np.asfortranarray(stack)
         elif layout == "strided":
@@ -339,6 +339,10 @@ class TestIntegrateStack:
             wide[:, ::2] = stack
             stack = wide[:, ::2]
         assert integrate(stack, grid).tobytes() == ref.tobytes()
+        # one row alone is a float, its float(np.dot) and its entry in the stack to the bit
+        sums = [integrate(row, grid) for row in stack]
+        assert all(type(total) is float for total in sums)
+        assert np.array(sums).tobytes() == ref.tobytes()
 
 
 class TestIntPow:
