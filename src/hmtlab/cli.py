@@ -4,9 +4,12 @@ Subcommands: green, verify, sweep, search, rearrange-demo.  ``FLAGS`` is the
 one table of configuration keys: each key's type, default, help and the
 subcommands that read it.  The parser, the defaults, the config-file type
 check and the echoed config all come from it, so each subcommand accepts
-only the flags it reads.  Configuration comes from an optional JSON file of
-flat keys mirroring the flags, with command-line flags taking precedence; a
-file key that the subcommand does not read is rejected like an unknown one.
+only the flags it reads.  A flag read in one mode only is parsed and echoed
+in every mode: ``sweep --scale`` and ``--lam``, and ``search --beta`` under
+``lambda1`` (perfbench's search check reads its ``config.beta``).
+Configuration comes from an optional JSON file of flat keys mirroring the
+flags, with command-line flags taking precedence; a file key that the
+subcommand does not read is rejected like an unknown one.
 Outputs are JSON or CSV with every file embedding the subcommand's resolved
 config and a format version string; identical config and seed reproduce
 outputs byte for byte (floats are emitted with repr / 17 significant digits
@@ -38,9 +41,9 @@ process, so a command's peak live memory is its footprint: ``green``
 drops its table, and with it the grid and the grid's cached arrays,
 before the writer runs.
 
-``verify`` builds and certifies its corpus ``CORPUS_BLOCK`` profiles at a
-time, so its memory does not grow with ``--corpus-size``; every report is
-that of its profile alone, whatever block it sat in.
+``verify`` certifies its corpus, and ``sweep --mode divergence`` its family,
+``CORPUS_BLOCK`` profiles at a time, so memory does not grow with
+``--corpus-size`` or ``--k-max``; each row is its profile's alone.
 
 ``RETIRED`` holds each subcommand's flags that no computation reads any
 more (``verify --t-points``, ``search --seed``): they are parsed and ignored,
@@ -98,7 +101,7 @@ from .transplant import TransplantReport, transplant_report
 # normalized and run through the transplant chain as one (rows, nodes) stack.  At
 # 4096 nodes on 2 cores 16 rows ran fastest: 8, 32 and 64 rows took 13%, 7% and 17%
 # longer a job (fewer rows pay more numpy calls per row, more outgrow the cache).
-# Reports do not depend on it.
+# sweep --mode divergence probes in blocks of the same size.  No row depends on it.
 CORPUS_BLOCK = 16
 
 # A 1-D array is written this many values per _array_text call: the kernel's row and
@@ -590,13 +593,11 @@ def _cmd_sweep(cfg: Dict[str, Any]) -> int:
     extra: Dict[str, Any] = {}
 
     if mode == "divergence":
-        probe = divergence_probe(n, beta, list(ks), grid)
+        points = [row for i in range(0, len(ks), CORPUS_BLOCK)
+                  for row in divergence_probe(n, beta, list(ks[i:i + CORPUS_BLOCK]), grid)]
         header = ["param", "value", "overflow", "divergence_flag", "truncation_m"]
-        rows = []
-        for row in probe:
-            rows.append([row.param, row.value_low, False, row.flag_low, n - 1])
-            rows.append([row.param, row.value_high, False, row.flag_high, n])
-        json_rows = [r._asdict() for r in probe]
+        rows = [[p.param, value, False, flag, m] for p in points for value, flag, m
+                in ((p.value_low, p.flag_low, n - 1), (p.value_high, p.flag_high, n))]
     else:
         family = [MoserParams(rho=2.0 ** (-k), n=n) for k in ks]
         if mode == "boundedness":
@@ -606,10 +607,9 @@ def _cmd_sweep(cfg: Dict[str, Any]) -> int:
             points = improved_sweep(n, beta, float(cfg["lam"]), family, grid, lambda1)
             extra["lambda1_hat"] = lambda1
         header = ["param", "value", "overflow", "divergence_flag"]
-        rows = [[p.param, p.value, p.overflow, p.divergence_flag] for p in points]
-        json_rows = [p._asdict() for p in points]
+        rows = points  # a SweepPoint's fields are the header's columns
 
-    _write_report(cfg, {"rows": json_rows, **extra}, header, rows)
+    _write_report(cfg, {"rows": [p._asdict() for p in points], **extra}, header, rows)
     return 0
 
 

@@ -127,28 +127,30 @@ def moser_profile(params: MoserParams, grid: RadialGrid) -> RadialProfile:
     (9.3 r_min), 1.9% at 2^-31, 8% at 2^-32 and 43% at 2^-33, beyond the
     0.44% by which the two gradings differ at rho >= 2^-27.
     """
-    idx = int(np.argmin(np.abs(grid.nodes - params.rho)))
-    if idx in (0, grid.n_points - 1):
-        end = "first" if idx == 0 else "last"
-        raise PreconditionError(
-            f"Moser corner rho={params.rho:.3e} snaps to the {end} grid node "
-            f"{grid.nodes[idx]:.3e}"
-        )
-    n = params.n
-    rho = float(grid.nodes[idx])
-    if rho < CORNER_CLEARANCE * grid.nodes[0]:
-        raise PreconditionError(
-            f"Moser corner rho={params.rho:.3e} snaps to node {rho:.3e}, below "
-            f"{CORNER_CLEARANCE:g} x r_min = {CORNER_CLEARANCE * grid.nodes[0]:.3e}: the plateau "
-            "below r_min is cut off"
-        )
-    big_l, plateau = _moser_plateau(rho, n)
+    return _moser([params.rho], params.n, grid).rows()[0]
+
+
+def _moser(rhos: Sequence[float], n: int, grid: RadialGrid) -> RadialProfile:
+    """moser_profile's members at the corner radii rhos as one stack, checked in order."""
     r = grid.nodes
+    consts = []
+    for rho_k in rhos:
+        idx = int(np.argmin(np.abs(r - rho_k)))
+        if idx in (0, grid.n_points - 1):
+            raise PreconditionError(f"Moser corner rho={rho_k:.3e} snaps to the "
+                                    f"{'first' if idx == 0 else 'last'} grid node {r[idx]:.3e}")
+        rho = float(r[idx])
+        if rho < CORNER_CLEARANCE * r[0]:
+            raise PreconditionError(f"Moser corner rho={rho_k:.3e} snaps to node {rho:.3e}, below "
+                                    f"{CORNER_CLEARANCE:g} x r_min = {CORNER_CLEARANCE * r[0]:.3e}: "
+                                    "the plateau below r_min is cut off")
+        consts.append((rho, *_moser_plateau(rho, n)))
+    rho, big_l, plateau = np.array(consts).reshape(-1, 3).T[..., None]  # (k, 1) each, k >= 0
     vals = np.where(r <= rho, plateau, plateau * np.log(1.0 / r) / big_l)
     deriv = np.where(r <= rho, 0.0, -plateau / (big_l * r))
     u = RadialProfile(grid, vals, enforce_zero_boundary=True)
     u.slopes = deriv
-    return u.scaled(grad_energy(u, n) ** (-1.0 / n))
+    return u.scaled(_inverse_root(grad_energy(u, n), n))
 
 
 def _moser_plateau(rho: float, n: int) -> Tuple[float, float]:
@@ -219,37 +221,33 @@ def boundary_tail_profile(grid: RadialGrid, n: int, k: int) -> RadialProfile:
 def normalize_h(u: RadialProfile, n: int) -> RadialProfile:
     """Rescale so the deficit energy is exactly 1 (n-homogeneity), each profile of a stack on its own."""
     h_val = h_functional(u, n)
-    bad = np.atleast_1d(h_val)[~(np.atleast_1d(h_val) > 0.0)]
-    if bad.size:
-        raise DegenerateProfileError(
-            f"deficit energy must be positive to normalize, got {float(bad[0])!r}"
-        )
+    bad = next((h for h in np.atleast_1d(h_val).tolist() if not h > 0.0), None)
+    if bad is not None:
+        raise DegenerateProfileError(f"deficit energy must be positive to normalize, got {bad!r}")
     return u.scaled(_inverse_root(h_val, n))
 
 
 def boundedness_sweep(n: int, beta: float, family: Sequence[MoserParams], exponent_scale: float,
                       grid: RadialGrid) -> List[SweepPoint]:
-    """singular_mt at the given exponent scale along the deficit-normalized Moser family."""
+    """singular_mt at exponent_scale along the deficit-normalized Moser family, as one stack."""
     return _moser_sweep(n, beta, 0.0, family, grid, exponent_scale)
 
 
 def divergence_probe(
     n: int, beta: float, ks: Sequence[int], grid: RadialGrid
 ) -> List[ProbeRow]:
-    """Hyperbolic integrals at truncation orders n-1 and n along the boundary family."""
-    rows = []
-    for k in ks:
-        u = normalize_h(boundary_tail_profile(grid, n, k), n)
-        low = hyperbolic_mt(u, n, beta, n - 1)
-        high = hyperbolic_mt(u, n, beta, n)
-        rows.append(ProbeRow(float(k), low.value, low.divergence_flag,
-                             high.value, high.divergence_flag))
-    return rows
+    """Hyperbolic integrals at truncation orders n-1 and n along the boundary family, as one stack."""
+    tails = [boundary_tail_profile(grid, n, k).values for k in ks]
+    u = normalize_h(RadialProfile(grid, np.reshape(tails, (len(tails), grid.n_points)),
+                                  enforce_zero_boundary=False), n)
+    low, high = (hyperbolic_mt(u, n, beta, m) for m in (n - 1, n))
+    cols = (a.tolist() for a in (low.value, low.divergence_flag, high.value, high.divergence_flag))
+    return [ProbeRow(float(k), *row) for k, *row in zip(ks, *cols)]
 
 
 def improved_sweep(n: int, beta: float, lam: float, family: Sequence[MoserParams],
                    grid: RadialGrid, lambda1_hat: float) -> List[SweepPoint]:
-    """Sweep with members normalized to deficit-minus-lambda-mass equal 1.
+    """Sweep with members normalized to deficit-minus-lambda-mass equal 1, as one stack.
 
     Requires lam at least 10% below the lambda_1 estimate (NaN fails); at
     lam = 0 this is boundedness_sweep at scale 1, bit for bit.
@@ -264,16 +262,18 @@ def improved_sweep(n: int, beta: float, lam: float, family: Sequence[MoserParams
 
 def _moser_sweep(n: int, beta: float, lam: float, family: Sequence[MoserParams],
                  grid: RadialGrid, exponent_scale: float) -> List[SweepPoint]:
-    """singular_mt along the Moser family, each member scaled to h - lam ||u||_n^n = 1."""
-    out = []
-    for params in family:
-        u = moser_profile(params, grid)
-        q_val = h_functional(u, n) - lam * ln_norm_pow(u, n)
-        if not (q_val > 0.0):
-            raise DegenerateProfileError(f"h - lam ||u||_n^n = {q_val!r} <= 0 at rho={params.rho}")
-        mt = singular_mt(u.scaled(q_val ** (-1.0 / n)), n, beta, exponent_scale)
-        out.append(SweepPoint(params.rho, mt.value, mt.overflow, False))
-    return out
+    """singular_mt along the Moser family as one stack, each member scaled to h - lam ||u||_n^n = 1."""
+    odd = [p for p in family if p.n != n]
+    if odd:
+        raise PreconditionError(f"Moser member rho={odd[0].rho} has n={odd[0].n}, the sweep n={n}")
+    u = _moser([p.rho for p in family], n, grid)
+    q_val = h_functional(u, n) - lam * ln_norm_pow(u, n)
+    for params, q in zip(family, q_val.tolist()):
+        if not (q > 0.0):
+            raise DegenerateProfileError(f"h - lam ||u||_n^n = {q!r} <= 0 at rho={params.rho}")
+    mt = singular_mt(u.scaled(_inverse_root(q_val, n)), n, beta, exponent_scale)
+    return [SweepPoint(p.rho, v, o, False)
+            for p, v, o in zip(family, mt.value.tolist(), mt.overflow.tolist())]
 
 
 def pav_nonincreasing(y: np.ndarray, w: np.ndarray) -> np.ndarray:

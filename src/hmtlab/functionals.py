@@ -14,9 +14,9 @@ within a few ulp of the node slope.  No spline object is built.
 
 A profile's values may be one row of N node values or a (k, N) stack of
 rows on one grid, the nodes on the last axis.  The slopes, the cubic
-evaluation, ``scaled`` and the functionals of the certification chain
-(``grad_energy``, ``hardy_term``, ``h_functional``, ``potential_term``,
-``mt_integrand`` and ``singular_mt``) work row by row on a stack, with the
+evaluation, ``scaled`` and the functionals (``grad_energy``, ``hardy_term``,
+``h_functional``, ``potential_term``, ``ln_norm_pow``, ``mt_integrand``,
+``singular_mt`` and ``hyperbolic_mt``) work row by row on a stack, with the
 arithmetic of one row, and return one value per row.  The n-th-power
 integrals go through ``power_integral``, which fixes their rounding order,
 and ``quad_core.integrate`` sums each row as its own ``np.dot`` would, so a
@@ -443,20 +443,22 @@ def hyperbolic_mt(u: RadialProfile, n: int, beta: float, m: int) -> HyperbolicMT
     with E_m the order-m exponential tail.  m = n is the convergent
     regularization for admissible profiles; m = n-1 is allowed only as a
     divergence probe.  The divergence flag fires when the last decade of
-    nodes carries more than half the integral.
+    nodes carries more than half the integral.  On a stack, value and both
+    flags hold one entry per profile.
     """
     _check_beta(beta, n)
     if m not in (n - 1, n):
         raise DomainError(f"truncation m must be n-1 or n (= {n-1} or {n}), got {m}")
     g = u.grid
     x = mt_exponent(u.values, n, beta)
-    overflow = bool(np.any(x > EXP_CLAMP))
+    overflow = np.any(x > EXP_CLAMP, axis=-1)
     e_vals = truncated_exp(np.minimum(x, EXP_CLAMP), m)
     integrand = e_vals * g.hyperbolic_density(n) * g.nodes_pow(-beta)
     total = integrate(integrand, g)
     tail = g.s <= 10.0 * g.epsilon
-    flag = float(np.dot(integrand[tail], g.weights[tail])) > TAIL_SHARE_THRESHOLD * total
-    return HyperbolicMTResult(2.0**-n * total, flag, overflow)
+    flag = np.vecdot(integrand[..., tail], g.weights[tail]) > TAIL_SHARE_THRESHOLD * total
+    flags = (bool(a) if a.ndim == 0 else a for a in (flag, overflow))  # one profile: Python bools
+    return HyperbolicMTResult(2.0**-n * total, *flags)
 
 
 def hyperbolic_volume(r: float, n: int) -> float:

@@ -23,6 +23,7 @@ from hmtlab import (
     GreenTable,
     Potential,
     PotentialInstabilityError,
+    divergence_probe,
     estimate_lambda1,
     make_grid,
     solve_green,
@@ -678,6 +679,20 @@ def test_moser_corner_on_first_node_rejected(tmp_path, capsys):
 
 
 class TestVerifyCommand:
+    def test_violation_exits_2_and_still_writes_the_report(self, tmp_path, capsys):
+        # at --margin-tol 0 a rounding-level negative key margin is a violation
+        out = tmp_path / "v.json"
+        code = run_cli(["verify", "--n", "3", "--potential", "zero", "--grid-points", "1024",
+                        "--corpus-size", "30", "--seed", "1", "--margin-tol", "0",
+                        "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "verify: profile 0: key margin -2.220e-16 < -0\n"
+        summary = json.loads(out.read_text())["summary"]
+        assert summary["profiles"] == 30
+        assert summary["violation"] == "profile 0: key margin -2.220e-16 < -0"
+        # the violation names the first violating profile in corpus order, not the worst one
+        assert summary["min_key_margin"] == -6.661338147750939e-16
+
     def test_default_corpus_passes(self, tmp_path):
         out = tmp_path / "v.json"
         code = run_cli(["verify", "--n", "2", "--grid-points", "1024", "--t-points", "2048",
@@ -828,6 +843,15 @@ class TestSweepCommand:
         header = lines[2].split(",")
         assert header[:4] == ["param", "value", "overflow", "divergence_flag"]
         assert "truncation_m" in header
+
+    def test_divergence_rows_do_not_depend_on_the_block_layout(self, tmp_path):
+        # the CLI probes CORPUS_BLOCK members at a time; the rows are those of one call
+        out = tmp_path / "d.json"
+        k_max = 2 * CORPUS_BLOCK + 1
+        assert run_cli(["sweep", "--mode", "divergence", "--n", "3", "--grid-points", "512",
+                        "--k-max", str(k_max), "--out", str(out)]) == 0
+        rows = divergence_probe(3, 0.0, list(range(1, k_max + 1)), make_grid(512, 1e-6))
+        assert json.loads(out.read_text())["rows"] == [row._asdict() for row in rows]
 
     def test_improved_requires_lambda(self):
         assert run_cli(["sweep", "--mode", "improved", "--n", "2"]) == 1

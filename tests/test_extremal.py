@@ -7,6 +7,7 @@ from scipy.linalg import solve_banded
 import hmtlab as hl
 from hmtlab import (
     DegenerateProfileError,
+    HmtError,
     MoserParams,
     PreconditionError,
     RadialProfile,
@@ -145,6 +146,79 @@ class TestDivergenceProbe:
             assert u.is_nonincreasing(tol=1e-12)
             assert u.values[-1] == 0.0
             assert h_functional(u, 2) > 0
+
+    def test_family_index_below_one_rejected(self, grids):
+        g = grids(2048, 1e-6)
+        with pytest.raises(PreconditionError, match="family index must be >= 1, got 0"):
+            boundary_tail_profile(g, 2, 0)
+        with pytest.raises(PreconditionError, match="family index must be >= 1, got 0"):
+            divergence_probe(2, 0.0, [3, 0, -1], g)
+
+
+def _raised(call):
+    """The type and message of the error that call() raises."""
+    with pytest.raises(HmtError) as exc:
+        call()
+    return type(exc.value), str(exc.value)
+
+
+class TestFamilyStacks:
+    """Each family is evaluated as one stack: every row, and the error a family raises, is that
+    of its member alone."""
+
+    @pytest.mark.parametrize("n, beta", [(2, 0.0), (3, 1.5), (4, 0.5)])
+    def test_sweep_rows_are_members_alone(self, grids, n, beta):
+        g = grids(2048, 1e-6)
+        family = [MoserParams(rho=2.0**-k, n=n) for k in range(1, 30)]
+        sweeps = {"boundedness": lambda fam: boundedness_sweep(n, beta, fam, 40.0, g),
+                  "improved": lambda fam: improved_sweep(n, beta, 1.0, fam, g, lambda1_hat=2.7)}
+        for name, sweep in sweeps.items():
+            rows = sweep(family)
+            assert rows == [sweep([p])[0] for p in family]
+            assert [type(x) for row in rows for x in row] == [float, float, bool, bool] * 29
+            assert rows[-1].overflow == (name == "boundedness")  # scale 40 clamps at EXP_CLAMP
+
+    @pytest.mark.parametrize("n, beta", [(2, 0.0), (3, 0.0), (3, 1.5)])
+    def test_probe_rows_are_members_alone(self, grids, n, beta):
+        g = grids(2048, 1e-6)
+        ks = list(range(1, 15))
+        rows = divergence_probe(n, beta, ks, g)
+        assert rows == [divergence_probe(n, beta, [k], g)[0] for k in ks]
+        assert [type(x) for row in rows for x in row] == [float, float, bool, float, bool] * 14
+
+    def test_empty_families(self, grids):
+        g = grids(2048, 1e-6)
+        assert boundedness_sweep(2, 0.0, [], 1.0, g) == []
+        assert divergence_probe(2, 0.0, [], g) == []
+
+    def test_corner_error_names_the_first_member_in_family_order(self):
+        # on 256 nodes 2^-33 snaps to the first node and 2^-30 to a node below 16 r_min
+        g = make_grid(256, 1e-6)
+        first_node, near_r_min = MoserParams(2.0**-33, 2), MoserParams(2.0**-30, 2)
+        for family, match in (([first_node, near_r_min], "first grid node"),
+                              ([near_r_min, first_node], "below 16 x r_min")):
+            family = [MoserParams(0.25, 2)] + family
+            err = _raised(lambda: boundedness_sweep(2, 0.0, family, 1.0, g))
+            assert err[0] is PreconditionError and match in err[1]
+            assert err == _raised(lambda: moser_profile(family[1], g))
+
+    def test_degenerate_error_names_the_first_member_in_family_order(self, grids):
+        # h / ||u||_2^2 rises from 4.4 at rho = 1/2 along the family, so lam = 10 leaves
+        # h - lam ||u||_n^n <= 0 at k = 1..4; the reversed family meets k = 4 first
+        g = grids(2048, 1e-6)
+        family = [MoserParams(rho=2.0**-k, n=2) for k in range(12, 0, -1)]
+        err = _raised(lambda: improved_sweep(2, 0.0, 10.0, family, g, lambda1_hat=100.0))
+        assert err[0] is DegenerateProfileError and err[1].endswith("at rho=0.0625")
+        assert err == _raised(lambda: improved_sweep(2, 0.0, 10.0, [family[8]], g, 100.0))
+
+    def test_member_of_another_dimension_rejected(self, grids):
+        # each member is built and measured at the sweep's n
+        g = grids(2048, 1e-6)
+        with pytest.raises(PreconditionError, match=r"rho=0\.1 has n=3, the sweep n=2"):
+            boundedness_sweep(2, 0.0, [MoserParams(0.1, 3)], 1.0, g)
+        family = [MoserParams(0.5, 2), MoserParams(0.25, 4), MoserParams(0.1, 3)]
+        with pytest.raises(PreconditionError, match=r"rho=0\.25 has n=4, the sweep n=2"):
+            improved_sweep(2, 0.0, 1.0, family, g, lambda1_hat=2.7)
 
 
 class TestPAV:

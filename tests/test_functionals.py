@@ -461,6 +461,26 @@ class TestHyperbolicMT:
         with pytest.raises(DomainError):
             hyperbolic_mt(u, 3, 0.0, 1)
 
+    @pytest.mark.parametrize("n, beta", [(2, 0.0), (3, 0.0), (3, 1.5), (4, 2.5)])
+    def test_stack_rows_equal_rows_alone(self, grids, n, beta):
+        # value, divergence flag and overflow of each row, to the bit, whatever stack it sits in;
+        # beta < n - 1 keeps the clamped row's integrand r^(n-1-beta) exp(700) finite at r_min
+        g = grids(1024, 1e-6)
+        corpus = seeded_corpus(g, n, 3, 41).values
+        peak = (750.0 / ((1.0 - beta / n) * make_constants(n).alpha_n)) ** ((n - 1.0) / n)
+        clamped = peak / corpus[0, 0] * corpus[0]  # the exponent passes EXP_CLAMP near r = 0
+        tail = g.one_minus_r2**0.05  # the last decade of nodes carries most of the integral
+        stack = RadialProfile(g, np.vstack([corpus, clamped, tail]), enforce_zero_boundary=False)
+        for m in (n - 1, n):
+            whole = hyperbolic_mt(stack, n, beta, m)
+            assert whole.overflow.tolist() == [False, False, False, True, False]
+            assert whole.divergence_flag.tolist() == [False, False, False, False, True]
+            for i, row in enumerate(stack.rows()):
+                alone = hyperbolic_mt(row, n, beta, m)
+                assert (type(alone.value), type(alone.divergence_flag), type(alone.overflow)) == (
+                    float, bool, bool)
+                assert alone == (whole.value[i], whole.divergence_flag[i], whole.overflow[i])
+
 
 class TestHyperbolicVolume:
     def test_closed_form_n2(self):
