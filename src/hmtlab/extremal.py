@@ -114,7 +114,7 @@ def moser_profile(params: MoserParams, grid: RadialGrid) -> RadialProfile:
     """Plateau-plus-logarithm concentration profile with unit gradient energy.
 
     The corner radius is snapped to the nearest node and the closed-form
-    derivative is stored as the profile's slopes; the profile is then
+    derivative is given as the profile's slopes; the profile is then
     rescaled so the computed gradient energy is 1 exactly (homogeneity makes
     the rescale exact).
     A corner whose nearest node is the first or the last one (in particular
@@ -148,8 +148,7 @@ def _moser(rhos: Sequence[float], n: int, grid: RadialGrid) -> RadialProfile:
     rho, big_l, plateau = np.array(consts).reshape(-1, 3).T[..., None]  # (k, 1) each, k >= 0
     vals = np.where(r <= rho, plateau, plateau * np.log(1.0 / r) / big_l)
     deriv = np.where(r <= rho, 0.0, -plateau / (big_l * r))
-    u = RadialProfile(grid, vals, enforce_zero_boundary=True)
-    u.slopes = deriv
+    u = RadialProfile(grid, vals, enforce_zero_boundary=True, slopes=deriv)
     return u.scaled(_inverse_root(grad_energy(u, n), n))
 
 
@@ -556,10 +555,7 @@ def seeded_corpus(grid: RadialGrid, n: int, size: int, seed, first: int = 0) -> 
     majorant = nonincreasing_majorant(values)
     refit |= np.any(majorant != values, axis=-1)  # a member the majorant moved is fitted anew
     slopes[refit] = RadialProfile(grid, majorant[refit], enforce_zero_boundary=False).slopes
-    slopes.flags.writeable = False
-    prof = RadialProfile(grid, majorant, enforce_zero_boundary=False)
-    prof.slopes = slopes
-    return normalize_h(prof, n)
+    return normalize_h(RadialProfile(grid, majorant, enforce_zero_boundary=False, slopes=slopes), n)
 
 
 def bump_corpus(grid: RadialGrid, n: int, size: int, seed: int) -> List[RadialProfile]:

@@ -5,12 +5,14 @@ from a shape-preserving (monotone) cubic interpolant rather than finite
 differences: on strongly graded meshes central differences lose an order
 near the endpoints, and the monotone fit never overshoots plateaus.  The
 interpolant is Fritsch & Carlson's PCHIP (SIAM J. Numer. Anal. 1980), done
-with numpy alone: ``pchip_slopes`` gives its node slopes, which are the
-profile's derivative, and ``hermite_eval`` evaluates the cubic Hermite
-pieces, both with scipy's arithmetic.  Values equal those of scipy's
-``PchipInterpolator`` to the bit, and so does the derivative at every node
-but the last, where scipy evaluates the end of the last cubic and rounds
-within a few ulp of the node slope.  No spline object is built.
+with numpy alone: ``pchip_slopes`` gives its node slopes and
+``hermite_eval`` evaluates the cubic Hermite pieces, both with scipy's
+arithmetic.  Values equal those of scipy's ``PchipInterpolator`` to the
+bit, and so does the derivative at every node but the last, where scipy
+evaluates the end of the last cubic and rounds within a few ulp of the
+node slope.  No spline object is built.  A profile's derivative is settled
+when it is made, given (a closed form or a parent's) or fitted once, and
+every rescale carries it, so it never depends on what was read before.
 
 A profile's values may be one row of N node values or a (k, N) stack of
 rows on one grid, the nodes on the last axis.  The slopes, the cubic
@@ -42,7 +44,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -160,14 +161,15 @@ class RadialProfile:
     profiles that legitimately carry boundary values.
 
     The monotone cubic fit is the PCHIP interpolant.  ``slopes`` is the
-    profile's one node-derivative array, u'(r_i): the fit's node slopes,
-    cached read-only, unless the constructor of a closed-form family set it
-    (``moser_profile``).  Calling the profile sums the cubic Hermite pieces
-    of the values and slopes with numpy, and ``scaled`` carries the slopes
-    to the rescaled profile.
+    profile's one node-derivative array, u'(r_i), read-only and settled
+    once: the ``slopes`` given (shape-checked; a closed form, as
+    ``moser_profile``'s, or a parent's), else the fit's, made on first read.
+    Calling the profile sums the cubic Hermite pieces of values and slopes
+    with numpy; ``scaled`` and ``rows`` pass the slopes on.
     """
 
-    def __init__(self, grid: RadialGrid, values, *, enforce_zero_boundary: bool = True):
+    def __init__(self, grid: RadialGrid, values, *, enforce_zero_boundary: bool = True,
+                 slopes=None):
         values = np.asarray(values, dtype=float)
         if values.shape[-1:] != grid.nodes.shape or values.ndim > 2:
             raise PreconditionError(
@@ -178,15 +180,23 @@ class RadialProfile:
         if enforce_zero_boundary:
             values = values - values[..., -1:]
             np.maximum(values, 0.0, out=values)
+        if slopes is not None:
+            slopes = np.asarray(slopes, dtype=float).view()  # the caller's array keeps its flags
+            if slopes.shape != values.shape:
+                raise PreconditionError(
+                    f"slopes shape {slopes.shape} does not match values ({values.shape})")
+            slopes.flags.writeable = False
         self.grid = grid
         self.values = values
+        self._slopes = slopes
 
-    @cached_property
+    @property
     def slopes(self) -> np.ndarray:
-        """Fritsch-Carlson node slopes of the PCHIP fit (``pchip_slopes``), read-only."""
-        d = pchip_slopes(self.grid.nodes, self.values)
-        d.flags.writeable = False
-        return d
+        """u'(r_i): the given slopes, or the PCHIP fit's (``pchip_slopes``) from first read on."""
+        if self._slopes is None:
+            self._slopes = pchip_slopes(self.grid.nodes, self.values)
+            self._slopes.flags.writeable = False
+        return self._slopes
 
     def __call__(self, r) -> np.ndarray:
         """u(r), with r clipped to the grid's range; one row of values per profile of a stack."""
@@ -199,7 +209,7 @@ class RadialProfile:
         return bool(np.all(np.diff(self.values) <= tol * top))
 
     def scaled(self, c) -> "RadialProfile":
-        """c * u on the same grid, carrying c * slopes if they are already set.
+        """c * u on the same grid, with c times the slopes of u (fitted first if not yet read).
 
         c is a number, or one factor per profile of a stack.  PCHIP is
         homogeneous (every secant, harmonic mean and end slope scales by c),
@@ -207,20 +217,13 @@ class RadialProfile:
         secants, and the rescale costs no new fit.
         """
         c = np.asarray(c, dtype=float)[..., None]
-        out = RadialProfile(self.grid, c * self.values, enforce_zero_boundary=False)
-        if "slopes" in self.__dict__:
-            d = c * self.slopes
-            d.flags.writeable = False
-            out.slopes = d
-        return out
+        return RadialProfile(self.grid, c * self.values, enforce_zero_boundary=False,
+                             slopes=c * self.slopes)
 
     def rows(self) -> List["RadialProfile"]:
-        """The profiles of a stack, each viewing its row of values and of slopes, if set."""
-        out = [RadialProfile(self.grid, row, enforce_zero_boundary=False) for row in self.values]
-        if "slopes" in self.__dict__:
-            for prof, d in zip(out, self.slopes):
-                prof.slopes = d
-        return out
+        """The profiles of a stack, each viewing its row of values and of slopes."""
+        return [RadialProfile(self.grid, row, enforce_zero_boundary=False, slopes=d)
+                for row, d in zip(self.values, self.slopes)]
 
 
 def _end_slopes(h0: np.ndarray, h1: np.ndarray, m0: np.ndarray, m1: np.ndarray) -> np.ndarray:
@@ -453,7 +456,8 @@ def hyperbolic_mt(u: RadialProfile, n: int, beta: float, m: int) -> HyperbolicMT
     x = mt_exponent(u.values, n, beta)
     overflow = np.any(x > EXP_CLAMP, axis=-1)
     e_vals = truncated_exp(np.minimum(x, EXP_CLAMP), m)
-    integrand = e_vals * g.hyperbolic_density(n) * g.nodes_pow(-beta)
+    with np.errstate(over="ignore"):  # an inf integrand makes integrate raise NumericError
+        integrand = e_vals * g.hyperbolic_density(n) * g.nodes_pow(-beta)
     total = integrate(integrand, g)
     tail = g.s <= 10.0 * g.epsilon
     flag = np.vecdot(integrand[..., tail], g.weights[tail]) > TAIL_SHARE_THRESHOLD * total

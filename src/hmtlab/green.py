@@ -318,9 +318,9 @@ def solve_green(
     Phi_hi, its rounding level, or raises ConvergenceError naming its
     nodes after max_iter steps; ``iterations`` is the most steps any window
     took.  G is then rescaled by Phi_0^(-1/(n-1)), which puts the flux 1 at
-    the pole, and the table is assembled from it.  tol bounds only that
-    table: a residual above 10 tol is a ConvergenceError, which happens
-    where the flux excess is so large that tol lies below its rounding.
+    the pole, and the table is assembled from it.  tol must be finite and
+    positive, and bounds only that table: a residual above 10 tol is a
+    ConvergenceError, met where tol lies below the flux excess's rounding.
     Besides G, the march holds one window's arrays at a time, and the
     solve does not form the remainder H: ``GreenTable.remainder`` forms it
     on first read.
@@ -333,8 +333,8 @@ def solve_green(
     coarse for the potential's boundary layer ends in either, so all
     messages name it.
     """
-    if tol <= 0.0:
-        raise ConvergenceError("tolerance must be positive", residual=None, iterations=0)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ConvergenceError("tolerance must be finite and positive", residual=None, iterations=0)
     g_values, iterations = _inward_march(n, potential.values(grid, n), grid, max_iter)
     table = _table_from_g(grid, n, potential, g_values, iterations, tol)
     del g_values  # the march's G: the residual's mass pass runs without it

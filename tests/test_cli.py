@@ -322,6 +322,34 @@ def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
     assert _build_parser() is _build_parser()
 
 
+def test_outputs_do_not_depend_on_the_runs_before_them(tmp_path, capsys):
+    # grids, fits and tables made by one run in this process must not reach another's bytes
+    argvs = [["green", "--n", "3", "--grid-points", "256", "--epsilon", "1e-4"],
+             ["verify", "--grid-points", "512", "--corpus-size", "5", "--seed", "3"],
+             ["verify", "--n", "3", "--potential", "zero", "--grid-points", "512",
+              "--corpus-size", "4"],
+             ["sweep", "--mode", "boundedness", "--grid-points", "512", "--k-max", "6"],
+             ["sweep", "--mode", "divergence", "--n", "3", "--grid-points", "512", "--k-max", "4"],
+             ["sweep", "--mode", "improved", "--grid-points", "512", "--lam", "1.0",
+              "--k-max", "6", "--format", "csv"],
+             ["search", "--mode", "mt", "--grid-points", "512"],
+             ["search", "--mode", "lambda1", "--n", "3", "--grid-points", "512"],
+             ["rearrange-demo", "--grid-points", "512", "--seed", "2"]]
+
+    def run(order):
+        results = {}
+        for i in order:
+            out = tmp_path / f"{i}.out"
+            code = main(argvs[i] + ["--out", str(out)])
+            captured = capsys.readouterr()
+            results[i] = (code, captured.out, captured.err, out.read_bytes())
+        return results
+
+    forward = run(range(len(argvs)))
+    assert forward == run(reversed(range(len(argvs))))
+    assert [forward[i][0] for i in range(len(argvs))] == [0] * len(argvs)
+
+
 # in a fresh interpreter: every mallopt call made by importing hmtlab and by two mains
 _RECORD_MALLOPT = """
 import ctypes, json

@@ -8,7 +8,9 @@ from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
 from hmtlab import (
     DomainError,
+    NumericError,
     Potential,
+    PreconditionError,
     RadialProfile,
     check_hardy_littlewood,
     check_polya_szego,
@@ -190,7 +192,7 @@ def _secant_rounding(u: RadialProfile) -> np.ndarray:
 
 
 class TestCarriedSlopes:
-    """scaled(c) hands c * u the parent's slopes times c, once computed.
+    """scaled(c) hands c * u the parent's slopes times c, fitting the parent first if need be.
 
     A fresh fit of c * u forms its secants from rounded values, so it can
     differ from the carried arrays by the rounding of those secants; each
@@ -204,10 +206,7 @@ class TestCarriedSlopes:
     def test_matches_fresh_fit(self, corpora, n, member, c):
         u = corpora(n)[member]
         parent = RadialProfile(u.grid, u.values, enforce_zero_boundary=False)
-        unfit = parent.scaled(c)
-        assert "slopes" not in vars(unfit)
-        parent.slopes
-        carried = parent.scaled(c)
+        carried = parent.scaled(c)  # the parent's slopes had not been read: it is fitted first
         fresh = RadialProfile(u.grid, c * u.values, enforce_zero_boundary=False)
         assert carried.values.tobytes() == fresh.values.tobytes()
         assert not carried.slopes.flags.writeable
@@ -221,7 +220,6 @@ class TestCarriedSlopes:
         # scaling by 2^k is exact in every operation of the fit
         for u in corpora(n)[:12]:
             parent = RadialProfile(u.grid, u.values, enforce_zero_boundary=False)
-            parent.slopes
             fresh = RadialProfile(u.grid, 2.0**k * u.values, enforce_zero_boundary=False)
             carried = parent.scaled(2.0**k)
             assert np.array_equal(carried.slopes, fresh.slopes)
@@ -230,12 +228,50 @@ class TestCarriedSlopes:
         # the slopes are the one carried array: values and slopes are all a profile holds
         g = grids(2048, 1e-6)
         parent = RadialProfile(g, g.one_minus_r2**2)
-        parent.slopes
         carried = parent.scaled(3.0)
-        assert sorted(vars(carried)) == ["grid", "slopes", "values"]
+        assert sorted(vars(carried)) == ["_slopes", "grid", "values"]
         fresh = RadialProfile(g, 3.0 * parent.values, enforce_zero_boundary=False)
         assert np.all(np.abs(carried.slopes - fresh.slopes)
                       <= 4.0 * np.spacing(np.abs(fresh.slopes)) + 6.0 * _secant_rounding(fresh))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.sampled_from([2, 3]), member=st.integers(0, 48), c=st.floats(1e-3, 1e3))
+    def test_rescale_does_not_depend_on_reads_before_it(self, corpora, n, member, c):
+        # a fitted parent and an unread one hand their rescales and rows the same slopes
+        u, w = corpora(n)[member:member + 2]
+        results = []
+        for read_first in (False, True):
+            one = RadialProfile(u.grid, u.values, enforce_zero_boundary=False)
+            stack = RadialProfile(u.grid, np.vstack([u.values, w.values]),
+                                  enforce_zero_boundary=False)
+            if read_first:
+                one.slopes, stack.slopes
+            profs = [one.scaled(c), stack.scaled([c, 1.0 / c]), *stack.rows()]
+            results.append([(p.slopes.tobytes(), np.asarray(grad_energy(p, n)).tolist(),
+                             np.asarray(h_functional(p, n)).tolist()) for p in profs])
+        assert results[0] == results[1]
+
+    def test_slopes_cannot_be_assigned(self, grids):
+        u = RadialProfile(grids(512, 1e-3), grids(512, 1e-3).one_minus_r2)
+        with pytest.raises(AttributeError):
+            u.slopes = np.zeros_like(u.values)
+
+    def test_given_slopes_come_back_read_only(self, grids):
+        g = grids(512, 1e-3)
+        d = -2.0 * g.nodes
+        u = RadialProfile(g, g.one_minus_r2, slopes=d)
+        assert np.array_equal(u.slopes, d) and not u.slopes.flags.writeable
+        assert d.flags.writeable  # the caller's array is left as it was
+        rows = RadialProfile(g, np.vstack([u.values] * 2), slopes=[d, d]).rows()
+        assert all(np.array_equal(row.slopes, d) and not row.slopes.flags.writeable for row in rows)
+
+    @pytest.mark.parametrize("stack, shape", [(False, (511,)), (False, (2, 512)), (True, (512,)),
+                                              (True, (3, 512))])
+    def test_wrongly_shaped_slopes_rejected(self, grids, stack, shape):
+        g = grids(512, 1e-3)
+        values = np.vstack([g.one_minus_r2] * 2) if stack else g.one_minus_r2
+        with pytest.raises(PreconditionError, match="slopes shape"):
+            RadialProfile(g, values, slopes=np.zeros(shape))
 
 
 class TestHermiteEvaluator:
@@ -460,6 +496,14 @@ class TestHyperbolicMT:
         u = RadialProfile(g, g.one_minus_r2)
         with pytest.raises(DomainError):
             hyperbolic_mt(u, 3, 0.0, 1)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n, beta, amp", [(2, 1.5, 40.0), (3, 2.5, 80.0)])
+    def test_overflowing_integrand_is_a_numeric_error(self, grids, n, beta, amp):
+        # the clamped exponential times the density and r^(-beta) overflows near the pole
+        g = grids(1024, 1e-6)
+        with pytest.raises(NumericError):
+            hyperbolic_mt(RadialProfile(g, amp * g.one_minus_r2), n, beta, n)
 
     @pytest.mark.parametrize("n, beta", [(2, 0.0), (3, 0.0), (3, 1.5), (4, 2.5)])
     def test_stack_rows_equal_rows_alone(self, grids, n, beta):

@@ -121,6 +121,18 @@ class TestSolverErrors:
         assert err.value.residual is not None
         assert err.value.iterations == 2
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
+    def test_tol_not_finite_and_positive_rejected_before_the_march(self, grids, monkeypatch, tol):
+        # an inf tol made a table whose report its own loader rejects; a nan one ran the
+        # whole march and then failed the residual bound
+        def march(*args):
+            raise AssertionError("the march was entered")
+
+        monkeypatch.setattr(hl.green, "_inward_march", march)
+        with pytest.raises(ConvergenceError, match="finite and positive") as err:
+            solve_green(2, Potential("hardy"), grids(512, 1e-3), tol=tol)
+        assert err.value.residual is None and err.value.iterations == 0
+
     def test_instability_error(self, grids):
         with pytest.raises(PotentialInstabilityError):
             solve_green(2, Potential("const", 1e8), grids(512, 1e-3), max_iter=400)

@@ -5,7 +5,8 @@ Run from the repository root:
 
     python tools/make_oracles.py
 
-Writes tests/data/oracles.json.  The references are deliberately more
+Writes tests/data/oracles.json; ``check()`` asserts that the committed
+file reproduces (CI runs it).  The references are deliberately more
 expensive than anything the tests run: pole constants from one
 100k-node solve per truncation level of the schedule, and hyperbolic
 volumes from an independent composite-Simpson rule with two million
@@ -83,6 +84,32 @@ def main() -> None:
     }
     ORACLE_PATH.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {ORACLE_PATH}")
+
+
+def check() -> None:
+    """Recompute the oracles and assert that they reproduce the committed file.
+
+    Same fine_nodes, eps_schedule and key sets; each c_g within 1e-10
+    absolute and each volume within 1e-12 relative.  Run from the
+    repository root:
+
+        python -c 'import sys; sys.path.insert(0, "tools"); import make_oracles; make_oracles.check()'
+    """
+    ref = json.loads(ORACLE_PATH.read_text(encoding="utf-8"))
+    assert ref["fine_nodes"] == FINE_NODES
+    assert ref["eps_schedule"] == EPS_SCHEDULE
+    c_g, vol = c_g_oracles(), hyperbolic_volume_oracles()
+    assert c_g.keys() == ref["c_g_hardy"].keys() and vol.keys() == ref["hyperbolic_volume"].keys()
+    for n, row in c_g.items():
+        assert row.keys() == ref["c_g_hardy"][n].keys() == {"per_eps"}, (
+            n, ref["c_g_hardy"][n].keys())
+        assert row["per_eps"].keys() == ref["c_g_hardy"][n]["per_eps"].keys(), n
+        for eps, value in row["per_eps"].items():
+            assert abs(value - ref["c_g_hardy"][n]["per_eps"][eps]) <= 1e-10, (n, eps, value)
+    for key, value in vol.items():
+        expected = ref["hyperbolic_volume"][key]
+        assert abs(value - expected) <= 1e-12 * expected, (key, value)
+    print(f"{ORACLE_PATH} reproduces")
 
 
 if __name__ == "__main__":
