@@ -9,7 +9,10 @@ in every mode: ``sweep --scale`` and ``--lam``, and ``search --beta`` under
 ``lambda1`` (perfbench's search check reads its ``config.beta``).
 Configuration comes from an optional JSON file of flat keys mirroring the
 flags, with command-line flags taking precedence; a file key that the
-subcommand does not read is rejected like an unknown one.
+subcommand does not read is rejected like an unknown one.  ``_resolve_config``
+types each value as its flag's (a file's ``1`` for a float flag is ``1.0``, as
+``--beta 1`` is) and ``_validate`` holds every check, so a subcommand only
+computes and writes.
 Outputs are JSON or CSV with every file embedding the subcommand's resolved
 config and a format version string; identical config and seed reproduce
 outputs byte for byte (floats are emitted with repr / 17 significant digits
@@ -26,11 +29,7 @@ operations per chunk.  A chunk holding a subnormal, NaN or infinity, and an
 array of any other dtype, goes through ``json.dumps`` of its ``tolist()``.
 The kernel's tables are built on first use.
 
-``main`` builds its parser once per process, on the first call: the parser
-depends only on ``FLAGS``, ``RETIRED`` and the subcommand table, and parsing
-leaves it unchanged.
-
-``main`` also sets the process's allocator policy on its first call, where
+``main`` sets the process's allocator policy on its first call, where
 the C library is glibc: freed memory stays in the heap for reuse instead of
 going back to the system, which would fault it in again on the next report
 (``_hold_freed_memory``).  Importing ``hmtlab.cli`` sets nothing, so library
@@ -49,8 +48,9 @@ before the writer runs.
 more (``verify --t-points``, ``search --seed``): they are parsed and ignored,
 so argvs already in use keep working, and never echoed.
 
-Exit codes: 0 success, 1 configuration or validation error, 2 numerical
-failure or violated certification.
+Exit codes: 0 success; 1 a configuration error, the library's errors for input
+outside its domain included (``main`` lists them); 2 any other library error,
+a numerical failure, or a violated certification.
 """
 
 from __future__ import annotations
@@ -70,9 +70,12 @@ from . import FORMAT_VERSION
 from .errors import (
     ConvergenceError,
     CorruptTableError,
-    DiscretizationFailureError,
+    DomainError,
+    GridConfigError,
     HmtError,
+    InvalidDimensionError,
     PotentialInstabilityError,
+    PreconditionError,
 )
 from .extremal import (
     MoserParams,
@@ -192,7 +195,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 @functools.cache
 def _build_parser() -> _ArgumentParser:
-    """The process's one parser, built on first use; ``parse_args`` leaves it unchanged."""
+    """The process's one parser, built once from ``FLAGS``, ``RETIRED`` and ``_COMMANDS``."""
     parser = _ArgumentParser(prog="hmtlab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for command, run in _COMMANDS.items():
@@ -211,6 +214,8 @@ def _type_ok(value: Any, kind: type, nullable: bool) -> bool:
         return nullable
     if isinstance(value, bool):
         return False
+    if kind is float and isinstance(value, int):  # float() of a larger integer overflows
+        return abs(value) <= sys.float_info.max
     return isinstance(value, (int, float) if kind is float else kind)
 
 
@@ -233,7 +238,8 @@ def _resolve_config(args: argparse.Namespace) -> Dict[str, Any]:
             if not _type_ok(value, kind, flags[key].default is None):
                 raise _CliError(f"config key {key!r} must be of type {kind.__name__}, "
                                 f"got {value!r}")
-        cfg.update(file_cfg)
+            # a float flag's number is typed, and so echoed, as the flag's own value is
+            cfg[key] = float(value) if kind is float and value is not None else value
     for key in flags:
         val = getattr(args, key)
         if val is not None:
@@ -243,7 +249,8 @@ def _resolve_config(args: argparse.Namespace) -> Dict[str, Any]:
 
 
 def _validate(cfg: Dict[str, Any]) -> None:
-    """Range checks on the keys present; their types are checked already."""
+    """Every check on a resolved config: the ranges of the keys present, then each
+    subcommand's mode, ``--lam`` and ``--potential``; their types are checked already."""
     def require(key, ok, rule):  # keys whose default is None are checked only when given
         if cfg.get(key) is not None and not ok(cfg[key]):
             raise _CliError(f"--{key.replace('_', '-')} must {rule}, got {cfg[key]}")
@@ -262,6 +269,13 @@ def _validate(cfg: Dict[str, Any]) -> None:
     require("k_min", lambda k: 1 <= k <= cfg["k_max"], f"lie in [1, --k-max={cfg.get('k_max')}]")
     require("scale", lambda s: math.isfinite(s) and s > 0.0, "be finite and positive")
     require("lam", lambda v: math.isfinite(v) and v >= 0.0, "be finite and >= 0")
+    modes = {"sweep": "boundedness|divergence|improved", "search": "mt|lambda1"}
+    if cfg.get("command") in modes and cfg["mode"] not in modes[cfg["command"]].split("|"):
+        raise _CliError(f"{cfg['command']} requires --mode {modes[cfg['command']]}")
+    if cfg.get("mode") == "improved" and cfg["lam"] is None:
+        raise _CliError("improved sweep requires --lam")
+    if "potential" in cfg:  # both verify modes, so a table check rejects what a solve would
+        Potential.parse(cfg["potential"])
 
 
 def _config_for_output(cfg: Dict[str, Any]) -> Dict[str, Any]:
@@ -511,10 +525,9 @@ def _write_report(cfg: Dict[str, Any], payload: Dict[str, Any], header: List[str
 
 def _solve_green(cfg: Dict[str, Any]) -> GreenTable:
     """The Green table of the config; a failed solve also says to refine --grid-points."""
-    potential = Potential.parse(cfg["potential"])
-    grid = make_grid(cfg["grid_points"], float(cfg["epsilon"]))
+    grid = make_grid(cfg["grid_points"], cfg["epsilon"])
     try:
-        return solve_green(cfg["n"], potential, grid, tol=float(cfg["tol"]))
+        return solve_green(cfg["n"], Potential.parse(cfg["potential"]), grid, tol=cfg["tol"])
     except (ConvergenceError, PotentialInstabilityError) as exc:
         exc.args = (f"{exc}; refine --grid-points to rule out the grid",)
         raise
@@ -547,7 +560,7 @@ def _cmd_verify(cfg: Dict[str, Any]) -> int:
         return 0
 
     table = _solve_green(cfg)
-    maps = make_maps(table, beta=float(cfg["beta"]))
+    maps = make_maps(table, beta=cfg["beta"])
     rng = np.random.default_rng(cfg["seed"])
     size = cfg["corpus_size"]
     reports: List[TransplantReport] = []
@@ -555,7 +568,7 @@ def _cmd_verify(cfg: Dict[str, Any]) -> int:
         block = seeded_corpus(table.grid, cfg["n"], min(CORPUS_BLOCK, size - first), rng, first)
         reports += transplant_report(block, maps)
 
-    margin_tol = float(cfg["margin_tol"])
+    margin_tol = cfg["margin_tol"]
     worst: Optional[str] = None
     for i, rep in enumerate(reports):
         for name, margin in (("key", rep.key_margin), ("hardy_lemma", rep.hardy_lemma_margin),
@@ -581,15 +594,9 @@ def _cmd_verify(cfg: Dict[str, Any]) -> int:
 
 def _cmd_sweep(cfg: Dict[str, Any]) -> int:
     """Moser/boundary families through the MT functionals"""
-    mode = cfg["mode"]
-    if mode not in ("boundedness", "divergence", "improved"):
-        raise _CliError("sweep requires --mode boundedness|divergence|improved")
-    if mode == "improved" and cfg["lam"] is None:
-        raise _CliError("improved sweep requires --lam")
-    n = cfg["n"]
-    beta = float(cfg["beta"])
-    grid = make_grid(cfg["grid_points"], float(cfg["epsilon"]))
-    ks = range(int(cfg["k_min"]), int(cfg["k_max"]) + 1)
+    mode, n, beta = cfg["mode"], cfg["n"], cfg["beta"]
+    grid = make_grid(cfg["grid_points"], cfg["epsilon"])
+    ks = range(cfg["k_min"], cfg["k_max"] + 1)
     extra: Dict[str, Any] = {}
 
     if mode == "divergence":
@@ -601,10 +608,10 @@ def _cmd_sweep(cfg: Dict[str, Any]) -> int:
     else:
         family = [MoserParams(rho=2.0 ** (-k), n=n) for k in ks]
         if mode == "boundedness":
-            points = boundedness_sweep(n, beta, family, float(cfg["scale"]), grid)
+            points = boundedness_sweep(n, beta, family, cfg["scale"], grid)
         else:  # lam must sit below lambda_1, estimated on the sweep's own grid
             lambda1 = estimate_lambda1(n, grid).best_value
-            points = improved_sweep(n, beta, float(cfg["lam"]), family, grid, lambda1)
+            points = improved_sweep(n, beta, cfg["lam"], family, grid, lambda1)
             extra["lambda1_hat"] = lambda1
         header = ["param", "value", "overflow", "divergence_flag"]
         rows = points  # a SweepPoint's fields are the header's columns
@@ -615,15 +622,12 @@ def _cmd_sweep(cfg: Dict[str, Any]) -> int:
 
 def _cmd_search(cfg: Dict[str, Any]) -> int:
     """constrained maximization / lambda_1 estimation"""
-    mode = cfg["mode"]
-    if mode not in ("mt", "lambda1"):
-        raise _CliError("search requires --mode mt|lambda1")
     n = cfg["n"]
-    grid = make_grid(cfg["grid_points"], float(cfg["epsilon"]))
-    options = SearchOptions(max_iter=int(cfg["max_iter"]))
-    if mode == "mt":
+    grid = make_grid(cfg["grid_points"], cfg["epsilon"])
+    options = SearchOptions(max_iter=cfg["max_iter"])
+    if cfg["mode"] == "mt":
         start = RadialProfile(grid, 0.5 * grid.one_minus_r2)
-        report = maximize_mt(n, float(cfg["beta"]), grid, start, options)
+        report = maximize_mt(n, cfg["beta"], grid, start, options)
     else:
         report = estimate_lambda1(n, grid, options)
     rows = ([float(i), v, False, False] for i, v in report.trajectory)
@@ -635,14 +639,14 @@ def _cmd_search(cfg: Dict[str, Any]) -> int:
 def _cmd_rearrange_demo(cfg: Dict[str, Any]) -> int:
     """rearrange a seeded bump profile and report margins"""
     n = cfg["n"]
-    grid = make_grid(cfg["grid_points"], float(cfg["epsilon"]))
+    grid = make_grid(cfg["grid_points"], cfg["epsilon"])
     profile = bump_corpus(grid, n, 1, cfg["seed"])[0]
     star = rearrange(profile, n)
     ps = check_polya_szego(profile, n)
     payload = {
         "polya_szego_margin": ps.margin,
         "polya_szego_h_margin": ps.h_margin,
-        "hardy_littlewood_margin": check_hardy_littlewood(profile, n, float(cfg["beta"])),
+        "hardy_littlewood_margin": check_hardy_littlewood(profile, n, cfg["beta"]),
         "ln_hyperbolic_before": hyperbolic_ln_norm_pow(profile, n),
         "ln_hyperbolic_after": hyperbolic_ln_norm_pow(star, n),
         "r": grid.nodes,
@@ -686,16 +690,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         cfg = _resolve_config(args)
         _validate(cfg)
         return _COMMANDS[args.command](cfg)
-    except _CliError as exc:
+    except (_CliError, HmtError) as exc:
         print(f"hmtlab: {exc}", file=sys.stderr)
-        return 1
-    except HmtError as exc:
-        # domain/convergence failures from the library layer
-        numerical = (ConvergenceError, CorruptTableError, DiscretizationFailureError,
-                     PotentialInstabilityError)
-        code = 2 if isinstance(exc, numerical) else 1
-        print(f"hmtlab: {exc}", file=sys.stderr)
-        return code
+        # the library's errors for input outside its domain are configuration errors
+        bad_input = (_CliError, DomainError, GridConfigError, InvalidDimensionError,
+                     PreconditionError)
+        return 1 if isinstance(exc, bad_input) else 2
 
 
 if __name__ == "__main__":

@@ -525,7 +525,11 @@ def rearrange(u: RadialProfile, n: int) -> RadialProfile:
     cum_int_src = np.concatenate([[0.0], np.cumsum(u.values[order] * w_sorted)])
     cum_w_tgt = np.concatenate([[0.0], np.cumsum(w)])
     block_int = np.interp(cum_w_tgt, cum_w_src, cum_int_src)
-    star = np.diff(block_int) / np.diff(cum_w_tgt)
+    cell_w = np.diff(cum_w_tgt)
+    # a cell whose volume underflows to 0 (r^(n-1) at the origin, from n = 34 on the
+    # default grid) carries no mass: it takes the largest value, so star stays non-increasing
+    star = np.full_like(cell_w, u.values[order[0]])
+    np.divide(np.diff(block_int), cell_w, out=star, where=cell_w > 0)
     star = np.minimum.accumulate(star)  # remove rounding-level violations
     return RadialProfile(u.grid, star, enforce_zero_boundary=False)
 

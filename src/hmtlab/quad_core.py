@@ -144,9 +144,21 @@ class RadialGrid:
         return self._cached(("1-r2", k), lambda: self.one_minus_r2**k)
 
     def hyperbolic_density(self, n: int) -> np.ndarray:
-        """omega (2/(1-r^2))^n r^(n-1), the Poincare-ball volume per unit dr, cached per n."""
-        return self._cached(("dv_H", n), lambda: make_constants(n).omega * (
-            int_pow(2.0 / self.one_minus_r2, n) * self.nodes_pow(n - 1)))
+        """omega (2/(1-r^2))^n r^(n-1), the Poincare-ball volume per unit dr, cached per n.
+
+        At large n it leaves float64: r^(n-1) underflows to 0 near the origin
+        (from n = 34 on the default grid), and where (2/(1-r^2))^n overflows
+        near the boundary (from n = 52) every volume integral would be
+        non-finite, so NumericError is raised, without a warning.
+        """
+        def build():
+            with np.errstate(over="ignore"):
+                density = make_constants(n).omega * (
+                    int_pow(2.0 / self.one_minus_r2, n) * self.nodes_pow(n - 1))
+            if np.isinf(density[-1]):  # the density increases with r
+                raise NumericError(f"hyperbolic volume density overflows float64 at n={n}")
+            return density
+        return self._cached(("dv_H", n), build)
 
     def _cached(self, key: tuple, build) -> np.ndarray:
         out = self._arrays.get(key)

@@ -155,6 +155,13 @@ class TestEmitJson:
                **_as_lists(payload)}
         assert _emit_json(payload, cfg) == json.dumps(doc, indent=2) + "\n"
 
+    @pytest.mark.parametrize("value", [object(), np.zeros((2, 2)), np.int64(3)],
+                             ids=["object", "2-D array", "numpy_int"])
+    def test_what_json_cannot_write_rejected(self, value):
+        # json.dumps's own error: only a 1-D array is written by the default hook
+        with pytest.raises(TypeError, match=f"Object of type {type(value).__name__} is not"):
+            _emit_json({"x": value}, {"n": 2, "out": None})
+
     @pytest.mark.parametrize("length", [0, 1, 7, ARRAY_CHUNK - 1, ARRAY_CHUNK, ARRAY_CHUNK + 1,
                                         2 * ARRAY_CHUNK + 3])
     def test_float_arrays_match_their_lists(self, length):
@@ -706,6 +713,58 @@ def test_moser_corner_on_first_node_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
+# the library's errors for input outside its domain exit 1, like a rejected flag; every
+# other library error is a numerical failure
+EXIT_CODES = {
+    hmtlab.DomainError: 1, hmtlab.GridConfigError: 1, hmtlab.InvalidDimensionError: 1,
+    hmtlab.PreconditionError: 1, hmtlab.NumericError: 2, hmtlab.DegenerateProfileError: 2,
+    hmtlab.ConvergenceError: 2, hmtlab.PotentialInstabilityError: 2,
+    hmtlab.CorruptTableError: 2, hmtlab.DiscretizationFailureError: 2,
+}
+
+
+def test_every_library_error_has_its_exit_code():
+    assert set(EXIT_CODES) == set(hmtlab.HmtError.__subclasses__())
+
+
+@pytest.mark.parametrize("error", list(EXIT_CODES), ids=lambda e: e.__name__)
+def test_exit_code_of_a_library_error(monkeypatch, capsys, error):
+    def fail(cfg):
+        raise error("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "rearrange-demo", fail)
+    assert main(["rearrange-demo"]) == EXIT_CODES[error]
+    assert capsys.readouterr() == ("", "hmtlab: boom\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--mode", "divergence", "--k-max", "3"], "deficit energy must be positive"),
+    (["search", "--mode", "mt"], "on the nodes of a nonzero profile")])
+def test_non_positive_deficit_is_a_numerical_failure(tmp_path, capsys, argv, message):
+    # a 16-node grid cannot hold the Hardy bound; the sweep's DegenerateProfileError exited 1
+    out = tmp_path / "o.json"
+    assert run_cli(argv + ["--grid-points", "16", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("hmtlab: ") and message in captured.err
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--mode", "boundedness", "--k-max", "2"], ["sweep", "--mode", "divergence",
+    "--k-max", "2"], ["search", "--mode", "lambda1", "--grid-points", "256"],
+    ["search", "--mode", "mt", "--grid-points", "256"], ["rearrange-demo"]],
+    ids=lambda a: "-".join(a[:3:2]))
+def test_hyperbolic_volume_beyond_float64_is_a_numerical_failure(tmp_path, capsys, argv):
+    # at eps = 1e-6, (2 / (1 - r^2))^n overflows at the last node from n = 52 on
+    out = tmp_path / "o.json"
+    assert run_cli(argv + ["--n", "60", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == "hmtlab: hyperbolic volume density overflows float64 at n=60\n"
+
+
 class TestVerifyCommand:
     def test_violation_exits_2_and_still_writes_the_report(self, tmp_path, capsys):
         # at --margin-tol 0 a rounding-level negative key margin is a violation
@@ -833,6 +892,16 @@ class TestVerifyCommand:
         assert "hmtlab-report/2" in captured.err
         assert captured.err.count("\n") == 1
 
+    def test_potential_checked_with_a_table_as_without(self, tmp_path, capsys, genuine_table):
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(genuine_table))
+        capsys.readouterr()
+        assert run_cli(["verify", "--potential", "bogus"]) == 1
+        solving = capsys.readouterr()
+        assert solving == ("", "hmtlab: unknown potential 'bogus'\n")
+        assert run_cli(["verify", "--green-table", str(good), "--potential", "bogus"]) == 1
+        assert capsys.readouterr() == solving
+
     def test_unreadable_green_table_is_a_configuration_error(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"
         assert run_cli(["verify", "--green-table", str(missing)]) == 1
@@ -959,6 +1028,15 @@ class TestRearrangeDemo:
         star = np.asarray(doc["u_star"])
         assert np.all(np.diff(star) <= 1e-12)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n", [34, 40])
+    def test_cells_of_no_volume(self, tmp_path, n):
+        # r^(n-1) underflows on the first nodes, so their cells hold no hyperbolic volume
+        out = tmp_path / "r.json"
+        assert run_cli(["rearrange-demo", "--n", str(n), "--out", str(out)]) == 0
+        star = np.asarray(json.loads(out.read_text())["u_star"])
+        assert np.all(np.isfinite(star)) and np.all(np.diff(star) <= 0.0)
+
 
 class TestDeterminism:
     def test_verify_byte_identical(self, tmp_path):
@@ -995,9 +1073,9 @@ class TestConfigFile:
     @pytest.mark.parametrize("command, doc", [
         ("green", {"grid_points": "abc"}), ("green", {"tol": "1e-8"}), ("green", {"n": 2.5}),
         ("green", {"n": True}), ("green", {"n": None}), ("rearrange-demo", {"format": 1}),
-        ("green", [2])],
+        ("green", [2]), ("green", {"tol": 10**400})],
         ids=["int_as_str", "float_as_str", "int_as_float", "int_as_bool",
-             "null_without_none_default", "str_as_int", "not_an_object"])
+             "null_without_none_default", "str_as_int", "not_an_object", "int_beyond_float"])
     def test_mistyped_value_rejected(self, tmp_path, capsys, command, doc):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
@@ -1020,6 +1098,31 @@ class TestConfigFile:
                                    "k_max": 2}))
         assert run_cli(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
         assert json.loads(out.read_text())["config"]["lam"] is None
+
+    @pytest.mark.parametrize("argv", [
+        ["rearrange-demo", "--grid-points", "64", "--seed", "9"],
+        ["sweep", "--mode", "boundedness", "--grid-points", "256", "--k-max", "2"]],
+        ids=lambda a: a[0])
+    def test_file_and_flag_write_the_same_report(self, tmp_path, argv):
+        # the file's integer for a float flag is typed as the flag's 1.0, so echoed alike
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"beta": 1}))
+        by_file, by_flag = tmp_path / "file.json", tmp_path / "flag.json"
+        assert run_cli(argv + ["--config", str(cfg), "--out", str(by_file)]) == 0
+        assert run_cli(argv + ["--beta", "1", "--out", str(by_flag)]) == 0
+        assert by_file.read_bytes() == by_flag.read_bytes()
+        assert json.loads(by_file.read_text())["config"]["beta"] == 1.0
+
+    @pytest.mark.parametrize("text", [None, "{not json"], ids=["missing", "not_json"])
+    def test_unreadable_file_rejected(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        if text is not None:
+            cfg.write_text(text)
+        assert run_cli(["green", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"hmtlab: cannot read config file {cfg}: ")
+        assert captured.err.count("\n") == 1
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -29,6 +29,7 @@ from hmtlab.extremal import (
     _ascend,
     _h_surrogate,
     _h_surrogate_gradient,
+    _mixed_step,
     _surrogate_weights,
     boundary_tail_profile,
     pav_nonincreasing,
@@ -425,6 +426,15 @@ class TestBufferedStep:
     """_ascend's buffered step against the step written as plain numpy expressions."""
 
     STEPS = 5
+
+    def test_mixed_step_of_no_deficit_rejected(self, grid):
+        # a zero step is finite and non-increasing, but cannot be rescaled to unit deficit
+        def evaluate(u):
+            raise AssertionError("a rejected step is not evaluated")
+
+        weights = _surrogate_weights(grid, 2)
+        zero = np.zeros(grid.n_points)
+        assert _mixed_step(zero, 1.0, weights, 2, np.empty(grid.n_points), evaluate) is None
 
     @pytest.fixture(scope="class")
     def grid(self):

@@ -273,6 +273,16 @@ class TestCarriedSlopes:
         with pytest.raises(PreconditionError, match="slopes shape"):
             RadialProfile(g, values, slopes=np.zeros(shape))
 
+    @pytest.mark.parametrize("values, error, message", [
+        (np.ones(511), PreconditionError, "values shape"),
+        (np.ones((2, 2, 512)), PreconditionError, "values shape"),
+        (np.full(512, np.nan), NumericError, "must be finite"),
+        (np.r_[np.inf, np.zeros(511)], NumericError, "must be finite")],
+        ids=["short", "3-D", "nan", "inf"])
+    def test_malformed_values_rejected(self, grids, values, error, message):
+        with pytest.raises(error, match=message):
+            RadialProfile(grids(512, 1e-3), values)
+
 
 class TestHermiteEvaluator:
     """pchip_slopes and hermite_eval reproduce scipy's PCHIP and Hermite splines bit for bit.
@@ -619,6 +629,24 @@ class TestRearrange:
         desc = np.sort(vals)[::-1]
         back = rearrange(RadialProfile(g, desc, enforce_zero_boundary=False), n).values
         assert np.max(np.abs(back - desc)) <= 1e-13 * desc.max()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_cells_of_no_volume(self):
+        # r^39 underflows on the first 9 nodes of this grid: their cells hold no volume
+        g = make_grid(256, 1e-6)
+        w = g.hyperbolic_density(40) * g.weights
+        assert np.count_nonzero(w) == 256 - 9 and np.all(w[:9] == 0.0)
+        vals = np.random.default_rng(40).uniform(0.0, 1.0, 256)
+        star = rearrange(RadialProfile(g, vals, enforce_zero_boundary=False), 40).values
+        assert np.all(np.isfinite(star)) and np.all(np.diff(star) <= 0.0)
+        mass = float(np.dot(vals, w))
+        assert abs(float(np.dot(star, w)) - mass) <= 1e-13 * mass
+
+    def test_negative_profile_rejected(self, grids):
+        g = grids(256, 1e-6)
+        u = RadialProfile(g, g.nodes - 0.5, enforce_zero_boundary=False)
+        with pytest.raises(PreconditionError, match="nonnegative profile"):
+            rearrange(u, 2)
 
     def test_idempotent(self, grids):
         g = grids(4096, 1e-6)

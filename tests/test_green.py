@@ -20,7 +20,7 @@ from hmtlab import (
     make_maps,
     solve_green,
 )
-from hmtlab.green import _fit_c_g, image_t_grid
+from hmtlab.green import _fit_c_g, _validate_maps, image_t_grid
 from hmtlab.quad_core import cumulative_from_origin
 from scipy.integrate import solve_ivp
 from scipy.interpolate import PchipInterpolator
@@ -88,15 +88,6 @@ class TestHardyCritical:
         a = green_tables(n, "hardy", 2048, 1e-5, 1e-10).c_g
         b = green_tables(n, "hardy", 4096, 1e-5, 1e-10).c_g
         assert abs(a - b) < 1e-4
-
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_remainder_slope(self, green_tables, n):
-        table = green_tables(n, "hardy", 2048, 1e-6)
-        g = table.grid
-        mask = (g.nodes >= 1e-6) & (g.nodes <= 1e-3)
-        slope = np.polyfit(np.log(g.nodes[mask]),
-                           np.log(np.abs(table.remainder[mask]) + 1e-300), 1)[0]
-        assert slope >= 1.5
 
     def test_boundary_bound(self, green_tables):
         fitted = {}
@@ -490,6 +481,24 @@ class TestMaps:
         bad = dataclasses.replace(table, g_values=g_bad)
         with pytest.raises(CorruptTableError):
             make_maps(bad)
+
+    def test_flux_below_one_rejected(self, green_tables):
+        table = green_tables(2, "hardy", 2048, 1e-6)
+        bad = dataclasses.replace(table, excess=table.excess - 1e-6)
+        with pytest.raises(CorruptTableError, match="G' r must be >= 1"):
+            bad.validate()
+
+    @pytest.mark.parametrize("field, tamper, message", [
+        ("a", lambda maps: maps.a[::-1], r"a\(t\) is not strictly increasing"),
+        # a(t) sqrt(t) still increases, but its ratio to t rises near t = 0
+        ("a", lambda maps: maps.a * np.sqrt(maps.t_grid.nodes), r"a\(t\)/t is not decreasing"),
+        ("phi", lambda maps: -maps.phi, "phi must be positive")],
+        ids=["a_decreasing", "a_over_t_rising", "phi_negative"])
+    def test_tampered_maps_rejected(self, green_tables, field, tamper, message):
+        table = green_tables(2, "hardy", 2048, 1e-6)
+        maps = make_maps(table)
+        with pytest.raises(CorruptTableError, match=message):
+            _validate_maps(dataclasses.replace(maps, **{field: tamper(maps)}), table)
 
 
 class TestTableRoundTrip:

@@ -66,6 +66,18 @@ class TestConstants:
 
 
 class TestGrid:
+    @pytest.mark.parametrize("nodes", [[0.0, 0.5, 0.9], [0.1, 0.5, 0.5], [0.1, 0.6, 0.5]],
+                             ids=["zero", "repeated", "falling"])
+    def test_nodes_must_increase_from_above_zero(self, nodes):
+        nodes = np.asarray(nodes)
+        with pytest.raises(GridConfigError, match="strictly increasing and positive"):
+            RadialGrid(nodes, 1.0 - nodes, nodes, 0.1)
+
+    def test_no_room_between_the_tails(self):
+        # 7 nodes in each tail leave 3 for the uniform section, which needs 4
+        with pytest.raises(GridConfigError, match="n_points=17 too small for tail_fraction=0.4"):
+            make_grid(17, 1e-6, tail_fraction=0.4)
+
     def test_small_grid_contract(self):
         g = make_grid(16, 0.25)
         assert g.n_points == 16
@@ -170,6 +182,11 @@ class TestGrid:
 
 
 class TestIntegrate:
+    @pytest.mark.parametrize("shape", [(63,), (64, 2), (2, 2, 64)])
+    def test_wrongly_shaped_samples_rejected(self, shape):
+        with pytest.raises(NumericError, match="does not match grid"):
+            integrate(np.ones(shape), make_grid(64, 0.25))
+
     def test_constant(self):
         g = make_grid(128, 0.25)
         val = integrate(np.ones_like(g.nodes), g)
@@ -520,6 +537,15 @@ class TestAndersonMixer:
             coef = np.linalg.solve(df @ df.T, df @ r.defect)
             type_i = r.plain - coef @ dx - coef @ df
             assert np.max(np.abs(r.step - type_i)) <= 1e-13 * np.max(np.abs(type_i))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_singular_gram_system_gives_a_non_finite_step(self):
+        # the same defect twice leaves one zero difference: the Gram matrix is [[0]]
+        mixer = AndersonMixer(4)
+        defect, plain = np.ones(4), np.arange(4.0)
+        assert mixer.mix(defect, plain) is None
+        step = mixer.mix(defect, plain + 1.0)
+        assert step.shape == (4,) and not np.any(np.isfinite(step))
 
     def test_step_shares_no_memory_with_what_the_caller_holds(self):
         records = self._run()
