@@ -640,7 +640,7 @@ def _cmd_rearrange_demo(cfg: Dict[str, Any]) -> int:
     """rearrange a seeded bump profile and report margins"""
     n = cfg["n"]
     grid = make_grid(cfg["grid_points"], cfg["epsilon"])
-    profile = bump_corpus(grid, n, 1, cfg["seed"])[0]
+    profile = bump_corpus(grid, 1, cfg["seed"])[0]
     star = rearrange(profile, n)
     ps = check_polya_szego(profile, n)
     payload = {

@@ -4,7 +4,8 @@ Constraint handling is exact scaling throughout: the deficit energy, the
 potential quadratic form, and the n-norm are all exactly n-homogeneous
 (the discrete functionals included, since the monotone-spline derivative
 is positively homogeneous), so a profile is placed on the constraint set
-by one closed-form rescale instead of multiplier tuning.
+by one closed-form rescale instead of multiplier tuning.  Both searches run
+_ascend on deficit weights built once and handed in, beside its AndersonMixer.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .functionals import (
     singular_mt,
     singular_mt_with_gradient,
 )
-from .quad_core import AndersonMixer, RadialGrid, make_constants
+from .quad_core import RadialGrid, make_constants
 
 __all__ = [
     "MoserParams",
@@ -67,6 +68,7 @@ MAX_GAP = 0.01  # largest relative gap between a value on the profile and on the
 SHOULDER = 0.5  # the corpus's Moser corner blend; acceptance criteria 4-6 were checked with it
 TAIL_CUT_BASE = 0.25  # the divergence family's cut depth; criterion 8 was checked with it
 CORNER_CLEARANCE = 16.0  # a Moser corner must lie at least this many times the first node out
+ANDERSON_DEPTH = 5  # past steps whose differences an AndersonMixer mixes
 
 
 @dataclass(frozen=True)
@@ -288,19 +290,21 @@ def pav_nonincreasing(y: np.ndarray, w: np.ndarray) -> np.ndarray:
 def _surrogate_weights(grid: RadialGrid, n: int):
     """Weights of the interval-difference deficit energy and of the n-norm.
 
-    Returns (dr, cell, hardy, mass) with the factor omega left out: the
-    deficit is omega * (sum(cell * |diff(u)/dr|^n) - sum(hardy * u^n)), and
-    ||u||_n^n is omega * sum(mass * u^n), the trapezoid rule of ln_norm_pow.
+    Returns (dr, cell, hardy, mass, solve_cell) with the factor omega left
+    out: the deficit is omega * (sum(cell * |diff(u)/dr|^n) - sum(hardy * u^n)),
+    and ||u||_n^n is omega * sum(mass * u^n), the trapezoid rule of ln_norm_pow.
     omega * hardy is ((n-1)/n)^n times the hyperbolic cell volumes, as in hardy_term.
+    _solve_gradient_part divides by solve_cell, cell with +inf where r^n underflows to 0.
     """
     mass = grid.nodes_pow(n - 1) * grid.weights
     hardy = ((n - 1) / n) ** n / make_constants(n).omega * grid.hyperbolic_density(n) * grid.weights
-    return grid.dr, np.diff(grid.nodes_pow(n)) / n, hardy, mass
+    cell = np.diff(grid.nodes_pow(n)) / n
+    return grid.dr, cell, hardy, mass, np.where(cell > 0.0, cell, np.inf)
 
 
 def _h_surrogate(u: np.ndarray, weights: tuple, n: int, work: Optional[np.ndarray] = None) -> float:
     """Interval-difference deficit energy of _surrogate_weights; analytic in the node values."""
-    dr, cell, hardy, _ = weights
+    dr, cell, hardy = weights[:3]
     du = np.subtract(u[1:], u[:-1], out=None if work is None else work[:-1])
     du /= dr
     np.abs(du, out=du)
@@ -311,7 +315,7 @@ def _h_surrogate(u: np.ndarray, weights: tuple, n: int, work: Optional[np.ndarra
 def _h_surrogate_gradient(u_vals: np.ndarray, grid: RadialGrid, n: int) -> np.ndarray:
     """Node gradient of the interval-difference deficit energy."""
     c = make_constants(n)
-    dr, cell, hardy, _ = _surrogate_weights(grid, n)
+    dr, cell, hardy = _surrogate_weights(grid, n)[:3]
     du = np.diff(u_vals) / dr
     contrib = c.omega * n * np.abs(du) ** (n - 1) * np.sign(du) * cell / dr
     return (-np.diff(contrib, prepend=0.0, append=0.0)
@@ -325,7 +329,7 @@ def _solve_gradient_part(rhs: np.ndarray, dr: np.ndarray, cell: np.ndarray, n: i
     E is omega * sum(cell * |diff(w)/dr|^n).  The face fluxes
     cell * slope^(n-1) / dr are the cumulative sums of rhs from the origin
     and w sums the slopes from the boundary, so rhs >= 0 gives a w that is
-    non-increasing exactly.
+    non-increasing exactly.  A cell of no volume, +inf in ``cell``, gets slope 0.
     """
     np.add.accumulate(rhs[:-1], out=face)  # the fluxes, turned into slope * dr in place
     face *= dr
@@ -348,7 +352,64 @@ def _unit_deficit(u: np.ndarray, weights: tuple, n: int, work: np.ndarray) -> np
     return u * h_val ** (-1.0 / n)
 
 
-def _ascend(u: np.ndarray, grid: RadialGrid, n: int, evaluate: Callable[[np.ndarray], tuple],
+class AndersonMixer:
+    """Type-II Anderson mixing of a fixed-point iteration x -> T(x).
+
+    ``mix`` takes the defect f = T(x) - x and the caller's own plain step
+    T(x), passed as it computed it, and returns the mixed step
+    plain - c @ dG.  The rows of dF and dG are the last ``ANDERSON_DEPTH``
+    differences of successive f and of successive plain steps, and the
+    coefficients c solve the Gram system dF dF^T c = dF f.  This is Anderson
+    acceleration (Walker & Ni, SIAM J. Numer. Anal. 2011) in the Type-II
+    multisecant form (Fang & Saad, Numer. Linear Algebra Appl. 2009): its
+    step plain - c @ (dX + dF) needs only dG = dX + dF, the differences of
+    x + f, so x itself is never read.  The Gram matrix is kept and updated
+    by one row and column per step.  A singular Gram system gives NaN
+    coefficients, hence a non-finite step.  The caller judges each mixed
+    step; on rejecting one it takes ``plain`` and calls ``restart``, so the
+    history starts again from the plain step.
+
+    The mixer copies f and plain, so the caller may reuse their buffers,
+    and each step is a new array.
+    """
+
+    def __init__(self, size: int):
+        # ring buffers: row k holds one difference of successive f (d_f) and plain steps (d_g);
+        # the row the next difference goes to holds the last f and plain until then
+        self._d_f = np.empty((ANDERSON_DEPTH, size))
+        self._d_g = np.empty_like(self._d_f)
+        self._gram = np.empty((ANDERSON_DEPTH, ANDERSON_DEPTH))  # d_f d_f^T, row by row
+        self.restart()
+
+    def restart(self) -> None:
+        self._kept = 0  # differences recorded since the history was last cleared
+        self._primed = False  # whether the last f and plain are stored
+
+    def mix(self, defect: np.ndarray, plain: np.ndarray) -> Optional[np.ndarray]:
+        """The mixed step, or None while the history holds no difference yet."""
+        step = None
+        row = self._kept % ANDERSON_DEPTH
+        if self._primed:
+            np.subtract(defect, self._d_f[row], out=self._d_f[row])
+            np.subtract(plain, self._d_g[row], out=self._d_g[row])
+            self._kept += 1
+            rows = min(self._kept, ANDERSON_DEPTH)
+            df = self._d_f[:rows]
+            self._gram[row, :rows] = self._gram[:rows, row] = df @ df[row]
+            try:
+                coef = np.linalg.solve(self._gram[:rows, :rows], df @ defect)
+            except np.linalg.LinAlgError:  # singular Gram system: no mixed step
+                coef = np.full(rows, np.nan)
+            with np.errstate(invalid="ignore", over="ignore"):
+                step = plain - coef @ self._d_g[:rows]
+            row = self._kept % ANDERSON_DEPTH
+        self._d_f[row] = defect
+        self._d_g[row] = plain
+        self._primed = True
+        return step
+
+
+def _ascend(u: np.ndarray, weights: tuple, n: int, evaluate: Callable[[np.ndarray], tuple],
             max_iter: int) -> Tuple[np.ndarray, List[tuple], bool]:
     """Maximize a convex node objective F over the unit deficit set from the start u.
 
@@ -373,14 +434,14 @@ def _ascend(u: np.ndarray, grid: RadialGrid, n: int, evaluate: Callable[[np.ndar
     Stops at a plain step that changes F by at most RTOL relative; a mixed
     step that small is confirmed by a plain step first.  Returns the last
     iterate's node values, the trajectory of F and whether that stop came
-    before max_iter.
+    before max_iter.  ``weights`` are H's _surrogate_weights, built once by the caller.
     The plain step fills buffers made once per search, never what
     ``evaluate`` returns: ``rhs``, ``work`` (tau grad F / (omega n), then
     _h_surrogate's differences), ``face`` (the fluxes, then slope * dr) and
     ``w`` (the solve; w[-1] = 0).
     """
     omega = make_constants(n).omega
-    dr, cell, hardy, _ = weights = _surrogate_weights(grid, n)
+    dr, _, hardy, _, cell = weights  # the solve's cell: +inf where a cell has no volume
     rhs, work, face, w = np.empty(u.size), np.empty(u.size), np.empty(u.size - 1), np.zeros(u.size)
     u = _unit_deficit(u, weights, n, work)
     value, grad_f = evaluate(u)
@@ -443,8 +504,8 @@ def maximize_mt(
     u = RadialProfile(grid, nonincreasing_majorant(np.maximum(start.values, 0.0))).values
     if not np.any(u > 0.0):
         raise DegenerateProfileError("start profile is zero after projection")
-    u, trajectory, converged = _ascend(
-        u, grid, n, lambda v: singular_mt_with_gradient(v, grid, n, beta), opts.max_iter)
+    u, trajectory, converged = _ascend(u, _surrogate_weights(grid, n), n, lambda v: (
+        singular_mt_with_gradient(v, grid, n, beta)), opts.max_iter)
     prof = RadialProfile(grid, u, enforce_zero_boundary=False)
     h_val = h_functional(prof, n)
     if not abs(h_val - 1.0) <= MAX_GAP:
@@ -479,9 +540,10 @@ def estimate_lambda1(
     """
     opts = options or SearchOptions()
     omega = make_constants(n).omega
-    mass = _surrogate_weights(grid, n)[3]
+    weights = _surrogate_weights(grid, n)
+    mass = weights[3]
     u = np.maximum(grid.one_minus_r2**1.5 - grid.one_minus_r2[-1] ** 1.5, 0.0)
-    u, trajectory, converged = _ascend(u, grid, n, lambda v: (
+    u, trajectory, converged = _ascend(u, weights, n, lambda v: (
         omega * float(np.dot(mass, v**n)), omega * n * mass * v ** (n - 1)), opts.max_iter)
     prof = RadialProfile(grid, trajectory[-1][1] ** (-1.0 / n) * u, enforce_zero_boundary=False)
     trajectory = [(i, 1.0 / f) for i, f in trajectory]
@@ -558,7 +620,7 @@ def seeded_corpus(grid: RadialGrid, n: int, size: int, seed, first: int = 0) -> 
     return normalize_h(RadialProfile(grid, majorant, enforce_zero_boundary=False, slopes=slopes), n)
 
 
-def bump_corpus(grid: RadialGrid, n: int, size: int, seed: int) -> List[RadialProfile]:
+def bump_corpus(grid: RadialGrid, size: int, seed: int) -> List[RadialProfile]:
     """Seeded non-monotone bump profiles for rearrangement checks.
 
     Control points keep a minimum separation so every member is resolvable

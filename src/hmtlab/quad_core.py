@@ -1,4 +1,4 @@
-"""Constants, graded radial grids, singularity-aware quadrature, and Anderson mixing.
+"""Constants, graded radial grids, singularity-aware quadrature, and series.
 
 Everything downstream integrates weighted radial profiles over a truncated
 interval [r_min, 1-eps].  The integrands carry (-ln r)^k singularities at the
@@ -7,8 +7,7 @@ nodes geometrically at both ends and stays uniform in the interior where
 profiles actually vary.  The boundary coordinate s = 1-r is stored exactly
 (the grid is built in s on the right) so that 1-r^2 = s*(2-s) never suffers
 cancellation, which matters for weights like (1-r^2)^(-n) at s ~ 1e-6.
-The extremal ascent accelerates its fixed-point steps with the
-AndersonMixer.
+The Anderson mixer of the extremal ascent lives in extremal, beside it.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -38,7 +37,6 @@ __all__ = [
 
 EXP_CLAMP = 700.0  # exp(700) ~ 1e304, last safe exponent in float64
 TAIL_SPAN = 0.01  # each geometric tail covers r in [r_min, 0.01] or 1 - r in [eps, 0.01]
-ANDERSON_DEPTH = 5  # past steps whose differences an AndersonMixer mixes
 
 
 @dataclass(frozen=True)
@@ -346,60 +344,3 @@ def truncated_exp(t, m: int):
         out[big] = exp_t - partial
 
     return float(out[0]) if scalar else out
-
-
-class AndersonMixer:
-    """Type-II Anderson mixing of a fixed-point iteration x -> T(x).
-
-    ``mix`` takes the defect f = T(x) - x and the caller's own plain step
-    T(x), passed as it computed it, and returns the mixed step
-    plain - c @ dG.  The rows of dF and dG are the last ``ANDERSON_DEPTH``
-    differences of successive f and of successive plain steps, and the
-    coefficients c solve the Gram system dF dF^T c = dF f.  This is Anderson
-    acceleration (Walker & Ni, SIAM J. Numer. Anal. 2011) in the Type-II
-    multisecant form (Fang & Saad, Numer. Linear Algebra Appl. 2009): its
-    step plain - c @ (dX + dF) needs only dG = dX + dF, the differences of
-    x + f, so x itself is never read.  The Gram matrix is kept and updated
-    by one row and column per step.  A singular Gram system gives NaN
-    coefficients, hence a non-finite step.  The caller judges each mixed
-    step; on rejecting one it takes ``plain`` and calls ``restart``, so the
-    history starts again from the plain step.
-
-    The mixer copies f and plain, so the caller may reuse their buffers,
-    and each step is a new array.
-    """
-
-    def __init__(self, size: int):
-        # ring buffers: row k holds one difference of successive f (d_f) and plain steps (d_g);
-        # the row the next difference goes to holds the last f and plain until then
-        self._d_f = np.empty((ANDERSON_DEPTH, size))
-        self._d_g = np.empty_like(self._d_f)
-        self._gram = np.empty((ANDERSON_DEPTH, ANDERSON_DEPTH))  # d_f d_f^T, row by row
-        self.restart()
-
-    def restart(self) -> None:
-        self._kept = 0  # differences recorded since the history was last cleared
-        self._primed = False  # whether the last f and plain are stored
-
-    def mix(self, defect: np.ndarray, plain: np.ndarray) -> Optional[np.ndarray]:
-        """The mixed step, or None while the history holds no difference yet."""
-        step = None
-        row = self._kept % ANDERSON_DEPTH
-        if self._primed:
-            np.subtract(defect, self._d_f[row], out=self._d_f[row])
-            np.subtract(plain, self._d_g[row], out=self._d_g[row])
-            self._kept += 1
-            rows = min(self._kept, ANDERSON_DEPTH)
-            df = self._d_f[:rows]
-            self._gram[row, :rows] = self._gram[:rows, row] = df @ df[row]
-            try:
-                coef = np.linalg.solve(self._gram[:rows, :rows], df @ defect)
-            except np.linalg.LinAlgError:  # singular Gram system: no mixed step
-                coef = np.full(rows, np.nan)
-            with np.errstate(invalid="ignore", over="ignore"):
-                step = plain - coef @ self._d_g[:rows]
-            row = self._kept % ANDERSON_DEPTH
-        self._d_f[row] = defect
-        self._d_g[row] = plain
-        self._primed = True
-        return step

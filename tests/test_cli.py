@@ -1007,6 +1007,26 @@ class TestSearchCommand:
         assert captured.out == ""
         assert captured.err.startswith("hmtlab: ") and captured.err.count("\n") == 1
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("argv", [["--n", "33", "--grid-points", "256"],
+                                      ["--n", "40", "--grid-points", "256"], ["--n", "51"]])
+    def test_lambda1_on_cells_of_no_volume(self, tmp_path, argv):
+        # r^n underflows on the first nodes from n = 33 on, so their cells hold no volume
+        out = tmp_path / "l.json"
+        assert run_cli(["search", "--mode", "lambda1", *argv, "--out", str(out)]) == 0
+        values = np.asarray(json.loads(out.read_text())["search"]["profile_values"])
+        assert np.all(np.isfinite(values)) and np.all(np.diff(values) <= 0.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_mt_on_cells_of_no_volume_rejected(self, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        assert run_cli(["search", "--mode", "mt", "--n", "40", "--grid-points", "256",
+                        "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("hmtlab: maximizer not resolved")
+        assert captured.err.count("\n") == 1
+
     def test_mt_search(self, tmp_path):
         out = tmp_path / "m.json"
         code = run_cli(["search", "--mode", "mt", "--n", "2", "--beta", "0.5",

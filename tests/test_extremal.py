@@ -25,17 +25,19 @@ from hmtlab import (
     singular_mt,
 )
 from hmtlab.extremal import (
+    AndersonMixer,
     SearchOptions,
     _ascend,
     _h_surrogate,
     _h_surrogate_gradient,
     _mixed_step,
+    _solve_gradient_part,
     _surrogate_weights,
     boundary_tail_profile,
     pav_nonincreasing,
 )
 from hmtlab.functionals import singular_mt_with_gradient
-from hmtlab.quad_core import TAIL_SPAN, AndersonMixer
+from hmtlab.quad_core import TAIL_SPAN
 
 
 class TestMoserProfile:
@@ -374,14 +376,15 @@ class TestMaximizeMT:
     def test_one_step_never_lowers_either_objective(self, grid, n):
         # the monotonicity lemma of _ascend holds for every convex F: the MT sum and the n-norm
         omega = hl.make_constants(n).omega
-        mass = _surrogate_weights(grid, n)[3]
+        weights = _surrogate_weights(grid, n)
+        mass = weights[3]
         evaluators = [
             lambda v: singular_mt_with_gradient(v, grid, n, 0.0),
             lambda v: (omega * float(np.dot(mass, v**n)), omega * n * mass * v ** (n - 1)),
         ]
         for start in seeded_corpus(grid, n, 20, 77).rows():
             for evaluate in evaluators:
-                _, traj, _ = _ascend(start.values, grid, n, evaluate, max_iter=1)
+                _, traj, _ = _ascend(start.values, weights, n, evaluate, max_iter=1)
                 assert traj[1][1] >= traj[0][1]
 
     def test_one_integrand_per_iterate(self, grid, monkeypatch):
@@ -401,7 +404,8 @@ class TestMaximizeMT:
         assert rep.iterations + 2 <= len(calls) <= 2 * rep.iterations + 2
 
     def test_surrogate_weights_built_once_per_search(self, grid, monkeypatch):
-        # the ascent builds the deficit weights once, not once per step
+        # each search builds the deficit weights once and hands them to the ascent, which
+        # builds none; estimate_lambda1 reads its mass from the same tuple
         calls = []
 
         def counted(*args):
@@ -411,7 +415,10 @@ class TestMaximizeMT:
         monkeypatch.setattr(hl.extremal, "_surrogate_weights", counted)
         rep = maximize_mt(2, 0.0, grid, _cli_start(grid), SearchOptions(max_iter=40))
         assert rep.iterations == 40
-        assert 1 <= len(calls) <= 2
+        assert len(calls) == 1
+        lam = estimate_lambda1(2, grid, SearchOptions(max_iter=10))
+        assert lam.iterations == 10
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("n_points", [64, 128])
     def test_coarse_grid_raises(self, n_points):
@@ -420,6 +427,27 @@ class TestMaximizeMT:
         grid = make_grid(n_points, 1e-6)
         with pytest.raises(hl.DiscretizationFailureError):
             maximize_mt(2, 0.0, grid, _cli_start(grid))
+
+
+class TestCellsOfNoVolume:
+    """From n = 33, r^n underflows on the first nodes of the default grid: their cells are empty."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n, empty_cells", [(32, 0), (33, 9), (34, 20), (40, 74)])
+    def test_solve_gives_empty_cells_slope_zero(self, n, empty_cells):
+        grid = make_grid(2048, 1e-6)
+        dr, cell, _, mass, solve_cell = _surrogate_weights(grid, n)
+        empty = cell == 0.0
+        assert np.count_nonzero(empty) == empty_cells
+        assert np.all(solve_cell[empty] == np.inf)
+        assert np.array_equal(solve_cell[~empty], cell[~empty])
+        rhs = mass.copy()  # the n-norm's gradient at u = 1
+        rhs[0] = 1e-300  # and a flux from the origin through every empty cell
+        face, w = np.empty(grid.n_points - 1), np.zeros(grid.n_points)
+        _solve_gradient_part(rhs, dr, solve_cell, n, face, w)
+        slope = -np.diff(w) / dr
+        assert np.all(slope[empty] == 0.0) and np.all(slope[~empty] > 0.0)
+        assert np.all(np.isfinite(w))
 
 
 class TestBufferedStep:
@@ -441,7 +469,7 @@ class TestBufferedStep:
         return make_grid(2048, 1e-6)
 
     def _check(self, grid, n, start, evaluate, reference_evaluate):
-        u, traj, _ = _ascend(start, grid, n, evaluate, max_iter=self.STEPS)
+        u, traj, _ = _ascend(start, _surrogate_weights(grid, n), n, evaluate, max_iter=self.STEPS)
         ref_u, ref_traj = _reference_ascent(start, grid, n, reference_evaluate, self.STEPS)
         assert len(traj) == len(ref_traj) == self.STEPS + 1
         assert np.array_equal(u, ref_u)
@@ -471,7 +499,7 @@ class TestBufferedStep:
         # the reference ascent rescales with _h_surrogate itself; its buffered and unbuffered
         # forms equal the plain expression
         omega = hl.make_constants(n).omega
-        weights = dr, cell, hardy, _ = _surrogate_weights(grid, n)
+        weights = dr, cell, hardy, _, _ = _surrogate_weights(grid, n)
         for u in [_cli_start(grid).values] + list(seeded_corpus(grid, n, 3, 5).values):
             plain = omega * (float(np.dot(np.abs(np.diff(u) / dr) ** n, cell))
                              - float(np.dot(u**n, hardy)))
@@ -509,7 +537,7 @@ def _reference_ascent(u, grid, n, evaluate, steps):
     """
     omega = hl.make_constants(n).omega
     weights = _surrogate_weights(grid, n)
-    dr, cell, hardy, _ = weights
+    dr, cell, hardy, _, _ = weights
 
     def unit_deficit(v):
         return v * _h_surrogate(v, weights, n) ** (-1.0 / n)
@@ -676,7 +704,7 @@ class TestLambda1:
         u = rep.best_profile.values
         assert np.all(np.diff(u) <= 0.0)
         lam = traj[-1]
-        dr, cell, _, mass = _surrogate_weights(grid, n)
+        dr, cell, _, mass, _ = _surrogate_weights(grid, n)
         omega = hl.make_constants(n).omega
         residual = _h_surrogate_gradient(u, grid, n) - lam * n * omega * mass * u ** (n - 1)
         # scale: the largest term of the node equations, a face flux of the gradient part

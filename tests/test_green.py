@@ -152,6 +152,18 @@ class TestSolverErrors:
             solve_green(n, Potential.parse(potential), grids(256, 1e-6))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_overflowing_flux_sum_is_an_instability(self, grids, n):
+        # every weight omega V r^(n-1) passes the check before the march, but V = -1e300
+        # makes the flux grow inward until its running sum overflows; no V >= 0 of the
+        # const and hardy+lambda families was seen to get there before its flux vanished
+        grid = grids(256, 1e-6)
+        v_vals = np.full(grid.n_points, -1e300)
+        assert np.all(np.isfinite(make_constants(n).omega * v_vals * grid.nodes_pow(n - 1)))
+        with pytest.raises(PotentialInstabilityError, match="overflows float64"):
+            hl.green._inward_march(n, v_vals, grid, 400)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_table_whose_recomputation_overflows_rejected(self, green_tables):
         doc = {**green_tables(2, "hardy", 2048, 1e-6).report_fields(),
                "potential": "hardy+lambda=1e308"}
@@ -516,6 +528,12 @@ class TestTableRoundTrip:
         doc = {**table.report_fields(), "G": g.tolist(),
                "c_g": _fit_c_g(table.grid, g, make_constants(2).gamma, 2)}
         with pytest.raises(CorruptTableError, match="G disagrees"):
+            hl.GreenTable.from_json_dict(doc)
+
+    @pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan, 0.0, -1e-10])
+    def test_tol_not_finite_and_positive_rejected(self, green_tables, tol):
+        doc = {**green_tables(2, "hardy", 2048, 1e-6).report_fields(), "tol": tol}
+        with pytest.raises(CorruptTableError, match="tol must be finite and positive"):
             hl.GreenTable.from_json_dict(doc)
 
     def test_stored_g_not_strictly_decreasing_rejected(self, grids):

@@ -18,9 +18,10 @@ from hmtlab import (
     solve_green,
     truncated_exp,
 )
+from hmtlab.extremal import ANDERSON_DEPTH, AndersonMixer
 from hmtlab.functionals import Potential
 from hmtlab.green import image_t_grid
-from hmtlab.quad_core import ANDERSON_DEPTH, TAIL_SPAN, AndersonMixer, int_pow, trapezoid_weights
+from hmtlab.quad_core import TAIL_SPAN, int_pow, trapezoid_weights
 
 
 class TestConstants:
